@@ -9,9 +9,9 @@ __version__ = "0.1.0"
 
 from .graph import KnowledgeGraph, StatsReport, load_graph, parse_graph, stats
 from .rules import AssertionSet, Child, Rule, canonicalize, match
-from .encoding import Coverage, error_cost, log_binomial, model_cost, total_cost, universal_int
+from .encoding import log_binomial, model_cost, total_cost, universal_int
 from .miner import Model, generate_candidates, qualify, rank, refine_merge, refine_nest, select, summarize
-from .anomaly import AnomalyScorer, edge_score, node_score, rank_edges
+from .anomaly import AnomalyScorer, rank_edges
 from .evalharness import (
     GroundTruth,
     MetricsReport,
@@ -28,7 +28,6 @@ __all__ = [
     "AnomalyScorer",
     "AssertionSet",
     "Child",
-    "Coverage",
     "GroundTruth",
     "KnowledgeGraph",
     "MetricsReport",
@@ -39,8 +38,6 @@ __all__ = [
     "canonicalize",
     "completeness_eval",
     "coverage_select",
-    "edge_score",
-    "error_cost",
     "freq_select",
     "generate_candidates",
     "load_graph",
@@ -48,7 +45,6 @@ __all__ = [
     "match",
     "metrics",
     "model_cost",
-    "node_score",
     "parse_graph",
     "perturb",
     "qualify",

@@ -10,21 +10,10 @@ from __future__ import annotations
 
 from . import encoding
 from .miner import Model
-from .rules import Rule
 
 
 class UnknownNodeError(KeyError):
     """A score was requested for a node id the graph does not contain."""
-
-
-def rule_applicability(model: Model) -> dict[int, list[Rule]]:
-    """r(v): map each node to the model rules whose root labels it carries.
-    Nodes to which no rule applies are absent from the mapping."""
-    out: dict[int, list[Rule]] = {}
-    for entry in model.entries:
-        for v in sorted(model.graph.nodes_with_labels(entry.rule.root_labels)):
-            out.setdefault(v, []).append(entry.rule)
-    return out
 
 
 class AnomalyScorer:
@@ -69,14 +58,6 @@ class AnomalyScorer:
         modeled = eid is not None and eid in self.model.edge_refs
         share = 0.0 if modeled else self._edge_share
         return self.node_score(s) + self.node_score(o) + share
-
-
-def node_score(v: int, model: Model) -> float:
-    return AnomalyScorer(model).node_score(v)
-
-
-def edge_score(s: int, p: int, o: int, model: Model) -> float:
-    return AnomalyScorer(model).edge_score(s, p, o)
 
 
 def rank_edges(

@@ -35,7 +35,7 @@ from .evalharness import (
     perturb,
     remove_nodes_pca,
 )
-from .graph import GraphParseError, KnowledgeGraph, load_graph, write_graph
+from .graph import GraphParseError, KnowledgeGraph, _fields, load_graph, write_graph
 from .miner import (
     ConfigError,
     Model,
@@ -82,7 +82,7 @@ def _load_inputs(args) -> KnowledgeGraph:
 
 
 def _load_model(args, g: KnowledgeGraph) -> Model:
-    with open(args.model, encoding="utf-8") as fh:
+    with open(args.model, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     with _timed("apply model"):
         model = model_from_dict(doc, g)
@@ -120,14 +120,8 @@ def _cmd_summarize(args) -> int:
 
 def _read_test_edges(path: str, g: KnowledgeGraph) -> list[tuple[int, int, int]]:
     rows: list[tuple[int, int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise GraphParseError(path, line_no, line)
+    with open(path, encoding="utf-8-sig") as fh:
+        for line_no, parts in _fields(path, fh, 3):
             s, p, o = parts
             sid, pid, oid = g.node_id(s), g.pred_id(p), g.node_id(o)
             if sid is None or pid is None or oid is None:
@@ -209,21 +203,12 @@ def _cmd_perturb(args) -> int:
 
 
 def _read_ranking(path: str) -> list[tuple[str, str, str, float]]:
-    rows: list[tuple[str, str, str, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise GraphParseError(path, line_no, line)
-            rows.append((parts[0], parts[1], parts[2], float(parts[3])))
-    return rows
+    with open(path, encoding="utf-8-sig") as fh:
+        return [(s, p, o, float(score)) for _, (s, p, o, score) in _fields(path, fh, 4)]
 
 
 def _cmd_evaluate(args) -> int:
-    with open(args.truth, encoding="utf-8") as fh:
+    with open(args.truth, encoding="utf-8-sig") as fh:
         truth = GroundTruth.from_dict(json.load(fh))
     if truth.kind == "perturbation":
         if not args.ranking:
@@ -251,12 +236,6 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="upper bound on worker threads (the current implementation runs single-threaded)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

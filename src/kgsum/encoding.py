@@ -8,12 +8,11 @@ never materialize; an exact big-integer path is used for small n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .graph import KnowledgeGraph
-from .rules import AssertionSet, Rule, match, matching_neighbors
+from .rules import AssertionSet, Rule, matching_neighbors
 
 if TYPE_CHECKING:  # pragma: no cover
     from .miner import Model
@@ -68,7 +67,7 @@ def rule_cost(rule: Rule, g: KnowledgeGraph) -> float:
     if not rule.root_labels:
         raise EncodingDomainError("rule root_labels must be nonempty")
     bits = math.log2(g.num_labels)
-    for l in rule.root_labels:
+    for l in sorted(rule.root_labels):  # a fixed order, however the set was built
         n_l = g.n_label[l] if 0 <= l < g.num_labels else 0
         if n_l <= 0:
             raise EncodingDomainError(f"label id {l} has zero frequency")
@@ -123,42 +122,6 @@ def assertions_cost(aset: AssertionSet, g: KnowledgeGraph) -> float:
     return bits
 
 
-@dataclass(frozen=True)
-class Coverage:
-    """What a model has explained, against the graph's totals and universes."""
-
-    modeled_edges: frozenset[tuple[int, int, int]]
-    modeled_labels: frozenset[tuple[int, int]]
-    total_edges: int
-    total_labels: int
-    universe_edges: int
-    universe_labels: int
-
-    @property
-    def unmodeled_edges(self) -> int:
-        return self.total_edges - len(self.modeled_edges)
-
-    @property
-    def unmodeled_labels(self) -> int:
-        return self.total_labels - len(self.modeled_labels)
-
-
-def coverage_of(g: KnowledgeGraph, asets: list[AssertionSet]) -> Coverage:
-    edges: set[tuple[int, int, int]] = set()
-    labels: set[tuple[int, int]] = set()
-    for aset in asets:
-        edges |= aset.covered_edges
-        labels |= aset.covered_labels
-    return Coverage(
-        frozenset(edges),
-        frozenset(labels),
-        g.num_distinct_edges,
-        g.num_label_assignments,
-        g.universe_edges,
-        g.universe_labels,
-    )
-
-
 def error_cost_counts(
     g: KnowledgeGraph, num_modeled_labels: int, num_modeled_edges: int
 ) -> float:
@@ -169,17 +132,6 @@ def error_cost_counts(
         raise EncodingDomainError("modeled counts exceed graph totals")
     return log_binomial(g.universe_labels - num_modeled_labels, rem_labels) + log_binomial(
         g.universe_edges - num_modeled_edges, rem_edges
-    )
-
-
-def error_cost(cov: Coverage) -> float:
-    """Bits to transmit the unmodeled label and edge positions."""
-    rem_labels = cov.total_labels - len(cov.modeled_labels)
-    rem_edges = cov.total_edges - len(cov.modeled_edges)
-    if rem_labels < 0 or rem_edges < 0:
-        raise EncodingDomainError("modeled counts exceed totals")
-    return log_binomial(cov.universe_labels - len(cov.modeled_labels), rem_labels) + log_binomial(
-        cov.universe_edges - len(cov.modeled_edges), rem_edges
     )
 
 
@@ -197,11 +149,3 @@ def total_cost(g: KnowledgeGraph, model: "Model") -> float:
     return model_cost(model, g) + error_cost_counts(
         g, model.num_modeled_labels, model.num_modeled_edges
     )
-
-
-def rule_total_cost(rule: Rule, g: KnowledgeGraph, aset: AssertionSet | None = None) -> float:
-    """Total cost of the single-rule model {rule}; convenience for tests/tools."""
-    if aset is None:
-        aset = match(rule, g)
-    bits = model_constant(g) + rule_cost(rule, g) + assertions_cost(aset, g)
-    return bits + error_cost(coverage_of(g, [aset]))

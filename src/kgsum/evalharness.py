@@ -13,9 +13,8 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
-from . import encoding
 from .graph import KnowledgeGraph, parse_graph
-from .miner import Candidate, Model, empty_model, entry_from_candidate
+from .miner import Model, RuleEntry, empty_model
 from .rules import DIRECTION_IDS, DIRECTION_NAMES, IN, OUT
 
 ANOMALY_TYPES = ("a1", "a2", "a3", "a4")
@@ -280,29 +279,24 @@ def remove_nodes_pca(
 # -- baseline selectors ----------------------------------------------------
 
 
-def _baseline_select(cands: list[Candidate], g: KnowledgeGraph, k: int, keyfn, phase: str) -> Model:
+def _baseline_select(cands: list[RuleEntry], g: KnowledgeGraph, k: int, keyfn, phase: str) -> Model:
     if k < 1:
         raise PerturbationError(f"top-k must be >= 1, got {k}")
     order = sorted((c for c in cands if c.correct_starts), key=keyfn)
     model = empty_model(g)
-    constant = encoding.model_constant(g)
     for c in order[:k]:
-        entry = entry_from_candidate(c, g)
-        model.entries.append(entry)
-        model._cov_add(entry.covered_edge_ids, entry.covered_label_codes)
-        err = encoding.error_cost_counts(g, model.num_modeled_labels, model.num_modeled_edges)
-        model.record(phase, c.root_key, constant + model.rule_and_assertion_bits + err)
+        model.add(c, phase, c.root_key)
     return model
 
 
-def freq_select(cands: list[Candidate], g: KnowledgeGraph, k: int) -> Model:
+def freq_select(cands: list[RuleEntry], g: KnowledgeGraph, k: int) -> Model:
     """Top-k candidates by correct-assertion count, costed with the standard encoding."""
     return _baseline_select(
         cands, g, k, lambda c: (-c.num_correct, c.root_key, c.canon_key), "freq"
     )
 
 
-def coverage_select(cands: list[Candidate], g: KnowledgeGraph, k: int) -> Model:
+def coverage_select(cands: list[RuleEntry], g: KnowledgeGraph, k: int) -> Model:
     """Top-k candidates by covered-edge count, costed with the standard encoding."""
     return _baseline_select(
         cands, g, k, lambda c: (-len(c.covered_edge_ids), c.root_key, c.canon_key), "coverage"

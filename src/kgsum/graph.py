@@ -2,7 +2,8 @@
 
 File format: triples are UTF-8 lines ``subject<TAB>predicate<TAB>object``,
 labels are ``node<TAB>label``. Lines starting with ``#`` are comments, blank
-lines are skipped. Identifiers must not contain tabs or newlines.
+lines are skipped, and a leading byte-order mark is ignored. Identifiers must
+not contain tabs or newlines.
 """
 
 from __future__ import annotations
@@ -184,7 +185,9 @@ class KnowledgeGraph:
             )
 
 
-def _fields(source: str, lines: Iterable[str], arity: int) -> Iterator[list[str]]:
+def _fields(source: str, lines: Iterable[str], arity: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each data line; a wrong field count or an empty
+    field raises ``GraphParseError``."""
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.startswith("#"):
@@ -192,7 +195,7 @@ def _fields(source: str, lines: Iterable[str], arity: int) -> Iterator[list[str]
         parts = line.split("\t")
         if len(parts) != arity or any(not f for f in parts):
             raise GraphParseError(source, line_no, line)
-        yield parts
+        yield line_no, parts
 
 
 def parse_graph(
@@ -203,16 +206,17 @@ def parse_graph(
 ) -> KnowledgeGraph:
     """Build a graph from line streams (see module docstring for the format)."""
     g = KnowledgeGraph()
-    for s, p, o in _fields(triple_source, triple_lines, 3):
+    for _, (s, p, o) in _fields(triple_source, triple_lines, 3):
         g._add_triple(g._intern_node(s), g._intern_pred(p), g._intern_node(o))
-    for v, l in _fields(label_source, label_lines, 2):
+    for _, (v, l) in _fields(label_source, label_lines, 2):
         g._add_label(g._intern_node(v), g._intern_label(l))
     g._finalize()
     return g
 
 
 def load_graph(triple_path: str, label_path: str) -> KnowledgeGraph:
-    with open(triple_path, encoding="utf-8") as tf, open(label_path, encoding="utf-8") as lf:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise start the first name
+    with open(triple_path, encoding="utf-8-sig") as tf, open(label_path, encoding="utf-8-sig") as lf:
         return parse_graph(tf, lf, triple_source=triple_path, label_source=label_path)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -15,7 +16,6 @@ from .graph import KnowledgeGraph
 from .rules import (
     IN,
     OUT,
-    AssertionSet,
     Child,
     Rule,
     atomic,
@@ -49,27 +49,53 @@ def _canon_key(rule: Rule, g: KnowledgeGraph):
 
 
 @dataclass
-class Candidate:
-    """An atomic rule with cached assertions, coverage, and costs.
+class RuleEntry:
+    """A rule with its cached starts, coverage, and costs.
 
-    ``per_start_matches`` maps each correct start to its matching-neighbor
-    count; it stays valid under qualification (which never changes the
-    correct starts or their traversals, only which nodes count as starts).
+    A mined candidate and a model rule are the same record.
+    ``exception_starts`` stays ``None`` until the record joins a model (see
+    ``Model.add``), so candidates that are never selected do not pay for it.
     """
 
     rule: Rule
     root_key: str
     canon_key: tuple
-    correct_starts: set[int]
+    correct_starts: frozenset[int]
     num_assertions: int
-    per_start_matches: dict[int, int]
     covered_edge_ids: set[int]
     covered_label_codes: set[int]
     rule_bits: float
     traversal_bits: float
-    gain: float = 0.0
-    reverse_partner: "Candidate | None" = None
-    selected: bool = False
+    assertion_bits: float = field(init=False)
+    exception_starts: frozenset[int] | None = None
+    gain: float = field(default=0.0, compare=False)
+    reverse_partner: "RuleEntry | None" = field(default=None, compare=False, repr=False)
+    selected: bool = field(default=False, compare=False)
+
+    @classmethod
+    def from_rule(cls, rule: Rule, g: KnowledgeGraph) -> "RuleEntry":
+        aset = match(rule, g)
+        nl = g.num_labels
+        return cls(
+            rule=rule,
+            root_key=_root_key(rule, g),
+            canon_key=_canon_key(rule, g),
+            correct_starts=aset.correct_starts,
+            num_assertions=aset.num_assertions,
+            covered_edge_ids={g.edge_id[t] for t in aset.covered_edges},
+            covered_label_codes={n * nl + l for n, l in aset.covered_labels},
+            rule_bits=encoding.rule_cost(rule, g),
+            traversal_bits=encoding.traversal_cost(rule, g, sorted(aset.correct_starts)),
+            exception_starts=aset.exception_starts,
+        )
+
+    def __post_init__(self) -> None:
+        # stored, not derived on access, because model totals re-sum it for
+        # every entry; qualify keeps it current when it widens the root
+        self.assertion_bits = (
+            encoding.assertion_overhead(self.num_assertions, self.num_exceptions)
+            + self.traversal_bits
+        )
 
     @property
     def num_correct(self) -> int:
@@ -78,44 +104,6 @@ class Candidate:
     @property
     def num_exceptions(self) -> int:
         return self.num_assertions - len(self.correct_starts)
-
-    @property
-    def assertion_bits(self) -> float:
-        return (
-            encoding.assertion_overhead(self.num_assertions, self.num_exceptions)
-            + self.traversal_bits
-        )
-
-    @property
-    def model_bits(self) -> float:
-        return self.rule_bits + self.assertion_bits
-
-
-@dataclass(frozen=True)
-class RuleEntry:
-    """A selected rule with everything the model bookkeeping needs."""
-
-    rule: Rule
-    root_key: str
-    canon_key: tuple
-    correct_starts: frozenset[int]
-    exception_starts: frozenset[int]
-    covered_edge_ids: frozenset[int]
-    covered_label_codes: frozenset[int]
-    rule_bits: float
-    assertion_bits: float
-
-    @property
-    def num_correct(self) -> int:
-        return len(self.correct_starts)
-
-    @property
-    def num_exceptions(self) -> int:
-        return len(self.exception_starts)
-
-    @property
-    def num_assertions(self) -> int:
-        return len(self.correct_starts) + len(self.exception_starts)
 
     @property
     def model_bits(self) -> float:
@@ -149,21 +137,28 @@ class Model:
     def rule_and_assertion_bits(self) -> float:
         return sum(e.model_bits for e in self.entries)
 
-    def coverage(self) -> encoding.Coverage:
+    @property
+    def error_bits(self) -> float:
         g = self.graph
-        nl = g.num_labels
-        return encoding.Coverage(
-            frozenset(g.distinct_edges[e] for e in self.edge_refs),
-            frozenset(divmod(code, nl) for code in self.label_refs),
-            g.num_distinct_edges,
-            g.num_label_assignments,
-            g.universe_edges,
-            g.universe_labels,
-        )
+        return encoding.error_cost_counts(g, self.num_modeled_labels, self.num_modeled_edges)
 
     def record(self, phase: str, what: str, new_total: float) -> None:
         self.history.append((phase, what, new_total - self.total, new_total))
         self.total = new_total
+
+    def add(
+        self, entry: RuleEntry, phase: str, what: str, new_total: float | None = None
+    ) -> None:
+        """Append a rule, count its coverage, and record the new total
+        (recomputed unless the caller already evaluated it)."""
+        if entry.exception_starts is None:
+            starts = self.graph.nodes_with_labels(entry.rule.root_labels)
+            entry.exception_starts = frozenset(starts) - entry.correct_starts
+        self.entries.append(entry)
+        self._cov_add(entry.covered_edge_ids, entry.covered_label_codes)
+        if new_total is None:
+            new_total = encoding.total_cost(self.graph, self)
+        self.record(phase, what, new_total)
 
     def _cov_add(self, edge_ids: Iterable[int], label_codes: Iterable[int]) -> None:
         for e in edge_ids:
@@ -186,44 +181,6 @@ class Model:
                 del self.label_refs[c]
 
 
-def _label_code(g: KnowledgeGraph, node: int, label: int) -> int:
-    return node * g.num_labels + label
-
-
-def entry_from_aset(aset: AssertionSet, g: KnowledgeGraph) -> RuleEntry:
-    rule = aset.rule
-    return RuleEntry(
-        rule=rule,
-        root_key=_root_key(rule, g),
-        canon_key=_canon_key(rule, g),
-        correct_starts=aset.correct_starts,
-        exception_starts=aset.exception_starts,
-        covered_edge_ids=frozenset(g.edge_id[t] for t in aset.covered_edges),
-        covered_label_codes=frozenset(_label_code(g, n, l) for n, l in aset.covered_labels),
-        rule_bits=encoding.rule_cost(rule, g),
-        assertion_bits=encoding.assertions_cost(aset, g),
-    )
-
-
-def entry_from_rule(rule: Rule, g: KnowledgeGraph) -> RuleEntry:
-    return entry_from_aset(match(rule, g), g)
-
-
-def entry_from_candidate(c: Candidate, g: KnowledgeGraph) -> RuleEntry:
-    exceptions = frozenset(g.nodes_with_labels(c.rule.root_labels)) - c.correct_starts
-    return RuleEntry(
-        rule=c.rule,
-        root_key=c.root_key,
-        canon_key=c.canon_key,
-        correct_starts=frozenset(c.correct_starts),
-        exception_starts=exceptions,
-        covered_edge_ids=frozenset(c.covered_edge_ids),
-        covered_label_codes=frozenset(c.covered_label_codes),
-        rule_bits=c.rule_bits,
-        assertion_bits=c.assertion_bits,
-    )
-
-
 # -- candidate generation ----------------------------------------------
 
 
@@ -236,7 +193,7 @@ class _Builder:
         self.label_codes: set[int] = set()
 
 
-def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list[Candidate]:
+def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list[RuleEntry]:
     """One atomic candidate per (root label, predicate, direction, child label)
     pattern witnessed by at least one edge, in both orientations, with the two
     orientations linked as reverse partners."""
@@ -275,19 +232,20 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
                 b.label_codes.add(s * nl + ls)
 
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
-    cands: dict[tuple[int, int, int, int], Candidate] = {}
+    cands: dict[tuple[int, int, int, int], RuleEntry] = {}
     for (root, p, direction, child), b in builders.items():
         rule = atomic(root, p, direction, child)
+        # summed over sorted starts, exactly as encoding.traversal_cost sums them
         traversal = sum(
-            log_v + encoding.log_binomial(g.num_nodes - 1, m) for m in b.start_matches.values()
+            log_v + encoding.log_binomial(g.num_nodes - 1, b.start_matches[s])
+            for s in sorted(b.start_matches)
         )
-        cands[(root, p, direction, child)] = Candidate(
+        cands[(root, p, direction, child)] = RuleEntry(
             rule=rule,
             root_key=_root_key(rule, g),
             canon_key=_canon_key(rule, g),
-            correct_starts=set(b.start_matches),
+            correct_starts=frozenset(b.start_matches),
             num_assertions=g.n_label[root],
-            per_start_matches=b.start_matches,
             covered_edge_ids=b.edge_ids,
             covered_label_codes=b.label_codes,
             rule_bits=encoding.rule_cost(rule, g),
@@ -305,10 +263,10 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
 # -- qualification -------------------------------------------------------
 
 
-def qualify(c: Candidate, g: KnowledgeGraph) -> Candidate:
+def qualify(c: RuleEntry, g: KnowledgeGraph) -> RuleEntry:
     """Strengthen the root to the label intersection of the correct starts when
-    that does not increase the single-rule cost.  Coverage and correct starts
-    are unchanged, so only the rule and exception-partition bits compete."""
+    that does not increase the single-rule cost.  The correct starts and their
+    coverage are unchanged, so only the rule and exception-partition bits compete."""
     if not c.correct_starts:
         return c
     shared: set[int] | None = None
@@ -325,23 +283,24 @@ def qualify(c: Candidate, g: KnowledgeGraph) -> Candidate:
     new_rule = canonicalize(Rule(frozenset(shared), c.rule.children))
     new_rule_bits = encoding.rule_cost(new_rule, g)
     old_bits = c.rule_bits + encoding.assertion_overhead(c.num_assertions, c.num_exceptions)
-    new_bits = new_rule_bits + encoding.assertion_overhead(
+    new_overhead = encoding.assertion_overhead(
         new_assertions, new_assertions - len(c.correct_starts)
     )
-    if new_bits <= old_bits:
+    if new_rule_bits + new_overhead <= old_bits:
         c.rule = new_rule
         c.rule_bits = new_rule_bits
         c.num_assertions = new_assertions
+        c.assertion_bits = new_overhead + c.traversal_bits
         c.root_key = _root_key(new_rule, g)
         c.canon_key = _canon_key(new_rule, g)
     return c
 
 
-def qualify_all(cands: list[Candidate], g: KnowledgeGraph) -> list[Candidate]:
+def qualify_all(cands: list[RuleEntry], g: KnowledgeGraph) -> list[RuleEntry]:
     """Qualify every candidate, then drop structural duplicates (first kept)."""
     for c in cands:
         qualify(c, g)
-    kept: dict[tuple, Candidate] = {}
+    kept: dict[tuple, RuleEntry] = {}
     for c in cands:
         kept.setdefault(c.canon_key, c)
     result = list(kept.values())
@@ -354,7 +313,7 @@ def qualify_all(cands: list[Candidate], g: KnowledgeGraph) -> list[Candidate]:
 # -- ranking and selection ------------------------------------------------
 
 
-def rank(cands: list[Candidate], g: KnowledgeGraph) -> list[Candidate]:
+def rank(cands: list[RuleEntry], g: KnowledgeGraph) -> list[RuleEntry]:
     """Descending error reduction against the empty model; ties by correct
     assertion count, then root label strings, then full structure."""
     err0 = encoding.error_cost_counts(g, 0, 0)
@@ -371,7 +330,7 @@ def empty_model(g: KnowledgeGraph) -> Model:
     return Model(graph=g, total=total, history=[("init", "", 0.0, total)])
 
 
-def select(g: KnowledgeGraph, ranked: list[Candidate], max_passes: int = 3) -> Model:
+def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> Model:
     """Multi-pass greedy scan: add a rule whenever it strictly lowers the total
     cost, considering reverse orientations together and keeping the cheaper."""
     if max_passes < 1:
@@ -379,7 +338,7 @@ def select(g: KnowledgeGraph, ranked: list[Candidate], max_passes: int = 3) -> M
     model = empty_model(g)
     constant = encoding.model_constant(g)
 
-    def eval_total(c: Candidate) -> float:
+    def eval_total(c: RuleEntry) -> float:
         new_edges = sum(1 for e in c.covered_edge_ids if e not in model.edge_refs)
         new_labels = sum(1 for l in c.covered_label_codes if l not in model.label_refs)
         err = encoding.error_cost_counts(
@@ -402,9 +361,7 @@ def select(g: KnowledgeGraph, ranked: list[Candidate], max_passes: int = 3) -> M
                     choice, choice_total = partner, partner_total
             if choice_total < model.total:
                 choice.selected = True
-                model.entries.append(entry_from_candidate(choice, g))
-                model._cov_add(choice.covered_edge_ids, choice.covered_label_codes)
-                model.record("select", rule_text(choice.rule, g), choice_total)
+                model.add(choice, "select", rule_text(choice.rule, g), choice_total)
                 added_any = True
         if not added_any:
             break
@@ -414,13 +371,8 @@ def select(g: KnowledgeGraph, ranked: list[Candidate], max_passes: int = 3) -> M
 def build_model(g: KnowledgeGraph, rules: Iterable[Rule], phase: str = "load") -> Model:
     """Cost an explicit rule list (used by baselines and model files)."""
     model = empty_model(g)
-    constant = encoding.model_constant(g)
     for rule in rules:
-        entry = entry_from_rule(canonicalize(rule), g)
-        model.entries.append(entry)
-        model._cov_add(entry.covered_edge_ids, entry.covered_label_codes)
-        err = encoding.error_cost_counts(g, model.num_modeled_labels, model.num_modeled_edges)
-        model.record(phase, rule_text(rule, g), constant + model.rule_and_assertion_bits + err)
+        model.add(RuleEntry.from_rule(canonicalize(rule), g), phase, rule_text(rule, g))
     return model
 
 
@@ -438,7 +390,8 @@ def _dedup_children(children: Iterable[Child]) -> tuple[Child, ...]:
 def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
     """Rm: fuse rules with identical roots and identical correct-start sets
     into one multi-child rule, kept when the total cost does not increase.
-    Coverage is unchanged by construction, so only model bits compete."""
+    The covered edges and labels are unchanged by construction, so only model
+    bits compete."""
     constant = encoding.model_constant(g)
     groups: dict[tuple[frozenset[int], frozenset[int]], list[RuleEntry]] = {}
     for e in model.entries:
@@ -450,12 +403,12 @@ def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
         merged_rule = canonicalize(
             Rule(key[0], _dedup_children(c for e in parts for c in e.rule.children))
         )
-        merged = entry_from_rule(merged_rule, g)
+        merged = RuleEntry.from_rule(merged_rule, g)
         for e in parts:
             model._cov_remove(e.covered_edge_ids, e.covered_label_codes)
         model._cov_add(merged.covered_edge_ids, merged.covered_label_codes)
         kept_bits = model.rule_and_assertion_bits - sum(e.model_bits for e in parts)
-        err = encoding.error_cost_counts(g, model.num_modeled_labels, model.num_modeled_edges)
+        err = model.error_bits
         new_total = constant + kept_bits + merged.model_bits + err
         if new_total <= model.total:
             positions = [i for i, e in enumerate(model.entries) if any(e is p for p in parts)]
@@ -524,12 +477,12 @@ def refine_nest(model: Model, g: KnowledgeGraph) -> Model:
         for _, _, path, _, i, j in pairs:
             e_in, e_rt = model.entries[i], model.entries[j]
             composed_rule = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
-            composed = entry_from_rule(composed_rule, g)
+            composed = RuleEntry.from_rule(composed_rule, g)
             model._cov_remove(e_in.covered_edge_ids, e_in.covered_label_codes)
             model._cov_remove(e_rt.covered_edge_ids, e_rt.covered_label_codes)
             model._cov_add(composed.covered_edge_ids, composed.covered_label_codes)
             kept_bits = model.rule_and_assertion_bits - e_in.model_bits - e_rt.model_bits
-            err = encoding.error_cost_counts(g, model.num_modeled_labels, model.num_modeled_edges)
+            err = model.error_bits
             new_total = constant + kept_bits + composed.model_bits + err
             if new_total < model.total:
                 keep, drop = min(i, j), max(i, j)
@@ -587,7 +540,7 @@ def model_to_dict(model: Model) -> dict:
     g = model.graph
     constant = encoding.model_constant(g)
     model_bits = constant + model.rule_and_assertion_bits
-    err_bits = encoding.error_cost_counts(g, model.num_modeled_labels, model.num_modeled_edges)
+    err_bits = model.error_bits
     total = model_bits + err_bits
     empty_total = constant + encoding.error_cost_counts(g, 0, 0)
     pct_bits = (100.0 * total / empty_total) if empty_total > 0 else 100.0
@@ -614,6 +567,24 @@ def model_to_dict(model: Model) -> dict:
 
 
 def model_from_dict(data: dict, g: KnowledgeGraph) -> Model:
-    """Rebuild a model on ``g`` from a serialized rule list (costs recomputed)."""
-    rules = [rule_from_dict(entry["rule"], g) for entry in data.get("rules", [])]
-    return build_model(g, rules)
+    """Rebuild a model on ``g`` from a serialized rule list (costs recomputed).
+
+    A rule whose root labels no node of ``g`` carries together has no
+    assertions and cannot be encoded; such rules (a model applied to a graph
+    that has drifted since mining) are skipped with one warning.
+    """
+    kept: list[Rule] = []
+    skipped: list[str] = []
+    for entry in data.get("rules", []):
+        rule = rule_from_dict(entry["rule"], g)
+        if g.nodes_with_labels(rule.root_labels):
+            kept.append(rule)
+        else:
+            skipped.append(rule_text(rule, g))
+    if skipped:
+        warnings.warn(
+            f"{len(skipped)} model rule(s) skipped: no node carries all their root labels: "
+            + "; ".join(skipped),
+            stacklevel=2,
+        )
+    return build_model(g, kept)

@@ -86,15 +86,6 @@ def canonicalize(rule: Rule) -> Rule:
     return Rule(rule.root_labels, children)
 
 
-def atoms(rule: Rule) -> list[Rule]:
-    """Decompose into single-child, single-level constituent rules."""
-    out: list[Rule] = []
-    for c in rule.children:
-        out.append(Rule(rule.root_labels, (Child(c.predicate, c.direction, Rule(c.child.root_labels)),)))
-        out.extend(atoms(c.child))
-    return out
-
-
 def iter_positions(rule: Rule, _path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Rule]]:
     """All (child-index path, rule node) pairs, root included at the empty path."""
     yield _path, rule

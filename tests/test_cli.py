@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kgsum
 from kgsum.cli import main
 from kgsum.graph import parse_graph, write_graph
 
@@ -225,3 +230,38 @@ def test_perturb_rejects_bad_anomaly_list(tmp_path):
     rc = main(["perturb", "--graph", triples, "--labels", labels,
                "--out", str(tmp_path / "x"), "--q", "0.04", "--anomalies", "a9"])
     assert rc == 1
+
+
+def test_score_and_complete_skip_rules_that_no_longer_apply(tmp_path):
+    # a model mined when some node carried both X and Y, applied to a graph
+    # where none does: that rule is skipped with a warning, the other applies
+    triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"
+    triples.write_text("a\tp\tb\nc\tp\td\n")
+    labels.write_text("a\tX\nc\tY\ne\tX\nb\tZ\nd\tZ\n")
+    z = {"root_labels": ["Z"], "children": []}
+    child = [{"predicate": "p", "direction": "out", "child": z}]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"rules": [
+        {"rule": {"root_labels": ["X", "Y"], "children": child}},
+        {"rule": {"root_labels": ["X"], "children": child}},
+    ]}))
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("\ufeffa\tp\tb\n", encoding="utf-8")  # a byte-order mark is ignored
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(kgsum.__file__).resolve().parent.parent), env.get("PYTHONPATH")])
+    )
+    graph = ["--graph", str(triples), "--labels", str(labels), "--model", str(model)]
+    for args in (
+        ["score", *graph, "--test-edges", str(edges), "--out", str(tmp_path / "r.tsv")],
+        ["complete", *graph, "--out", str(tmp_path / "m.json")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgsum.cli", *args], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "UserWarning: 1 model rule(s) skipped" in proc.stderr
+        assert "[X,Y](->p[Z])" in proc.stderr
+    assert (tmp_path / "r.tsv").read_text().startswith("a\tp\tb\t")
+    missing = json.loads((tmp_path / "m.json").read_text())["missing"]
+    assert [(r["node"], r["expected_labels"]) for r in missing] == [("e", ["Z"])]

@@ -139,3 +139,13 @@ def test_round_trip_serialization():
 
     assert edge_names(g) == edge_names(g2)
     assert label_map(g) == label_map(g2)
+
+
+def test_load_graph_ignores_byte_order_mark(tmp_path):
+    triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"
+    triples.write_text("\ufeffa\tp\tb\n", encoding="utf-8")
+    labels.write_text("\ufeffa\tX\nb\tY\n", encoding="utf-8")
+    g = load_graph(str(triples), str(labels))
+    assert g.node_names == ["a", "b"]
+    assert g.label_names == ["X", "Y"]
+    assert g.has_edge(g.node_id("a"), g.pred_id("p"), g.node_id("b"))

@@ -1,13 +1,15 @@
+import math
 import random
 
 import pytest
 
-from kgsum.encoding import total_cost
+from kgsum.encoding import log_binomial, total_cost
 from kgsum.graph import parse_graph
 from kgsum.miner import (
-    Candidate,
     ConfigError,
+    RuleEntry,
     build_model,
+    empty_model,
     generate_candidates,
     qualify,
     qualify_all,
@@ -19,7 +21,7 @@ from kgsum.miner import (
     model_to_dict,
     model_from_dict,
 )
-from kgsum.rules import IN, OUT, atomic
+from kgsum.rules import IN, OUT, Child, Rule, RuleFormatError, atomic
 
 from oracles import brute_force_best_subset, oracle_total_cost
 from synth import chained_ownership_kg, private_children_kg, random_kg, two_branch_kg
@@ -81,7 +83,10 @@ def test_generation_dedups_across_edges():
     out = next(c for c in cands if c.rule.children[0].direction == OUT)
     assert out.num_correct == 2
     assert len(out.covered_edge_ids) == 2
-    assert out.per_start_matches == {g.node_id("a"): 1, g.node_id("c"): 1}
+    assert out.correct_starts == {g.node_id("a"), g.node_id("c")}
+    # each start matches exactly one neighbor
+    v = g.num_nodes
+    assert out.traversal_bits == 2 * (math.log2(v) + log_binomial(v - 1, 1))
 
 
 def qualify_graph():
@@ -188,13 +193,12 @@ def test_select_considers_reverse_pair_and_keeps_cheaper():
     covered = set(range(5))
 
     def make(rule, root_key, traversal_bits):
-        return Candidate(
+        return RuleEntry(
             rule=rule,
             root_key=root_key,
             canon_key=(root_key,),
-            correct_starts={0},
+            correct_starts=frozenset({0}),
             num_assertions=1,
-            per_start_matches={0: 1},
             covered_edge_ids=set(covered),
             covered_label_codes=set(),
             rule_bits=5.0,
@@ -354,3 +358,50 @@ def test_model_round_trip_through_dict():
         "pct_edges_explained",
     }
     assert set(doc["rules"][0]) == {"rule", "L_rule_bits", "L_assertions_bits", "num_correct", "num_exceptions"}
+
+
+def test_one_formula_for_mined_and_matched_records_randomized():
+    # a mined record and the record matched from its rule are the same, to the
+    # bit, and a model file re-applied to its graph serializes identically
+    rng = random.Random(9090)
+    graphs = multi_label_roots = 0
+    while graphs < 25:
+        g = random_kg(rng, max_nodes=10, max_labels=4, max_preds=2, edge_factor=2.0)
+        if not any(len(ls) > 1 for ls in g.node_labels):
+            continue
+        graphs += 1
+        for c in qualify_all(generate_candidates(g), g):
+            built = RuleEntry.from_rule(c.rule, g)
+            empty_model(g).add(c, "test", "")  # joining fixes the exception starts
+            assert c == built
+            assert (c.rule_bits, c.traversal_bits) == (built.rule_bits, built.traversal_bits)
+            multi_label_roots += len(c.rule.root_labels) > 1
+        for refine in ("none", "merge", "nest"):
+            doc = model_to_dict(summarize(g, refine=refine))
+            assert model_to_dict(model_from_dict(doc, g)) == doc
+    assert multi_label_roots > 0
+
+
+def test_model_from_dict_skips_rules_whose_root_no_node_carries():
+    mined = parse_graph(
+        ["a\tp\tb\n", "c\tp\td\n"],
+        ["a\tX\n", "a\tY\n", "c\tX\n", "b\tZ\n", "d\tZ\n"],
+    )
+    x, y, z = mined.label_id("X"), mined.label_id("Y"), mined.label_id("Z")
+    p = mined.pred_id("p")
+    both = Rule(frozenset({x, y}), (Child(p, OUT, Rule(frozenset({z}))),))
+    doc = model_to_dict(build_model(mined, [both, atomic(x, p, OUT, z)]))
+    # the same names, but no node carries both X and Y any more
+    drifted = parse_graph(
+        ["a\tp\tb\n", "c\tp\td\n"],
+        ["a\tX\n", "c\tY\n", "b\tZ\n", "d\tZ\n"],
+    )
+    with pytest.warns(UserWarning, match=r"1 model rule\(s\) skipped.*\[X,Y\]\(->p\[Z\]\)"):
+        model = model_from_dict(doc, drifted)
+    x, z, p = drifted.label_id("X"), drifted.label_id("Z"), drifted.pred_id("p")
+    assert model.rules == [atomic(x, p, OUT, z)]
+    assert [h[1] for h in model.history] == ["", "[X](->p[Z])"]
+    # a name the graph does not know is still a format error
+    unknown = parse_graph(["a\tp\tb\n"], ["a\tX\n", "b\tZ\n"])
+    with pytest.raises(RuleFormatError, match="unknown label 'Y'"):
+        model_from_dict(doc, unknown)

@@ -10,7 +10,6 @@ from kgsum.rules import (
     Rule,
     RuleFormatError,
     atomic,
-    atoms,
     canonicalize,
     match,
     rule_from_dict,
@@ -165,18 +164,6 @@ def test_canonicalize_sorts_two_children():
     )
     canon = canonicalize(r)
     assert [c.predicate for c in canon.children] == [0, 1]
-
-
-def test_atoms_decomposition():
-    g = book_graph()
-    rule = book_rule(g)
-    parts = atoms(rule)
-    assert len(parts) == 3
-    assert all(len(p.children) == 1 and p.children[0].child.is_leaf() for p in parts)
-    leaf = Rule(frozenset({0}))
-    assert atoms(leaf) == []
-    one = atomic(0, 0, OUT, 1)
-    assert atoms(one) == [one]
 
 
 def test_rule_serialization_round_trip():
