@@ -83,11 +83,12 @@ def rule_cost(rule: Rule, g: KnowledgeGraph) -> float:
     return bits
 
 
-def traversal_cost(rule: Rule, g: KnowledgeGraph, correct_starts) -> float:
-    """Bits to guide the correct traversals: per child at each visited node,
-    the matching-neighbor count (bounded by |V|) and the neighbor ids."""
+def traversal_bits_by_start(rule: Rule, g: KnowledgeGraph, starts) -> dict[int, float]:
+    """Bits to guide the traversal from each start: per child at each visited
+    node, the matching-neighbor count (bounded by |V|) and the neighbor ids."""
     v = g.num_nodes
     log_v = math.log2(v) if v else 0.0
+    universe = g.neighbor_universe
     memo: dict[tuple[int, int], float] = {}
 
     def expand(u: int, r: Rule) -> float:
@@ -98,13 +99,20 @@ def traversal_cost(rule: Rule, g: KnowledgeGraph, correct_starts) -> float:
         bits = 0.0
         for c in r.children:
             ws = matching_neighbors(g, u, c)
-            bits += log_v + log_binomial(v - 1, len(ws))
-            for w in ws:
-                bits += expand(w, c.child)
+            bits += log_v + log_binomial(universe, len(ws))
+            if c.child.children:  # a leaf child adds exactly 0.0 per neighbor
+                for w in ws:
+                    bits += expand(w, c.child)
         memo[key] = bits
         return bits
 
-    return sum(expand(s, rule) for s in correct_starts)
+    return {s: expand(s, rule) for s in starts}
+
+
+def traversal_cost(rule: Rule, g: KnowledgeGraph, correct_starts) -> float:
+    """Traversal bits of all correct starts, summed in sorted start order."""
+    by_start = traversal_bits_by_start(rule, g, correct_starts)
+    return sum(by_start[s] for s in sorted(by_start))
 
 
 def assertion_overhead(num_assertions: int, num_exceptions: int) -> float:

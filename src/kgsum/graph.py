@@ -52,6 +52,7 @@ class KnowledgeGraph:
         self.n_label: list[int] = []
         self.n_pred: list[int] = []
         self.num_label_assignments = 0
+        self.has_self_loop = False
         self.phi_max = 0
         self.duplicates_collapsed = 0
 
@@ -124,6 +125,12 @@ class KnowledgeGraph:
         return self.num_nodes * self.num_nodes * self.num_preds
 
     @property
+    def neighbor_universe(self) -> int:
+        """Ids a node's matching-neighbour set is drawn from: every other node,
+        and the node itself too when the graph has a self-loop."""
+        return self.num_nodes if self.has_self_loop else self.num_nodes - 1
+
+    @property
     def universe_labels(self) -> int:
         """Slots in the binary label matrix: |L_V| * |V|."""
         return self.num_labels * self.num_nodes
@@ -162,6 +169,8 @@ class KnowledgeGraph:
             return
         self.edge_id[triple] = len(self.distinct_edges)
         self.distinct_edges.append(triple)
+        if s == o:
+            self.has_self_loop = True
         self.out_index.setdefault((s, p), set()).add(o)
         self.in_index.setdefault((o, p), set()).add(s)
 

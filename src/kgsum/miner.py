@@ -71,11 +71,15 @@ class RuleEntry:
     gain: float = field(default=0.0, compare=False)
     reverse_partner: "RuleEntry | None" = field(default=None, compare=False, repr=False)
     selected: bool = field(default=False, compare=False)
+    # traversal bits of each correct start; filled by from_rule and, for model
+    # rules only, by refine_nest (never for every mined candidate: memory)
+    bits_by_start: dict[int, float] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_rule(cls, rule: Rule, g: KnowledgeGraph) -> "RuleEntry":
         aset = match(rule, g)
         nl = g.num_labels
+        by_start = encoding.traversal_bits_by_start(rule, g, aset.correct_starts)
         return cls(
             rule=rule,
             root_key=_root_key(rule, g),
@@ -85,8 +89,10 @@ class RuleEntry:
             covered_edge_ids={g.edge_id[t] for t in aset.covered_edges},
             covered_label_codes={n * nl + l for n, l in aset.covered_labels},
             rule_bits=encoding.rule_cost(rule, g),
-            traversal_bits=encoding.traversal_cost(rule, g, sorted(aset.correct_starts)),
+            # summed in sorted start order, exactly as encoding.traversal_cost sums
+            traversal_bits=sum(by_start[s] for s in sorted(by_start)),
             exception_starts=aset.exception_starts,
+            bits_by_start=by_start,
         )
 
     def __post_init__(self) -> None:
@@ -232,12 +238,13 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
                 b.label_codes.add(s * nl + ls)
 
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
+    universe = g.neighbor_universe
     cands: dict[tuple[int, int, int, int], RuleEntry] = {}
     for (root, p, direction, child), b in builders.items():
         rule = atomic(root, p, direction, child)
         # summed over sorted starts, exactly as encoding.traversal_cost sums them
         traversal = sum(
-            log_v + encoding.log_binomial(g.num_nodes - 1, b.start_matches[s])
+            log_v + encoding.log_binomial(universe, b.start_matches[s])
             for s in sorted(b.start_matches)
         )
         cands[(root, p, direction, child)] = RuleEntry(
@@ -433,30 +440,117 @@ def _nest_rule(rule: Rule, path: tuple[int, ...], inner: Rule) -> Rule:
     return Rule(rule.root_labels, tuple(children))
 
 
-def refine_nest(model: Model, g: KnowledgeGraph) -> Model:
+NEST_PRUNE_MARGIN = 1e-9  # times the model total: float slack a nest bound must clear
+
+
+@dataclass
+class NestCounts:
+    """What ``refine_nest`` did with the pairs it tried: each considered pair is
+    either pruned by its bound or fully evaluated, and some evaluated pairs are
+    accepted."""
+
+    considered: int = 0
+    pruned: int = 0
+    evaluated: int = 0
+    accepted: int = 0
+
+
+def _bits_by_start(entry: RuleEntry, g: KnowledgeGraph) -> dict[int, float]:
+    if entry.bits_by_start is None:
+        entry.bits_by_start = encoding.traversal_bits_by_start(entry.rule, g, entry.correct_starts)
+    return entry.bits_by_start
+
+
+def _reach_by_start(
+    entry: RuleEntry, path: tuple[int, ...], g: KnowledgeGraph
+) -> dict[int, dict[int, int]]:
+    """For each correct start, the nodes its traversal reaches at ``path``,
+    each with the number of traversal branches that reach it."""
+    steps = []
+    rule = entry.rule
+    for i in path:
+        steps.append(rule.children[i])
+        rule = rule.children[i].child
+    reach: dict[int, dict[int, int]] = {}
+    for s in entry.correct_starts:
+        nodes = {s: 1}
+        for child in steps:
+            nxt: dict[int, int] = {}
+            for u, ways in nodes.items():
+                for w in matching_neighbors(g, u, child):
+                    nxt[w] = nxt.get(w, 0) + ways
+            nodes = nxt
+        reach[s] = nodes
+    return reach
+
+
+def nest_bound(
+    e_in: RuleEntry,
+    path: tuple[int, ...],
+    e_rt: RuleEntry,
+    composed_rule: Rule,
+    reach: dict[int, dict[int, int]],
+    g: KnowledgeGraph,
+) -> float | None:
+    """The model bits of ``composed_rule`` (``e_rt`` nested at ``path`` of
+    ``e_in``) from cached per-start data, without matching it; ``reach`` is
+    ``_reach_by_start(e_in, path, g)``.  ``None`` when ``_dedup_children``
+    drops a child at the inner node, where the sum below would overcount.
+
+    The path is non-empty, so the composed rule keeps e_in's root and its
+    assertions.  A start stays correct exactly when it is correct in e_in and
+    every node it reaches at ``path`` is a correct start of e_rt.  Its
+    traversal bits are then its e_in bits plus the e_rt bits of each reached
+    node, counted once per branch that reaches it.  Nesting covers no edge or
+    label its two parts did not, so the error bits cannot fall, and this value
+    plus the current error bits bounds the total with the pair accepted.
+    """
+    node = e_in.rule
+    for i in path:
+        node = node.children[i].child
+    joined = node.children + e_rt.rule.children
+    if len(_dedup_children(joined)) < len(joined):
+        return None
+    bits_in = _bits_by_start(e_in, g)
+    bits_rt = _bits_by_start(e_rt, g)
+    rt_correct = e_rt.correct_starts
+    num_correct = 0
+    traversal = 0.0
+    for s, reached in reach.items():
+        if reached.keys() <= rt_correct:
+            num_correct += 1
+            traversal += bits_in[s] + sum(ways * bits_rt[w] for w, ways in reached.items())
+    n = e_in.num_assertions
+    return (
+        encoding.rule_cost(composed_rule, g)
+        + encoding.assertion_overhead(n, n - num_correct)
+        + traversal
+    )
+
+
+def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = None) -> Model:
     """Rn: nest one rule beneath a label-matching inner node of another,
     trying pairs in descending Jaccard fit of the occupying node sets, keeping
-    a composition only when it strictly lowers the total cost."""
-    constant = encoding.model_constant(g)
-    occupancy_cache: dict[tuple[tuple, tuple[int, ...]], frozenset[int]] = {}
+    a composition only when it strictly lowers the total cost.
 
-    def occupancy(entry: RuleEntry, path: tuple[int, ...]) -> frozenset[int]:
+    A pair whose ``nest_bound`` exceeds the model bits of its two parts cannot
+    lower the total and is skipped without matching the composed rule; the
+    accepted sequence is the same as with every pair evaluated.  ``counts``,
+    when given, is incremented with what happened to the pairs.
+    """
+    if counts is None:
+        counts = NestCounts()
+    constant = encoding.model_constant(g)
+    reach_cache: dict[tuple[tuple, tuple[int, ...]], tuple[dict, frozenset[int]]] = {}
+
+    def reach(entry: RuleEntry, path: tuple[int, ...]) -> tuple[dict, frozenset[int]]:
+        """Per-start reach at ``path`` and its union, the occupying node set."""
         key = (entry.canon_key, path)
-        hit = occupancy_cache.get(key)
-        if hit is not None:
-            return hit
-        nodes: set[int] = set(entry.correct_starts)
-        rule = entry.rule
-        for i in path:
-            child = rule.children[i]
-            nxt: set[int] = set()
-            for u in nodes:
-                nxt.update(matching_neighbors(g, u, child))
-            nodes = nxt
-            rule = child.child
-        result = frozenset(nodes)
-        occupancy_cache[key] = result
-        return result
+        hit = reach_cache.get(key)
+        if hit is None:
+            by_start = _reach_by_start(entry, path, g)
+            hit = reach_cache[key] = (by_start, frozenset().union(*by_start.values()))
+        return hit
 
     while True:
         pairs = []
@@ -467,7 +561,7 @@ def refine_nest(model: Model, g: KnowledgeGraph) -> Model:
                 for j, e_rt in enumerate(model.entries):
                     if i == j or node.root_labels != e_rt.rule.root_labels:
                         continue
-                    occ = occupancy(e_in, path)
+                    occ = reach(e_in, path)[1]
                     union = occ | e_rt.correct_starts
                     jac = (len(occ & e_rt.correct_starts) / len(union)) if union else 0.0
                     pairs.append((-jac, e_in.canon_key, path, e_rt.canon_key, i, j))
@@ -476,7 +570,14 @@ def refine_nest(model: Model, g: KnowledgeGraph) -> Model:
         composed_any = False
         for _, _, path, _, i, j in pairs:
             e_in, e_rt = model.entries[i], model.entries[j]
+            counts.considered += 1
             composed_rule = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
+            bound = nest_bound(e_in, path, e_rt, composed_rule, reach(e_in, path)[0], g)
+            slack = NEST_PRUNE_MARGIN * model.total
+            if bound is not None and bound - e_in.model_bits - e_rt.model_bits > slack:
+                counts.pruned += 1
+                continue
+            counts.evaluated += 1
             composed = RuleEntry.from_rule(composed_rule, g)
             model._cov_remove(e_in.covered_edge_ids, e_in.covered_label_codes)
             model._cov_remove(e_rt.covered_edge_ids, e_rt.covered_label_codes)
@@ -489,6 +590,7 @@ def refine_nest(model: Model, g: KnowledgeGraph) -> Model:
                 model.entries[keep] = composed
                 del model.entries[drop]
                 model.record("nest", rule_text(composed_rule, g), new_total)
+                counts.accepted += 1
                 composed_any = True
                 break
             model._cov_remove(composed.covered_edge_ids, composed.covered_label_codes)
@@ -529,7 +631,13 @@ def summarize(
     if refine in ("merge", "nest"):
         model = phase("refine_merge", lambda: refine_merge(model, g))
     if refine == "nest":
-        model = phase("refine_nest", lambda: refine_nest(model, g))
+        counts = NestCounts()
+        model = phase("refine_nest", lambda: refine_nest(model, g, counts))
+        if log:
+            log(
+                f"refine_nest pairs: {counts.considered} considered, {counts.pruned} pruned, "
+                f"{counts.evaluated} evaluated, {counts.accepted} accepted"
+            )
     return model
 
 

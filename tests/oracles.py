@@ -83,14 +83,21 @@ def oracle_rule_cost(g: KnowledgeGraph, rule: Rule) -> float:
     return bits
 
 
-def _traversal(g: KnowledgeGraph, u: int, rule: Rule) -> float:
+def _neighbor_universe(g: KnowledgeGraph) -> int:
+    """A neighbour set is drawn from the other nodes, or from all nodes when
+    some edge is a self-loop."""
     v = g.num_nodes
+    return v if any(s == o for s, _, o in g.distinct_edges) else v - 1
+
+
+def oracle_traversal_bits(g: KnowledgeGraph, u: int, rule: Rule) -> float:
+    """Traversal bits of ``rule`` from the single start ``u``."""
     bits = 0.0
     for c in rule.children:
         ws = _neighbors(g, u, c)
-        bits += math.log2(v) + oracle_log_binomial(v - 1, len(ws))
+        bits += math.log2(g.num_nodes) + oracle_log_binomial(_neighbor_universe(g), len(ws))
         for w in ws:
-            bits += _traversal(g, w, c.child)
+            bits += oracle_traversal_bits(g, w, c.child)
     return bits
 
 
@@ -100,7 +107,7 @@ def oracle_assertions_cost(g: KnowledgeGraph, rule: Rule) -> float:
     assert num >= 1
     bits = math.log2(num) + oracle_log_binomial(num, len(exceptions))
     for s in sorted(correct):
-        bits += _traversal(g, s, rule)
+        bits += oracle_traversal_bits(g, s, rule)
     return bits
 
 
@@ -124,6 +131,94 @@ def oracle_total_cost(g: KnowledgeGraph, rules: list[Rule]) -> float:
         covered_labels |= labels
         bits += oracle_rule_cost(g, rule) + oracle_assertions_cost(g, rule)
     return bits + oracle_error_cost(g, covered_labels, covered_edges)
+
+
+def _canonical(rule: Rule) -> Rule:
+    """Children sorted by (predicate, direction, child's sort key), recursively."""
+
+    def key(r: Rule):
+        return (
+            tuple(sorted(r.root_labels)),
+            tuple((c.predicate, c.direction, key(c.child)) for c in r.children),
+        )
+
+    children = [Child(c.predicate, c.direction, _canonical(c.child)) for c in rule.children]
+    children.sort(key=lambda c: (c.predicate, c.direction, key(c.child)))
+    return Rule(rule.root_labels, tuple(children))
+
+
+def _name_key(g: KnowledgeGraph, rule: Rule):
+    """Order of canonical rules by external names."""
+    return (
+        tuple(sorted(g.label_names[l] for l in rule.root_labels)),
+        tuple(
+            (g.pred_names[c.predicate], c.direction, _name_key(g, c.child)) for c in rule.children
+        ),
+    )
+
+
+def _positions(rule: Rule, path: tuple[int, ...] = ()):
+    yield path, rule
+    for i, c in enumerate(rule.children):
+        yield from _positions(c.child, path + (i,))
+
+
+def _nest(rule: Rule, path: tuple[int, ...], inner: Rule) -> Rule:
+    """``inner``'s children added beneath the node at ``path``, repeats dropped."""
+    if not path:
+        children: list[Child] = []
+        for c in rule.children + inner.children:
+            if c not in children:
+                children.append(c)
+        return Rule(rule.root_labels, tuple(children))
+    c = rule.children[path[0]]
+    children = list(rule.children)
+    children[path[0]] = Child(c.predicate, c.direction, _nest(c.child, path[1:], inner))
+    return Rule(rule.root_labels, tuple(children))
+
+
+def oracle_refine_nest(
+    g: KnowledgeGraph, rules: list[Rule]
+) -> tuple[list[Rule], list[tuple[Rule, float]]]:
+    """Nesting refinement with every pair fully evaluated: pairs in descending
+    Jaccard fit of the nodes occupying the inner position and the nested rule's
+    correct starts, the first composition that strictly lowers the oracle total
+    replaces the pair, and the scan restarts.  Returns the final rules and the
+    accepted (composed rule, new total) steps."""
+    rules = list(rules)
+    total = oracle_total_cost(g, rules)
+    steps: list[tuple[Rule, float]] = []
+    while True:
+        correct = [oracle_match(g, r)[0] for r in rules]
+        pairs = []
+        for i, r_in in enumerate(rules):
+            for path, node in _positions(r_in):
+                if not path:
+                    continue
+                occ = set(correct[i])
+                r = r_in
+                for k in path:
+                    occ = {w for u in occ for w in _neighbors(g, u, r.children[k])}
+                    r = r.children[k].child
+                for j, r_rt in enumerate(rules):
+                    if i == j or node.root_labels != r_rt.root_labels:
+                        continue
+                    union = occ | correct[j]
+                    jac = len(occ & correct[j]) / len(union) if union else 0.0
+                    pairs.append((-jac, _name_key(g, r_in), path, _name_key(g, r_rt), i, j))
+        pairs.sort()
+        for _, _, path, _, i, j in pairs:
+            composed = _canonical(_nest(rules[i], path, rules[j]))
+            trial = list(rules)
+            trial[min(i, j)] = composed
+            del trial[max(i, j)]
+            new_total = oracle_total_cost(g, trial)
+            if new_total < total:
+                rules, total = trial, new_total
+                steps.append((composed, new_total))
+                break
+        else:
+            return rules, steps
 
 
 def brute_force_best_subset(

@@ -117,6 +117,23 @@ def chained_ownership_kg(n_a: int = 20, d_a: int = 3, d_b: int = 4) -> Knowledge
     return parse_graph(triples, labels)
 
 
+def chain_kg(levels: str = "ABCD", fanout: int = 2) -> KnowledgeGraph:
+    """Ownership chains one level per label (A -p0-> B -p1-> C ...), every
+    node owning ``fanout`` private children, so nests compose past depth 2."""
+    triples, labels = [], [f"{levels[0]}0\t{levels[0]}\n"]
+    parents = [f"{levels[0]}0"]
+    for depth, label in enumerate(levels[1:]):
+        children = []
+        for parent in parents:
+            for _ in range(fanout):
+                child = f"{label}{len(children)}"
+                children.append(child)
+                labels.append(f"{child}\t{label}\n")
+                triples.append(f"{parent}\tp{depth}\t{child}\n")
+        parents = children
+    return parse_graph(triples, labels)
+
+
 def symmetric_dominant_kg(n_core: int = 50, degree: int = 4, n_minor: int = 5, seed: int = 2) -> KnowledgeGraph:
     """One dominant symmetric pattern (A nodes densely p-linked both ways)
     plus a tiny minor pattern; both orientations of the dominant rule tie on

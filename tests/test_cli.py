@@ -42,6 +42,7 @@ def test_summarize_writes_model_report(tmp_path, capsys):
     assert 0 < doc["pct_edges_explained"] <= 100
     err = capsys.readouterr().err
     assert "select:" in err and "rules" in err  # phase timings and summary on stderr
+    assert "refine_nest pairs: " in err and " pruned, " in err
 
 
 def test_score_ranks_test_edges(tmp_path):
@@ -265,3 +266,19 @@ def test_score_and_complete_skip_rules_that_no_longer_apply(tmp_path):
     assert (tmp_path / "r.tsv").read_text().startswith("a\tp\tb\t")
     missing = json.loads((tmp_path / "m.json").read_text())["missing"]
     assert [(r["node"], r["expected_labels"]) for r in missing] == [("e", ["Z"])]
+
+
+def test_self_loop_graph_runs_end_to_end(tmp_path):
+    # a's matching neighbours, a itself and b, number |V|
+    triples, labels = tmp_path / "triples.tsv", tmp_path / "labels.tsv"
+    triples.write_text("a\tp\ta\na\tp\tb\n")
+    labels.write_text("a\tX\nb\tX\n")
+    base = ["--graph", str(triples), "--labels", str(labels)]
+    model = tmp_path / "model.json"
+    assert main(["summarize", *base, "--out", str(model)]) == 0
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tp\ta\n")
+    assert main(["score", *base, "--model", str(model), "--test-edges", str(edges),
+                 "--out", str(tmp_path / "ranking.tsv")]) == 0
+    missing = tmp_path / "missing.json"
+    assert main(["complete", *base, "--model", str(model), "--out", str(missing)]) == 0

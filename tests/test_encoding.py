@@ -10,6 +10,8 @@ from kgsum.encoding import (
     log_binomial,
     model_constant,
     rule_cost,
+    traversal_bits_by_start,
+    traversal_cost,
     universal_int,
 )
 from kgsum.graph import parse_graph
@@ -19,6 +21,7 @@ from kgsum.rules import OUT, AssertionSet, Child, Rule, match
 from oracles import (
     oracle_log_binomial,
     oracle_total_cost,
+    oracle_traversal_bits,
     oracle_universal_int,
 )
 from synth import random_kg, random_rule
@@ -228,6 +231,25 @@ def test_total_cost_matches_straightline_oracle_randomized():
         assert mine == pytest.approx(theirs, rel=1e-9)
         checked += 1
     assert checked == 40
+
+
+def test_traversal_bits_by_start_matches_oracle_per_start_randomized():
+    rng = random.Random(2718)
+    checked = with_loops = 0
+    for i in range(40):
+        g = random_kg(rng, allow_self_loops=i % 2 == 1)
+        with_loops += g.has_self_loop
+        rule = random_rule(rng, g, max_depth=rng.choice((2, 3)))
+        starts = sorted(g.nodes_with_labels(rule.root_labels))
+        by_start = traversal_bits_by_start(rule, g, starts)
+        assert sorted(by_start) == starts
+        for s in starts:
+            assert by_start[s] == pytest.approx(oracle_traversal_bits(g, s, rule), rel=1e-12)
+        # the total is the per-start values summed in sorted order, whatever
+        # order the starts come in
+        assert traversal_cost(rule, g, set(starts)) == sum(by_start[s] for s in starts)
+        checked += len(starts)
+    assert checked > 40 and with_loops > 0
 
 
 def test_constant_term_never_changes_model_ranking():

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from kgsum import miner
 from kgsum.encoding import log_binomial, total_cost
 from kgsum.graph import parse_graph
 from kgsum.miner import (
     ConfigError,
+    NestCounts,
     RuleEntry,
     build_model,
     empty_model,
@@ -21,10 +23,22 @@ from kgsum.miner import (
     model_to_dict,
     model_from_dict,
 )
-from kgsum.rules import IN, OUT, Child, Rule, RuleFormatError, atomic
+from kgsum.rules import IN, OUT, Child, Rule, RuleFormatError, atomic, rule_text
 
-from oracles import brute_force_best_subset, oracle_total_cost
-from synth import chained_ownership_kg, private_children_kg, random_kg, two_branch_kg
+from oracles import (
+    brute_force_best_subset,
+    oracle_refine_nest,
+    oracle_total_cost,
+    oracle_traversal_bits,
+)
+from synth import (
+    chain_kg,
+    chained_ownership_kg,
+    planted_cycle_kg,
+    private_children_kg,
+    random_kg,
+    two_branch_kg,
+)
 
 
 def single_edge_graph():
@@ -316,6 +330,86 @@ def test_refine_nest_noop_without_compatible_pairs():
     entries_before = list(model.entries)
     refine_nest(model, g)
     assert model.entries == entries_before
+
+
+def check_nest_against_oracle(g, model, monkeypatch) -> tuple[NestCounts, list[tuple]]:
+    """Run refine_nest on ``model`` with every bound recorded; require each
+    bound to equal the model bits of the fully matched composition, and the
+    result to equal the unpruned straight-line refinement's."""
+    bounds = []
+    real = miner.nest_bound
+
+    def recording(e_in, path, e_rt, composed_rule, reach, g_):
+        bound = real(e_in, path, e_rt, composed_rule, reach, g_)
+        bounds.append((path, composed_rule, bound))
+        return bound
+
+    monkeypatch.setattr(miner, "nest_bound", recording)
+    rules_before = list(model.rules)
+    history_before = len(model.history)
+    counts = NestCounts()
+    refine_nest(model, g, counts)
+
+    for _, composed_rule, bound in bounds:
+        if bound is not None:
+            # exact, which is more than the prune needs: bound <= model bits
+            built = RuleEntry.from_rule(composed_rule, g)
+            assert bound == pytest.approx(built.model_bits, rel=1e-12)
+    assert counts.considered == len(bounds) == counts.pruned + counts.evaluated
+    assert counts.accepted == len(model.history) - history_before
+
+    rules, steps = oracle_refine_nest(g, rules_before)
+    assert model.rules == rules
+    nests = model.history[history_before:]
+    assert [(phase, what) for phase, what, _, _ in nests] == [
+        ("nest", rule_text(r, g)) for r, _ in steps
+    ]
+    assert [t for _, _, _, t in nests] == pytest.approx([t for _, t in steps], rel=1e-9)
+    return counts, bounds
+
+
+def test_refine_nest_prune_matches_unpruned_oracle(monkeypatch):
+    mined = [chained_ownership_kg(n_a=6, d_a=2, d_b=2), chain_kg(), planted_cycle_kg(num_nodes=100)]
+    models = [(g, summarize(g, refine="merge")) for g in mined]
+    # tiny random graphs compress too little to select rules, so nest their
+    # six best-ranked candidates
+    rng = random.Random(4242)
+    for _ in range(40):
+        g = random_kg(rng, max_nodes=9, max_labels=3, max_preds=2, edge_factor=2.0)
+        ranked = rank(qualify_all(generate_candidates(g), g), g)
+        models.append((g, build_model(g, [c.rule for c in ranked[:6]])))
+    total = NestCounts()
+    deepest = 0
+    for g, model in models:
+        counts, bounds = check_nest_against_oracle(g, model, monkeypatch)
+        for name in ("considered", "pruned", "evaluated", "accepted"):
+            setattr(total, name, getattr(total, name) + getattr(counts, name))
+        deepest = max([deepest] + [len(path) for path, _, _ in bounds])
+    assert total.pruned > 0 and total.accepted > 0
+    assert deepest >= 2  # a pair at an inner node of an already nested rule
+
+
+def test_refine_nest_evaluates_pairs_whose_children_dedup(monkeypatch):
+    g = chain_kg("XYZ", fanout=2)
+    x, y, z = (g.label_id(n) for n in "XYZ")
+    p0, p1 = g.pred_id("p0"), g.pred_id("p1")
+    y_z = atomic(y, p1, OUT, z)
+    nested = Rule(frozenset({x}), (Child(p0, OUT, y_z),))
+    _, bounds = check_nest_against_oracle(g, build_model(g, [nested, y_z]), monkeypatch)
+    # nesting y_z beneath the Y node repeats its child, so no bound is used
+    assert ((0,), nested, None) in bounds
+
+
+def test_self_loop_graph_costs_neighbours_among_all_nodes():
+    # a's matching neighbours are a and b, |V| of them; a loop-free graph
+    # draws them from the |V|-1 other nodes
+    g = parse_graph(["a\tp\ta\n", "a\tp\tb\n"], ["a\tX\n", "b\tX\n"])
+    assert g.neighbor_universe == g.num_nodes == 2
+    (cand,) = [c for c in generate_candidates(g) if c.rule.children[0].direction == OUT]
+    assert cand.traversal_bits == oracle_traversal_bits(g, g.node_id("a"), cand.rule)
+    assert cand.traversal_bits == RuleEntry.from_rule(cand.rule, g).traversal_bits
+    model = summarize(g, refine="nest")
+    assert model.total == pytest.approx(oracle_total_cost(g, model.rules), rel=1e-12)
 
 
 def test_monotone_descent_and_counts_across_pipeline():
