@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
@@ -44,25 +43,13 @@ from .miner import (
     model_to_dict,
     qualify_all,
     summarize,
+    timed,
 )
 from .rules import DIRECTION_NAMES, RuleFormatError, matching_neighbors
 
 
 def _log(msg: str) -> None:
     print(f"[kgsum] {msg}", file=sys.stderr)
-
-
-def _timed(name: str):
-    class _Timer:
-        def __enter__(self):
-            self.start = time.perf_counter()
-            return self
-
-        def __exit__(self, *exc):
-            if exc[0] is None:
-                _log(f"{name}: {time.perf_counter() - self.start:.2f}s")
-
-    return _Timer()
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -72,7 +59,7 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _load_inputs(args) -> KnowledgeGraph:
-    with _timed("load"):
+    with timed("load", _log):
         g = load_graph(args.graph, args.labels)
     _log(
         f"graph: {g.num_nodes} nodes, {g.num_edges} edges "
@@ -84,7 +71,7 @@ def _load_inputs(args) -> KnowledgeGraph:
 def _load_model(args, g: KnowledgeGraph) -> Model:
     with open(args.model, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
-    with _timed("apply model"):
+    with timed("apply model", _log):
         model = model_from_dict(doc, g)
     return model
 
@@ -102,12 +89,12 @@ def _cmd_summarize(args) -> int:
     else:
         if args.top_k is None:
             raise ConfigError(f"--selector {args.selector} requires --top-k")
-        with _timed("generate"):
+        with timed("generate", _log):
             cands = generate_candidates(g, label_cap=args.label_cap)
-        with _timed("qualify"):
+        with timed("qualify", _log):
             cands = qualify_all(cands, g)
         pick = freq_select if args.selector == "freq" else coverage_select
-        with _timed(args.selector):
+        with timed(args.selector, _log):
             model = pick(cands, g, args.top_k)
     doc = model_to_dict(model)
     _write_json(args.out, doc)
@@ -134,7 +121,7 @@ def _cmd_score(args) -> int:
     g = _load_inputs(args)
     model = _load_model(args, g)
     edges = _read_test_edges(args.test_edges, g)
-    with _timed("score"):
+    with timed("score", _log):
         ranked = rank_edges(edges, model)
     with open(args.out, "w", encoding="utf-8") as fh:
         for s, p, o, score in ranked:
@@ -148,7 +135,7 @@ def _cmd_complete(args) -> int:
     model = _load_model(args, g)
     scorer = AnomalyScorer(model)
     rows: dict[tuple, dict] = {}
-    with _timed("complete"):
+    with timed("complete", _log):
         for entry in model.entries:
             for v in entry.exception_starts:
                 for child in entry.rule.children:
@@ -184,11 +171,11 @@ def _cmd_perturb(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.pca:
-        with _timed("remove nodes (pca)"):
+        with timed("remove nodes (pca)", _log):
             new_g, truth = remove_nodes_pca(g, args.q, seed=args.seed)
     else:
         spec = PerturbationSpec(q=args.q, types=tuple(args.anomalies.split(",")), seed=args.seed)
-        with _timed("perturb"):
+        with timed("perturb", _log):
             new_g, truth = perturb(g, spec)
     write_graph(new_g, str(out / "triples.tsv"), str(out / "labels.tsv"))
     _write_json(str(out / "truth.json"), truth.to_dict())

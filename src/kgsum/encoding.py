@@ -12,10 +12,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .graph import KnowledgeGraph
-from .rules import AssertionSet, Rule, matching_neighbors
 
 if TYPE_CHECKING:  # pragma: no cover
     from .miner import Model
+    from .rules import AssertionSet, Rule
 
 RISSANEN_C0 = 2.865064
 _LOG2_C0 = math.log2(RISSANEN_C0)
@@ -83,38 +83,6 @@ def rule_cost(rule: Rule, g: KnowledgeGraph) -> float:
     return bits
 
 
-def traversal_bits_by_start(rule: Rule, g: KnowledgeGraph, starts) -> dict[int, float]:
-    """Bits to guide the traversal from each start: per child at each visited
-    node, the matching-neighbor count (bounded by |V|) and the neighbor ids."""
-    v = g.num_nodes
-    log_v = math.log2(v) if v else 0.0
-    universe = g.neighbor_universe
-    memo: dict[tuple[int, int], float] = {}
-
-    def expand(u: int, r: Rule) -> float:
-        key = (u, id(r))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        bits = 0.0
-        for c in r.children:
-            ws = matching_neighbors(g, u, c)
-            bits += log_v + log_binomial(universe, len(ws))
-            if c.child.children:  # a leaf child adds exactly 0.0 per neighbor
-                for w in ws:
-                    bits += expand(w, c.child)
-        memo[key] = bits
-        return bits
-
-    return {s: expand(s, rule) for s in starts}
-
-
-def traversal_cost(rule: Rule, g: KnowledgeGraph, correct_starts) -> float:
-    """Traversal bits of all correct starts, summed in sorted start order."""
-    by_start = traversal_bits_by_start(rule, g, correct_starts)
-    return sum(by_start[s] for s in sorted(by_start))
-
-
 def assertion_overhead(num_assertions: int, num_exceptions: int) -> float:
     """Exception count and exception ids, chosen among the assertions."""
     if num_assertions < 1:
@@ -126,8 +94,8 @@ def assertions_cost(aset: AssertionSet, g: KnowledgeGraph) -> float:
     """Bits for a rule's assertions: the exception partition plus every
     correct traversal."""
     bits = assertion_overhead(aset.num_assertions, len(aset.exception_starts))
-    bits += traversal_cost(aset.rule, g, sorted(aset.correct_starts))
-    return bits
+    by_start = aset.bits_by_start
+    return bits + sum(by_start[s] for s in sorted(by_start))
 
 
 def error_cost_counts(

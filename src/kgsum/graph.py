@@ -135,9 +135,6 @@ class KnowledgeGraph:
         """Slots in the binary label matrix: |L_V| * |V|."""
         return self.num_labels * self.num_nodes
 
-    def labels_of(self, node: int) -> frozenset[int]:
-        return self.node_labels[node]
-
     def label_nodes(self, label: int) -> set[int]:
         if 0 <= label < len(self.label_index):
             return self.label_index[label]

@@ -8,8 +8,9 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import encoding
 from .graph import KnowledgeGraph
@@ -18,14 +19,15 @@ from .rules import (
     OUT,
     Child,
     Rule,
+    RuleFormatError,
     atomic,
     canonicalize,
     iter_positions,
     match,
-    matching_neighbors,
     rule_from_dict,
     rule_text,
     rule_to_dict,
+    walk,
 )
 
 
@@ -71,15 +73,12 @@ class RuleEntry:
     gain: float = field(default=0.0, compare=False)
     reverse_partner: "RuleEntry | None" = field(default=None, compare=False, repr=False)
     selected: bool = field(default=False, compare=False)
-    # traversal bits of each correct start; filled by from_rule and, for model
-    # rules only, by refine_nest (never for every mined candidate: memory)
-    bits_by_start: dict[int, float] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_rule(cls, rule: Rule, g: KnowledgeGraph) -> "RuleEntry":
         aset = match(rule, g)
         nl = g.num_labels
-        by_start = encoding.traversal_bits_by_start(rule, g, aset.correct_starts)
+        by_start = aset.bits_by_start
         return cls(
             rule=rule,
             root_key=_root_key(rule, g),
@@ -89,10 +88,9 @@ class RuleEntry:
             covered_edge_ids={g.edge_id[t] for t in aset.covered_edges},
             covered_label_codes={n * nl + l for n, l in aset.covered_labels},
             rule_bits=encoding.rule_cost(rule, g),
-            # summed in sorted start order, exactly as encoding.traversal_cost sums
+            # summed in sorted start order, exactly as encoding.assertions_cost sums
             traversal_bits=sum(by_start[s] for s in sorted(by_start)),
             exception_starts=aset.exception_starts,
-            bits_by_start=by_start,
         )
 
     def __post_init__(self) -> None:
@@ -242,7 +240,7 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
     cands: dict[tuple[int, int, int, int], RuleEntry] = {}
     for (root, p, direction, child), b in builders.items():
         rule = atomic(root, p, direction, child)
-        # summed over sorted starts, exactly as encoding.traversal_cost sums them
+        # summed over sorted starts, exactly as encoding.assertions_cost sums them
         traversal = sum(
             log_v + encoding.log_binomial(universe, b.start_matches[s])
             for s in sorted(b.start_matches)
@@ -455,32 +453,26 @@ class NestCounts:
     accepted: int = 0
 
 
-def _bits_by_start(entry: RuleEntry, g: KnowledgeGraph) -> dict[int, float]:
-    if entry.bits_by_start is None:
-        entry.bits_by_start = encoding.traversal_bits_by_start(entry.rule, g, entry.correct_starts)
-    return entry.bits_by_start
-
-
 def _reach_by_start(
-    entry: RuleEntry, path: tuple[int, ...], g: KnowledgeGraph
-) -> dict[int, dict[int, int]]:
-    """For each correct start, the nodes its traversal reaches at ``path``,
-    each with the number of traversal branches that reach it."""
-    steps = []
-    rule = entry.rule
-    for i in path:
-        steps.append(rule.children[i])
-        rule = rule.children[i].child
-    reach: dict[int, dict[int, int]] = {}
-    for s in entry.correct_starts:
-        nodes = {s: 1}
-        for child in steps:
-            nxt: dict[int, int] = {}
-            for u, ways in nodes.items():
-                for w in matching_neighbors(g, u, child):
-                    nxt[w] = nxt.get(w, 0) + ways
-            nodes = nxt
-        reach[s] = nodes
+    rule: Rule, starts: Iterable[int], lists: dict[tuple[int, int], list[int]]
+) -> dict[tuple[int, ...], dict[int, dict[int, int]]]:
+    """For every inner path of ``rule`` and each correct start, the nodes the
+    start's traversal reaches at that path, each with the number of traversal
+    branches that reach it; ``lists`` are those of ``walk(rule, g, starts)``."""
+    reach: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
+
+    def descend(r: Rule, path: tuple[int, ...], by_start: dict[int, dict[int, int]]) -> None:
+        for i, c in enumerate(r.children):
+            step: dict[int, dict[int, int]] = {}
+            for s, nodes in by_start.items():
+                nxt = step[s] = {}
+                for u, ways in nodes.items():
+                    for w in lists[(u, id(c))]:
+                        nxt[w] = nxt.get(w, 0) + ways
+            reach[path + (i,)] = step
+            descend(c.child, path + (i,), step)
+
+    descend(rule, (), {s: {s: 1} for s in starts})
     return reach
 
 
@@ -490,12 +482,16 @@ def nest_bound(
     e_rt: RuleEntry,
     composed_rule: Rule,
     reach: dict[int, dict[int, int]],
+    bits_in: dict[int, float],
+    bits_rt: dict[int, float],
     g: KnowledgeGraph,
 ) -> float | None:
     """The model bits of ``composed_rule`` (``e_rt`` nested at ``path`` of
-    ``e_in``) from cached per-start data, without matching it; ``reach`` is
-    ``_reach_by_start(e_in, path, g)``.  ``None`` when ``_dedup_children``
-    drops a child at the inner node, where the sum below would overcount.
+    ``e_in``) from cached per-start data, without matching it: ``reach`` is
+    e_in's per-start reach at ``path``, and ``bits_in`` and ``bits_rt`` are
+    the two rules' per-start traversal bits.  ``None`` when
+    ``_dedup_children`` drops a child at the inner node, where the sum below
+    would overcount.
 
     The path is non-empty, so the composed rule keeps e_in's root and its
     assertions.  A start stays correct exactly when it is correct in e_in and
@@ -511,8 +507,6 @@ def nest_bound(
     joined = node.children + e_rt.rule.children
     if len(_dedup_children(joined)) < len(joined):
         return None
-    bits_in = _bits_by_start(e_in, g)
-    bits_rt = _bits_by_start(e_rt, g)
     rt_correct = e_rt.correct_starts
     num_correct = 0
     traversal = 0.0
@@ -541,15 +535,18 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     if counts is None:
         counts = NestCounts()
     constant = encoding.model_constant(g)
-    reach_cache: dict[tuple[tuple, tuple[int, ...]], tuple[dict, frozenset[int]]] = {}
+    walked: dict[tuple, tuple[dict[int, float], dict, dict]] = {}
 
-    def reach(entry: RuleEntry, path: tuple[int, ...]) -> tuple[dict, frozenset[int]]:
-        """Per-start reach at ``path`` and its union, the occupying node set."""
-        key = (entry.canon_key, path)
-        hit = reach_cache.get(key)
+    def walk_once(entry: RuleEntry) -> tuple[dict[int, float], dict, dict]:
+        """Each correct start's traversal bits and, per inner path, the
+        per-start reach and its union (the node set occupying that position),
+        from one walk whose neighbor lists are then dropped (memory)."""
+        hit = walked.get(entry.canon_key)
         if hit is None:
-            by_start = _reach_by_start(entry, path, g)
-            hit = reach_cache[key] = (by_start, frozenset().union(*by_start.values()))
+            bits, lists = walk(entry.rule, g, entry.correct_starts)
+            reach = _reach_by_start(entry.rule, entry.correct_starts, lists)
+            occupied = {path: frozenset().union(*r.values()) for path, r in reach.items()}
+            hit = walked[entry.canon_key] = (bits, reach, occupied)
         return hit
 
     while True:
@@ -561,7 +558,7 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                 for j, e_rt in enumerate(model.entries):
                     if i == j or node.root_labels != e_rt.rule.root_labels:
                         continue
-                    occ = reach(e_in, path)[1]
+                    occ = walk_once(e_in)[2][path]
                     union = occ | e_rt.correct_starts
                     jac = (len(occ & e_rt.correct_starts) / len(union)) if union else 0.0
                     pairs.append((-jac, e_in.canon_key, path, e_rt.canon_key, i, j))
@@ -572,7 +569,8 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
             e_in, e_rt = model.entries[i], model.entries[j]
             counts.considered += 1
             composed_rule = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
-            bound = nest_bound(e_in, path, e_rt, composed_rule, reach(e_in, path)[0], g)
+            (bits_in, reach, _), (bits_rt, _, _) = walk_once(e_in), walk_once(e_rt)
+            bound = nest_bound(e_in, path, e_rt, composed_rule, reach[path], bits_in, bits_rt, g)
             slack = NEST_PRUNE_MARGIN * model.total
             if bound is not None and bound - e_in.model_bits - e_rt.model_bits > slack:
                 counts.pruned += 1
@@ -606,6 +604,15 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
 REFINE_MODES = ("none", "merge", "nest")
 
 
+@contextmanager
+def timed(name: str, log: Callable[[str], None] | None) -> Iterator[None]:
+    """Pass ``"<name>: <wall seconds>s"`` to ``log`` when the block completes."""
+    start = time.perf_counter()
+    yield
+    if log:
+        log(f"{name}: {time.perf_counter() - start:.2f}s")
+
+
 def summarize(
     g: KnowledgeGraph,
     refine: str = "nest",
@@ -616,23 +623,21 @@ def summarize(
     """Run the full pipeline; ``refine='nest'`` implies merging first."""
     if refine not in REFINE_MODES:
         raise ConfigError(f"refine must be one of {REFINE_MODES}, got {refine!r}")
-
-    def phase(name: str, fn):
-        start = time.perf_counter()
-        result = fn()
-        if log:
-            log(f"{name}: {time.perf_counter() - start:.2f}s")
-        return result
-
-    cands = phase("generate", lambda: generate_candidates(g, label_cap=label_cap))
-    cands = phase("qualify", lambda: qualify_all(cands, g))
-    ranked = phase("rank", lambda: rank(cands, g))
-    model = phase("select", lambda: select(g, ranked, max_passes=max_passes))
+    with timed("generate", log):
+        cands = generate_candidates(g, label_cap=label_cap)
+    with timed("qualify", log):
+        cands = qualify_all(cands, g)
+    with timed("rank", log):
+        ranked = rank(cands, g)
+    with timed("select", log):
+        model = select(g, ranked, max_passes=max_passes)
     if refine in ("merge", "nest"):
-        model = phase("refine_merge", lambda: refine_merge(model, g))
+        with timed("refine_merge", log):
+            model = refine_merge(model, g)
     if refine == "nest":
         counts = NestCounts()
-        model = phase("refine_nest", lambda: refine_nest(model, g, counts))
+        with timed("refine_nest", log):
+            model = refine_nest(model, g, counts)
         if log:
             log(
                 f"refine_nest pairs: {counts.considered} considered, {counts.pruned} pruned, "
@@ -679,11 +684,17 @@ def model_from_dict(data: dict, g: KnowledgeGraph) -> Model:
 
     A rule whose root labels no node of ``g`` carries together has no
     assertions and cannot be encoded; such rules (a model applied to a graph
-    that has drifted since mining) are skipped with one warning.
+    that has drifted since mining) are skipped with one warning.  A document
+    of any other shape raises ``RuleFormatError``.
     """
+    entries = data.get("rules", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise RuleFormatError("a model must be an object whose 'rules' is a list")
     kept: list[Rule] = []
     skipped: list[str] = []
-    for entry in data.get("rules", []):
+    for entry in entries:
+        if not isinstance(entry, dict) or "rule" not in entry:
+            raise RuleFormatError("each model rule must be an object with a 'rule'")
         rule = rule_from_dict(entry["rule"], g)
         if g.nodes_with_labels(rule.root_labels):
             kept.append(rule)

@@ -11,9 +11,11 @@ edges and non-root labels count as covered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import math
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
+from .encoding import log_binomial
 from .graph import KnowledgeGraph
 
 OUT = 0  # root/parent is the subject of the edge
@@ -55,6 +57,8 @@ class AssertionSet:
     exception_starts: frozenset[int]
     covered_edges: frozenset[tuple[int, int, int]]
     covered_labels: frozenset[tuple[int, int]]
+    # traversal bits of each correct start, as ``walk`` computed them
+    bits_by_start: dict[int, float] = field(default_factory=dict, compare=False)
 
     @property
     def num_assertions(self) -> int:
@@ -103,38 +107,55 @@ def matching_neighbors(g: KnowledgeGraph, node: int, child: Child) -> list[int]:
     return [w for w in neighbors if want <= g.node_labels[w]]
 
 
-def match(rule: Rule, g: KnowledgeGraph) -> AssertionSet:
-    """Partition the rule's starts and collect the coverage of correct traversals.
+def walk(
+    rule: Rule, g: KnowledgeGraph, starts: Iterable[int]
+) -> tuple[dict[int, float | None], dict[tuple[int, int], list[int]]]:
+    """Walk ``rule`` from each start: ``None`` for an exception, else the bits
+    that guide its traversal (per child at each visited node, the
+    matching-neighbor count, bounded by |V|, and the neighbor ids).  Also
+    returns every neighbor list looked up, keyed by (node, id of the child),
+    which covers each node a correct traversal visits.  Repeated (node,
+    rule-node) expansions are memoized, so the walk terminates on any graph."""
+    log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
+    universe = g.neighbor_universe
+    memo: dict[tuple[int, int], float | None] = {}
+    lists: dict[tuple[int, int], list[int]] = {}
 
-    Unknown label/predicate ids simply never match.  Repeated
-    (node, rule-node) expansions are memoized; rules are finite trees, so the
-    traversal terminates on any graph.
-    """
+    def expand(u: int, r: Rule) -> float | None:
+        key = (u, id(r))
+        if key in memo:
+            return memo[key]
+        bits: float | None = 0.0
+        for c in r.children:
+            ws = lists[(u, id(c))] = matching_neighbors(g, u, c)
+            if not ws:
+                bits = None
+                break
+            bits += log_v + log_binomial(universe, len(ws))
+            if c.child.children:  # a leaf child adds exactly 0.0 per neighbor
+                for w in ws:
+                    sub = expand(w, c.child)
+                    if sub is None:
+                        bits = None
+                        break
+                    bits += sub
+                if bits is None:
+                    break
+        memo[key] = bits
+        return bits
+
+    return {s: expand(s, rule) for s in starts}, lists
+
+
+def match(rule: Rule, g: KnowledgeGraph) -> AssertionSet:
+    """Partition the rule's starts and collect the coverage of correct
+    traversals, from one ``walk``.  Unknown label/predicate ids simply never
+    match."""
     if not rule.root_labels:
         raise RuleFormatError("rule root_labels must be nonempty")
     starts = g.nodes_with_labels(rule.root_labels)
-
-    ok_memo: dict[tuple[int, int], bool] = {}
-
-    def ok(u: int, r: Rule) -> bool:
-        key = (u, id(r))
-        hit = ok_memo.get(key)
-        if hit is not None:
-            return hit
-        result = True
-        for c in r.children:
-            ws = matching_neighbors(g, u, c)
-            if not ws:
-                result = False
-                break
-            if not all(ok(w, c.child) for w in ws):
-                result = False
-                break
-        ok_memo[key] = result
-        return result
-
-    correct = frozenset(v for v in starts if ok(v, rule))
-    exceptions = frozenset(starts) - correct
+    walked, lists = walk(rule, g, starts)
+    bits_by_start = {s: b for s, b in walked.items() if b is not None}
 
     covered_edges: set[tuple[int, int, int]] = set()
     covered_labels: set[tuple[int, int]] = set()
@@ -146,16 +167,21 @@ def match(rule: Rule, g: KnowledgeGraph) -> AssertionSet:
             return
         expanded.add(key)
         for c in r.children:
-            for w in matching_neighbors(g, u, c):
+            for w in lists[(u, id(c))]:
                 covered_edges.add((u, c.predicate, w) if c.direction == OUT else (w, c.predicate, u))
                 for l in c.child.root_labels:
                     covered_labels.add((w, l))
-                collect(w, c.child)
+                if c.child.children:
+                    collect(w, c.child)
 
-    for v in sorted(correct):
+    for v in sorted(bits_by_start):
         collect(v, rule)
 
-    return AssertionSet(rule, correct, exceptions, frozenset(covered_edges), frozenset(covered_labels))
+    correct = frozenset(bits_by_start)
+    exceptions = frozenset(starts) - correct
+    return AssertionSet(
+        rule, correct, exceptions, frozenset(covered_edges), frozenset(covered_labels), bits_by_start
+    )
 
 
 # -- serialization -----------------------------------------------------
@@ -184,18 +210,25 @@ def rule_from_dict(data: dict, g: KnowledgeGraph) -> Rule:
         raise RuleFormatError("root_labels must be a nonempty list")
     labels = set()
     for name in names:
-        lid = g.label_id(name)
+        lid = g.label_id(name) if isinstance(name, str) else None
         if lid is None:
             raise RuleFormatError(f"unknown label {name!r}")
         labels.add(lid)
+    entries = data.get("children", [])
+    if not isinstance(entries, list):
+        raise RuleFormatError(f"children must be a list, got {type(entries).__name__}")
     children = []
-    for entry in data.get("children", []):
-        pred = g.pred_id(entry.get("predicate", ""))
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise RuleFormatError(f"child must be an object, got {type(entry).__name__}")
+        name = entry.get("predicate")
+        pred = g.pred_id(name) if isinstance(name, str) else None
         if pred is None:
-            raise RuleFormatError(f"unknown predicate {entry.get('predicate')!r}")
-        direction = DIRECTION_IDS.get(entry.get("direction", ""))
+            raise RuleFormatError(f"unknown predicate {name!r}")
+        name = entry.get("direction")
+        direction = DIRECTION_IDS.get(name) if isinstance(name, str) else None
         if direction is None:
-            raise RuleFormatError(f"direction must be 'out' or 'in', got {entry.get('direction')!r}")
+            raise RuleFormatError(f"direction must be 'out' or 'in', got {name!r}")
         children.append(Child(pred, direction, rule_from_dict(entry.get("child", {}), g)))
     return canonicalize(Rule(frozenset(labels), tuple(children)))
 

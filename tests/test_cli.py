@@ -20,6 +20,18 @@ def write_inputs(tmp_path, g):
     return str(triples), str(labels)
 
 
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process on the kgsum this test imported, so that
+    stderr holds exactly what a user sees, tracebacks and warnings included."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(kgsum.__file__).resolve().parent.parent), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "kgsum.cli", *args], env=env, capture_output=True, text=True
+    )
+
+
 def graph_with_gap():
     """Private-children structure plus one A node missing its children and a
     couple of stray edges no rule will explain (so the unmodeled-edge share
@@ -248,24 +260,47 @@ def test_score_and_complete_skip_rules_that_no_longer_apply(tmp_path):
     ]}))
     edges = tmp_path / "edges.tsv"
     edges.write_text("\ufeffa\tp\tb\n", encoding="utf-8")  # a byte-order mark is ignored
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(kgsum.__file__).resolve().parent.parent), env.get("PYTHONPATH")])
-    )
     graph = ["--graph", str(triples), "--labels", str(labels), "--model", str(model)]
     for args in (
         ["score", *graph, "--test-edges", str(edges), "--out", str(tmp_path / "r.tsv")],
         ["complete", *graph, "--out", str(tmp_path / "m.json")],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kgsum.cli", *args], env=env, capture_output=True, text=True
-        )
+        proc = run_cli(args)
         assert proc.returncode == 0, proc.stderr
         assert "UserWarning: 1 model rule(s) skipped" in proc.stderr
         assert "[X,Y](->p[Z])" in proc.stderr
     assert (tmp_path / "r.tsv").read_text().startswith("a\tp\tb\t")
     missing = json.loads((tmp_path / "m.json").read_text())["missing"]
     assert [(r["node"], r["expected_labels"]) for r in missing] == [("e", ["Z"])]
+
+
+def test_malformed_model_files_exit_1_without_traceback(tmp_path):
+    triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"
+    triples.write_text("a\tp\tb\n")
+    labels.write_text("a\tX\nb\tX\n")
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tp\tb\n")
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"kind": "pca_removal", "q": 0.5, "seed": 0, "removed": []}))
+    rule = {"root_labels": ["X"], "children": []}
+    docs = [
+        {"rules": [{}]},
+        [],
+        {"rules": [{"rule": {**rule, "children": "oops"}}]},
+        {"rules": [{"rule": {**rule, "root_labels": [["X"]]}}]},
+        {"rules": 5},
+    ]
+    graph = ["--graph", str(triples), "--labels", str(labels)]
+    runs = [["score", *graph, "--test-edges", str(edges), "--out", str(tmp_path / "r.tsv")]] * 5
+    runs += [["complete", *graph, "--out", str(tmp_path / "m.json")]]
+    runs += [["evaluate", "--truth", str(truth), *graph, "--out", str(tmp_path / "e.json")]]
+    for i, args in enumerate(runs):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(docs[i % len(docs)]))
+        proc = run_cli([*args, "--model", str(model)])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
 
 
 def test_self_loop_graph_runs_end_to_end(tmp_path):

@@ -5,13 +5,12 @@ import pytest
 
 from kgsum.encoding import (
     EncodingDomainError,
+    assertion_overhead,
     assertions_cost,
     error_cost_counts,
     log_binomial,
     model_constant,
     rule_cost,
-    traversal_bits_by_start,
-    traversal_cost,
     universal_int,
 )
 from kgsum.graph import parse_graph
@@ -233,22 +232,26 @@ def test_total_cost_matches_straightline_oracle_randomized():
     assert checked == 40
 
 
-def test_traversal_bits_by_start_matches_oracle_per_start_randomized():
+def test_match_bits_by_start_match_oracle_per_start_randomized():
     rng = random.Random(2718)
     checked = with_loops = 0
     for i in range(40):
         g = random_kg(rng, allow_self_loops=i % 2 == 1)
         with_loops += g.has_self_loop
         rule = random_rule(rng, g, max_depth=rng.choice((2, 3)))
-        starts = sorted(g.nodes_with_labels(rule.root_labels))
-        by_start = traversal_bits_by_start(rule, g, starts)
-        assert sorted(by_start) == starts
-        for s in starts:
+        aset = match(rule, g)
+        # bits are kept for correct starts only; an exception start's walk
+        # stops where it fails
+        by_start = aset.bits_by_start
+        assert set(by_start) == aset.correct_starts
+        for s in sorted(by_start):
             assert by_start[s] == pytest.approx(oracle_traversal_bits(g, s, rule), rel=1e-12)
-        # the total is the per-start values summed in sorted order, whatever
-        # order the starts come in
-        assert traversal_cost(rule, g, set(starts)) == sum(by_start[s] for s in starts)
-        checked += len(starts)
+        if aset.num_assertions:
+            # the traversal part of the assertion cost is the per-start values
+            # summed in sorted order
+            overhead = assertion_overhead(aset.num_assertions, len(aset.exception_starts))
+            assert assertions_cost(aset, g) == overhead + sum(by_start[s] for s in sorted(by_start))
+        checked += len(by_start)
     assert checked > 40 and with_loops > 0
 
 

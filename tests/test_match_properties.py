@@ -1,0 +1,57 @@
+"""Property tests: ``match`` and the costs built on its single walk agree with
+the straight-line oracles on random graphs (self-loops included) and random
+rules up to depth 3."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgsum.encoding import assertions_cost
+from kgsum.graph import parse_graph
+from kgsum.rules import IN, OUT, Child, Rule, match
+
+from oracles import oracle_assertions_cost, oracle_match, oracle_traversal_bits
+
+
+@st.composite
+def graphs(draw):
+    num_nodes = draw(st.integers(1, 7))
+    node = st.integers(0, num_nodes - 1)
+    edge = st.tuples(node, st.integers(0, 1), node)
+    edges = draw(st.lists(edge, min_size=num_nodes, max_size=4 * num_nodes, unique=True))
+    if not draw(st.booleans()):
+        edges = [(s, p, o) for s, p, o in edges if s != o]
+    label_sets = st.sets(st.integers(0, 2), min_size=1)
+    labels = draw(st.lists(label_sets, min_size=num_nodes, max_size=num_nodes))
+    return parse_graph(
+        [f"n{s}\tp{p}\tn{o}\n" for s, p, o in edges],
+        [f"n{v}\tL{l}\n" for v, ls in enumerate(labels) for l in sorted(ls)],
+    )
+
+
+def rules(g, depth: int):
+    root = st.frozensets(st.integers(0, g.num_labels - 1), min_size=1, max_size=2)
+    if depth == 1 or not g.num_preds:
+        return st.builds(Rule, root)
+    child = st.builds(
+        Child, st.integers(0, g.num_preds - 1), st.sampled_from((OUT, IN)), rules(g, depth - 1)
+    )
+    return st.builds(Rule, root, st.lists(child, max_size=2).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_match_bits_and_assertions_cost_equal_the_oracles(data):
+    g = data.draw(graphs())
+    rule = data.draw(rules(g, 3))
+    aset = match(rule, g)
+    correct, exceptions, edges, labels = oracle_match(g, rule)
+    assert aset.correct_starts == correct
+    assert aset.exception_starts == exceptions
+    assert aset.covered_edges == edges
+    assert aset.covered_labels == labels
+    assert set(aset.bits_by_start) == correct
+    for s in correct:
+        assert aset.bits_by_start[s] == pytest.approx(oracle_traversal_bits(g, s, rule), rel=1e-12)
+    if aset.num_assertions:
+        assert assertions_cost(aset, g) == pytest.approx(oracle_assertions_cost(g, rule), rel=1e-12)

@@ -339,8 +339,8 @@ def check_nest_against_oracle(g, model, monkeypatch) -> tuple[NestCounts, list[t
     bounds = []
     real = miner.nest_bound
 
-    def recording(e_in, path, e_rt, composed_rule, reach, g_):
-        bound = real(e_in, path, e_rt, composed_rule, reach, g_)
+    def recording(e_in, path, e_rt, composed_rule, reach, bits_in, bits_rt, g_):
+        bound = real(e_in, path, e_rt, composed_rule, reach, bits_in, bits_rt, g_)
         bounds.append((path, composed_rule, bound))
         return bound
 
@@ -499,3 +499,24 @@ def test_model_from_dict_skips_rules_whose_root_no_node_carries():
     unknown = parse_graph(["a\tp\tb\n"], ["a\tX\n", "b\tZ\n"])
     with pytest.raises(RuleFormatError, match="unknown label 'Y'"):
         model_from_dict(doc, unknown)
+
+
+_RULE = {"root_labels": ["X"], "children": []}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"rules": [{}]},
+        [],
+        {"rules": [{"rule": {**_RULE, "children": "oops"}}]},
+        {"rules": [{"rule": {**_RULE, "root_labels": [["X"]]}}]},
+        {"rules": 5},
+    ],
+    ids=["rule-entry-without-rule", "not-an-object", "children-not-a-list",
+         "label-not-a-string", "rules-not-a-list"],
+)
+def test_model_from_dict_rejects_malformed_documents(doc):
+    g = parse_graph(["a\tp\tb\n"], ["a\tX\n", "b\tX\n"])
+    with pytest.raises(RuleFormatError):
+        model_from_dict(doc, g)
