@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import __version__
 from .anomaly import AnomalyScorer, rank_edges
-from .encoding import EncodingDomainError
 from .evalharness import (
     ANOMALY_TYPES,
     GroundTruth,
@@ -34,7 +33,7 @@ from .evalharness import (
     perturb,
     remove_nodes_pca,
 )
-from .graph import GraphParseError, KnowledgeGraph, _fields, load_graph, write_graph
+from .graph import KnowledgeGraph, _fields, load_graph, write_graph
 from .miner import (
     ConfigError,
     Model,
@@ -68,9 +67,18 @@ def _load_inputs(args) -> KnowledgeGraph:
     return g
 
 
+def _read_json(path: str, error: type[ValueError]):
+    """The JSON document at ``path``; one nested too deeply to decode raises
+    ``error``, as other malformed input does."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nested container
+            raise error(f"{path}: too deeply nested to decode") from None
+
+
 def _load_model(args, g: KnowledgeGraph) -> Model:
-    with open(args.model, encoding="utf-8-sig") as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.model, RuleFormatError)
     with timed("apply model", _log):
         model = model_from_dict(doc, g)
     return model
@@ -195,8 +203,7 @@ def _read_ranking(path: str) -> list[tuple[str, str, str, float]]:
 
 
 def _cmd_evaluate(args) -> int:
-    with open(args.truth, encoding="utf-8-sig") as fh:
-        truth = GroundTruth.from_dict(json.load(fh))
+    truth = GroundTruth.from_dict(_read_json(args.truth, MetricsError))
     if truth.kind == "perturbation":
         if not args.ranking:
             raise ConfigError("evaluate with perturbation truth requires --ranking")
@@ -308,17 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ERRORS = (
-    ConfigError,
-    EncodingDomainError,
-    GraphParseError,
-    MetricsError,
-    PerturbationError,
-    RuleFormatError,
-    OSError,
-    json.JSONDecodeError,
-    ValueError,
-)
+# every error the package raises for bad input subclasses ValueError, as do
+# json.JSONDecodeError and UnicodeDecodeError
+_ERRORS = (OSError, ValueError)
 
 
 def main(argv: list[str] | None = None) -> int:

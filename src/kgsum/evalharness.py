@@ -78,6 +78,8 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroundTruth":
+        if not isinstance(data, dict) or not {"kind", "q", "seed"} <= data.keys():
+            raise MetricsError("ground truth must be an object with kind, q and seed")
         return cls(
             kind=data["kind"],
             q=data["q"],

@@ -4,14 +4,34 @@ File format: triples are UTF-8 lines ``subject<TAB>predicate<TAB>object``,
 labels are ``node<TAB>label``. Lines starting with ``#`` are comments, blank
 lines are skipped, and a leading byte-order mark is ignored. Identifiers must
 not contain tabs or newlines.
+
+Layout.  Nodes, labels and predicates are interned to dense ids in first-seen
+order.  An edge is keyed by one packed int, ``(s << 32 | p) << 32 | o``, and
+the adjacency sets are keyed by ``node << 32 | p``.  Every field is 32 bits
+wide, so a graph holds fewer than 2**32 nodes and 2**32 predicates.  The
+packing stays inside this module: readers look edges up with ``edge_index``,
+neighbours with ``neighbors`` and walk the distinct edges with
+``iter_distinct_edges``.  The edge multiset is a column of packed keys in file
+order.  The distinct edges are the keys of a packed key -> edge id map, in
+first-seen order, so an edge id is the edge's index in ``distinct_edges``.
+Nodes with equal label sets share one frozenset.  ``edges`` and
+``distinct_edges`` are (s, p, o) tuple lists built on first use and then
+cached; mining, scoring and completion never build them.
 """
 
 from __future__ import annotations
 
 import statistics
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+OUT = 0  # the node is the subject of the edge
+IN = 1  # the node is the object of the edge
+
+_MASK = (1 << 32) - 1
+_NO_NEIGHBORS: frozenset[int] = frozenset()
 
 
 class GraphParseError(ValueError):
@@ -24,13 +44,21 @@ class GraphParseError(ValueError):
         super().__init__(f"{source}, line {line_no}: expected tab-separated fields, got {line!r}")
 
 
+def _edge_key(s: int, p: int, o: int) -> int:
+    return (s << 32 | p) << 32 | o
+
+
+def _split_edge_key(key: int) -> tuple[int, int, int]:
+    return key >> 64, key >> 32 & _MASK, key & _MASK
+
+
 class KnowledgeGraph:
     """Interned nodes/labels/predicates with set-based adjacency indexes.
 
-    The edge list keeps the file's multiset (duplicates included); all
+    The edge multiset keeps the file's lines (duplicates included); all
     set-based quantities (adjacency, coverage, matching) use the distinct
-    triple view.  Instances are immutable after loading and safe to share
-    across readers.
+    triple view.  Instances are built by ``parse_graph``, are immutable after
+    loading and safe to share across readers.
     """
 
     def __init__(self) -> None:
@@ -40,14 +68,18 @@ class KnowledgeGraph:
         self._node_ids: dict[str, int] = {}
         self._label_ids: dict[str, int] = {}
         self._pred_ids: dict[str, int] = {}
-        # multiset of triples, in file order
-        self.edges: list[tuple[int, int, int]] = []
-        # distinct triples, first-seen order; edge_id maps triple -> index
-        self.distinct_edges: list[tuple[int, int, int]] = []
-        self.edge_id: dict[tuple[int, int, int], int] = {}
+        # packed keys of the edge multiset, in file order
+        self._edge_keys: list[int] = []
+        # packed key -> edge id, in first-seen order
+        self._ids_by_key: dict[int, int] = {}
+        self._edges: list[tuple[int, int, int]] | None = None
+        self._distinct_edges: list[tuple[int, int, int]] | None = None
+        # adjacency key -> neighbour ids, per direction (OUT, IN)
+        self._adjacency: tuple[dict[int, set[int]], dict[int, set[int]]] = (
+            defaultdict(set),
+            defaultdict(set),
+        )
         self.node_labels: list[frozenset[int]] = []
-        self.out_index: dict[tuple[int, int], set[int]] = {}
-        self.in_index: dict[tuple[int, int], set[int]] = {}
         self.label_index: list[set[int]] = []
         self.n_label: list[int] = []
         self.n_pred: list[int] = []
@@ -55,36 +87,6 @@ class KnowledgeGraph:
         self.has_self_loop = False
         self.phi_max = 0
         self.duplicates_collapsed = 0
-
-    # -- interning -----------------------------------------------------
-
-    def _intern_node(self, name: str) -> int:
-        nid = self._node_ids.get(name)
-        if nid is None:
-            nid = len(self.node_names)
-            self._node_ids[name] = nid
-            self.node_names.append(name)
-            self.node_labels.append(set())  # type: ignore[arg-type]  # frozen later
-        return nid
-
-    def _intern_label(self, name: str) -> int:
-        lid = self._label_ids.get(name)
-        if lid is None:
-            lid = len(self.label_names)
-            self._label_ids[name] = lid
-            self.label_names.append(name)
-            self.label_index.append(set())
-            self.n_label.append(0)
-        return lid
-
-    def _intern_pred(self, name: str) -> int:
-        pid = self._pred_ids.get(name)
-        if pid is None:
-            pid = len(self.pred_names)
-            self._pred_ids[name] = pid
-            self.pred_names.append(name)
-            self.n_pred.append(0)
-        return pid
 
     def node_id(self, name: str) -> int | None:
         return self._node_ids.get(name)
@@ -95,6 +97,47 @@ class KnowledgeGraph:
     def pred_id(self, name: str) -> int | None:
         return self._pred_ids.get(name)
 
+    # -- edges -----------------------------------------------------------
+
+    @property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """The edge multiset as (s, p, o) tuples in file order (built on first use)."""
+        if self._edges is None:
+            self._edges = [_split_edge_key(k) for k in self._edge_keys]
+        return self._edges
+
+    @property
+    def distinct_edges(self) -> list[tuple[int, int, int]]:
+        """The distinct edges as (s, p, o) tuples in edge-id order (built on first use)."""
+        if self._distinct_edges is None:
+            self._distinct_edges = [_split_edge_key(k) for k in self._ids_by_key]
+        return self._distinct_edges
+
+    def iter_distinct_edges(self) -> Iterator[tuple[int, int, int, int]]:
+        """(edge id, s, p, o) of each distinct edge, in edge-id order."""
+        for eid, key in enumerate(self._ids_by_key):
+            yield eid, key >> 64, key >> 32 & _MASK, key & _MASK
+
+    def edge_index(self, s: int, p: int, o: int) -> int | None:
+        """The id of edge (s, p, o), or ``None`` when the graph lacks it."""
+        return self._ids_by_key.get(_edge_key(s, p, o))
+
+    def edge_ids(self, edges: Iterable[tuple[int, int, int]]) -> set[int]:
+        """The ids of ``edges``, every one of which the graph must hold."""
+        ids = self._ids_by_key
+        return {ids[_edge_key(s, p, o)] for s, p, o in edges}
+
+    def has_edge(self, s: int, p: int, o: int) -> bool:
+        return self.edge_index(s, p, o) is not None
+
+    def neighbors(self, node: int, p: int | None, direction: int) -> set[int] | frozenset[int]:
+        """Nodes joined to ``node`` by a ``p`` edge: its objects for ``OUT``,
+        its subjects for ``IN``.  Empty for a predicate the graph lacks
+        (``pred_id`` gave ``None``).  The caller must not modify the set."""
+        if p is None:
+            return _NO_NEIGHBORS
+        return self._adjacency[direction].get(node << 32 | p, _NO_NEIGHBORS)
+
     # -- basic counts ----------------------------------------------------
 
     @property
@@ -104,12 +147,12 @@ class KnowledgeGraph:
     @property
     def num_edges(self) -> int:
         """Multiset edge count (file lines)."""
-        return len(self.edges)
+        return len(self._edge_keys)
 
     @property
     def num_distinct_edges(self) -> int:
         """|A|: distinct (s, p, o) triples."""
-        return len(self.distinct_edges)
+        return len(self._ids_by_key)
 
     @property
     def num_labels(self) -> int:
@@ -152,44 +195,6 @@ class KnowledgeGraph:
                 break
         return acc
 
-    def has_edge(self, s: int, p: int, o: int) -> bool:
-        return (s, p, o) in self.edge_id
-
-    # -- construction ----------------------------------------------------
-
-    def _add_triple(self, s: int, p: int, o: int) -> None:
-        triple = (s, p, o)
-        self.edges.append(triple)
-        self.n_pred[p] += 1
-        if triple in self.edge_id:
-            self.duplicates_collapsed += 1
-            return
-        self.edge_id[triple] = len(self.distinct_edges)
-        self.distinct_edges.append(triple)
-        if s == o:
-            self.has_self_loop = True
-        self.out_index.setdefault((s, p), set()).add(o)
-        self.in_index.setdefault((o, p), set()).add(s)
-
-    def _add_label(self, v: int, l: int) -> None:
-        labels = self.node_labels[v]
-        if l in labels:
-            return
-        labels.add(l)  # type: ignore[attr-defined]  # still a mutable set here
-        self.label_index[l].add(v)
-        self.n_label[l] += 1
-        self.num_label_assignments += 1
-
-    def _finalize(self) -> None:
-        self.node_labels = [frozenset(s) for s in self.node_labels]
-        self.phi_max = max((len(s) for s in self.node_labels), default=0)
-        if self.duplicates_collapsed:
-            warnings.warn(
-                f"{self.duplicates_collapsed} duplicate triples collapsed in the set view "
-                "(kept in the edge multiset)",
-                stacklevel=3,
-            )
-
 
 def _fields(source: str, lines: Iterable[str], arity: int) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each data line; a wrong field count or an empty
@@ -199,7 +204,7 @@ def _fields(source: str, lines: Iterable[str], arity: int) -> Iterator[tuple[int
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != arity or any(not f for f in parts):
+        if len(parts) != arity or "" in parts:
             raise GraphParseError(source, line_no, line)
         yield line_no, parts
 
@@ -212,11 +217,63 @@ def parse_graph(
 ) -> KnowledgeGraph:
     """Build a graph from line streams (see module docstring for the format)."""
     g = KnowledgeGraph()
+    node_ids, pred_ids, label_ids = g._node_ids, g._pred_ids, g._label_ids
+    edge_keys, ids_by_key, n_pred = g._edge_keys, g._ids_by_key, g.n_pred
+    out_index, in_index = g._adjacency
+    duplicates = 0
+
     for _, (s, p, o) in _fields(triple_source, triple_lines, 3):
-        g._add_triple(g._intern_node(s), g._intern_pred(p), g._intern_node(o))
+        sid = node_ids.setdefault(s, len(node_ids))
+        oid = node_ids.setdefault(o, len(node_ids))
+        pid = pred_ids.setdefault(p, len(pred_ids))
+        if pid == len(n_pred):
+            n_pred.append(1)
+        else:
+            n_pred[pid] += 1
+        adj = sid << 32 | pid  # shifted once more, it keys the edge
+        key = adj << 32 | oid
+        edge_keys.append(key)
+        eid = len(ids_by_key)
+        if ids_by_key.setdefault(key, eid) != eid:
+            duplicates += 1
+            continue
+        out_index[adj].add(oid)
+        in_index[oid << 32 | pid].add(sid)
+        if sid == oid:
+            g.has_self_loop = True
+
+    # each labelled node's first label, and the labels it adds after that, so
+    # that a one-label node needs no set of its own while the file is read
+    first_label: dict[int, int] = {}
+    more_labels: defaultdict[int, set[int]] = defaultdict(set)
+    nodes_of: defaultdict[int, set[int]] = defaultdict(set)
     for _, (v, l) in _fields(label_source, label_lines, 2):
-        g._add_label(g._intern_node(v), g._intern_label(l))
-    g._finalize()
+        vid = node_ids.setdefault(v, len(node_ids))
+        lid = label_ids.setdefault(l, len(label_ids))
+        if first_label.setdefault(vid, lid) != lid:
+            more_labels[vid].add(lid)
+        nodes_of[lid].add(vid)
+
+    g.node_names = list(node_ids)
+    g.pred_names = list(pred_ids)
+    g.label_names = list(label_ids)
+    g.label_index = [nodes_of[l] for l in range(len(label_ids))]
+    g.n_label = [len(nodes) for nodes in g.label_index]
+    g.num_label_assignments = sum(g.n_label)
+    # nodes with equal label sets share one frozenset
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    node_labels = g.node_labels = [frozenset()] * len(node_ids)
+    for vid, lid in first_label.items():
+        labels = frozenset((lid, *more_labels.get(vid, ())))
+        node_labels[vid] = shared.setdefault(labels, labels)
+    g.phi_max = max(map(len, shared), default=0)
+    g.duplicates_collapsed = duplicates
+    if duplicates:
+        warnings.warn(
+            f"{duplicates} duplicate triples collapsed in the set view "
+            "(kept in the edge multiset)",
+            stacklevel=2,
+        )
     return g
 
 

@@ -16,6 +16,7 @@ from . import encoding
 from .graph import KnowledgeGraph
 from .rules import (
     IN,
+    MAX_RULE_DEPTH,
     OUT,
     Child,
     Rule,
@@ -85,7 +86,7 @@ class RuleEntry:
             canon_key=_canon_key(rule, g),
             correct_starts=aset.correct_starts,
             num_assertions=aset.num_assertions,
-            covered_edge_ids={g.edge_id[t] for t in aset.covered_edges},
+            covered_edge_ids=g.edge_ids(aset.covered_edges),
             covered_label_codes={n * nl + l for n, l in aset.covered_labels},
             rule_bits=encoding.rule_cost(rule, g),
             # summed in sorted start order, exactly as encoding.assertions_cost sums
@@ -212,7 +213,7 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
     nl = g.num_labels
     builders: dict[tuple[int, int, int, int], _Builder] = {}
 
-    for eid, (s, p, o) in enumerate(g.distinct_edges):
+    for eid, s, p, o in g.iter_distinct_edges():
         s_labels = node_label_lists[s]
         o_labels = node_label_lists[o]
         if not s_labels or not o_labels:
@@ -525,7 +526,9 @@ def nest_bound(
 def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = None) -> Model:
     """Rn: nest one rule beneath a label-matching inner node of another,
     trying pairs in descending Jaccard fit of the occupying node sets, keeping
-    a composition only when it strictly lowers the total cost.
+    a composition only when it strictly lowers the total cost.  A composition
+    deeper than ``MAX_RULE_DEPTH`` is never tried, so that ``rule_from_dict``
+    reads every summary back.
 
     A pair whose ``nest_bound`` exceeds the model bits of its two parts cannot
     lower the total and is skipped without matching the composed rule; the
@@ -551,6 +554,7 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
 
     while True:
         pairs = []
+        depths = [e.rule.depth() for e in model.entries]
         for i, e_in in enumerate(model.entries):
             for path, node in iter_positions(e_in.rule):
                 if not path:
@@ -558,6 +562,8 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                 for j, e_rt in enumerate(model.entries):
                     if i == j or node.root_labels != e_rt.rule.root_labels:
                         continue
+                    if len(path) + depths[j] > MAX_RULE_DEPTH:
+                        continue  # the composition nests this deep, too deep to read back
                     occ = walk_once(e_in)[2][path]
                     union = occ | e_rt.correct_starts
                     jac = (len(occ & e_rt.correct_starts) / len(union)) if union else 0.0

@@ -16,10 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .encoding import log_binomial
-from .graph import KnowledgeGraph
-
-OUT = 0  # root/parent is the subject of the edge
-IN = 1  # root/parent is the object of the edge
+from .graph import IN, OUT, KnowledgeGraph
 
 DIRECTION_NAMES = ("out", "in")
 DIRECTION_IDS = {"out": OUT, "in": IN}
@@ -99,8 +96,7 @@ def iter_positions(rule: Rule, _path: tuple[int, ...] = ()) -> Iterator[tuple[tu
 
 def matching_neighbors(g: KnowledgeGraph, node: int, child: Child) -> list[int]:
     """Direction-respecting neighbors of ``node`` carrying the child's root labels."""
-    index = g.out_index if child.direction == OUT else g.in_index
-    neighbors = index.get((node, child.predicate))
+    neighbors = g.neighbors(node, child.predicate, child.direction)
     if not neighbors:
         return []
     want = child.child.root_labels
@@ -201,8 +197,22 @@ def rule_to_dict(rule: Rule, g: KnowledgeGraph) -> dict:
     }
 
 
+MAX_RULE_DEPTH = 100
+"""Deepest rule ``rule_from_dict`` accepts, the root counting as depth 1.  The
+recursive rule functions (``canonicalize``, ``walk``, ``encoding.rule_cost``,
+``miner._canon_key``) take at most a few interpreter frames per level, so a
+rule read from a file stays far under ``sys.getrecursionlimit()``."""
+
+
 def rule_from_dict(data: dict, g: KnowledgeGraph) -> Rule:
-    """Parse and canonicalize a serialized rule; unknown names are errors."""
+    """Parse and canonicalize a serialized rule; unknown names, and nesting
+    deeper than ``MAX_RULE_DEPTH``, are errors."""
+    return canonicalize(_rule_from_dict(data, g, 1))
+
+
+def _rule_from_dict(data: dict, g: KnowledgeGraph, depth: int) -> Rule:
+    if depth > MAX_RULE_DEPTH:
+        raise RuleFormatError(f"rule nests deeper than {MAX_RULE_DEPTH} levels")
     if not isinstance(data, dict):
         raise RuleFormatError(f"rule must be an object, got {type(data).__name__}")
     names = data.get("root_labels")
@@ -229,8 +239,8 @@ def rule_from_dict(data: dict, g: KnowledgeGraph) -> Rule:
         direction = DIRECTION_IDS.get(name) if isinstance(name, str) else None
         if direction is None:
             raise RuleFormatError(f"direction must be 'out' or 'in', got {name!r}")
-        children.append(Child(pred, direction, rule_from_dict(entry.get("child", {}), g)))
-    return canonicalize(Rule(frozenset(labels), tuple(children)))
+        children.append(Child(pred, direction, _rule_from_dict(entry.get("child", {}), g, depth + 1)))
+    return Rule(frozenset(labels), tuple(children))
 
 
 def rule_text(rule: Rule, g: KnowledgeGraph) -> str:

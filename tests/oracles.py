@@ -9,10 +9,65 @@ internals beyond the shared value types (Rule, Child, KnowledgeGraph).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 from kgsum.graph import KnowledgeGraph
 from kgsum.rules import OUT, Child, Rule
+
+
+class OracleParseError(Exception):
+    """The first malformed line: ``args == (source, line number)``."""
+
+
+@dataclass
+class ParsedGraph:
+    node_names: list[str]
+    pred_names: list[str]
+    label_names: list[str]
+    edges: list[tuple[int, int, int]]  # file order, duplicates kept
+    distinct_edges: list[tuple[int, int, int]]  # first-seen order
+    node_labels: list[set[int]]
+
+
+def _data_fields(lines, arity: int, source: str) -> list[list[str]]:
+    rows = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if line.strip() == "" or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != arity or "" in fields:
+            raise OracleParseError(source, line_no)
+        rows.append(fields)
+    return rows
+
+
+def oracle_parse(triple_lines, label_lines, triple_source="<triples>", label_source="<labels>"):
+    """Straight-line parse into name lists, tuple lists and per-node label
+    sets: every triple line first, then every label line, ids in first-seen
+    order.  Raises ``OracleParseError`` at the first malformed line."""
+    nodes: list[str] = []
+    preds: list[str] = []
+    labels: list[str] = []
+
+    def intern(names: list[str], name: str) -> int:
+        if name not in names:
+            names.append(name)
+        return names.index(name)
+
+    edges = []
+    for s, p, o in _data_fields(triple_lines, 3, triple_source):
+        edges.append((intern(nodes, s), intern(preds, p), intern(nodes, o)))
+    assigned = []
+    for v, l in _data_fields(label_lines, 2, label_source):
+        assigned.append((intern(nodes, v), intern(labels, l)))
+    distinct = []
+    for e in edges:
+        if e not in distinct:
+            distinct.append(e)
+    node_labels = [{l for u, l in assigned if u == v} for v in range(len(nodes))]
+    return ParsedGraph(nodes, preds, labels, edges, distinct, node_labels)
 
 
 def oracle_universal_int(n: int) -> float:

@@ -8,7 +8,7 @@ import pytest
 
 import kgsum
 from kgsum.cli import main
-from kgsum.graph import parse_graph, write_graph
+from kgsum.graph import KnowledgeGraph, parse_graph, write_graph
 
 from synth import chained_ownership_kg, private_children_kg
 
@@ -55,6 +55,25 @@ def test_summarize_writes_model_report(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "select:" in err and "rules" in err  # phase timings and summary on stderr
     assert "refine_nest pairs: " in err and " pruned, " in err
+
+
+def test_summarize_score_complete_never_build_edge_tuple_lists(tmp_path, monkeypatch):
+    triples, labels = write_inputs(tmp_path, graph_with_gap())
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a0\tp\tb0\nz0\tq\tz1\n")
+
+    def refuse(self):
+        raise AssertionError("edge tuple list built")
+
+    monkeypatch.setattr(KnowledgeGraph, "edges", property(refuse))
+    monkeypatch.setattr(KnowledgeGraph, "distinct_edges", property(refuse))
+    graph = ["--graph", triples, "--labels", labels]
+    model = str(tmp_path / "model.json")
+    assert main(["summarize", *graph, "--out", model]) == 0
+    assert main(["score", *graph, "--model", model, "--test-edges", str(edges),
+                 "--out", str(tmp_path / "r.tsv")]) == 0
+    assert main(["complete", *graph, "--model", model, "--out", str(tmp_path / "m.json")]) == 0
+    assert json.loads((tmp_path / "m.json").read_text())["missing"]
 
 
 def test_score_ranks_test_edges(tmp_path):
@@ -301,6 +320,42 @@ def test_malformed_model_files_exit_1_without_traceback(tmp_path):
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("depth", [150, 400])
+def test_deeply_nested_model_exits_1_without_traceback(tmp_path, depth):
+    # 150 levels decode and exceed the rule depth limit; 400 levels overflow
+    # the JSON decoder.  The text is built by hand: json.dump overflows too.
+    triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"
+    triples.write_text("a\tp\ta\n")
+    labels.write_text("a\tX\n")
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tp\ta\n")
+    rule = '{"root_labels": ["X"], "children": []}'
+    for _ in range(depth - 1):
+        rule = f'{{"root_labels": ["X"], "children": [{{"predicate": "p", "direction": "out", "child": {rule}}}]}}'
+    model = tmp_path / "model.json"
+    model.write_text(f'{{"rules": [{{"rule": {rule}}}]}}')
+    proc = run_cli(["score", "--graph", str(triples), "--labels", str(labels), "--model", str(model),
+                    "--test-edges", str(edges), "--out", str(tmp_path / "r.tsv")])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["[" * 3000 + "]" * 3000, "[]"])
+def test_truth_file_that_is_not_a_truth_object_exits_1_without_traceback(tmp_path, text):
+    # 3,000 nested arrays overflow the JSON decoder; [] decodes but is no truth
+    triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"
+    triples.write_text("a\tp\tb\n")
+    labels.write_text("a\tX\nb\tY\n")
+    truth = tmp_path / "truth.json"
+    truth.write_text(text)
+    proc = run_cli(["evaluate", "--truth", str(truth), "--graph", str(triples), "--labels", str(labels),
+                    "--out", str(tmp_path / "e.json")])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
 
 
 def test_self_loop_graph_runs_end_to_end(tmp_path):

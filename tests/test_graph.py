@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from kgsum.graph import GraphParseError, label_lines, load_graph, parse_graph, stats, triple_lines
+from kgsum.graph import IN, OUT, GraphParseError, label_lines, load_graph, parse_graph, stats, triple_lines
 
 
 def test_empty_files_give_empty_graph():
@@ -74,6 +74,23 @@ def test_label_only_nodes_are_nodes():
     assert g.num_nodes == 3
 
 
+def test_equal_label_sets_share_one_frozenset():
+    g = parse_graph(
+        ["a\tp\tb\n", "c\tp\td\n"],
+        ["a\tX\n", "a\tY\n", "b\tY\n", "b\tX\n", "c\tX\n", "d\tX\n", "e\tY\n", "e\tX\n"],
+    )
+    a, b, c, d, e = (g.node_id(n) for n in "abcde")
+    x, y = g.label_id("X"), g.label_id("Y")
+    assert g.node_labels[a] == frozenset({x, y})
+    # reached in either label order, {X, Y} is one object
+    assert g.node_labels[a] is g.node_labels[b] is g.node_labels[e]
+    assert g.node_labels[c] == frozenset({x})
+    assert g.node_labels[c] is g.node_labels[d]
+    # e appears only in the label file
+    assert e == 4 and g.node_names[e] == "e"
+    assert e in g.label_nodes(x) and e in g.label_nodes(y)
+
+
 def test_indexes_are_transposes_and_counts_consistent():
     g = parse_graph(
         ["a\tp\tb\n", "a\tp\tc\n", "c\tq\ta\n", "c\tq\ta\n", "b\tp\tb\n"],
@@ -82,12 +99,12 @@ def test_indexes_are_transposes_and_counts_consistent():
     assert sum(g.n_pred) == g.num_edges
     assert sum(g.n_label) == g.num_label_assignments
     assert g.num_label_assignments == sum(len(s) for s in g.node_labels)
-    for (s, p), objs in g.out_index.items():
-        for o in objs:
-            assert s in g.in_index[(o, p)]
-    for (o, p), subs in g.in_index.items():
-        for s in subs:
-            assert o in g.out_index[(s, p)]
+    for v in range(g.num_nodes):
+        for p in range(g.num_preds):
+            for o in g.neighbors(v, p, OUT):
+                assert v in g.neighbors(o, p, IN)
+            for s in g.neighbors(v, p, IN):
+                assert v in g.neighbors(s, p, OUT)
     for s, p, o in g.edges:
         assert 0 <= s < g.num_nodes and 0 <= o < g.num_nodes
     assert g.phi_max == 2

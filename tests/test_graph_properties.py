@@ -1,0 +1,84 @@
+"""Property test: ``parse_graph`` agrees with the straight-line
+``oracle_parse`` on random line lists with duplicates, self-loops, comments,
+blank lines, CRLF endings, multi-label and label-only nodes, repeated label
+lines and the occasional malformed line."""
+
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgsum.graph import IN, OUT, GraphParseError, parse_graph
+
+from oracles import OracleParseError, oracle_parse
+
+ENDINGS = st.sampled_from(["\n", "\r\n", ""])
+SKIPPED = st.sampled_from(["\n", "\r\n", "   \n", "# comment\n", "#a\tp\tb\n"])
+# triples name nodes a-d; labels also name e and f, which become label-only nodes
+TRIPLE = st.builds(
+    "{}\t{}\t{}{}".format,
+    st.sampled_from("abcd"), st.sampled_from("pq"), st.sampled_from("abcd"), ENDINGS,
+)
+LABEL = st.builds("{}\t{}{}".format, st.sampled_from("abcdef"), st.sampled_from("XYZ"), ENDINGS)
+BAD_TRIPLE = st.sampled_from(["a\tp\n", "a\t\tb\n", "a\tp\tb\tc\n", "\tp\tb\r\n"])
+BAD_LABEL = st.sampled_from(["a\n", "a\tX\tY\n", "\tX\n", "a\t\r\n"])
+
+
+@st.composite
+def files(draw, line, bad):
+    lines = draw(st.lists(st.one_of(line, line, line, SKIPPED), max_size=24))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(files(TRIPLE, BAD_TRIPLE), files(LABEL, BAD_LABEL))
+def test_parse_graph_equals_the_oracle(triple_lines, label_lines):
+    try:
+        want = oracle_parse(triple_lines, label_lines, "T", "L")
+    except OracleParseError as bad:
+        with pytest.raises(GraphParseError) as got:
+            parse_graph(triple_lines, label_lines, "T", "L")
+        assert (got.value.source, got.value.line_no) == bad.args
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = parse_graph(triple_lines, label_lines, "T", "L")
+
+    assert g.node_names == want.node_names
+    assert g.pred_names == want.pred_names
+    assert g.label_names == want.label_names
+    assert g.edges == want.edges
+    assert g.distinct_edges == want.distinct_edges
+    assert g.num_edges == len(want.edges)
+    assert g.num_distinct_edges == len(want.distinct_edges)
+
+    n, m = len(want.node_names), len(want.pred_names)
+    for eid, e in enumerate(want.distinct_edges):
+        assert g.edge_index(*e) == eid
+        assert g.has_edge(*e)
+    for s in range(n + 1):
+        for p in range(m + 1):
+            for o in range(n + 1):
+                if (s, p, o) not in want.distinct_edges:
+                    assert g.edge_index(s, p, o) is None
+
+    for v in range(n + 1):
+        for p in range(m + 1):
+            assert g.neighbors(v, p, OUT) == {o for s, q, o in want.distinct_edges if (s, q) == (v, p)}
+            assert g.neighbors(v, p, IN) == {s for s, q, o in want.distinct_edges if (o, q) == (v, p)}
+
+    assert g.node_labels == want.node_labels
+    # equal label sets are one shared object
+    assert len({id(ls) for ls in g.node_labels}) == len(set(g.node_labels))
+    assert g.label_index == [
+        {v for v, ls in enumerate(want.node_labels) if l in ls} for l in range(len(want.label_names))
+    ]
+    assert g.n_label == [sum(l in ls for ls in want.node_labels) for l in range(len(want.label_names))]
+    assert g.num_label_assignments == sum(map(len, want.node_labels))
+    assert g.n_pred == [sum(1 for _, q, _ in want.edges if q == p) for p in range(m)]
+    assert g.phi_max == max(map(len, want.node_labels), default=0)
+    assert g.has_self_loop == any(s == o for s, _, o in want.distinct_edges)
+    assert g.duplicates_collapsed == len(want.edges) - len(want.distinct_edges)

@@ -400,6 +400,17 @@ def test_refine_nest_evaluates_pairs_whose_children_dedup(monkeypatch):
     assert ((0,), nested, None) in bounds
 
 
+def test_refine_nest_composes_no_rule_deeper_than_rule_from_dict_reads(monkeypatch):
+    g = chain_kg("ABCDE", fanout=2)
+    assert max(r.depth() for r in summarize(g, refine="nest").rules) == 4
+    monkeypatch.setattr(miner, "MAX_RULE_DEPTH", 3)
+    monkeypatch.setattr("kgsum.rules.MAX_RULE_DEPTH", 3)
+    model = summarize(g, refine="nest")
+    assert any(phase == "nest" for phase, *_ in model.history)
+    assert max(r.depth() for r in model.rules) == 3
+    assert model_from_dict(model_to_dict(model), g).rules == model.rules
+
+
 def test_self_loop_graph_costs_neighbours_among_all_nodes():
     # a's matching neighbours are a and b, |V| of them; a loop-free graph
     # draws them from the |V|-1 other nodes

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from kgsum.graph import parse_graph
+from kgsum.miner import model_from_dict, model_to_dict
 from kgsum.rules import (
     IN,
+    MAX_RULE_DEPTH,
     OUT,
     Child,
     Rule,
@@ -61,7 +63,7 @@ def test_match_book_rule_correct_assertion():
     assert len(aset.covered_edges) == 7
     # non-root labels revealed: 5 cast groups, the writer, the country
     assert len(aset.covered_labels) == 7
-    assert all(g.distinct_edges[g.edge_id[t]] == t for t in aset.covered_edges)
+    assert all(g.distinct_edges[g.edge_index(*t)] == t for t in aset.covered_edges)
 
 
 def test_match_book_rule_exception_when_born_in_missing():
@@ -183,3 +185,22 @@ def test_rule_from_dict_rejects_unknowns():
         rule_from_dict({"root_labels": ["Book"], "children": [{"predicate": "zap", "direction": "out", "child": {"root_labels": ["Book"]}}]}, g)
     with pytest.raises(RuleFormatError):
         rule_from_dict({"root_labels": []}, g)
+
+
+def test_rule_from_dict_rejects_rules_deeper_than_the_limit():
+    # a self-loop lets a chain of any depth match, so the deepest accepted
+    # rule also runs through matching, costing and re-serialization
+    g = parse_graph(["a\tp\ta\n"], ["a\tX\n"])
+
+    def chain(depth):
+        data = {"root_labels": ["X"], "children": []}
+        for _ in range(depth - 1):
+            data = {"root_labels": ["X"], "children": [{"predicate": "p", "direction": "out", "child": data}]}
+        return data
+
+    assert rule_from_dict(chain(MAX_RULE_DEPTH), g).depth() == MAX_RULE_DEPTH
+    model = model_from_dict({"rules": [{"rule": chain(MAX_RULE_DEPTH)}]}, g)
+    assert model.entries[0].correct_starts == frozenset({g.node_id("a")})
+    assert model_to_dict(model)["rules"][0]["rule"] == chain(MAX_RULE_DEPTH)
+    with pytest.raises(RuleFormatError, match="deeper than"):
+        rule_from_dict(chain(MAX_RULE_DEPTH + 1), g)
