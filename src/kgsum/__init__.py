@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .graph import KnowledgeGraph, StatsReport, load_graph, parse_graph, stats
 from .rules import AssertionSet, Child, Rule, canonicalize, match
-from .encoding import log_binomial, model_cost, total_cost, universal_int
+from .encoding import log_binomial, universal_int
 from .miner import Model, generate_candidates, qualify, rank, refine_merge, refine_nest, select, summarize
 from .anomaly import AnomalyScorer, rank_edges
 from .evalharness import (
@@ -44,7 +44,6 @@ __all__ = [
     "log_binomial",
     "match",
     "metrics",
-    "model_cost",
     "parse_graph",
     "perturb",
     "qualify",
@@ -56,6 +55,5 @@ __all__ = [
     "select",
     "stats",
     "summarize",
-    "total_cost",
     "universal_int",
 ]

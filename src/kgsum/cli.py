@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--label-cap",
         type=int,
         default=None,
-        help="restrict candidate generation to the N most frequent labels",
+        help="restrict candidate generation to the N >= 1 most frequent labels",
     )
     p.add_argument(
         "--selector",

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 from .graph import KnowledgeGraph
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .miner import Model
     from .rules import AssertionSet, Rule
 
 RISSANEN_C0 = 2.865064
@@ -115,13 +114,3 @@ def model_constant(g: KnowledgeGraph) -> float:
     """Upper bound on the rule count; identical across models of one graph."""
     return math.log2(2 * g.num_labels * g.num_labels * g.num_preds + 1)
 
-
-def model_cost(model: "Model", g: KnowledgeGraph) -> float:
-    """Constant rule-count bound plus each rule's structure and assertions."""
-    return model_constant(g) + sum(e.rule_bits + e.assertion_bits for e in model.entries)
-
-
-def total_cost(g: KnowledgeGraph, model: "Model") -> float:
-    return model_cost(model, g) + error_cost_counts(
-        g, model.num_modeled_labels, model.num_modeled_edges
-    )

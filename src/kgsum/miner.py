@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from array import array
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -95,7 +97,7 @@ class RuleEntry:
         )
 
     def __post_init__(self) -> None:
-        # stored, not derived on access, because model totals re-sum it for
+        # stored, not derived on access, because model sums read it for
         # every entry; qualify keeps it current when it widens the root
         self.assertion_bits = (
             encoding.assertion_overhead(self.num_assertions, self.num_exceptions)
@@ -117,7 +119,10 @@ class RuleEntry:
 
 @dataclass
 class Model:
-    """Selected rules plus reference-counted coverage and the cost trace."""
+    """Selected rules plus reference-counted coverage and the cost trace.
+
+    ``rule_and_assertion_bits`` is stored, a left ``+=`` fold of the entries'
+    bits in entry order: ``add`` extends it and refinements refold it."""
 
     graph: KnowledgeGraph
     entries: list[RuleEntry] = field(default_factory=list)
@@ -125,6 +130,16 @@ class Model:
     label_refs: dict[int, int] = field(default_factory=dict)
     total: float = 0.0
     history: list[tuple[str, str, float, float]] = field(default_factory=list)
+    rule_and_assertion_bits: float = field(default=0.0, init=False)
+
+    def __post_init__(self) -> None:
+        self._refold()
+
+    def _refold(self) -> None:
+        bits = 0.0
+        for e in self.entries:
+            bits += e.model_bits
+        self.rule_and_assertion_bits = bits
 
     @property
     def rules(self) -> list[Rule]:
@@ -139,13 +154,17 @@ class Model:
         return len(self.label_refs)
 
     @property
-    def rule_and_assertion_bits(self) -> float:
-        return sum(e.model_bits for e in self.entries)
-
-    @property
     def error_bits(self) -> float:
         g = self.graph
         return encoding.error_cost_counts(g, self.num_modeled_labels, self.num_modeled_edges)
+
+    @property
+    def total_bits(self) -> float:
+        """The total description length recomputed from the entries and the
+        coverage: the rule-count constant, every rule's structure and
+        assertions, and the error bits.  ``total`` is the value the last
+        history step recorded."""
+        return encoding.model_constant(self.graph) + self.rule_and_assertion_bits + self.error_bits
 
     def record(self, phase: str, what: str, new_total: float) -> None:
         self.history.append((phase, what, new_total - self.total, new_total))
@@ -160,9 +179,10 @@ class Model:
             starts = self.graph.nodes_with_labels(entry.rule.root_labels)
             entry.exception_starts = frozenset(starts) - entry.correct_starts
         self.entries.append(entry)
+        self.rule_and_assertion_bits += entry.model_bits
         self._cov_add(entry.covered_edge_ids, entry.covered_label_codes)
         if new_total is None:
-            new_total = encoding.total_cost(self.graph, self)
+            new_total = self.total_bits
         self.record(phase, what, new_total)
 
     def _cov_add(self, edge_ids: Iterable[int], label_codes: Iterable[int]) -> None:
@@ -193,7 +213,7 @@ class _Builder:
     __slots__ = ("start_matches", "edge_ids", "label_codes")
 
     def __init__(self) -> None:
-        self.start_matches: dict[int, int] = {}
+        self.start_matches: Counter[int] = Counter()
         self.edge_ids: set[int] = set()
         self.label_codes: set[int] = set()
 
@@ -201,40 +221,69 @@ class _Builder:
 def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list[RuleEntry]:
     """One atomic candidate per (root label, predicate, direction, child label)
     pattern witnessed by at least one edge, in both orientations, with the two
-    orientations linked as reverse partners."""
+    orientations linked as reverse partners.  ``label_cap``, when given, keeps
+    only that many of the most frequent labels.
+
+    The distinct edges are grouped by (subject's label set, predicate,
+    object's label set) in first-seen order, and each group expands its label
+    pairs once.  A pattern's record is the union of its groups, and the
+    candidates come out in the order of the edge that first witnesses each
+    pattern, as they would from one edge at a time.
+    """
+    if label_cap is not None and label_cap < 1:
+        raise ConfigError(f"label_cap must be >= 1, got {label_cap}")
     allowed: set[int] | None = None
     if label_cap is not None:
         by_freq = sorted(range(g.num_labels), key=lambda l: (-g.n_label[l], g.label_names[l]))
         allowed = set(by_freq[:label_cap])
 
-    node_label_lists: list[tuple[int, ...]] = [
-        tuple(l for l in sorted(ls) if allowed is None or l in allowed) for ls in g.node_labels
-    ]
+    # one signature id per distinct (capped) label set; sig_labels[id] is the set, sorted
+    sig_ids: dict[tuple[int, ...], int] = {}
+    sig_of = {
+        ls: sig_ids.setdefault(
+            tuple(l for l in sorted(ls) if allowed is None or l in allowed), len(sig_ids)
+        )
+        for ls in set(g.node_labels)
+    }
+    sig_labels = list(sig_ids)
+    node_sig = [sig_of[ls] for ls in g.node_labels]
+
+    # (subject sig, predicate, object sig) -> (edge ids, subjects, objects);
+    # the edge ids end up in the candidates, the node ids are packed (memory)
+    groups: dict[tuple[int, int, int], tuple[list[int], array, array]] = {}
+    for eid, s, p, o in g.iter_distinct_edges():
+        key = (node_sig[s], p, node_sig[o])
+        if key in groups:
+            eids, subjects, objects = groups[key]
+        else:
+            eids, subjects, objects = groups[key] = ([], array("L"), array("L"))
+        eids.append(eid)
+        subjects.append(s)
+        objects.append(o)
+
     nl = g.num_labels
     builders: dict[tuple[int, int, int, int], _Builder] = {}
-
-    for eid, s, p, o in g.iter_distinct_edges():
-        s_labels = node_label_lists[s]
-        o_labels = node_label_lists[o]
+    for key in list(groups):
+        s_sig, p, o_sig = key
+        eids, subjects, objects = groups.pop(key)  # dropped once expanded (memory)
+        s_labels, o_labels = sig_labels[s_sig], sig_labels[o_sig]
         if not s_labels or not o_labels:
             continue
+        s_nodes, o_nodes = set(subjects), set(objects)
+        s_codes = {ls: [s * nl + ls for s in s_nodes] for ls in s_labels}
+        o_codes = {lo: [o * nl + lo for o in o_nodes] for lo in o_labels}
         for ls in s_labels:
             for lo in o_labels:
-                key = (ls, p, OUT, lo)
-                b = builders.get(key)
-                if b is None:
-                    b = builders[key] = _Builder()
-                b.start_matches[s] = b.start_matches.get(s, 0) + 1
-                b.edge_ids.add(eid)
-                b.label_codes.add(o * nl + lo)
-
-                key = (lo, p, IN, ls)
-                b = builders.get(key)
-                if b is None:
-                    b = builders[key] = _Builder()
-                b.start_matches[o] = b.start_matches.get(o, 0) + 1
-                b.edge_ids.add(eid)
-                b.label_codes.add(s * nl + ls)
+                for bkey, starts, codes in (
+                    ((ls, p, OUT, lo), subjects, o_codes[lo]),
+                    ((lo, p, IN, ls), objects, s_codes[ls]),
+                ):
+                    b = builders.get(bkey)
+                    if b is None:
+                        b = builders[bkey] = _Builder()
+                    b.start_matches.update(starts)
+                    b.edge_ids.update(eids)
+                    b.label_codes.update(codes)
 
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = g.neighbor_universe
@@ -250,7 +299,8 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
             rule=rule,
             root_key=_root_key(rule, g),
             canon_key=_canon_key(rule, g),
-            correct_starts=frozenset(b.start_matches),
+            # from an exact dict, frozenset sizes its table once (memory)
+            correct_starts=frozenset(dict(b.start_matches)),
             num_assertions=g.n_label[root],
             covered_edge_ids=b.edge_ids,
             covered_label_codes=b.label_codes,
@@ -332,8 +382,10 @@ def rank(cands: list[RuleEntry], g: KnowledgeGraph) -> list[RuleEntry]:
 
 
 def empty_model(g: KnowledgeGraph) -> Model:
-    total = encoding.model_constant(g) + encoding.error_cost_counts(g, 0, 0)
-    return Model(graph=g, total=total, history=[("init", "", 0.0, total)])
+    model = Model(graph=g)
+    model.total = model.total_bits
+    model.history.append(("init", "", 0.0, model.total))
+    return model
 
 
 def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> Model:
@@ -345,8 +397,9 @@ def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> M
     constant = encoding.model_constant(g)
 
     def eval_total(c: RuleEntry) -> float:
-        new_edges = sum(1 for e in c.covered_edge_ids if e not in model.edge_refs)
-        new_labels = sum(1 for l in c.covered_label_codes if l not in model.label_refs)
+        edges, labels = c.covered_edge_ids, c.covered_label_codes
+        new_edges = len(edges) - len(model.edge_refs.keys() & edges)
+        new_labels = len(labels) - len(model.label_refs.keys() & labels)
         err = encoding.error_cost_counts(
             g,
             model.num_modeled_labels + new_labels,
@@ -421,6 +474,7 @@ def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
             model.entries[positions[0]] = merged
             for i in reversed(positions[1:]):
                 del model.entries[i]
+            model._refold()
             model.record("merge", rule_text(merged_rule, g), new_total)
         else:
             model._cov_remove(merged.covered_edge_ids, merged.covered_label_codes)
@@ -593,6 +647,7 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                 keep, drop = min(i, j), max(i, j)
                 model.entries[keep] = composed
                 del model.entries[drop]
+                model._refold()
                 model.record("nest", rule_text(composed_rule, g), new_total)
                 counts.accepted += 1
                 composed_any = True
@@ -660,7 +715,7 @@ def model_to_dict(model: Model) -> dict:
     constant = encoding.model_constant(g)
     model_bits = constant + model.rule_and_assertion_bits
     err_bits = model.error_bits
-    total = model_bits + err_bits
+    total = model.total_bits
     empty_total = constant + encoding.error_cost_counts(g, 0, 0)
     pct_bits = (100.0 * total / empty_total) if empty_total > 0 else 100.0
     pct_edges = (

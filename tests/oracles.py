@@ -3,7 +3,10 @@
 Everything here is written against the definitions directly: plain recursion,
 exact big-integer combinatorics, linear scans instead of indexes.  The point
 is a second code path, so nothing imports the package's encoding/matching
-internals beyond the shared value types (Rule, Child, KnowledgeGraph).
+internals beyond the shared value types (Rule, Child, KnowledgeGraph).  The
+one exception is ``oracle_select``: it checks the order in which the greedy
+scan accumulates costs, to the bit, so it prices the error and the rule-count
+constant with the package's own functions.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from kgsum.encoding import error_cost_counts, model_constant
 from kgsum.graph import KnowledgeGraph
-from kgsum.rules import OUT, Child, Rule
+from kgsum.rules import IN, OUT, Child, Rule, rule_text
 
 
 class OracleParseError(Exception):
@@ -186,6 +190,110 @@ def oracle_total_cost(g: KnowledgeGraph, rules: list[Rule]) -> float:
         covered_labels |= labels
         bits += oracle_rule_cost(g, rule) + oracle_assertions_cost(g, rule)
     return bits + oracle_error_cost(g, covered_labels, covered_edges)
+
+
+@dataclass
+class GeneratedCandidate:
+    """One atomic pattern ``root --predicate/direction--> child`` and what the
+    edges witnessing it add up to."""
+
+    root: int
+    predicate: int
+    direction: int
+    child: int
+    start_matches: dict[int, int]  # start -> its matching neighbours
+    edge_ids: set[int]
+    label_codes: set[int]  # node * |labels| + label
+    traversal_bits: float = 0.0
+
+    @property
+    def key(self) -> tuple[int, int, int, int]:
+        return (self.root, self.predicate, self.direction, self.child)
+
+
+def oracle_generate_candidates(
+    g: KnowledgeGraph, label_cap: int | None = None
+) -> list[GeneratedCandidate]:
+    """Atomic candidates built one distinct edge at a time, in edge-id order:
+    an edge (s, p, o) witnesses, for every label pair of s and o, the pattern
+    rooted at s's label (out) and the one rooted at o's label (in).  Each
+    witness counts one matching neighbour for its start and covers the edge
+    and the neighbour's label.  Candidates come in the order their first
+    witness was seen.  With ``label_cap``, only that many of the most frequent
+    labels (ties by name) take part."""
+    labels = [set(ls) for ls in g.node_labels]
+    if label_cap is not None:
+        freq = {l: sum(l in ls for ls in labels) for l in range(len(g.label_names))}
+        kept = set(sorted(freq, key=lambda l: (-freq[l], g.label_names[l]))[:label_cap])
+        labels = [ls & kept for ls in labels]
+    nl = len(g.label_names)
+    found: dict[tuple[int, int, int, int], GeneratedCandidate] = {}
+
+    def witness(key, start: int, eid: int, code: int) -> None:
+        if key not in found:
+            found[key] = GeneratedCandidate(*key, {}, set(), set())
+        c = found[key]
+        c.start_matches[start] = c.start_matches.get(start, 0) + 1
+        c.edge_ids.add(eid)
+        c.label_codes.add(code)
+
+    for eid, (s, p, o) in enumerate(g.distinct_edges):
+        for ls in sorted(labels[s]):
+            for lo in sorted(labels[o]):
+                witness((ls, p, OUT, lo), s, eid, o * nl + lo)
+                witness((lo, p, IN, ls), o, eid, s * nl + ls)
+
+    log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
+    universe = _neighbor_universe(g)
+    for c in found.values():
+        c.traversal_bits = sum(
+            log_v + oracle_log_binomial(universe, c.start_matches[s])
+            for s in sorted(c.start_matches)
+        )
+    return list(found.values())
+
+
+def oracle_select(g: KnowledgeGraph, ranked: list, max_passes: int = 3) -> list[tuple]:
+    """The greedy scan of ``miner.select`` with every evaluation re-summing
+    the chosen rules' bits: up to ``max_passes`` passes over ``ranked``, each
+    candidate weighed against its reverse partner and the cheaper one kept
+    when it strictly lowers the total.  Returns the history the scan records,
+    ``(phase, rule text, delta, total)`` per step.  The candidates are not
+    modified."""
+    constant = model_constant(g)
+    total = constant + error_cost_counts(g, 0, 0)
+    history = [("init", "", 0.0, total)]
+    chosen: list = []
+    edges: set[int] = set()
+    labels: set[int] = set()
+
+    def evaluate(c) -> float:
+        err = error_cost_counts(
+            g, len(labels | c.covered_label_codes), len(edges | c.covered_edge_ids)
+        )
+        return constant + sum(e.model_bits for e in chosen) + c.model_bits + err
+
+    for _ in range(max_passes):
+        added = False
+        for cand in ranked:
+            if any(cand is e for e in chosen):
+                continue
+            choice, choice_total = cand, evaluate(cand)
+            partner = cand.reverse_partner
+            if partner is not None and not any(partner is e for e in chosen + [cand]):
+                partner_total = evaluate(partner)
+                if partner_total < choice_total:
+                    choice, choice_total = partner, partner_total
+            if choice_total < total:
+                chosen.append(choice)
+                edges |= choice.covered_edge_ids
+                labels |= choice.covered_label_codes
+                history.append(("select", rule_text(choice.rule, g), choice_total - total, choice_total))
+                total = choice_total
+                added = True
+        if not added:
+            break
+    return history
 
 
 def _canonical(rule: Rule) -> Rule:

@@ -190,11 +190,13 @@ def planted_cycle_kg(
     num_classes: int = 5,
     out_degree: tuple[int, int] = (4, 6),
     seed: int = 7,
+    noise: float = 0.0,
 ) -> KnowledgeGraph:
     """Classes C0..C{k-1} arranged in a cycle: every node of class i links via
     predicate p{i} to several random nodes of class i+1.  Every planted
     pattern holds for every node, so the mined rules are exception-free on the
-    clean graph."""
+    clean graph.  ``noise`` adds that fraction of the planted edge count as
+    random edges between random nodes, by random predicates."""
     rng = random.Random(f"{seed}:planted")
     class_of = [i % num_classes for i in range(num_nodes)]
     class_nodes: list[list[int]] = [[] for _ in range(num_classes)]
@@ -209,6 +211,9 @@ def planted_cycle_kg(
         for _ in range(rng.randint(*out_degree)):
             j = targets[rng.randrange(len(targets))]
             triple_rows.append(f"n{i:05d}\tp{c}\tn{j:05d}\n")
+    for _ in range(int(noise * len(triple_rows))):
+        i, j, c = rng.randrange(num_nodes), rng.randrange(num_nodes), rng.randrange(num_classes)
+        triple_rows.append(f"n{i:05d}\tp{c}\tn{j:05d}\n")
     return parse_graph(triple_rows, label_rows)
 
 

@@ -19,7 +19,7 @@ import pytest
 
 import kgsum
 from kgsum.anomaly import rank_edges
-from kgsum.encoding import error_cost_counts, model_constant, total_cost
+from kgsum.encoding import error_cost_counts, model_constant
 from kgsum.evalharness import (
     PerturbationSpec,
     completeness_eval,
@@ -84,7 +84,7 @@ def test_criterion_1_encoding_matches_straightline_oracle():
             if match(rule, g).num_assertions >= 1:
                 rules.append(rule)
         model = build_model(g, rules)
-        mine = total_cost(g, model)
+        mine = model.total_bits
         theirs = oracle_total_cost(g, rules)
         assert mine == pytest.approx(theirs, rel=1e-9)
     elapsed = time.perf_counter() - start
@@ -99,7 +99,7 @@ def test_criterion_2_greedy_vs_bruteforce():
         g = random_kg(rng, max_nodes=8, max_labels=3, max_preds=2, edge_factor=2.0)
         cands = rank(qualify_all(generate_candidates(g), g), g)[:5]
         model = select(g, cands)
-        greedy_total = total_cost(g, model)
+        greedy_total = model.total_bits
         empty_total = model_constant(g) + error_cost_counts(g, 0, 0)
         optimal, best_subset = brute_force_best_subset(g, [c.rule for c in cands])
         assert optimal <= greedy_total + 1e-9

@@ -243,6 +243,20 @@ def test_summarize_baseline_selectors(tmp_path):
                  "--out", str(tmp_path / "x.json"), "--selector", "freq"]) == 1
 
 
+@pytest.mark.parametrize("selector", ["mdl", "freq"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_label_cap_below_one_exits_1_with_one_error_line(tmp_path, cap, selector):
+    triples, labels = write_inputs(tmp_path, private_children_kg())
+    out = tmp_path / "model.json"
+    proc = run_cli(["summarize", "--graph", triples, "--labels", labels, "--out", str(out),
+                    "--label-cap", cap, "--selector", selector, "--top-k", "1"])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: label_cap must be >= 1, got {cap}"]
+    assert not out.exists()
+
+
 def test_summarize_empty_graph_reports_100_percent(tmp_path):
     triples = tmp_path / "t.tsv"
     labels = tmp_path / "l.tsv"

@@ -223,9 +223,7 @@ def test_total_cost_matches_straightline_oracle_randomized():
             if match(rule, g).num_assertions >= 1:
                 rules.append(rule)
         model = build_model(g, rules)
-        from kgsum.encoding import total_cost
-
-        mine = total_cost(g, model)
+        mine = model.total_bits
         theirs = oracle_total_cost(g, rules)
         assert mine == pytest.approx(theirs, rel=1e-9)
         checked += 1
@@ -264,9 +262,7 @@ def test_constant_term_never_changes_model_ranking():
         if match(rule, g).num_assertions >= 1:
             candidate_rules.append(rule)
     models = [candidate_rules[:i] for i in range(len(candidate_rules) + 1)]
-    from kgsum.encoding import total_cost
-
-    with_const = [total_cost(g, build_model(g, m)) for m in models]
+    with_const = [build_model(g, m).total_bits for m in models]
     without = [t - model_constant(g) for t in with_const]
     rank_a = sorted(range(len(models)), key=lambda i: with_const[i])
     rank_b = sorted(range(len(models)), key=lambda i: without[i])

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from kgsum import miner
-from kgsum.encoding import log_binomial, total_cost
+from kgsum.encoding import log_binomial
 from kgsum.graph import parse_graph
 from kgsum.miner import (
+    REFINE_MODES,
     ConfigError,
+    Model,
     NestCounts,
     RuleEntry,
     build_model,
@@ -28,6 +30,7 @@ from kgsum.rules import IN, OUT, Child, Rule, RuleFormatError, atomic, rule_text
 from oracles import (
     brute_force_best_subset,
     oracle_refine_nest,
+    oracle_select,
     oracle_total_cost,
     oracle_traversal_bits,
 )
@@ -85,6 +88,16 @@ def test_generation_label_cap_restricts_to_frequent_labels():
     used |= {l for c in capped for ch in c.rule.children for l in ch.child.root_labels}
     assert g.label_id("Rare") not in used
     assert len(capped) == 2
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_generation_rejects_label_cap_below_one(cap):
+    # -1 used as a slice bound would drop the rarest label; 0 would mine nothing
+    g = single_edge_graph()
+    with pytest.raises(ConfigError, match=f"label_cap must be >= 1, got {cap}"):
+        generate_candidates(g, label_cap=cap)
+    with pytest.raises(ConfigError):
+        summarize(g, label_cap=cap)
 
 
 def test_generation_dedups_across_edges():
@@ -240,11 +253,63 @@ def test_select_greedy_vs_bruteforce_tiny():
         g = random_kg(rng, max_nodes=7, max_labels=3, max_preds=2)
         cands = rank(qualify_all(generate_candidates(g), g), g)[:4]
         model = select(g, cands)
-        greedy_total = total_cost(g, model)
+        greedy_total = model.total_bits
         baseline = oracle_total_cost(g, [])
         optimal, _ = brute_force_best_subset(g, [c.rule for c in cands])
         assert optimal <= greedy_total + 1e-9
         assert greedy_total <= baseline + 1e-9
+
+
+def ranked_candidates(g):
+    return rank(qualify_all(generate_candidates(g), g), g)
+
+
+def test_select_history_equals_the_resumming_oracle_to_the_bit():
+    # select keeps the model's rule and assertion bits as a running sum; the
+    # oracle re-sums them on every evaluation, as select once did
+    rng = random.Random(6061)
+    graphs = [random_kg(rng, max_nodes=10, max_labels=3, max_preds=2, edge_factor=2.0)
+              for _ in range(40)]
+    # tiny random graphs compress too little for select to accept a rule, so
+    # noisy planted cycles of random shape supply the accepted steps
+    graphs += [
+        planted_cycle_kg(num_nodes=rng.randint(100, 300), num_classes=rng.randint(5, 12),
+                         out_degree=(2, rng.randint(2, 6)), seed=seed, noise=rng.uniform(0.01, 0.2))
+        for seed in range(12)
+    ]
+    graphs += [two_branch_kg(), chained_ownership_kg()]
+    accepted = 0
+    for g in graphs:
+        want = oracle_select(g, ranked_candidates(g))
+        model = select(g, ranked_candidates(g))
+        assert model.history == want
+        accepted += len(want) - 1
+    assert accepted >= 60
+
+
+def fold(entries) -> float:
+    bits = 0.0
+    for e in entries:
+        bits += e.model_bits
+    return bits
+
+
+def test_stored_model_sum_equals_a_fold_over_the_entries():
+    rng = random.Random(6062)
+    graphs = [two_branch_kg(), chained_ownership_kg(), chain_kg(),
+              planted_cycle_kg(num_nodes=200, noise=0.05)]
+    graphs += [random_kg(rng, max_nodes=9, max_labels=3, max_preds=2, edge_factor=2.0)
+               for _ in range(10)]
+    phases = set()
+    for g in graphs:
+        for refine in REFINE_MODES:
+            model = summarize(g, refine=refine)
+            phases.update(phase for phase, *_ in model.history)
+            assert model.rule_and_assertion_bits == fold(model.entries)
+            rebuilt = model_from_dict(model_to_dict(model), g)
+            assert rebuilt.rule_and_assertion_bits == fold(rebuilt.entries)
+            assert Model(g, list(model.entries)).rule_and_assertion_bits == fold(model.entries)
+    assert {"select", "merge", "nest"} <= phases
 
 
 def test_refine_merge_fuses_shared_root_rules():
@@ -435,7 +500,7 @@ def test_monotone_descent_and_counts_across_pipeline():
                 assert delta <= 1e-9
         totals = [t for _, _, _, t in model.history]
         assert all(b <= a + 1e-9 for a, b in zip(totals, totals[1:]))
-        assert total_cost(g, model) == pytest.approx(model.total, rel=1e-9)
+        assert model.total_bits == pytest.approx(model.total, rel=1e-9)
 
 
 def test_summarize_deterministic():
@@ -452,7 +517,7 @@ def test_model_round_trip_through_dict():
     doc = model_to_dict(model)
     rebuilt = model_from_dict(doc, g)
     assert [e.rule for e in rebuilt.entries] == [e.rule for e in model.entries]
-    assert total_cost(g, rebuilt) == pytest.approx(total_cost(g, model), rel=1e-12)
+    assert rebuilt.total_bits == pytest.approx(model.total_bits, rel=1e-12)
     assert doc["L_total_bits"] == pytest.approx(model.total, rel=1e-12)
     assert set(doc) == {
         "rules",
