@@ -92,9 +92,7 @@ def assertion_overhead(num_assertions: int, num_exceptions: int) -> float:
 def assertions_cost(aset: AssertionSet, g: KnowledgeGraph) -> float:
     """Bits for a rule's assertions: the exception partition plus every
     correct traversal."""
-    bits = assertion_overhead(aset.num_assertions, len(aset.exception_starts))
-    by_start = aset.bits_by_start
-    return bits + sum(by_start[s] for s in sorted(by_start))
+    return assertion_overhead(aset.num_assertions, len(aset.exception_starts)) + aset.traversal_bits
 
 
 def error_cost_counts(

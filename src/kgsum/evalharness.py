@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .graph import KnowledgeGraph, parse_graph
-from .miner import Model, RuleEntry, empty_model
+from .miner import ConfigError, Model, RuleEntry, empty_model
 from .rules import DIRECTION_IDS, DIRECTION_NAMES, IN, OUT
 
 ANOMALY_TYPES = ("a1", "a2", "a3", "a4")
@@ -80,15 +80,31 @@ class GroundTruth:
     def from_dict(cls, data: dict) -> "GroundTruth":
         if not isinstance(data, dict) or not {"kind", "q", "seed"} <= data.keys():
             raise MetricsError("ground truth must be an object with kind, q and seed")
-        return cls(
-            kind=data["kind"],
-            q=data["q"],
-            seed=data["seed"],
-            types=tuple(data.get("types", ())),
-            positives=list(data.get("positives", ())),
-            negatives=list(data.get("negatives", ())),
-            removed=list(data.get("removed", ())),
-        )
+        if not isinstance(data.get("types", []), list):
+            raise MetricsError("truth 'types' must be a list")
+        records = {name: _records(data, name) for name in ("positives", "negatives", "removed")}
+        for r in records["removed"]:
+            if any(d["direction"] not in DIRECTION_NAMES for d in _records(r, "destroyed")):
+                raise MetricsError("a destroyed entry's direction must be 'out' or 'in'")
+        return cls(data["kind"], data["q"], data["seed"], tuple(data.get("types", ())), **records)
+
+
+# each record list of a truth document, with the fields the evaluation reads
+_RECORD_FIELDS = {
+    "positives": {"s": str, "p": str, "o": str, "types": list, "split": str},
+    "negatives": {"s": str, "p": str, "o": str, "split": str},
+    "removed": {"labels": list, "split": str, "destroyed": list},
+    "destroyed": {"survivor": str, "predicate": str, "direction": str},
+}
+
+
+def _records(doc: dict, name: str) -> list[dict]:
+    rows, fields = doc.get(name, []), _RECORD_FIELDS[name]
+    if not isinstance(rows, list) or not all(
+        isinstance(r, dict) and all(isinstance(r.get(k), t) for k, t in fields.items()) for r in rows
+    ):
+        raise MetricsError(f"truth {name!r} must be a list of objects with {', '.join(fields)}")
+    return rows
 
 
 def _sample_count(q: float, num_nodes: int) -> int:
@@ -283,7 +299,7 @@ def remove_nodes_pca(
 
 def _baseline_select(cands: list[RuleEntry], g: KnowledgeGraph, k: int, keyfn, phase: str) -> Model:
     if k < 1:
-        raise PerturbationError(f"top-k must be >= 1, got {k}")
+        raise ConfigError(f"top-k must be >= 1, got {k}")
     order = sorted((c for c in cands if c.correct_starts), key=keyfn)
     model = empty_model(g)
     for c in order[:k]:

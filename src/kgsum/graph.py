@@ -13,7 +13,8 @@ packing stays inside this module: readers look edges up with ``edge_index``,
 neighbours with ``neighbors`` and walk the distinct edges with
 ``iter_distinct_edges``.  The edge multiset is a column of packed keys in file
 order.  The distinct edges are the keys of a packed key -> edge id map, in
-first-seen order, so an edge id is the edge's index in ``distinct_edges``.
+first-seen order, so an edge id is the edge's index in ``distinct_edges``.  A
+rule's coverage is its edge ids and its label codes ``node * num_labels + label``.
 Nodes with equal label sets share one frozenset.  ``edges`` and
 ``distinct_edges`` are (s, p, o) tuple lists built on first use and then
 cached; mining, scoring and completion never build them.
@@ -121,11 +122,6 @@ class KnowledgeGraph:
     def edge_index(self, s: int, p: int, o: int) -> int | None:
         """The id of edge (s, p, o), or ``None`` when the graph lacks it."""
         return self._ids_by_key.get(_edge_key(s, p, o))
-
-    def edge_ids(self, edges: Iterable[tuple[int, int, int]]) -> set[int]:
-        """The ids of ``edges``, every one of which the graph must hold."""
-        ids = self._ids_by_key
-        return {ids[_edge_key(s, p, o)] for s, p, o in edges}
 
     def has_edge(self, s: int, p: int, o: int) -> bool:
         return self.edge_index(s, p, o) is not None

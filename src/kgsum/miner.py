@@ -80,19 +80,16 @@ class RuleEntry:
     @classmethod
     def from_rule(cls, rule: Rule, g: KnowledgeGraph) -> "RuleEntry":
         aset = match(rule, g)
-        nl = g.num_labels
-        by_start = aset.bits_by_start
         return cls(
             rule=rule,
             root_key=_root_key(rule, g),
             canon_key=_canon_key(rule, g),
             correct_starts=aset.correct_starts,
             num_assertions=aset.num_assertions,
-            covered_edge_ids=g.edge_ids(aset.covered_edges),
-            covered_label_codes={n * nl + l for n, l in aset.covered_labels},
+            covered_edge_ids=aset.covered_edge_ids,
+            covered_label_codes=aset.covered_label_codes,
             rule_bits=encoding.rule_cost(rule, g),
-            # summed in sorted start order, exactly as encoding.assertions_cost sums
-            traversal_bits=sum(by_start[s] for s in sorted(by_start)),
+            traversal_bits=aset.traversal_bits,
             exception_starts=aset.exception_starts,
         )
 
@@ -180,30 +177,28 @@ class Model:
             entry.exception_starts = frozenset(starts) - entry.correct_starts
         self.entries.append(entry)
         self.rule_and_assertion_bits += entry.model_bits
-        self._cov_add(entry.covered_edge_ids, entry.covered_label_codes)
+        self._cov_add(entry)
         if new_total is None:
             new_total = self.total_bits
         self.record(phase, what, new_total)
 
-    def _cov_add(self, edge_ids: Iterable[int], label_codes: Iterable[int]) -> None:
-        for e in edge_ids:
-            self.edge_refs[e] = self.edge_refs.get(e, 0) + 1
-        for c in label_codes:
-            self.label_refs[c] = self.label_refs.get(c, 0) + 1
+    def _refs(self, entry: RuleEntry) -> tuple[tuple[dict[int, int], set[int]], ...]:
+        """Each refcount dict with the entry's ids that it counts."""
+        return (self.edge_refs, entry.covered_edge_ids), (self.label_refs, entry.covered_label_codes)
 
-    def _cov_remove(self, edge_ids: Iterable[int], label_codes: Iterable[int]) -> None:
-        for e in edge_ids:
-            n = self.edge_refs[e] - 1
-            if n:
-                self.edge_refs[e] = n
-            else:
-                del self.edge_refs[e]
-        for c in label_codes:
-            n = self.label_refs[c] - 1
-            if n:
-                self.label_refs[c] = n
-            else:
-                del self.label_refs[c]
+    def _cov_add(self, entry: RuleEntry) -> None:
+        for refs, ids in self._refs(entry):
+            for i in ids:
+                refs[i] = refs.get(i, 0) + 1
+
+    def _cov_remove(self, entry: RuleEntry) -> None:
+        for refs, ids in self._refs(entry):
+            for i in ids:
+                n = refs[i] - 1
+                if n:
+                    refs[i] = n
+                else:
+                    del refs[i]
 
 
 # -- candidate generation ----------------------------------------------
@@ -290,7 +285,7 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
     cands: dict[tuple[int, int, int, int], RuleEntry] = {}
     for (root, p, direction, child), b in builders.items():
         rule = atomic(root, p, direction, child)
-        # summed over sorted starts, exactly as encoding.assertions_cost sums them
+        # summed over sorted starts, exactly as rules.match sums them
         traversal = sum(
             log_v + encoding.log_binomial(universe, b.start_matches[s])
             for s in sorted(b.start_matches)
@@ -449,8 +444,9 @@ def _dedup_children(children: Iterable[Child]) -> tuple[Child, ...]:
 def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
     """Rm: fuse rules with identical roots and identical correct-start sets
     into one multi-child rule, kept when the total cost does not increase.
-    The covered edges and labels are unchanged by construction, so only model
-    bits compete."""
+    The merged rule covers exactly the union of its parts' edges and labels,
+    so the error bits do not move and only model bits compete; the coverage
+    refcounts move only when a merge is kept."""
     constant = encoding.model_constant(g)
     groups: dict[tuple[frozenset[int], frozenset[int]], list[RuleEntry]] = {}
     for e in model.entries:
@@ -463,23 +459,18 @@ def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
             Rule(key[0], _dedup_children(c for e in parts for c in e.rule.children))
         )
         merged = RuleEntry.from_rule(merged_rule, g)
-        for e in parts:
-            model._cov_remove(e.covered_edge_ids, e.covered_label_codes)
-        model._cov_add(merged.covered_edge_ids, merged.covered_label_codes)
         kept_bits = model.rule_and_assertion_bits - sum(e.model_bits for e in parts)
-        err = model.error_bits
-        new_total = constant + kept_bits + merged.model_bits + err
+        new_total = constant + kept_bits + merged.model_bits + model.error_bits
         if new_total <= model.total:
+            for e in parts:
+                model._cov_remove(e)
+            model._cov_add(merged)
             positions = [i for i, e in enumerate(model.entries) if any(e is p for p in parts)]
             model.entries[positions[0]] = merged
             for i in reversed(positions[1:]):
                 del model.entries[i]
             model._refold()
             model.record("merge", rule_text(merged_rule, g), new_total)
-        else:
-            model._cov_remove(merged.covered_edge_ids, merged.covered_label_codes)
-            for e in parts:
-                model._cov_add(e.covered_edge_ids, e.covered_label_codes)
     return model
 
 
@@ -637,12 +628,11 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                 continue
             counts.evaluated += 1
             composed = RuleEntry.from_rule(composed_rule, g)
-            model._cov_remove(e_in.covered_edge_ids, e_in.covered_label_codes)
-            model._cov_remove(e_rt.covered_edge_ids, e_rt.covered_label_codes)
-            model._cov_add(composed.covered_edge_ids, composed.covered_label_codes)
+            model._cov_remove(e_in)
+            model._cov_remove(e_rt)
+            model._cov_add(composed)
             kept_bits = model.rule_and_assertion_bits - e_in.model_bits - e_rt.model_bits
-            err = model.error_bits
-            new_total = constant + kept_bits + composed.model_bits + err
+            new_total = constant + kept_bits + composed.model_bits + model.error_bits
             if new_total < model.total:
                 keep, drop = min(i, j), max(i, j)
                 model.entries[keep] = composed
@@ -652,9 +642,9 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                 counts.accepted += 1
                 composed_any = True
                 break
-            model._cov_remove(composed.covered_edge_ids, composed.covered_label_codes)
-            model._cov_add(e_in.covered_edge_ids, e_in.covered_label_codes)
-            model._cov_add(e_rt.covered_edge_ids, e_rt.covered_label_codes)
+            model._cov_remove(composed)
+            model._cov_add(e_in)
+            model._cov_add(e_rt)
         if not composed_any:
             break
     return model

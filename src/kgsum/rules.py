@@ -12,7 +12,7 @@ edges and non-root labels count as covered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .encoding import log_binomial
@@ -47,15 +47,14 @@ class Child:
 
 @dataclass(frozen=True)
 class AssertionSet:
-    """Partition of a rule's starts plus what its correct traversals reveal."""
+    """Partition of a rule's starts plus what its correct traversals cover,
+    in the ids and bits that ``miner.RuleEntry`` stores."""
 
-    rule: Rule
     correct_starts: frozenset[int]
     exception_starts: frozenset[int]
-    covered_edges: frozenset[tuple[int, int, int]]
-    covered_labels: frozenset[tuple[int, int]]
-    # traversal bits of each correct start, as ``walk`` computed them
-    bits_by_start: dict[int, float] = field(default_factory=dict, compare=False)
+    covered_edge_ids: set[int]
+    covered_label_codes: set[int]  # node * num_labels + label
+    traversal_bits: float  # the correct starts' walk bits, summed in sorted order
 
     @property
     def num_assertions(self) -> int:
@@ -151,10 +150,11 @@ def match(rule: Rule, g: KnowledgeGraph) -> AssertionSet:
         raise RuleFormatError("rule root_labels must be nonempty")
     starts = g.nodes_with_labels(rule.root_labels)
     walked, lists = walk(rule, g, starts)
-    bits_by_start = {s: b for s, b in walked.items() if b is not None}
+    correct = sorted(s for s, b in walked.items() if b is not None)
 
-    covered_edges: set[tuple[int, int, int]] = set()
-    covered_labels: set[tuple[int, int]] = set()
+    nl = g.num_labels
+    edge_ids: set[int] = set()
+    label_codes: set[int] = set()
     expanded: set[tuple[int, int]] = set()
 
     def collect(u: int, r: Rule) -> None:
@@ -163,21 +163,20 @@ def match(rule: Rule, g: KnowledgeGraph) -> AssertionSet:
             return
         expanded.add(key)
         for c in r.children:
+            p, out = c.predicate, c.direction == OUT
             for w in lists[(u, id(c))]:
-                covered_edges.add((u, c.predicate, w) if c.direction == OUT else (w, c.predicate, u))
+                edge_ids.add(g.edge_index(u, p, w) if out else g.edge_index(w, p, u))
                 for l in c.child.root_labels:
-                    covered_labels.add((w, l))
+                    label_codes.add(w * nl + l)
                 if c.child.children:
                     collect(w, c.child)
 
-    for v in sorted(bits_by_start):
+    for v in correct:
         collect(v, rule)
 
-    correct = frozenset(bits_by_start)
-    exceptions = frozenset(starts) - correct
-    return AssertionSet(
-        rule, correct, exceptions, frozenset(covered_edges), frozenset(covered_labels), bits_by_start
-    )
+    exceptions = frozenset(starts).difference(correct)
+    bits = sum(walked[s] for s in correct)
+    return AssertionSet(frozenset(correct), exceptions, edge_ids, label_codes, bits)
 
 
 # -- serialization -----------------------------------------------------

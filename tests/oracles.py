@@ -130,6 +130,14 @@ def oracle_match(g: KnowledgeGraph, rule: Rule):
     return correct, exceptions, edges, labels
 
 
+def as_ids(g: KnowledgeGraph, edges: set, labels: set) -> tuple[set[int], set[int]]:
+    """``oracle_match``'s coverage in the package's ids: each (s, p, o) edge as
+    its index in ``g.distinct_edges``, each (node, label) pair as the code
+    ``node * num_labels + label``."""
+    index = {t: i for i, t in enumerate(g.distinct_edges)}
+    return {index[t] for t in edges}, {n * g.num_labels + l for n, l in labels}
+
+
 def oracle_rule_cost(g: KnowledgeGraph, rule: Rule) -> float:
     bits = math.log2(g.num_labels)
     for l in rule.root_labels:

@@ -50,6 +50,36 @@ def random_kg(
     return parse_graph(triple_rows, label_rows)
 
 
+def random_owned_kg(rng: random.Random, max_owners: int = 12) -> KnowledgeGraph:
+    """A random ownership graph, on which rules get selected, merged and
+    nested: every A node owns private children over one to three branches
+    (predicate, child label, children per owner, grandchildren per child).  An
+    owner owns nothing with probability 0.1 and skips a branch with
+    probability 0.05, and up to three random edges are noise."""
+    branches = {(rng.choice(("p0", "p1")), rng.choice("BCD")) for _ in range(rng.randint(1, 3))}
+    shapes = [(p, label, rng.randint(1, 3), rng.randint(0, 2)) for p, label in sorted(branches)]
+    triples, labels, nodes = [], [], []
+    for i in range(rng.randint(3, max_owners)):
+        a = f"a{i}"
+        nodes.append(a)
+        labels.append(f"{a}\tA\n")
+        owns = rng.random() >= 0.1
+        for j, (p, label, children, grandchildren) in enumerate(shapes):
+            if not owns or rng.random() < 0.05:
+                continue
+            for k in range(children):
+                b = f"{a}b{j}.{k}"
+                nodes.append(b)
+                labels.append(f"{b}\t{label}\n")
+                triples.append(f"{a}\t{p}\t{b}\n")
+                for m in range(grandchildren):
+                    labels.append(f"{b}c{m}\tE\n")
+                    triples.append(f"{b}\tq\t{b}c{m}\n")
+    for _ in range(rng.randint(0, 3)):
+        triples.append(f"{rng.choice(nodes)}\t{rng.choice(('p0', 'p1', 'q'))}\t{rng.choice(nodes)}\n")
+    return parse_graph(triples, labels)
+
+
 def random_rule(rng: random.Random, g: KnowledgeGraph, max_depth: int = 2, max_children: int = 2) -> Rule:
     """A random rule over labels/predicates that occur in ``g``."""
     root = frozenset(rng.sample(range(g.num_labels), rng.randint(1, min(2, g.num_labels))))

@@ -372,6 +372,38 @@ def test_truth_file_that_is_not_a_truth_object_exits_1_without_traceback(tmp_pat
     assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
 
 
+_EDGE = {"s": "a", "p": "p", "o": "b", "types": ["a3"], "split": "test"}
+_REMOVED = {"node": "c", "labels": ["X"], "split": "test", "destroyed": []}
+_DESTROYED = {"survivor": "a", "predicate": "p"}
+
+
+@pytest.mark.parametrize(
+    "truth",
+    [
+        {"kind": "perturbation", "positives": 5, "negatives": []},
+        {"kind": "perturbation", "positives": [{k: v for k, v in _EDGE.items() if k != "p"}],
+         "negatives": [{**_EDGE, "s": "b", "o": "a"}]},
+        {"kind": "pca_removal", "removed": [{k: v for k, v in _REMOVED.items() if k != "split"}]},
+        {"kind": "pca_removal", "removed": [{**_REMOVED, "destroyed": [{**_DESTROYED, "direction": "up"}]}]},
+    ],
+    ids=["positives-not-a-list", "positive-without-p", "removed-without-split", "direction-up"],
+)
+def test_malformed_truth_records_exit_1_with_one_error_line(tmp_path, truth):
+    triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"
+    triples.write_text("a\tp\tb\nb\tp\ta\n")
+    labels.write_text("a\tX\nb\tX\n")
+    ranking, model = tmp_path / "r.tsv", tmp_path / "model.json"
+    ranking.write_text("a\tp\tb\t2.0\nb\tp\ta\t1.0\n")
+    model.write_text(json.dumps({"rules": []}))
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps({"q": 0.5, "seed": 0, "types": ["a3"], **truth}))
+    proc = run_cli(["evaluate", "--truth", str(path), "--ranking", str(ranking), "--model", str(model),
+                    "--graph", str(triples), "--labels", str(labels), "--out", str(tmp_path / "e.json")])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+
+
 def test_self_loop_graph_runs_end_to_end(tmp_path):
     # a's matching neighbours, a itself and b, number |V|
     triples, labels = tmp_path / "triples.tsv", tmp_path / "labels.tsv"

@@ -15,7 +15,7 @@ from kgsum.encoding import (
 )
 from kgsum.graph import parse_graph
 from kgsum.miner import build_model
-from kgsum.rules import OUT, AssertionSet, Child, Rule, match
+from kgsum.rules import OUT, AssertionSet, Child, Rule, match, walk
 
 from oracles import (
     oracle_log_binomial,
@@ -163,13 +163,13 @@ def test_assertions_cost_all_exceptions_allowed():
     aset = match(rule, g)
     assert aset.exception_starts == frozenset({g.node_id("c")})
     # C(n, n) term contributes 0 when all assertions are exceptions
-    all_exc = AssertionSet(rule, frozenset(), frozenset({0, 1}), frozenset(), frozenset())
+    all_exc = AssertionSet(frozenset(), frozenset({0, 1}), set(), set(), 0.0)
     assert assertions_cost(all_exc, g) == pytest.approx(math.log2(2), rel=1e-12)
 
 
 def test_assertions_cost_zero_assertions_domain_error():
     g = parse_graph(["a\tp\tb\n"], ["a\tX\n"])
-    empty = AssertionSet(Rule(frozenset({0})), frozenset(), frozenset(), frozenset(), frozenset())
+    empty = AssertionSet(frozenset(), frozenset(), set(), set(), 0.0)
     with pytest.raises(EncodingDomainError):
         assertions_cost(empty, g)
 
@@ -238,17 +238,18 @@ def test_match_bits_by_start_match_oracle_per_start_randomized():
         with_loops += g.has_self_loop
         rule = random_rule(rng, g, max_depth=rng.choice((2, 3)))
         aset = match(rule, g)
-        # bits are kept for correct starts only; an exception start's walk
-        # stops where it fails
-        by_start = aset.bits_by_start
+        # the walk gives bits for correct starts only; an exception start's
+        # walk stops where it fails
+        walked, _ = walk(rule, g, g.nodes_with_labels(rule.root_labels))
+        by_start = {s: b for s, b in walked.items() if b is not None}
         assert set(by_start) == aset.correct_starts
         for s in sorted(by_start):
             assert by_start[s] == pytest.approx(oracle_traversal_bits(g, s, rule), rel=1e-12)
+        # match's traversal bits are the per-start values summed in sorted order
+        assert aset.traversal_bits == sum(by_start[s] for s in sorted(by_start))
         if aset.num_assertions:
-            # the traversal part of the assertion cost is the per-start values
-            # summed in sorted order
             overhead = assertion_overhead(aset.num_assertions, len(aset.exception_starts))
-            assert assertions_cost(aset, g) == overhead + sum(by_start[s] for s in sorted(by_start))
+            assert assertions_cost(aset, g) == overhead + aset.traversal_bits
         checked += len(by_start)
     assert checked > 40 and with_loops > 0
 

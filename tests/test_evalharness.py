@@ -17,7 +17,7 @@ from kgsum.evalharness import (
     evaluation_edges,
 )
 from kgsum.graph import label_lines, parse_graph, triple_lines
-from kgsum.miner import build_model, generate_candidates, qualify_all, rank, select
+from kgsum.miner import ConfigError, build_model, generate_candidates, qualify_all, rank, select
 from kgsum.rules import IN, atomic
 
 from oracles import oracle_auc_trapezoid
@@ -211,8 +211,14 @@ def test_baselines_k_larger_than_pool_takes_all():
     g = private_children_kg(n_roots=20, degree=3)
     cands = qualify_all(generate_candidates(g), g)
     assert len(freq_select(cands, g, 99).entries) == len(cands)
-    with pytest.raises(PerturbationError):
-        freq_select(cands, g, 0)
+
+
+@pytest.mark.parametrize("selector", [freq_select, coverage_select])
+def test_baselines_reject_k_below_one_as_config_error(selector):
+    g = private_children_kg(n_roots=5, degree=2)
+    cands = qualify_all(generate_candidates(g), g)
+    with pytest.raises(ConfigError, match="top-k must be >= 1, got 0"):
+        selector(cands, g, 0)
 
 
 def test_all_selectors_agree_on_dominant_pattern():

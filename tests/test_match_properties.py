@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from kgsum.encoding import assertions_cost
 from kgsum.graph import parse_graph
-from kgsum.rules import IN, OUT, Child, Rule, match
+from kgsum.rules import IN, OUT, Child, Rule, match, walk
 
-from oracles import oracle_assertions_cost, oracle_match, oracle_traversal_bits
+from oracles import as_ids, oracle_assertions_cost, oracle_match, oracle_traversal_bits
 
 
 @st.composite
@@ -48,10 +48,11 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
     correct, exceptions, edges, labels = oracle_match(g, rule)
     assert aset.correct_starts == correct
     assert aset.exception_starts == exceptions
-    assert aset.covered_edges == edges
-    assert aset.covered_labels == labels
-    assert set(aset.bits_by_start) == correct
+    assert (aset.covered_edge_ids, aset.covered_label_codes) == as_ids(g, edges, labels)
+    walked, _ = walk(rule, g, g.nodes_with_labels(rule.root_labels))
+    assert {s for s, b in walked.items() if b is not None} == correct
     for s in correct:
-        assert aset.bits_by_start[s] == pytest.approx(oracle_traversal_bits(g, s, rule), rel=1e-12)
+        assert walked[s] == pytest.approx(oracle_traversal_bits(g, s, rule), rel=1e-12)
+    assert aset.traversal_bits == sum(walked[s] for s in sorted(correct))
     if aset.num_assertions:
         assert assertions_cost(aset, g) == pytest.approx(oracle_assertions_cost(g, rule), rel=1e-12)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kgsum import miner
-from kgsum.encoding import log_binomial
+from kgsum.encoding import assertions_cost, log_binomial
 from kgsum.graph import parse_graph
 from kgsum.miner import (
     REFINE_MODES,
@@ -25,7 +25,7 @@ from kgsum.miner import (
     model_to_dict,
     model_from_dict,
 )
-from kgsum.rules import IN, OUT, Child, Rule, RuleFormatError, atomic, rule_text
+from kgsum.rules import IN, OUT, Child, Rule, RuleFormatError, atomic, match, rule_text
 
 from oracles import (
     brute_force_best_subset,
@@ -548,7 +548,12 @@ def test_one_formula_for_mined_and_matched_records_randomized():
             multi_label_roots += len(c.rule.root_labels) > 1
         for refine in ("none", "merge", "nest"):
             doc = model_to_dict(summarize(g, refine=refine))
-            assert model_to_dict(model_from_dict(doc, g)) == doc
+            applied = model_from_dict(doc, g)
+            assert model_to_dict(applied) == doc
+            # an applied rule re-matched and priced on its own costs what the
+            # model stored, to the bit
+            for e in applied.entries:
+                assert assertions_cost(match(e.rule, g), g) == e.assertion_bits
     assert multi_label_roots > 0
 
 

@@ -18,7 +18,7 @@ from kgsum.rules import (
     rule_to_dict,
 )
 
-from oracles import oracle_match
+from oracles import as_ids, oracle_match
 from synth import random_kg, random_rule
 
 
@@ -60,10 +60,14 @@ def test_match_book_rule_correct_assertion():
     assert aset.correct_starts == frozenset({start})
     assert aset.exception_starts == frozenset()
     # 5 cast edges + 1 writtenBy + 1 bornIn
-    assert len(aset.covered_edges) == 7
+    n = g.node_id
+    edges = [(f"cast{i}", "features", "novel0") for i in range(5)]
+    edges += [("novel0", "writtenBy", "writer0"), ("writer0", "bornIn", "country0")]
+    assert aset.covered_edge_ids == {g.edge_index(n(s), g.pred_id(p), n(o)) for s, p, o in edges}
     # non-root labels revealed: 5 cast groups, the writer, the country
-    assert len(aset.covered_labels) == 7
-    assert all(g.distinct_edges[g.edge_index(*t)] == t for t in aset.covered_edges)
+    labels = [(f"cast{i}", "CastGroup") for i in range(5)]
+    labels += [("writer0", "Author"), ("country0", "Country")]
+    assert aset.covered_label_codes == {n(v) * g.num_labels + g.label_id(l) for v, l in labels}
 
 
 def test_match_book_rule_exception_when_born_in_missing():
@@ -71,7 +75,7 @@ def test_match_book_rule_exception_when_born_in_missing():
     aset = match(book_rule(g), g)
     assert aset.correct_starts == frozenset()
     assert aset.exception_starts == frozenset({g.node_id("novel0")})
-    assert aset.covered_edges == frozenset()
+    assert aset.covered_edge_ids == set()
 
 
 def test_leaf_rule_asserts_nothing_beyond_start():
@@ -82,8 +86,9 @@ def test_leaf_rule_asserts_nothing_beyond_start():
     aset = match(Rule(frozenset({g.label_id("X")})), g)
     assert aset.correct_starts == frozenset({g.node_id("a"), g.node_id("b"), g.node_id("c")})
     assert aset.exception_starts == frozenset()
-    assert aset.covered_edges == frozenset()
-    assert aset.covered_labels == frozenset()
+    assert aset.covered_edge_ids == set()
+    assert aset.covered_label_codes == set()
+    assert aset.traversal_bits == 0
 
 
 def test_unknown_ids_match_nothing():
@@ -107,8 +112,7 @@ def test_match_agrees_with_bruteforce_oracle():
         correct, exceptions, edges, labels = oracle_match(g, rule)
         assert aset.correct_starts == correct
         assert aset.exception_starts == exceptions
-        assert aset.covered_edges == edges
-        assert aset.covered_labels == labels
+        assert (aset.covered_edge_ids, aset.covered_label_codes) == as_ids(g, edges, labels)
 
 
 def test_partition_property():
