@@ -80,8 +80,8 @@ class GroundTruth:
     def from_dict(cls, data: dict) -> "GroundTruth":
         if not isinstance(data, dict) or not {"kind", "q", "seed"} <= data.keys():
             raise MetricsError("ground truth must be an object with kind, q and seed")
-        if not isinstance(data.get("types", []), list):
-            raise MetricsError("truth 'types' must be a list")
+        if not _strings(data.get("types", [])):
+            raise MetricsError("truth 'types' must be a list of strings")
         records = {name: _records(data, name) for name in ("positives", "negatives", "removed")}
         for r in records["removed"]:
             if any(d["direction"] not in DIRECTION_NAMES for d in _records(r, "destroyed")):
@@ -89,19 +89,28 @@ class GroundTruth:
         return cls(data["kind"], data["q"], data["seed"], tuple(data.get("types", ())), **records)
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _is(t: type):
+    return lambda value: isinstance(value, t)
+
+
 # each record list of a truth document, with the fields the evaluation reads
+# and a check of each field's value
 _RECORD_FIELDS = {
-    "positives": {"s": str, "p": str, "o": str, "types": list, "split": str},
-    "negatives": {"s": str, "p": str, "o": str, "split": str},
-    "removed": {"labels": list, "split": str, "destroyed": list},
-    "destroyed": {"survivor": str, "predicate": str, "direction": str},
+    "positives": {"s": _is(str), "p": _is(str), "o": _is(str), "types": _strings, "split": _is(str)},
+    "negatives": {"s": _is(str), "p": _is(str), "o": _is(str), "split": _is(str)},
+    "removed": {"labels": _strings, "split": _is(str), "destroyed": _is(list)},
+    "destroyed": {"survivor": _is(str), "predicate": _is(str), "direction": _is(str)},
 }
 
 
 def _records(doc: dict, name: str) -> list[dict]:
     rows, fields = doc.get(name, []), _RECORD_FIELDS[name]
     if not isinstance(rows, list) or not all(
-        isinstance(r, dict) and all(isinstance(r.get(k), t) for k, t in fields.items()) for r in rows
+        isinstance(r, dict) and all(ok(r.get(k)) for k, ok in fields.items()) for r in rows
     ):
         raise MetricsError(f"truth {name!r} must be a list of objects with {', '.join(fields)}")
     return rows

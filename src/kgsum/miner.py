@@ -20,11 +20,13 @@ from .rules import (
     IN,
     MAX_RULE_DEPTH,
     OUT,
+    AssertionSet,
     Child,
     Rule,
     RuleFormatError,
     atomic,
     canonicalize,
+    collect,
     iter_positions,
     match,
     rule_from_dict,
@@ -78,8 +80,8 @@ class RuleEntry:
     selected: bool = field(default=False, compare=False)
 
     @classmethod
-    def from_rule(cls, rule: Rule, g: KnowledgeGraph) -> "RuleEntry":
-        aset = match(rule, g)
+    def from_rule(cls, rule: Rule, g: KnowledgeGraph, aset: AssertionSet | None = None) -> "RuleEntry":
+        aset = match(rule, g) if aset is None else aset  # the caller may have matched it
         return cls(
             rule=rule,
             root_key=_root_key(rule, g),
@@ -519,6 +521,7 @@ def _reach_by_start(
             descend(c.child, path + (i,), step)
 
     descend(rule, (), {s: {s: 1} for s in starts})
+    del descend  # break the closure's reference cycle, which holds ``lists``
     return reach
 
 
@@ -568,6 +571,13 @@ def nest_bound(
     )
 
 
+def _modeled_after(refs: dict[int, int], a: set[int], b: set[int], c: set[int]) -> int:
+    """How many ids ``refs`` counts once entries covering ``a`` and ``b`` give
+    way to one covering ``c`` within their union: an id is lost exactly when
+    ``c`` lacks it and ``a`` and ``b`` hold all of its references."""
+    return len(refs) - sum(refs[i] == (i in a) + (i in b) for i in (a - c) | (b - c))
+
+
 def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = None) -> Model:
     """Rn: nest one rule beneath a label-matching inner node of another,
     trying pairs in descending Jaccard fit of the occupying node sets, keeping
@@ -577,34 +587,41 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
 
     A pair whose ``nest_bound`` exceeds the model bits of its two parts cannot
     lower the total and is skipped without matching the composed rule; the
-    accepted sequence is the same as with every pair evaluated.  ``counts``,
-    when given, is incremented with what happened to the pairs.
+    accepted sequence is the same as with every pair evaluated.  A composition
+    covers a subset of its parts' union, so it is priced from the ids it loses
+    and the coverage refcounts move only when a pair is accepted.  The sorted
+    pair list is kept across acceptances: the two replaced entries' pairs are
+    dropped and the composed entry's added.  ``counts``, when given, is
+    incremented with what happened to the pairs.
     """
     if counts is None:
         counts = NestCounts()
     constant = encoding.model_constant(g)
-    walked: dict[tuple, tuple[dict[int, float], dict, dict]] = {}
+    walked: dict[tuple, tuple[dict[int, float | None], dict, dict]] = {}
+    depths = [e.rule.depth() for e in model.entries]
 
-    def walk_once(entry: RuleEntry) -> tuple[dict[int, float], dict, dict]:
-        """Each correct start's traversal bits and, per inner path, the
-        per-start reach and its union (the node set occupying that position),
-        from one walk whose neighbor lists are then dropped (memory)."""
+    def walk_once(entry: RuleEntry, bits: dict | None = None, lists: dict | None = None) -> tuple:
+        """Each correct start's traversal bits and, per inner path, the per-start
+        reach and its union (the node set occupying that position), from one walk,
+        the caller's when given; its neighbor lists are then dropped (memory)."""
         hit = walked.get(entry.canon_key)
         if hit is None:
-            bits, lists = walk(entry.rule, g, entry.correct_starts)
+            if lists is None:
+                bits, lists = walk(entry.rule, g, entry.correct_starts)
             reach = _reach_by_start(entry.rule, entry.correct_starts, lists)
             occupied = {path: frozenset().union(*r.values()) for path, r in reach.items()}
             hit = walked[entry.canon_key] = (bits, reach, occupied)
         return hit
 
-    while True:
-        pairs = []
-        depths = [e.rule.depth() for e in model.entries]
-        for i, e_in in enumerate(model.entries):
+    def pairs_of(hosts: Iterable[int], nested: Iterable[int]) -> Iterator[tuple]:
+        """The pairs nesting an entry of ``nested`` beneath one of ``hosts``."""
+        for i in hosts:
+            e_in = model.entries[i]
             for path, node in iter_positions(e_in.rule):
                 if not path:
                     continue
-                for j, e_rt in enumerate(model.entries):
+                for j in nested:
+                    e_rt = model.entries[j]
                     if i == j or node.root_labels != e_rt.rule.root_labels:
                         continue
                     if len(path) + depths[j] > MAX_RULE_DEPTH:
@@ -612,10 +629,11 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                     occ = walk_once(e_in)[2][path]
                     union = occ | e_rt.correct_starts
                     jac = (len(occ & e_rt.correct_starts) / len(union)) if union else 0.0
-                    pairs.append((-jac, e_in.canon_key, path, e_rt.canon_key, i, j))
-        pairs.sort()
+                    yield (-jac, e_in.canon_key, path, e_rt.canon_key, i, j)
 
-        composed_any = False
+    everyone = range(len(model.entries))
+    pairs = sorted(pairs_of(everyone, everyone))
+    while True:
         for _, _, path, _, i, j in pairs:
             e_in, e_rt = model.entries[i], model.entries[j]
             counts.considered += 1
@@ -627,27 +645,39 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                 counts.pruned += 1
                 continue
             counts.evaluated += 1
-            composed = RuleEntry.from_rule(composed_rule, g)
-            model._cov_remove(e_in)
-            model._cov_remove(e_rt)
-            model._cov_add(composed)
+            bits, lists = walk(composed_rule, g, g.nodes_with_labels(composed_rule.root_labels))
+            composed = RuleEntry.from_rule(composed_rule, g, collect(composed_rule, g, bits, lists))
+            parts = (e_in, e_rt, composed)
+            labels = _modeled_after(model.label_refs, *(e.covered_label_codes for e in parts))
+            edges = _modeled_after(model.edge_refs, *(e.covered_edge_ids for e in parts))
             kept_bits = model.rule_and_assertion_bits - e_in.model_bits - e_rt.model_bits
-            new_total = constant + kept_bits + composed.model_bits + model.error_bits
+            new_total = constant + kept_bits + composed.model_bits + encoding.error_cost_counts(g, labels, edges)
             if new_total < model.total:
-                keep, drop = min(i, j), max(i, j)
-                model.entries[keep] = composed
-                del model.entries[drop]
-                model._refold()
-                model.record("nest", rule_text(composed_rule, g), new_total)
-                counts.accepted += 1
-                composed_any = True
                 break
-            model._cov_remove(composed)
-            model._cov_add(e_in)
-            model._cov_add(e_rt)
-        if not composed_any:
-            break
-    return model
+        else:
+            return model
+
+        model._cov_remove(e_in)
+        model._cov_remove(e_rt)
+        model._cov_add(composed)
+        keep, drop = min(i, j), max(i, j)
+        model.entries[keep] = composed
+        del model.entries[drop]
+        depths[keep] = composed_rule.depth()
+        del depths[drop]
+        model._refold()
+        model.record("nest", rule_text(composed_rule, g), new_total)
+        counts.accepted += 1
+        walk_once(composed, bits, lists)
+
+        # the pairs of the two replaced entries go, later indexes shift down,
+        # and the composed entry's pairs, as host and as nested rule, come in
+        pairs = [(jac, k_in, p, k_rt, a - (a > drop), b - (b > drop))
+                 for jac, k_in, p, k_rt, a, b in pairs if a not in (i, j) and b not in (i, j)]
+        everyone = range(len(model.entries))
+        pairs += pairs_of((keep,), everyone)
+        pairs += pairs_of(everyone, (keep,))
+        pairs.sort()
 
 
 # -- pipeline -------------------------------------------------------------

@@ -139,7 +139,47 @@ def walk(
         memo[key] = bits
         return bits
 
-    return {s: expand(s, rule) for s in starts}, lists
+    walked = {s: expand(s, rule) for s in starts}
+    del expand  # a recursive closure is a reference cycle: free the memo now, not at the next gc
+    return walked, lists
+
+
+def collect(
+    rule: Rule, g: KnowledgeGraph, walked: dict[int, float | None], lists: dict[tuple[int, int], list[int]]
+) -> AssertionSet:
+    """Partition the starts of ``walk(rule, g, starts)`` and collect the
+    edges and labels that the correct traversals cover."""
+    correct = sorted(s for s, b in walked.items() if b is not None)
+    nl = g.num_labels
+    edge_ids: set[int] = set()
+    label_codes: set[int] = set()
+    expanded: set[tuple[int, int]] = set()
+    index = g.edge_index
+
+    def visit(u: int, r: Rule) -> None:
+        key = (u, id(r))
+        if key in expanded:
+            return
+        expanded.add(key)
+        for c in r.children:
+            p, ws = c.predicate, lists[(u, id(c))]
+            if c.direction == OUT:
+                edge_ids.update([index(u, p, w) for w in ws])
+            else:
+                edge_ids.update([index(w, p, u) for w in ws])
+            for l in c.child.root_labels:
+                label_codes.update([w * nl + l for w in ws])
+            if c.child.children:
+                for w in ws:
+                    visit(w, c.child)
+
+    for v in correct:
+        visit(v, rule)
+    del visit  # break the closure's reference cycle
+
+    exceptions = frozenset(walked).difference(correct)
+    bits = sum(walked[s] for s in correct)
+    return AssertionSet(frozenset(correct), exceptions, edge_ids, label_codes, bits)
 
 
 def match(rule: Rule, g: KnowledgeGraph) -> AssertionSet:
@@ -149,34 +189,7 @@ def match(rule: Rule, g: KnowledgeGraph) -> AssertionSet:
     if not rule.root_labels:
         raise RuleFormatError("rule root_labels must be nonempty")
     starts = g.nodes_with_labels(rule.root_labels)
-    walked, lists = walk(rule, g, starts)
-    correct = sorted(s for s, b in walked.items() if b is not None)
-
-    nl = g.num_labels
-    edge_ids: set[int] = set()
-    label_codes: set[int] = set()
-    expanded: set[tuple[int, int]] = set()
-
-    def collect(u: int, r: Rule) -> None:
-        key = (u, id(r))
-        if key in expanded:
-            return
-        expanded.add(key)
-        for c in r.children:
-            p, out = c.predicate, c.direction == OUT
-            for w in lists[(u, id(c))]:
-                edge_ids.add(g.edge_index(u, p, w) if out else g.edge_index(w, p, u))
-                for l in c.child.root_labels:
-                    label_codes.add(w * nl + l)
-                if c.child.children:
-                    collect(w, c.child)
-
-    for v in correct:
-        collect(v, rule)
-
-    exceptions = frozenset(starts).difference(correct)
-    bits = sum(walked[s] for s in correct)
-    return AssertionSet(frozenset(correct), exceptions, edge_ids, label_codes, bits)
+    return collect(rule, g, *walk(rule, g, starts))
 
 
 # -- serialization -----------------------------------------------------
@@ -198,9 +211,11 @@ def rule_to_dict(rule: Rule, g: KnowledgeGraph) -> dict:
 
 MAX_RULE_DEPTH = 100
 """Deepest rule ``rule_from_dict`` accepts, the root counting as depth 1.  The
-recursive rule functions (``canonicalize``, ``walk``, ``encoding.rule_cost``,
-``miner._canon_key``) take at most a few interpreter frames per level, so a
-rule read from a file stays far under ``sys.getrecursionlimit()``."""
+recursive rule functions (``canonicalize``, ``walk``, ``collect``,
+``iter_positions``, ``rule_to_dict``, ``rule_text``, ``Rule.depth``,
+``encoding.rule_cost``, ``miner._canon_key``, ``miner._nest_rule`` and
+``miner._reach_by_start``) take at most a few interpreter frames per level, so
+a rule read from a file stays far under ``sys.getrecursionlimit()``."""
 
 
 def rule_from_dict(data: dict, g: KnowledgeGraph) -> Rule:

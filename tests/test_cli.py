@@ -385,8 +385,12 @@ _DESTROYED = {"survivor": "a", "predicate": "p"}
          "negatives": [{**_EDGE, "s": "b", "o": "a"}]},
         {"kind": "pca_removal", "removed": [{k: v for k, v in _REMOVED.items() if k != "split"}]},
         {"kind": "pca_removal", "removed": [{**_REMOVED, "destroyed": [{**_DESTROYED, "direction": "up"}]}]},
+        {"kind": "pca_removal", "removed": [{**_REMOVED, "labels": [["X"]]}]},
+        {"kind": "perturbation", "positives": [{**_EDGE, "types": [["a1"]]}],
+         "negatives": [{**_EDGE, "s": "b", "o": "a"}]},
     ],
-    ids=["positives-not-a-list", "positive-without-p", "removed-without-split", "direction-up"],
+    ids=["positives-not-a-list", "positive-without-p", "removed-without-split", "direction-up",
+         "removed-labels-not-strings", "positive-types-not-strings"],
 )
 def test_malformed_truth_records_exit_1_with_one_error_line(tmp_path, truth):
     triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"

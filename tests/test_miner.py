@@ -1,5 +1,7 @@
+import importlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -463,6 +465,30 @@ def test_refine_nest_evaluates_pairs_whose_children_dedup(monkeypatch):
     _, bounds = check_nest_against_oracle(g, build_model(g, [nested, y_z]), monkeypatch)
     # nesting y_z beneath the Y node repeats its child, so no bound is used
     assert ((0,), nested, None) in bounds
+
+
+def load_bench_workload(name: str, seed: int, monkeypatch):
+    """The graph of a ``bench/workloads.py`` workload, which imports no kgsum."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    w = importlib.import_module("workloads").GENERATORS[name](seed)
+    return parse_graph(("\t".join(t) + "\n" for t in w.triples), ("\t".join(l) + "\n" for l in w.labels))
+
+
+@pytest.mark.parametrize(
+    "name, expected", [("sparse", (300, 300, 0, 0)), ("nested", (50, 0, 50, 25))]
+)
+def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
+    g = load_bench_workload(name, 101, monkeypatch)
+    model = summarize(g, refine="merge")
+    moved = []
+    for method in ("_cov_add", "_cov_remove"):
+        real = getattr(Model, method)
+        monkeypatch.setattr(Model, method, lambda self, e, real=real, m=method: (moved.append(m), real(self, e)))
+    counts = NestCounts()
+    refine_nest(model, g, counts)
+    assert (counts.considered, counts.pruned, counts.evaluated, counts.accepted) == expected
+    # the refcounts move only for accepted pairs: two parts out, one composition in
+    assert sorted(moved) == ["_cov_add"] * counts.accepted + ["_cov_remove"] * 2 * counts.accepted
 
 
 def test_refine_nest_composes_no_rule_deeper_than_rule_from_dict_reads(monkeypatch):

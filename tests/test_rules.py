@@ -97,6 +97,36 @@ def test_unknown_ids_match_nothing():
     assert aset.num_assertions == 0
 
 
+def test_a_child_with_an_unknown_predicate_matches_nothing():
+    # pred_id gives None for a name the graph lacks; such a child has no neighbors
+    g = book_graph()
+    book, author = g.label_id("Book"), g.label_id("Author")
+    aset = match(Rule(frozenset({book}), (Child(None, OUT, Rule(frozenset({author}))),)), g)
+    assert aset.correct_starts == frozenset() and aset.exception_starts == {g.node_id("novel0")}
+    assert aset.covered_edge_ids == set() and aset.traversal_bits == 0
+
+
+def test_rule_objects_shared_between_positions_match_like_copies():
+    """One Child object at two depths and one Rule object at two positions:
+    the walk's memo and neighbor lists are keyed by object id, so sharing must
+    give the partition and coverage of the brute-force oracle."""
+    triples = ["a0\tp\tb0\n", "b0\tq\tc0\n", "a1\tp\tb1\n", "a2\tp\tb0\n", "a2\tp\tb2\n", "b0\tr\tb0\n"]
+    labels = ["a0\tA\n", "a1\tA\n", "a2\tA\n", "b0\tB\n", "b1\tB\n", "b2\tB\n", "c0\tC\n"]
+    g = parse_graph(triples, labels)
+    a, b, c = (frozenset({g.label_id(x)}) for x in "ABC")
+    p, q, r = (g.pred_id(x) for x in "pqr")
+    q_c = Child(q, OUT, Rule(c))
+    b_q_c = Rule(b, (q_c,))
+    shared_child = Rule(a, (Child(p, OUT, Rule(b, (q_c, Child(r, OUT, b_q_c)))),))
+    shared_rule = Rule(a, (Child(p, OUT, b_q_c), Child(p, OUT, Rule(b, (Child(r, IN, b_q_c),)))))
+    for rule in (shared_child, shared_rule):
+        aset = match(rule, g)
+        correct, exceptions, edges, label_set = oracle_match(g, rule)
+        assert aset.correct_starts == correct == {g.node_id("a0")}
+        assert aset.exception_starts == exceptions
+        assert (aset.covered_edge_ids, aset.covered_label_codes) == as_ids(g, edges, label_set)
+
+
 def test_empty_root_is_an_error():
     g = parse_graph(["a\tp\tb\n"], ["a\tX\n"])
     with pytest.raises(RuleFormatError):
