@@ -12,7 +12,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import encoding
 from .graph import KnowledgeGraph
@@ -77,7 +77,6 @@ class RuleEntry:
     exception_starts: frozenset[int] | None = None
     gain: float = field(default=0.0, compare=False)
     reverse_partner: "RuleEntry | None" = field(default=None, compare=False, repr=False)
-    selected: bool = field(default=False, compare=False)
 
     @classmethod
     def from_rule(cls, rule: Rule, g: KnowledgeGraph, aset: AssertionSet | None = None) -> "RuleEntry":
@@ -121,7 +120,8 @@ class Model:
     """Selected rules plus reference-counted coverage and the cost trace.
 
     ``rule_and_assertion_bits`` is stored, a left ``+=`` fold of the entries'
-    bits in entry order: ``add`` extends it and refinements refold it."""
+    bits in entry order.  Every change goes through ``add``, and every total
+    in ``history`` is the ``price`` of the change it records."""
 
     graph: KnowledgeGraph
     entries: list[RuleEntry] = field(default_factory=list)
@@ -165,42 +165,65 @@ class Model:
         history step recorded."""
         return encoding.model_constant(self.graph) + self.rule_and_assertion_bits + self.error_bits
 
-    def record(self, phase: str, what: str, new_total: float) -> None:
-        self.history.append((phase, what, new_total - self.total, new_total))
-        self.total = new_total
+    def price(self, entry: RuleEntry, drop: Sequence[RuleEntry] = ()) -> float:
+        """The total with ``entry`` in place of the entries ``drop`` (appended
+        when ``drop`` is empty), without changing the model."""
+        bits = self.rule_and_assertion_bits
+        for e in drop:
+            bits -= e.model_bits
+        label_refs, edge_refs = self.label_refs, self.edge_refs
+        codes, eids = entry.covered_label_codes, entry.covered_edge_ids
+        labels = len(label_refs) + len(codes) - len(label_refs.keys() & codes)
+        edges = len(edge_refs) + len(eids) - len(edge_refs.keys() & eids)
+        if drop:
+            labels -= _lost(label_refs, codes, [e.covered_label_codes for e in drop])
+            edges -= _lost(edge_refs, eids, [e.covered_edge_ids for e in drop])
+        err = encoding.error_cost_counts(self.graph, labels, edges)
+        return encoding.model_constant(self.graph) + bits + entry.model_bits + err
 
-    def add(
-        self, entry: RuleEntry, phase: str, what: str, new_total: float | None = None
-    ) -> None:
-        """Append a rule, count its coverage, and record the new total
-        (recomputed unless the caller already evaluated it)."""
+    def add(self, entry: RuleEntry, phase: str, what: str, drop: Sequence[RuleEntry] = ()) -> None:
+        """Put ``entry`` at the first position of the entries ``drop``, which
+        leave, or append it when ``drop`` is empty; move the coverage
+        refcounts and record the change's ``price``."""
         if entry.exception_starts is None:
             starts = self.graph.nodes_with_labels(entry.rule.root_labels)
             entry.exception_starts = frozenset(starts) - entry.correct_starts
-        self.entries.append(entry)
-        self.rule_and_assertion_bits += entry.model_bits
-        self._cov_add(entry)
-        if new_total is None:
-            new_total = self.total_bits
-        self.record(phase, what, new_total)
+        total = self.price(entry, drop)
+        for e in drop:
+            self._count(e, -1)
+        self._count(entry, 1)
+        if drop:
+            at = [i for i, e in enumerate(self.entries) if any(e is d for d in drop)]
+            self.entries[at[0]] = entry
+            for i in reversed(at[1:]):
+                del self.entries[i]
+            self._refold()
+        else:
+            self.entries.append(entry)
+            self.rule_and_assertion_bits += entry.model_bits
+        self.history.append((phase, what, total - self.total, total))
+        self.total = total
 
-    def _refs(self, entry: RuleEntry) -> tuple[tuple[dict[int, int], set[int]], ...]:
-        """Each refcount dict with the entry's ids that it counts."""
-        return (self.edge_refs, entry.covered_edge_ids), (self.label_refs, entry.covered_label_codes)
-
-    def _cov_add(self, entry: RuleEntry) -> None:
-        for refs, ids in self._refs(entry):
+    def _count(self, entry: RuleEntry, step: int) -> None:
+        """Move the refcounts of the entry's ids by ``step``; a count of 0 goes."""
+        pairs = (self.label_refs, entry.covered_label_codes), (self.edge_refs, entry.covered_edge_ids)
+        for refs, ids in pairs:
             for i in ids:
-                refs[i] = refs.get(i, 0) + 1
-
-    def _cov_remove(self, entry: RuleEntry) -> None:
-        for refs, ids in self._refs(entry):
-            for i in ids:
-                n = refs[i] - 1
+                n = refs.get(i, 0) + step
                 if n:
                     refs[i] = n
                 else:
                     del refs[i]
+
+
+def _lost(refs: dict[int, int], ids: set[int], dropped: list[set[int]]) -> int:
+    """How many ids ``refs`` stops counting when entries covering ``dropped``
+    give way to one covering ``ids``: an id is lost exactly when ``ids`` lacks
+    it and ``dropped`` holds all of its references."""
+    held: Counter[int] = Counter()
+    for d in dropped:
+        held.update(d - ids)
+    return sum(refs[i] == n for i, n in held.items())
 
 
 # -- candidate generation ----------------------------------------------
@@ -391,33 +414,22 @@ def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> M
     if max_passes < 1:
         raise ConfigError(f"max_passes must be >= 1, got {max_passes}")
     model = empty_model(g)
-    constant = encoding.model_constant(g)
-
-    def eval_total(c: RuleEntry) -> float:
-        edges, labels = c.covered_edge_ids, c.covered_label_codes
-        new_edges = len(edges) - len(model.edge_refs.keys() & edges)
-        new_labels = len(labels) - len(model.label_refs.keys() & labels)
-        err = encoding.error_cost_counts(
-            g,
-            model.num_modeled_labels + new_labels,
-            model.num_modeled_edges + new_edges,
-        )
-        return constant + model.rule_and_assertion_bits + c.model_bits + err
+    chosen: set[int] = set()  # id()s of the added candidates; the list stays reusable
 
     for _ in range(max_passes):
         added_any = False
         for cand in ranked:
-            if cand.selected:
+            if id(cand) in chosen:
                 continue
-            choice, choice_total = cand, eval_total(cand)
+            choice, choice_total = cand, model.price(cand)
             partner = cand.reverse_partner
-            if partner is not None and partner is not cand and not partner.selected:
-                partner_total = eval_total(partner)
+            if partner is not None and partner is not cand and id(partner) not in chosen:
+                partner_total = model.price(partner)
                 if partner_total < choice_total:
                     choice, choice_total = partner, partner_total
             if choice_total < model.total:
-                choice.selected = True
-                model.add(choice, "select", rule_text(choice.rule, g), choice_total)
+                chosen.add(id(choice))
+                model.add(choice, "select", rule_text(choice.rule, g))
                 added_any = True
         if not added_any:
             break
@@ -445,11 +457,11 @@ def _dedup_children(children: Iterable[Child]) -> tuple[Child, ...]:
 
 def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
     """Rm: fuse rules with identical roots and identical correct-start sets
-    into one multi-child rule, kept when the total cost does not increase.
-    The merged rule covers exactly the union of its parts' edges and labels,
-    so the error bits do not move and only model bits compete; the coverage
-    refcounts move only when a merge is kept."""
-    constant = encoding.model_constant(g)
+    into one multi-child rule, kept when ``Model.price`` of the merged rule in
+    place of its parts does not exceed the current total.  The merged rule
+    covers exactly the union of its parts' edges and labels, so the error bits
+    do not move and only model bits compete.  A kept merge takes its first
+    part's position through ``Model.add``."""
     groups: dict[tuple[frozenset[int], frozenset[int]], list[RuleEntry]] = {}
     for e in model.entries:
         groups.setdefault((e.rule.root_labels, e.correct_starts), []).append(e)
@@ -461,18 +473,8 @@ def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
             Rule(key[0], _dedup_children(c for e in parts for c in e.rule.children))
         )
         merged = RuleEntry.from_rule(merged_rule, g)
-        kept_bits = model.rule_and_assertion_bits - sum(e.model_bits for e in parts)
-        new_total = constant + kept_bits + merged.model_bits + model.error_bits
-        if new_total <= model.total:
-            for e in parts:
-                model._cov_remove(e)
-            model._cov_add(merged)
-            positions = [i for i, e in enumerate(model.entries) if any(e is p for p in parts)]
-            model.entries[positions[0]] = merged
-            for i in reversed(positions[1:]):
-                del model.entries[i]
-            model._refold()
-            model.record("merge", rule_text(merged_rule, g), new_total)
+        if model.price(merged, parts) <= model.total:
+            model.add(merged, "merge", rule_text(merged_rule, g), drop=parts)
     return model
 
 
@@ -571,13 +573,6 @@ def nest_bound(
     )
 
 
-def _modeled_after(refs: dict[int, int], a: set[int], b: set[int], c: set[int]) -> int:
-    """How many ids ``refs`` counts once entries covering ``a`` and ``b`` give
-    way to one covering ``c`` within their union: an id is lost exactly when
-    ``c`` lacks it and ``a`` and ``b`` hold all of its references."""
-    return len(refs) - sum(refs[i] == (i in a) + (i in b) for i in (a - c) | (b - c))
-
-
 def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = None) -> Model:
     """Rn: nest one rule beneath a label-matching inner node of another,
     trying pairs in descending Jaccard fit of the occupying node sets, keeping
@@ -588,15 +583,15 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     A pair whose ``nest_bound`` exceeds the model bits of its two parts cannot
     lower the total and is skipped without matching the composed rule; the
     accepted sequence is the same as with every pair evaluated.  A composition
-    covers a subset of its parts' union, so it is priced from the ids it loses
-    and the coverage refcounts move only when a pair is accepted.  The sorted
-    pair list is kept across acceptances: the two replaced entries' pairs are
-    dropped and the composed entry's added.  ``counts``, when given, is
-    incremented with what happened to the pairs.
+    covers a subset of its parts' union; ``Model.price`` prices it in place of
+    its two parts from the ids they lose, and ``Model.add`` puts it at the
+    earlier part's position, so the coverage refcounts move only when a pair
+    is accepted.  The sorted pair list is kept across acceptances: the two
+    replaced entries' pairs are dropped and the composed entry's added.
+    ``counts``, when given, is incremented with what happened to the pairs.
     """
     if counts is None:
         counts = NestCounts()
-    constant = encoding.model_constant(g)
     walked: dict[tuple, tuple[dict[int, float | None], dict, dict]] = {}
     depths = [e.rule.depth() for e in model.entries]
 
@@ -647,26 +642,15 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
             counts.evaluated += 1
             bits, lists = walk(composed_rule, g, g.nodes_with_labels(composed_rule.root_labels))
             composed = RuleEntry.from_rule(composed_rule, g, collect(composed_rule, g, bits, lists))
-            parts = (e_in, e_rt, composed)
-            labels = _modeled_after(model.label_refs, *(e.covered_label_codes for e in parts))
-            edges = _modeled_after(model.edge_refs, *(e.covered_edge_ids for e in parts))
-            kept_bits = model.rule_and_assertion_bits - e_in.model_bits - e_rt.model_bits
-            new_total = constant + kept_bits + composed.model_bits + encoding.error_cost_counts(g, labels, edges)
-            if new_total < model.total:
+            if model.price(composed, (e_in, e_rt)) < model.total:
                 break
         else:
             return model
 
-        model._cov_remove(e_in)
-        model._cov_remove(e_rt)
-        model._cov_add(composed)
+        model.add(composed, "nest", rule_text(composed_rule, g), drop=(e_in, e_rt))
         keep, drop = min(i, j), max(i, j)
-        model.entries[keep] = composed
-        del model.entries[drop]
         depths[keep] = composed_rule.depth()
         del depths[drop]
-        model._refold()
-        model.record("nest", rule_text(composed_rule, g), new_total)
         counts.accepted += 1
         walk_once(composed, bits, lists)
 
@@ -768,7 +752,7 @@ def model_from_dict(data: dict, g: KnowledgeGraph) -> Model:
     that has drifted since mining) are skipped with one warning.  A document
     of any other shape raises ``RuleFormatError``.
     """
-    entries = data.get("rules", []) if isinstance(data, dict) else None
+    entries = data.get("rules") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise RuleFormatError("a model must be an object whose 'rules' is a list")
     kept: list[Rule] = []

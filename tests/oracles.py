@@ -279,7 +279,10 @@ def oracle_select(g: KnowledgeGraph, ranked: list, max_passes: int = 3) -> list[
         err = error_cost_counts(
             g, len(labels | c.covered_label_codes), len(edges | c.covered_edge_ids)
         )
-        return constant + sum(e.model_bits for e in chosen) + c.model_bits + err
+        bits = 0.0  # a left fold, as the model sums: sum() compensates from 3.12
+        for e in chosen:
+            bits += e.model_bits
+        return constant + bits + c.model_bits + err
 
     for _ in range(max_passes):
         added = False

@@ -336,6 +336,22 @@ def test_malformed_model_files_exit_1_without_traceback(tmp_path):
         assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
 
 
+def test_truth_file_given_as_the_model_exits_1_with_one_error_line(tmp_path):
+    # a truth file is a JSON object too, but it has no rules to apply
+    g = chained_ownership_kg(n_a=10, d_a=3, d_b=4)
+    triples, labels = write_inputs(tmp_path, g)
+    out = tmp_path / "perturbed"
+    assert main(["perturb", "--graph", triples, "--labels", labels, "--out", str(out),
+                 "--q", "0.02", "--anomalies", "a3", "--seed", "5"]) == 0
+    proc = run_cli(["score", "--graph", str(out / "triples.tsv"), "--labels", str(out / "labels.tsv"),
+                    "--model", str(out / "truth.json"), "--test-edges", str(out / "test_edges.tsv"),
+                    "--out", str(tmp_path / "r.tsv")])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "r.tsv").exists()
+
+
 @pytest.mark.parametrize("depth", [150, 400])
 def test_deeply_nested_model_exits_1_without_traceback(tmp_path, depth):
     # 150 levels decode and exceed the rule depth limit; 400 levels overflow

@@ -70,6 +70,6 @@ def test_generate_candidates_equals_the_per_edge_oracle(g, label_cap):
         assert c.model_bits == c.rule_bits + c.assertion_bits
         assert c.root_key == g.label_names[w.root]
         assert c.canon_key == _name_key(g, c.rule)
-        assert (c.exception_starts, c.gain, c.selected) == (None, 0.0, False)
+        assert (c.exception_starts, c.gain) == (None, 0.0)
         flipped = (w.child, w.predicate, IN if w.direction == OUT else OUT, w.root)
         assert c.reverse_partner is got[position[flipped]]

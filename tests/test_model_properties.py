@@ -1,21 +1,23 @@
 """Property tests: the model invariants hold after every stage of the pipeline
 on random graphs.  The coverage refcounts count each entry's coverage exactly,
 an accepted merge covers exactly the union of its parts, a nesting
-composition covers a subset of its parts' union and is priced exactly from
-the ids it loses, the cost descends at every step, and a model file
+composition covers a subset of its parts' union, ``Model.price`` of every
+change select, merge and nest could make is the total after that change
+(its ids counted exactly), the cost descends at every step, and a model file
 re-applied to its graph serializes identically."""
 
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgsum.encoding import error_cost_counts
+from kgsum import encoding
 from kgsum.miner import (
     Model,
     RuleEntry,
-    _modeled_after,
+    _dedup_children,
     _nest_rule,
     build_model,
     generate_candidates,
@@ -27,9 +29,9 @@ from kgsum.miner import (
     refine_nest,
     select,
 )
-from kgsum.rules import MAX_RULE_DEPTH, canonicalize, iter_positions
+from kgsum.rules import MAX_RULE_DEPTH, Rule, canonicalize, iter_positions
 
-from synth import random_owned_kg
+from synth import chained_ownership_kg, random_owned_kg, two_branch_kg
 
 
 def assert_refcounts_exact(model):
@@ -79,20 +81,50 @@ def nest_pairs(model):
                         yield e_in, path, e_rt
 
 
-def assert_compositions_priced_from_the_ids_they_lose(model, g):
+def assert_priced_as_added(model, g, entry, drop=()):
+    """``Model.price`` of ``entry`` in place of ``drop`` counts exactly the ids
+    a real ``add`` leaves modelled, and is the total after that ``add``."""
+    counted = []
+    real = encoding.error_cost_counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoding, "error_cost_counts",
+                   lambda g, labels, edges: counted.append((labels, edges)) or real(g, labels, edges))
+        price = model.price(entry, drop)
+    moved = Model(g, list(model.entries), dict(model.edge_refs), dict(model.label_refs), model.total)
+    moved.add(entry, "test", "", drop)
+    assert counted == [(len(moved.label_refs), len(moved.edge_refs))]
+    assert moved.history[-1][3] == price
+    assert price == pytest.approx(moved.total_bits, rel=1e-12)
+    assert_refcounts_exact(moved)
+
+
+def assert_every_change_priced_as_added(model, g, ranked) -> Counter:
+    """Price every change select, merge and nest could make to ``model``:
+    each ranked candidate appended, each merge group's merged rule in place
+    of the group, and each nest composition in place of its two parts.
+    Returns how many of each were priced."""
+    priced = Counter()
+    for c in ranked:
+        if not any(c is e for e in model.entries):
+            assert_priced_as_added(model, g, c)
+            priced["select"] += 1
+    groups = {}
+    for e in model.entries:
+        groups.setdefault((e.rule.root_labels, e.correct_starts), []).append(e)
+    for (root, _), parts in groups.items():
+        if len(parts) >= 2:
+            merged = RuleEntry.from_rule(
+                canonicalize(Rule(root, _dedup_children(c for e in parts for c in e.rule.children))), g
+            )
+            assert_priced_as_added(model, g, merged, parts)
+            priced["merge"] += 1
     for e_in, path, e_rt in nest_pairs(model):
         composed = RuleEntry.from_rule(canonicalize(_nest_rule(e_in.rule, path, e_rt.rule)), g)
         assert composed.covered_edge_ids <= e_in.covered_edge_ids | e_rt.covered_edge_ids
         assert composed.covered_label_codes <= e_in.covered_label_codes | e_rt.covered_label_codes
-        moved = Model(g, edge_refs=dict(model.edge_refs), label_refs=dict(model.label_refs))
-        moved._cov_remove(e_in)
-        moved._cov_remove(e_rt)
-        moved._cov_add(composed)
-        parts = (e_in, e_rt, composed)
-        labels = _modeled_after(model.label_refs, *(e.covered_label_codes for e in parts))
-        edges = _modeled_after(model.edge_refs, *(e.covered_edge_ids for e in parts))
-        assert (labels, edges) == (moved.num_modeled_labels, moved.num_modeled_edges)
-        assert error_cost_counts(g, labels, edges) == moved.error_bits
+        assert_priced_as_added(model, g, composed, (e_in, e_rt))
+        priced["nest"] += 1
+    return priced
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,8 +133,23 @@ def test_nest_compositions_are_priced_from_the_ids_they_lose(seed):
     g = random_owned_kg(random.Random(seed))
     ranked = rank(qualify_all(generate_candidates(g), g), g)
     # every ranked rule in one model, for many pairs with exceptions on both sides
-    assert_compositions_priced_from_the_ids_they_lose(build_model(g, [c.rule for c in ranked]), g)
-    model = refine_merge(select(g, ranked), g)
-    assert_compositions_priced_from_the_ids_they_lose(model, g)
+    assert_every_change_priced_as_added(build_model(g, [c.rule for c in ranked]), g, ranked)
+    model = select(g, ranked)
+    assert_every_change_priced_as_added(model, g, ranked)
+    model = refine_merge(model, g)
+    assert_every_change_priced_as_added(model, g, ranked)
     # after nesting, the pairs include hosts that are themselves compositions
-    assert_compositions_priced_from_the_ids_they_lose(refine_nest(model, g), g)
+    assert_every_change_priced_as_added(refine_nest(model, g), g, ranked)
+
+
+def test_merges_and_nests_are_priced_as_added():
+    # random ownership graphs merge rarely, so two graphs supply both changes
+    priced = Counter()
+    for g in (two_branch_kg(), chained_ownership_kg()):
+        ranked = rank(qualify_all(generate_candidates(g), g), g)
+        model = select(g, ranked)
+        priced += assert_every_change_priced_as_added(model, g, ranked)
+        model = refine_merge(model, g)
+        priced += assert_every_change_priced_as_added(model, g, ranked)
+        priced += assert_every_change_priced_as_added(refine_nest(model, g), g, ranked)
+    assert min(priced["select"], priced["merge"], priced["nest"]) >= 1
