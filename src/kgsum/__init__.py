@@ -3,57 +3,57 @@
 Mine a concise set of recursive graph-pattern rules that best compress a
 knowledge graph, then use the summary to rank anomalous edges and report
 where entities are missing.
+
+The names below are imported from their modules on first access (PEP 562),
+so ``import kgsum.graph`` loads the graph module alone.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .graph import KnowledgeGraph, StatsReport, load_graph, parse_graph, stats
-from .rules import AssertionSet, Child, Rule, canonicalize, match
-from .encoding import log_binomial, universal_int
-from .miner import Model, generate_candidates, qualify, rank, refine_merge, refine_nest, select, summarize
-from .anomaly import AnomalyScorer, rank_edges
-from .evalharness import (
-    GroundTruth,
-    MetricsReport,
-    PerturbationSpec,
-    completeness_eval,
-    coverage_select,
-    freq_select,
-    metrics,
-    perturb,
-    remove_nodes_pca,
-)
+_MODULE_OF = {
+    "AnomalyScorer": "anomaly",
+    "AssertionSet": "rules",
+    "Child": "rules",
+    "GroundTruth": "evalharness",
+    "KnowledgeGraph": "graph",
+    "MetricsReport": "evalharness",
+    "Model": "miner",
+    "PerturbationSpec": "evalharness",
+    "Rule": "rules",
+    "canonicalize": "rules",
+    "completeness_eval": "evalharness",
+    "coverage_select": "evalharness",
+    "freq_select": "evalharness",
+    "generate_candidates": "miner",
+    "load_graph": "graph",
+    "log_binomial": "encoding",
+    "match": "rules",
+    "metrics": "evalharness",
+    "parse_graph": "graph",
+    "perturb": "evalharness",
+    "qualify": "miner",
+    "rank": "miner",
+    "rank_edges": "anomaly",
+    "refine_merge": "miner",
+    "refine_nest": "miner",
+    "remove_nodes_pca": "evalharness",
+    "select": "miner",
+    "summarize": "miner",
+    "universal_int": "encoding",
+}
 
-__all__ = [
-    "AnomalyScorer",
-    "AssertionSet",
-    "Child",
-    "GroundTruth",
-    "KnowledgeGraph",
-    "MetricsReport",
-    "Model",
-    "PerturbationSpec",
-    "Rule",
-    "StatsReport",
-    "canonicalize",
-    "completeness_eval",
-    "coverage_select",
-    "freq_select",
-    "generate_candidates",
-    "load_graph",
-    "log_binomial",
-    "match",
-    "metrics",
-    "parse_graph",
-    "perturb",
-    "qualify",
-    "rank",
-    "rank_edges",
-    "refine_merge",
-    "refine_nest",
-    "remove_nodes_pca",
-    "select",
-    "stats",
-    "summarize",
-    "universal_int",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

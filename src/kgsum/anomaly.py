@@ -43,10 +43,6 @@ class AnomalyScorer:
         else:
             self._edge_share = 0.0
 
-    @property
-    def unmodeled_edge_share(self) -> float:
-        return self._edge_share
-
     def node_score(self, v: int) -> float:
         if not 0 <= v < self.model.graph.num_nodes:
             raise UnknownNodeError(v)

@@ -9,12 +9,13 @@ Layout.  Nodes, labels and predicates are interned to dense ids in first-seen
 order.  An edge is keyed by one packed int, ``(s << 32 | p) << 32 | o``, and
 the adjacency sets are keyed by ``node << 32 | p``.  Every field is 32 bits
 wide, so a graph holds fewer than 2**32 nodes and 2**32 predicates.  The
-packing stays inside this module: readers look edges up with ``edge_index``,
-neighbours with ``neighbors`` and walk the distinct edges with
-``iter_distinct_edges``.  The edge multiset is a column of packed keys in file
-order.  The distinct edges are the keys of a packed key -> edge id map, in
-first-seen order, so an edge id is the edge's index in ``distinct_edges``.  A
-rule's coverage is its edge ids and its label codes ``node * num_labels + label``.
+packing stays inside this module: readers look edges up with ``edge_index``
+(or a neighbour list's with ``neighbor_edge_ids``), neighbours with
+``neighbors`` and walk the distinct edges with ``iter_distinct_edges``.  The
+edge multiset is a column of packed keys in file order.  The distinct edges
+are the keys of a packed key -> edge id map, in first-seen order, so an edge
+id is the edge's index in ``distinct_edges``.  A rule's coverage is its edge
+ids and its label codes ``node * num_labels + label``.
 Nodes with equal label sets share one frozenset.  ``edges`` and
 ``distinct_edges`` are (s, p, o) tuple lists built on first use and then
 cached; mining, scoring and completion never build them.
@@ -22,10 +23,8 @@ cached; mining, scoring and completion never build them.
 
 from __future__ import annotations
 
-import statistics
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 OUT = 0  # the node is the subject of the edge
@@ -86,7 +85,6 @@ class KnowledgeGraph:
         self.n_pred: list[int] = []
         self.num_label_assignments = 0
         self.has_self_loop = False
-        self.phi_max = 0
         self.duplicates_collapsed = 0
 
     def node_id(self, name: str) -> int | None:
@@ -123,8 +121,17 @@ class KnowledgeGraph:
         """The id of edge (s, p, o), or ``None`` when the graph lacks it."""
         return self._ids_by_key.get(_edge_key(s, p, o))
 
-    def has_edge(self, s: int, p: int, o: int) -> bool:
-        return self.edge_index(s, p, o) is not None
+    def neighbor_edge_ids(self, node: int, p: int, direction: int, ws: Iterable[int]) -> list[int]:
+        """The ids of the ``p`` edges joining ``node`` to each node of ``ws``, in
+        order: ``node -> w`` for ``OUT``, ``w -> node`` for ``IN``.  Every such
+        edge must be in the graph (``KeyError`` otherwise)."""
+        if direction == OUT:
+            head = (node << 32 | p) << 32
+            keys = [head | w for w in ws]
+        else:
+            tail = p << 32 | node
+            keys = [w << 64 | tail for w in ws]
+        return list(map(self._ids_by_key.__getitem__, keys))
 
     def neighbors(self, node: int, p: int | None, direction: int) -> set[int] | frozenset[int]:
         """Nodes joined to ``node`` by a ``p`` edge: its objects for ``OUT``,
@@ -262,7 +269,6 @@ def parse_graph(
     for vid, lid in first_label.items():
         labels = frozenset((lid, *more_labels.get(vid, ())))
         node_labels[vid] = shared.setdefault(labels, labels)
-    g.phi_max = max(map(len, shared), default=0)
     g.duplicates_collapsed = duplicates
     if duplicates:
         warnings.warn(
@@ -296,31 +302,3 @@ def write_graph(g: KnowledgeGraph, triple_path: str, label_path: str) -> None:
         fh.writelines(triple_lines(g))
     with open(label_path, "w", encoding="utf-8") as fh:
         fh.writelines(label_lines(g))
-
-
-@dataclass(frozen=True)
-class StatsReport:
-    num_nodes: int
-    num_edges: int
-    num_distinct_edges: int
-    num_node_labels: int
-    num_predicates: int
-    num_label_assignments: int
-    avg_labels_per_node: float
-    median_labels_per_node: float
-    phi_max: int
-
-
-def stats(g: KnowledgeGraph) -> StatsReport:
-    sizes = [len(s) for s in g.node_labels]
-    return StatsReport(
-        num_nodes=g.num_nodes,
-        num_edges=g.num_edges,
-        num_distinct_edges=g.num_distinct_edges,
-        num_node_labels=g.num_labels,
-        num_predicates=g.num_preds,
-        num_label_assignments=g.num_label_assignments,
-        avg_labels_per_node=(g.num_label_assignments / g.num_nodes) if g.num_nodes else 0.0,
-        median_labels_per_node=float(statistics.median(sizes)) if sizes else 0.0,
-        phi_max=g.phi_max,
-    )

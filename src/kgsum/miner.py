@@ -12,6 +12,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import encoding
@@ -62,6 +63,9 @@ class RuleEntry:
     A mined candidate and a model rule are the same record.
     ``exception_starts`` stays ``None`` until the record joins a model (see
     ``Model.add``), so candidates that are never selected do not pay for it.
+    The coverage sets may be shared between records (a mined candidate and
+    its reverse partner hold one edge-id set) and are never mutated.
+    ``reverse_partner`` is read only by ``select``.
     """
 
     rule: Rule
@@ -232,9 +236,9 @@ def _lost(refs: dict[int, int], ids: set[int], dropped: list[set[int]]) -> int:
 class _Builder:
     __slots__ = ("start_matches", "edge_ids", "label_codes")
 
-    def __init__(self) -> None:
+    def __init__(self, edge_ids: set[int]) -> None:
         self.start_matches: Counter[int] = Counter()
-        self.edge_ids: set[int] = set()
+        self.edge_ids = edge_ids
         self.label_codes: set[int] = set()
 
 
@@ -248,7 +252,9 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
     object's label set) in first-seen order, and each group expands its label
     pairs once.  A pattern's record is the union of its groups, and the
     candidates come out in the order of the edge that first witnesses each
-    pattern, as they would from one edge at a time.
+    pattern, as they would from one edge at a time.  A pattern and its
+    reverse are fed by the same groups, so the two candidates share one
+    edge-id set.
     """
     if label_cap is not None and label_cap < 1:
         raise ConfigError(f"label_cap must be >= 1, got {label_cap}")
@@ -294,16 +300,16 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
         o_codes = {lo: [o * nl + lo for o in o_nodes] for lo in o_labels}
         for ls in s_labels:
             for lo in o_labels:
-                for bkey, starts, codes in (
-                    ((ls, p, OUT, lo), subjects, o_codes[lo]),
-                    ((lo, p, IN, ls), objects, s_codes[ls]),
-                ):
-                    b = builders.get(bkey)
-                    if b is None:
-                        b = builders[bkey] = _Builder()
-                    b.start_matches.update(starts)
-                    b.edge_ids.update(eids)
-                    b.label_codes.update(codes)
+                out = builders.get((ls, p, OUT, lo))
+                if out is None:
+                    out = builders[(ls, p, OUT, lo)] = _Builder(set())
+                    builders[(lo, p, IN, ls)] = _Builder(out.edge_ids)
+                out.edge_ids.update(eids)  # once for both orientations
+                out.start_matches.update(subjects)
+                out.label_codes.update(o_codes[lo])
+                rev = builders[(lo, p, IN, ls)]
+                rev.start_matches.update(objects)
+                rev.label_codes.update(s_codes[ls])
 
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = g.neighbor_universe
@@ -503,26 +509,38 @@ class NestCounts:
     accepted: int = 0
 
 
+def _ways(nodes: list[int] | dict[int, int]) -> Iterable[tuple[int, int]]:
+    """Each reached node with the number of traversal branches that reach it."""
+    return nodes.items() if isinstance(nodes, dict) else zip(nodes, repeat(1))
+
+
 def _reach_by_start(
     rule: Rule, starts: Iterable[int], lists: dict[tuple[int, int], list[int]]
-) -> dict[tuple[int, ...], dict[int, dict[int, int]]]:
+) -> dict[tuple[int, ...], dict[int, list[int] | dict[int, int]]]:
     """For every inner path of ``rule`` and each correct start, the nodes the
-    start's traversal reaches at that path, each with the number of traversal
-    branches that reach it; ``lists`` are those of ``walk(rule, g, starts)``."""
-    reach: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
+    start's traversal reaches at that path; ``lists`` are those of
+    ``walk(rule, g, starts)``.  At depth 1 the reach is the walk's own
+    neighbour list, whose nodes are distinct and each reached one way.  Deeper,
+    several branches can reach one node, so the reach maps each node to the
+    number of branches that reach it."""
+    reach: dict[tuple[int, ...], dict[int, list[int] | dict[int, int]]] = {}
 
-    def descend(r: Rule, path: tuple[int, ...], by_start: dict[int, dict[int, int]]) -> None:
+    def descend(
+        r: Rule, path: tuple[int, ...], by_start: dict[int, list[int] | dict[int, int]]
+    ) -> None:
         for i, c in enumerate(r.children):
             step: dict[int, dict[int, int]] = {}
             for s, nodes in by_start.items():
                 nxt = step[s] = {}
-                for u, ways in nodes.items():
+                for u, ways in _ways(nodes):
                     for w in lists[(u, id(c))]:
                         nxt[w] = nxt.get(w, 0) + ways
             reach[path + (i,)] = step
             descend(c.child, path + (i,), step)
 
-    descend(rule, (), {s: {s: 1} for s in starts})
+    for i, c in enumerate(rule.children):
+        step = reach[(i,)] = {s: lists[(s, id(c))] for s in starts}
+        descend(c.child, (i,), step)
     del descend  # break the closure's reference cycle, which holds ``lists``
     return reach
 
@@ -532,7 +550,7 @@ def nest_bound(
     path: tuple[int, ...],
     e_rt: RuleEntry,
     composed_rule: Rule,
-    reach: dict[int, dict[int, int]],
+    reach: dict[int, list[int] | dict[int, int]],
     bits_in: dict[int, float],
     bits_rt: dict[int, float],
     g: KnowledgeGraph,
@@ -562,9 +580,9 @@ def nest_bound(
     num_correct = 0
     traversal = 0.0
     for s, reached in reach.items():
-        if reached.keys() <= rt_correct:
+        if rt_correct.issuperset(reached):
             num_correct += 1
-            traversal += bits_in[s] + sum(ways * bits_rt[w] for w, ways in reached.items())
+            traversal += bits_in[s] + sum(ways * bits_rt[w] for w, ways in _ways(reached))
     n = e_in.num_assertions
     return (
         encoding.rule_cost(composed_rule, g)
@@ -598,7 +616,8 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     def walk_once(entry: RuleEntry, bits: dict | None = None, lists: dict | None = None) -> tuple:
         """Each correct start's traversal bits and, per inner path, the per-start
         reach and its union (the node set occupying that position), from one walk,
-        the caller's when given; its neighbor lists are then dropped (memory)."""
+        the caller's when given; its neighbor lists not kept as depth-1 reach are
+        then dropped (memory)."""
         hit = walked.get(entry.canon_key)
         if hit is None:
             if lists is None:
@@ -696,6 +715,11 @@ def summarize(
         ranked = rank(cands, g)
     with timed("select", log):
         model = select(g, ranked, max_passes=max_passes)
+    # the refinements read only the model; unlinked from their partners,
+    # which pair them in reference cycles, the unselected candidates go now
+    while cands:
+        cands.pop().reverse_partner = None
+    del cands, ranked
     if refine in ("merge", "nest"):
         with timed("refine_merge", log):
             model = refine_merge(model, g)

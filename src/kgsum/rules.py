@@ -154,7 +154,7 @@ def collect(
     edge_ids: set[int] = set()
     label_codes: set[int] = set()
     expanded: set[tuple[int, int]] = set()
-    index = g.edge_index
+    edge_ids_to = g.neighbor_edge_ids
 
     def visit(u: int, r: Rule) -> None:
         key = (u, id(r))
@@ -162,11 +162,8 @@ def collect(
             return
         expanded.add(key)
         for c in r.children:
-            p, ws = c.predicate, lists[(u, id(c))]
-            if c.direction == OUT:
-                edge_ids.update([index(u, p, w) for w in ws])
-            else:
-                edge_ids.update([index(w, p, u) for w in ws])
+            ws = lists[(u, id(c))]
+            edge_ids.update(edge_ids_to(u, c.predicate, c.direction, ws))
             for l in c.child.root_labels:
                 label_codes.update([w * nl + l for w in ws])
             if c.child.children:

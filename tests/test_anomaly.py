@@ -66,10 +66,11 @@ def test_edge_scores_modeled_vs_unmodeled():
     modeled = (g.node_id("a0"), g.pred_id("p"), g.node_id("b0"))
     assert scorer.edge_score(*modeled) == 0.0
 
+    # x and y violate no rule, so an edge between them scores the share alone
     unmodeled = (g.node_id("x"), g.pred_id("q"), g.node_id("y"))
-    share = scorer.unmodeled_edge_share
+    assert scorer.node_score(unmodeled[0]) == scorer.node_score(unmodeled[2]) == 0.0
+    share = scorer.edge_score(*unmodeled)
     assert share > 0
-    assert scorer.edge_score(*unmodeled) == pytest.approx(share, rel=1e-12)
 
     # the uniform share distributes the negative-error term exactly
     remaining = g.num_distinct_edges - model.num_modeled_edges
@@ -98,8 +99,11 @@ def test_edge_score_outside_graph_is_unmodeled():
     model = build_model(g, [rule])
     scorer = AnomalyScorer(model)
     absent = (g.node_id("b0"), g.pred_id("p"), g.node_id("b1"))
-    assert not g.has_edge(*absent)
-    assert scorer.edge_score(*absent) >= scorer.unmodeled_edge_share > 0
+    assert g.edge_index(*absent) is None
+    # x and y violate no rule, so the edge between them scores the share alone
+    share = scorer.edge_score(g.node_id("x"), g.pred_id("q"), g.node_id("y"))
+    assert scorer.node_score(g.node_id("x")) == scorer.node_score(g.node_id("y")) == 0.0
+    assert scorer.edge_score(*absent) >= share > 0
 
 
 def test_node_score_consistent_with_applicability():

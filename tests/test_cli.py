@@ -20,16 +20,39 @@ def write_inputs(tmp_path, g):
     return str(triples), str(labels)
 
 
-def run_cli(args: list[str]) -> subprocess.CompletedProcess:
-    """Run the CLI in a child process on the kgsum this test imported, so that
-    stderr holds exactly what a user sees, tracebacks and warnings included."""
+def run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run Python in a child process on the kgsum this test imported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(kgsum.__file__).resolve().parent.parent), env.get("PYTHONPATH")])
     )
-    return subprocess.run(
-        [sys.executable, "-m", "kgsum.cli", *args], env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process, so that stderr holds exactly what a
+    user sees, tracebacks and warnings included."""
+    return run_python(["-m", "kgsum.cli", *args])
+
+
+def test_importing_the_graph_module_imports_no_mining_code():
+    # the package imports its exported names on first use, so a process that
+    # only loads a graph pays for no other module of kgsum
+    code = "import sys, kgsum.graph; print(*sorted(m for m in sys.modules if 'kgsum' in m))"
+    got = run_python(["-c", code])
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.split() == ["kgsum", "kgsum.graph"]
+
+
+def test_every_exported_name_resolves_on_first_access():
+    got = run_python(["-c", "from kgsum import *; from kgsum import summarize; import kgsum, sys;"
+                            "assert summarize is sys.modules['kgsum.miner'].summarize;"
+                            "print(len([n for n in kgsum.__all__ if n in globals()]))"])
+    assert got.returncode == 0, got.stderr
+    assert int(got.stdout) == len(kgsum.__all__)
+    assert set(kgsum.__all__) <= set(dir(kgsum))
+    with pytest.raises(AttributeError, match="no attribute 'stats'"):
+        kgsum.stats
 
 
 def graph_with_gap():

@@ -3,7 +3,7 @@ with equal (subject label set, predicate, object label set) once, agrees with
 the one-edge-at-a-time ``oracle_generate_candidates`` field by field, in
 candidate order and in reverse partners, on random graphs with multi-label,
 repeated-set and unlabelled nodes and self-loops, with and without a label
-cap."""
+cap.  A candidate and its reverse partner share one edge-id set."""
 
 import math
 
@@ -73,3 +73,5 @@ def test_generate_candidates_equals_the_per_edge_oracle(g, label_cap):
         assert (c.exception_starts, c.gain) == (None, 0.0)
         flipped = (w.child, w.predicate, IN if w.direction == OUT else OUT, w.root)
         assert c.reverse_partner is got[position[flipped]]
+        # a pattern and its reverse are fed by the same edges: one set serves both
+        assert c.covered_edge_ids is c.reverse_partner.covered_edge_ids

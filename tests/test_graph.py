@@ -1,9 +1,14 @@
 import os
+import statistics
 from pathlib import Path
 
 import pytest
 
-from kgsum.graph import IN, OUT, GraphParseError, label_lines, load_graph, parse_graph, stats, triple_lines
+from kgsum.graph import IN, OUT, GraphParseError, label_lines, load_graph, parse_graph, triple_lines
+
+
+def labels_per_node(g):
+    return [len(ls) for ls in g.node_labels]
 
 
 def test_empty_files_give_empty_graph():
@@ -13,7 +18,7 @@ def test_empty_files_give_empty_graph():
     assert g.num_labels == 0
     assert g.num_preds == 0
     assert g.num_label_assignments == 0
-    assert g.phi_max == 0
+    assert g.node_labels == []
 
 
 def test_three_line_example_counts():
@@ -33,16 +38,14 @@ def test_three_line_example_counts():
 def test_stats_three_line_example():
     with pytest.warns(UserWarning):
         g = parse_graph(["a\tp\tb\n", "a\tp\tb\n", "b\tq\ta\n"], ["a\tX\n", "b\tY\n"])
-    rep = stats(g)
-    assert rep.avg_labels_per_node == 1.0
-    assert rep.median_labels_per_node == 1.0
+    assert labels_per_node(g) == [1, 1]
+    assert g.num_label_assignments / g.num_nodes == 1.0
 
 
 def test_stats_empty_graph_all_zero():
-    rep = stats(parse_graph([], []))
-    assert rep.num_nodes == 0
-    assert rep.avg_labels_per_node == 0.0
-    assert rep.median_labels_per_node == 0.0
+    g = parse_graph([], [])
+    assert g.num_nodes == g.num_label_assignments == 0
+    assert labels_per_node(g) == []
 
 
 def test_malformed_triple_line_reports_line_number():
@@ -107,7 +110,7 @@ def test_indexes_are_transposes_and_counts_consistent():
                 assert v in g.neighbors(s, p, OUT)
     for s, p, o in g.edges:
         assert 0 <= s < g.num_nodes and 0 <= o < g.num_nodes
-    assert g.phi_max == 2
+    assert max(labels_per_node(g)) == 2
 
 
 def test_nell_snapshot_stats_if_available():
@@ -116,13 +119,12 @@ def test_nell_snapshot_stats_if_available():
     if not (triples.exists() and labels.exists()):
         pytest.skip("NELL snapshot not available")
     g = load_graph(str(triples), str(labels))
-    rep = stats(g)
-    assert abs(rep.num_nodes - 46_682) <= 0.02 * 46_682
-    assert abs(rep.num_edges - 231_634) <= 0.02 * 231_634
-    assert abs(rep.num_node_labels - 266) <= 0.02 * 266
-    assert abs(rep.num_predicates - 821) <= 0.02 * 821
-    assert abs(rep.avg_labels_per_node - 1.53) <= 0.05
-    assert rep.median_labels_per_node == 1
+    assert abs(g.num_nodes - 46_682) <= 0.02 * 46_682
+    assert abs(g.num_edges - 231_634) <= 0.02 * 231_634
+    assert abs(g.num_labels - 266) <= 0.02 * 266
+    assert abs(g.num_preds - 821) <= 0.02 * 821
+    assert abs(g.num_label_assignments / g.num_nodes - 1.53) <= 0.05
+    assert statistics.median(labels_per_node(g)) == 1
 
 
 def test_dbpedia_snapshot_stats_if_available():
@@ -130,9 +132,9 @@ def test_dbpedia_snapshot_stats_if_available():
     triples, labels = base / "triples.tsv", base / "labels.tsv"
     if not (triples.exists() and labels.exists()):
         pytest.skip("DBpedia snapshot not available")
-    rep = stats(load_graph(str(triples), str(labels)))
-    assert abs(rep.avg_labels_per_node - 2.72) <= 0.05
-    assert rep.median_labels_per_node == 3
+    g = load_graph(str(triples), str(labels))
+    assert abs(g.num_label_assignments / g.num_nodes - 2.72) <= 0.05
+    assert statistics.median(labels_per_node(g)) == 3
 
 
 def test_round_trip_serialization():
@@ -165,4 +167,4 @@ def test_load_graph_ignores_byte_order_mark(tmp_path):
     g = load_graph(str(triples), str(labels))
     assert g.node_names == ["a", "b"]
     assert g.label_names == ["X", "Y"]
-    assert g.has_edge(g.node_id("a"), g.pred_id("p"), g.node_id("b"))
+    assert g.edge_index(g.node_id("a"), g.pred_id("p"), g.node_id("b")) == 0

@@ -58,7 +58,6 @@ def test_parse_graph_equals_the_oracle(triple_lines, label_lines):
     n, m = len(want.node_names), len(want.pred_names)
     for eid, e in enumerate(want.distinct_edges):
         assert g.edge_index(*e) == eid
-        assert g.has_edge(*e)
     for s in range(n + 1):
         for p in range(m + 1):
             for o in range(n + 1):
@@ -79,6 +78,25 @@ def test_parse_graph_equals_the_oracle(triple_lines, label_lines):
     assert g.n_label == [sum(l in ls for ls in want.node_labels) for l in range(len(want.label_names))]
     assert g.num_label_assignments == sum(map(len, want.node_labels))
     assert g.n_pred == [sum(1 for _, q, _ in want.edges if q == p) for p in range(m)]
-    assert g.phi_max == max(map(len, want.node_labels), default=0)
     assert g.has_self_loop == any(s == o for s, _, o in want.distinct_edges)
     assert g.duplicates_collapsed == len(want.edges) - len(want.distinct_edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TRIPLE, max_size=24), st.data())
+def test_neighbor_edge_ids_equal_edge_index_per_neighbour(triple_lines, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = parse_graph(triple_lines, [])
+    for v in range(g.num_nodes):
+        for p in range(g.num_preds):
+            for direction in (OUT, IN):
+                ws = data.draw(st.permutations(sorted(g.neighbors(v, p, direction))))
+                ends = [(v, w) if direction == OUT else (w, v) for w in ws]
+                want = [g.edge_index(s, p, o) for s, o in ends]
+                assert None not in want
+                assert g.neighbor_edge_ids(v, p, direction, ws) == want
+                strangers = [u for u in range(g.num_nodes) if u not in ws]
+                if strangers:
+                    with pytest.raises(KeyError):
+                        g.neighbor_edge_ids(v, p, direction, [*ws, strangers[0]])

@@ -1,7 +1,9 @@
 import builtins
+import gc
 import importlib
 import math
 import random
+import weakref
 from pathlib import Path
 from types import MappingProxyType
 
@@ -538,6 +540,45 @@ def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
     # in place of two parts
     assert added == [2] * counts.accepted
     assert (model.label_refs, model.edge_refs) == after_add[-1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [chained_ownership_kg, two_branch_kg, lambda: planted_cycle_kg(num_nodes=300)],
+    ids=["chained_ownership", "two_branch", "planted_cycle"],
+)
+def test_summarize_frees_the_unselected_candidates_before_the_refinements(make, monkeypatch):
+    g = make()
+    mined = []  # weak references to every generated candidate
+    at_nest = {}
+    real_generate, real_nest = miner.generate_candidates, miner.refine_nest
+
+    def generate(g_, label_cap=None):
+        cands = real_generate(g_, label_cap=label_cap)
+        mined.extend(map(weakref.ref, cands))
+        return cands
+
+    def alive() -> set[int]:
+        return {id(c) for c in (ref() for ref in mined) if c is not None}
+
+    def nest(model, g_, counts=None):
+        # reference counting alone has freed them; the collector finds no more
+        at_nest["uncollected"] = alive()
+        gc.collect()
+        at_nest["collected"] = alive()
+        at_nest["entries"] = {id(e) for e in model.entries}
+        return real_nest(model, g_, counts)
+
+    monkeypatch.setattr(miner, "generate_candidates", generate)
+    monkeypatch.setattr(miner, "refine_nest", nest)
+    gc.disable()
+    try:
+        summarize(g)
+    finally:
+        gc.enable()
+    # only the candidates that are still model entries after merging are alive
+    assert at_nest["uncollected"] == at_nest["collected"] <= at_nest["entries"]
+    assert len(mined) > len(at_nest["entries"])
 
 
 def test_refine_nest_composes_no_rule_deeper_than_rule_from_dict_reads(monkeypatch):

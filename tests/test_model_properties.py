@@ -4,7 +4,9 @@ an accepted merge covers exactly the union of its parts, a nesting
 composition covers a subset of its parts' union, ``Model.price`` of every
 change select, merge and nest could make is the total after that change
 (its ids counted exactly), the cost descends at every step, and a model file
-re-applied to its graph serializes identically."""
+re-applied to its graph serializes identically.  The nesting bound is the
+same to the bit whether a start's depth-1 reach is the walk's neighbour list
+or a dict of branch counts."""
 
 import random
 from collections import Counter
@@ -19,19 +21,22 @@ from kgsum.miner import (
     RuleEntry,
     _dedup_children,
     _nest_rule,
+    _reach_by_start,
+    _ways,
     build_model,
     generate_candidates,
     model_from_dict,
     model_to_dict,
+    nest_bound,
     qualify_all,
     rank,
     refine_merge,
     refine_nest,
     select,
 )
-from kgsum.rules import MAX_RULE_DEPTH, Rule, canonicalize, iter_positions
+from kgsum.rules import MAX_RULE_DEPTH, Rule, canonicalize, iter_positions, walk
 
-from synth import chained_ownership_kg, random_owned_kg, two_branch_kg
+from synth import chained_ownership_kg, random_kg, random_owned_kg, random_rule, two_branch_kg
 
 
 def assert_refcounts_exact(model):
@@ -153,3 +158,76 @@ def test_merges_and_nests_are_priced_as_added():
         priced += assert_every_change_priced_as_added(model, g, ranked)
         priced += assert_every_change_priced_as_added(refine_nest(model, g), g, ranked)
     assert min(priced["select"], priced["merge"], priced["nest"]) >= 1
+
+
+def dict_reach_by_start(rule, starts, lists):
+    """``_reach_by_start`` with a ``{node: branches}`` dict per start at every
+    depth, depth 1 included."""
+    reach = {}
+
+    def descend(r, path, by_start):
+        for i, c in enumerate(r.children):
+            step = {}
+            for s, nodes in by_start.items():
+                nxt = step[s] = {}
+                for u, ways in nodes.items():
+                    for w in lists[(u, id(c))]:
+                        nxt[w] = nxt.get(w, 0) + ways
+            reach[path + (i,)] = step
+            descend(c.child, path + (i,), step)
+
+    descend(rule, (), {s: {s: 1} for s in starts})
+    return reach
+
+
+def check_reach(g, hosts, nested) -> set[tuple[int, int]]:
+    """Require each host's reach to be the dict form's, its depth-1 reach to
+    be the walk's own lists, and ``nest_bound`` from it to equal the bound from
+    the dict form for every pair.  Returns each (path length, most branches
+    reaching one node) seen."""
+    seen = set()
+    for e_in in hosts:
+        bits_in, lists = walk(e_in.rule, g, e_in.correct_starts)
+        reach = _reach_by_start(e_in.rule, e_in.correct_starts, lists)
+        want = dict_reach_by_start(e_in.rule, e_in.correct_starts, lists)
+        assert reach.keys() == want.keys()
+        for path, by_start in reach.items():
+            assert by_start.keys() == want[path].keys()
+            for s, nodes in by_start.items():
+                if len(path) == 1:
+                    assert nodes is lists[(s, id(e_in.rule.children[path[0]]))]
+                assert list(_ways(nodes)) == list(want[path][s].items())
+                seen.add((len(path), max(want[path][s].values())))
+        for path, node in iter_positions(e_in.rule):
+            for e_rt in nested:
+                if path and node.root_labels == e_rt.rule.root_labels:
+                    composed = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
+                    bits_rt, _ = walk(e_rt.rule, g, e_rt.correct_starts)
+                    args = bits_in, bits_rt, g
+                    bound = nest_bound(e_in, path, e_rt, composed, reach[path], *args)
+                    assert bound == nest_bound(e_in, path, e_rt, composed, want[path], *args)
+    return seen
+
+
+def reach_case(seed):
+    """Random hosts up to two levels deep on a dense random graph, where
+    several branches often reach one node, and the nested rules to pair them
+    with: the hosts and the ranked candidates."""
+    rng = random.Random(seed)
+    g = random_kg(rng, max_nodes=9, max_labels=3, max_preds=2, edge_factor=2.5)
+    rules = [canonicalize(random_rule(rng, g, max_depth=3)) for _ in range(6)]
+    # a rule has assertions only if some node carries all its root labels
+    hosts = [RuleEntry.from_rule(r, g) for r in rules if g.nodes_with_labels(r.root_labels)]
+    return g, hosts, hosts + rank(qualify_all(generate_candidates(g), g), g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nest_bound_from_list_reach_equals_the_dict_form(seed):
+    check_reach(*reach_case(seed))
+
+
+def test_reach_cases_cover_both_depths_and_converging_branches():
+    seen = set().union(*(check_reach(*reach_case(seed)) for seed in range(20)))
+    assert (1, 1) in seen
+    assert any(depth == 2 and ways > 1 for depth, ways in seen)
