@@ -312,7 +312,7 @@ def _baseline_select(cands: list[RuleEntry], g: KnowledgeGraph, k: int, keyfn, p
     order = sorted((c for c in cands if c.correct_starts), key=keyfn)
     model = empty_model(g)
     for c in order[:k]:
-        model.add(c, phase, c.root_key)
+        model.add(c, phase, c.root_key, model.price(c))
     return model
 
 

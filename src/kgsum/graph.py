@@ -6,32 +6,38 @@ lines are skipped, and a leading byte-order mark is ignored. Identifiers must
 not contain tabs or newlines.
 
 Layout.  Nodes, labels and predicates are interned to dense ids in first-seen
-order.  An edge is keyed by one packed int, ``(s << 32 | p) << 32 | o``, and
-the adjacency sets are keyed by ``node << 32 | p``.  Every field is 32 bits
-wide, so a graph holds fewer than 2**32 nodes and 2**32 predicates.  The
-packing stays inside this module: readers look edges up with ``edge_index``
-(or a neighbour list's with ``neighbor_edge_ids``), neighbours with
-``neighbors`` and walk the distinct edges with ``iter_distinct_edges``.  The
-edge multiset is a column of packed keys in file order.  The distinct edges
-are the keys of a packed key -> edge id map, in first-seen order, so an edge
-id is the edge's index in ``distinct_edges``.  A rule's coverage is its edge
-ids and its label codes ``node * num_labels + label``.
+order, and so are the distinct edges: an edge id is the edge's index in
+``distinct_edges``.  The distinct edges are three ``array("I")`` columns
+(subject, predicate, object) in edge-id order, and the edge multiset is one
+column holding each file line's edge id.  Each direction has a
+compressed-sparse-row (CSR) index over the distinct edges: its rows are sorted
+by (node, predicate, neighbour), where the node is the subject for ``OUT`` and
+the object for ``IN``, an offsets column gives each node's first row, and three
+parallel columns give each row's predicate, neighbour and edge id.  Every
+column is 32 bits wide, so a graph holds fewer than 2**32 nodes, predicates and
+edges.  ``neighbors`` returns a slice of the neighbour column, in ascending id
+order; ``neighbor_edge_ids`` and ``edge_index`` bisect a node's rows and read
+the edge-id column, so no edge key is built or hashed after loading.  A rule's
+coverage is its edge ids and its label codes ``node * num_labels + label``.
 Nodes with equal label sets share one frozenset.  ``edges`` and
-``distinct_edges`` are (s, p, o) tuple lists built on first use and then
-cached; mining, scoring and completion never build them.
+``distinct_edges`` build (s, p, o) tuple lists on each call; mining, scoring
+and completion never call them.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import defaultdict
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
+from itertools import accumulate, count, repeat
+from operator import and_, eq, rshift
 from typing import Iterable, Iterator
 
 OUT = 0  # the node is the subject of the edge
 IN = 1  # the node is the object of the edge
 
 _MASK = (1 << 32) - 1
-_NO_NEIGHBORS: frozenset[int] = frozenset()
 
 
 class GraphParseError(ValueError):
@@ -44,16 +50,34 @@ class GraphParseError(ValueError):
         super().__init__(f"{source}, line {line_no}: expected tab-separated fields, got {line!r}")
 
 
-def _edge_key(s: int, p: int, o: int) -> int:
-    return (s << 32 | p) << 32 | o
+class _Rows:
+    """One direction's CSR index: the rows of node ``v`` are
+    ``offsets[v]:offsets[v + 1]``, sorted by (predicate, neighbour)."""
 
+    __slots__ = ("offsets", "preds", "ends", "edge_ids")
 
-def _split_edge_key(key: int) -> tuple[int, int, int]:
-    return key >> 64, key >> 32 & _MASK, key & _MASK
+    def __init__(self, nodes: array, preds: array, ends: array, keys: list[int], num_nodes: int) -> None:
+        """Rows from the edge columns; ``keys[e]`` orders edge ``e`` by (node,
+        predicate, neighbour)."""
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rows_before = [0] * (num_nodes + 1)  # shifted by one: prefix sums give each row's start
+        for u in nodes:
+            rows_before[u + 1] += 1
+        self.offsets = array("I", accumulate(rows_before))
+        self.preds = array("I", [preds[e] for e in order])
+        self.ends = array("I", [ends[e] for e in order])
+        self.edge_ids = array("I", order)
+
+    def span(self, node: int, p: int) -> tuple[int, int]:
+        """The rows of ``node``'s ``p`` edges; empty for an unknown node or predicate."""
+        if not 0 <= node < len(self.offsets) - 1:
+            return 0, 0
+        lo, hi = self.offsets[node], self.offsets[node + 1]
+        return bisect_left(self.preds, p, lo, hi), bisect_right(self.preds, p, lo, hi)
 
 
 class KnowledgeGraph:
-    """Interned nodes/labels/predicates with set-based adjacency indexes.
+    """Interned nodes/labels/predicates with a CSR index per direction.
 
     The edge multiset keeps the file's lines (duplicates included); all
     set-based quantities (adjacency, coverage, matching) use the distinct
@@ -68,17 +92,14 @@ class KnowledgeGraph:
         self._node_ids: dict[str, int] = {}
         self._label_ids: dict[str, int] = {}
         self._pred_ids: dict[str, int] = {}
-        # packed keys of the edge multiset, in file order
-        self._edge_keys: list[int] = []
-        # packed key -> edge id, in first-seen order
-        self._ids_by_key: dict[int, int] = {}
-        self._edges: list[tuple[int, int, int]] | None = None
-        self._distinct_edges: list[tuple[int, int, int]] | None = None
-        # adjacency key -> neighbour ids, per direction (OUT, IN)
-        self._adjacency: tuple[dict[int, set[int]], dict[int, set[int]]] = (
-            defaultdict(set),
-            defaultdict(set),
-        )
+        # the distinct edges' columns, in edge-id order
+        self._subjects = array("I")
+        self._preds = array("I")
+        self._objects = array("I")
+        # each file line's edge id, in file order
+        self._line_edges = array("I")
+        # CSR index per direction (OUT, IN)
+        self._rows = (_Rows(array("I"), array("I"), array("I"), [], 0),) * 2
         self.node_labels: list[frozenset[int]] = []
         self.label_index: list[set[int]] = []
         self.n_label: list[int] = []
@@ -100,46 +121,49 @@ class KnowledgeGraph:
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
-        """The edge multiset as (s, p, o) tuples in file order (built on first use)."""
-        if self._edges is None:
-            self._edges = [_split_edge_key(k) for k in self._edge_keys]
-        return self._edges
+        """The edge multiset as (s, p, o) tuples in file order."""
+        return list(map(self.distinct_edges.__getitem__, self._line_edges))
 
     @property
     def distinct_edges(self) -> list[tuple[int, int, int]]:
-        """The distinct edges as (s, p, o) tuples in edge-id order (built on first use)."""
-        if self._distinct_edges is None:
-            self._distinct_edges = [_split_edge_key(k) for k in self._ids_by_key]
-        return self._distinct_edges
+        """The distinct edges as (s, p, o) tuples in edge-id order."""
+        return list(zip(self._subjects, self._preds, self._objects))
 
     def iter_distinct_edges(self) -> Iterator[tuple[int, int, int, int]]:
         """(edge id, s, p, o) of each distinct edge, in edge-id order."""
-        for eid, key in enumerate(self._ids_by_key):
-            yield eid, key >> 64, key >> 32 & _MASK, key & _MASK
+        return zip(count(), self._subjects, self._preds, self._objects)
 
     def edge_index(self, s: int, p: int, o: int) -> int | None:
         """The id of edge (s, p, o), or ``None`` when the graph lacks it."""
-        return self._ids_by_key.get(_edge_key(s, p, o))
+        rows = self._rows[OUT]
+        lo, hi = rows.span(s, p)
+        i = bisect_left(rows.ends, o, lo, hi)
+        return rows.edge_ids[i] if i < hi and rows.ends[i] == o else None
 
-    def neighbor_edge_ids(self, node: int, p: int, direction: int, ws: Iterable[int]) -> list[int]:
+    def neighbor_edge_ids(self, node: int, p: int, direction: int, ws: list[int]) -> list[int]:
         """The ids of the ``p`` edges joining ``node`` to each node of ``ws``, in
         order: ``node -> w`` for ``OUT``, ``w -> node`` for ``IN``.  Every such
         edge must be in the graph (``KeyError`` otherwise)."""
-        if direction == OUT:
-            head = (node << 32 | p) << 32
-            keys = [head | w for w in ws]
-        else:
-            tail = p << 32 | node
-            keys = [w << 64 | tail for w in ws]
-        return list(map(self._ids_by_key.__getitem__, keys))
+        rows = self._rows[direction]
+        lo, hi = rows.span(node, p)
+        ends, edge_ids = rows.ends, rows.edge_ids
+        if len(ws) == hi - lo and ends[lo:hi].tolist() == ws:
+            return edge_ids[lo:hi].tolist()  # the whole row, which nearly every walk asks for
+        at = [bisect_left(ends, w, lo, hi) for w in ws]
+        for i, w in zip(at, ws):
+            if i == hi or ends[i] != w:
+                raise KeyError(w)
+        return list(map(edge_ids.__getitem__, at))
 
-    def neighbors(self, node: int, p: int | None, direction: int) -> set[int] | frozenset[int]:
-        """Nodes joined to ``node`` by a ``p`` edge: its objects for ``OUT``,
-        its subjects for ``IN``.  Empty for a predicate the graph lacks
-        (``pred_id`` gave ``None``).  The caller must not modify the set."""
+    def neighbors(self, node: int, p: int | None, direction: int) -> array:
+        """Nodes joined to ``node`` by a ``p`` edge, in ascending id order: its
+        objects for ``OUT``, its subjects for ``IN``.  Empty for a predicate
+        the graph lacks (``pred_id`` gave ``None``)."""
         if p is None:
-            return _NO_NEIGHBORS
-        return self._adjacency[direction].get(node << 32 | p, _NO_NEIGHBORS)
+            return array("I")
+        rows = self._rows[direction]
+        lo, hi = rows.span(node, p)
+        return rows.ends[lo:hi]
 
     # -- basic counts ----------------------------------------------------
 
@@ -150,12 +174,12 @@ class KnowledgeGraph:
     @property
     def num_edges(self) -> int:
         """Multiset edge count (file lines)."""
-        return len(self._edge_keys)
+        return len(self._line_edges)
 
     @property
     def num_distinct_edges(self) -> int:
         """|A|: distinct (s, p, o) triples."""
-        return len(self._ids_by_key)
+        return len(self._subjects)
 
     @property
     def num_labels(self) -> int:
@@ -204,7 +228,7 @@ def _fields(source: str, lines: Iterable[str], arity: int) -> Iterator[tuple[int
     field raises ``GraphParseError``."""
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.startswith("#"):
+        if not line or line.isspace() or line[0] == "#":
             continue
         parts = line.split("\t")
         if len(parts) != arity or "" in parts:
@@ -221,29 +245,19 @@ def parse_graph(
     """Build a graph from line streams (see module docstring for the format)."""
     g = KnowledgeGraph()
     node_ids, pred_ids, label_ids = g._node_ids, g._pred_ids, g._label_ids
-    edge_keys, ids_by_key, n_pred = g._edge_keys, g._ids_by_key, g.n_pred
-    out_index, in_index = g._adjacency
-    duplicates = 0
-
+    line_edges = g._line_edges
+    # (s, p, o) packed in one int -> edge id, kept only while the file is read
+    ids_by_key: dict[int, int] = {}
     for _, (s, p, o) in _fields(triple_source, triple_lines, 3):
         sid = node_ids.setdefault(s, len(node_ids))
         oid = node_ids.setdefault(o, len(node_ids))
         pid = pred_ids.setdefault(p, len(pred_ids))
-        if pid == len(n_pred):
-            n_pred.append(1)
-        else:
-            n_pred[pid] += 1
-        adj = sid << 32 | pid  # shifted once more, it keys the edge
-        key = adj << 32 | oid
-        edge_keys.append(key)
-        eid = len(ids_by_key)
-        if ids_by_key.setdefault(key, eid) != eid:
-            duplicates += 1
-            continue
-        out_index[adj].add(oid)
-        in_index[oid << 32 | pid].add(sid)
-        if sid == oid:
-            g.has_self_loop = True
+        line_edges.append(ids_by_key.setdefault((sid << 32 | pid) << 32 | oid, len(ids_by_key)))
+    out_keys = list(ids_by_key)  # in edge-id order; they sort as (s, p, o)
+    del ids_by_key
+    subjects = g._subjects = array("I", map(rshift, out_keys, repeat(64)))
+    preds = g._preds = array("I", map(and_, map(rshift, out_keys, repeat(32)), repeat(_MASK)))
+    objects = g._objects = array("I", map(and_, out_keys, repeat(_MASK)))
 
     # each labelled node's first label, and the labels it adds after that, so
     # that a one-label node needs no set of its own while the file is read
@@ -260,6 +274,16 @@ def parse_graph(
     g.node_names = list(node_ids)
     g.pred_names = list(pred_ids)
     g.label_names = list(label_ids)
+    num_nodes, num_preds = len(node_ids), len(pred_ids)
+    out_rows = _Rows(subjects, preds, objects, out_keys, num_nodes)
+    del out_keys
+    # compact keys, which sort as (o, p, s)
+    in_keys = [(o * num_preds + p) * num_nodes + s for s, p, o in zip(subjects, preds, objects)]
+    g._rows = out_rows, _Rows(objects, preds, subjects, in_keys, num_nodes)
+    del in_keys
+    lines_per_pred = Counter(map(preds.__getitem__, line_edges))
+    g.n_pred = [lines_per_pred[p] for p in range(num_preds)]
+    g.has_self_loop = any(map(eq, subjects, objects))
     g.label_index = [nodes_of[l] for l in range(len(label_ids))]
     g.n_label = [len(nodes) for nodes in g.label_index]
     g.num_label_assignments = sum(g.n_label)
@@ -269,7 +293,7 @@ def parse_graph(
     for vid, lid in first_label.items():
         labels = frozenset((lid, *more_labels.get(vid, ())))
         node_labels[vid] = shared.setdefault(labels, labels)
-    g.duplicates_collapsed = duplicates
+    duplicates = g.duplicates_collapsed = len(line_edges) - len(subjects)
     if duplicates:
         warnings.warn(
             f"{duplicates} duplicate triples collapsed in the set view "

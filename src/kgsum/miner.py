@@ -185,14 +185,16 @@ class Model:
         err = encoding.error_cost_counts(self.graph, labels, edges)
         return encoding.model_constant(self.graph) + bits + entry.model_bits + err
 
-    def add(self, entry: RuleEntry, phase: str, what: str, drop: Sequence[RuleEntry] = ()) -> None:
+    def add(
+        self, entry: RuleEntry, phase: str, what: str, total: float, drop: Sequence[RuleEntry] = ()
+    ) -> None:
         """Put ``entry`` at the first position of the entries ``drop``, which
         leave, or append it when ``drop`` is empty; move the coverage
-        refcounts and record the change's ``price``."""
+        refcounts and record ``total``, which must be the change's ``price``
+        (the caller has priced it to decide on the change)."""
         if entry.exception_starts is None:
             starts = self.graph.nodes_with_labels(entry.rule.root_labels)
             entry.exception_starts = frozenset(starts) - entry.correct_starts
-        total = self.price(entry, drop)
         for e in drop:
             self._count(e, -1)
         self._count(entry, 1)
@@ -316,10 +318,9 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
     cands: dict[tuple[int, int, int, int], RuleEntry] = {}
     for (root, p, direction, child), b in builders.items():
         rule = atomic(root, p, direction, child)
-        # summed over sorted starts, exactly as rules.match sums them
-        traversal = sum(
-            log_v + encoding.log_binomial(universe, b.start_matches[s])
-            for s in sorted(b.start_matches)
+        # summed with math.fsum, exactly as rules.match sums them
+        traversal = math.fsum(
+            log_v + encoding.log_binomial(universe, n) for n in b.start_matches.values()
         )
         cands[(root, p, direction, child)] = RuleEntry(
             rule=rule,
@@ -435,7 +436,7 @@ def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> M
                     choice, choice_total = partner, partner_total
             if choice_total < model.total:
                 chosen.add(id(choice))
-                model.add(choice, "select", rule_text(choice.rule, g))
+                model.add(choice, "select", rule_text(choice.rule, g), choice_total)
                 added_any = True
         if not added_any:
             break
@@ -446,7 +447,8 @@ def build_model(g: KnowledgeGraph, rules: Iterable[Rule], phase: str = "load") -
     """Cost an explicit rule list (used by baselines and model files)."""
     model = empty_model(g)
     for rule in rules:
-        model.add(RuleEntry.from_rule(canonicalize(rule), g), phase, rule_text(rule, g))
+        entry = RuleEntry.from_rule(canonicalize(rule), g)
+        model.add(entry, phase, rule_text(rule, g), model.price(entry))
     return model
 
 
@@ -479,8 +481,9 @@ def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
             Rule(key[0], _dedup_children(c for e in parts for c in e.rule.children))
         )
         merged = RuleEntry.from_rule(merged_rule, g)
-        if model.price(merged, parts) <= model.total:
-            model.add(merged, "merge", rule_text(merged_rule, g), drop=parts)
+        total = model.price(merged, parts)
+        if total <= model.total:
+            model.add(merged, "merge", rule_text(merged_rule, g), total, drop=parts)
     return model
 
 
@@ -582,7 +585,7 @@ def nest_bound(
     for s, reached in reach.items():
         if rt_correct.issuperset(reached):
             num_correct += 1
-            traversal += bits_in[s] + sum(ways * bits_rt[w] for w, ways in _ways(reached))
+            traversal += bits_in[s] + math.fsum(ways * bits_rt[w] for w, ways in _ways(reached))
     n = e_in.num_assertions
     return (
         encoding.rule_cost(composed_rule, g)
@@ -661,12 +664,13 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
             counts.evaluated += 1
             bits, lists = walk(composed_rule, g, g.nodes_with_labels(composed_rule.root_labels))
             composed = RuleEntry.from_rule(composed_rule, g, collect(composed_rule, g, bits, lists))
-            if model.price(composed, (e_in, e_rt)) < model.total:
+            total = model.price(composed, (e_in, e_rt))
+            if total < model.total:
                 break
         else:
             return model
 
-        model.add(composed, "nest", rule_text(composed_rule, g), drop=(e_in, e_rt))
+        model.add(composed, "nest", rule_text(composed_rule, g), total, drop=(e_in, e_rt))
         keep, drop = min(i, j), max(i, j)
         depths[keep] = composed_rule.depth()
         del depths[drop]

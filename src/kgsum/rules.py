@@ -54,7 +54,7 @@ class AssertionSet:
     exception_starts: frozenset[int]
     covered_edge_ids: set[int]
     covered_label_codes: set[int]  # node * num_labels + label
-    traversal_bits: float  # the correct starts' walk bits, summed in sorted order
+    traversal_bits: float  # the correct starts' walk bits, correctly rounded (math.fsum)
 
     @property
     def num_assertions(self) -> int:
@@ -149,7 +149,7 @@ def collect(
 ) -> AssertionSet:
     """Partition the starts of ``walk(rule, g, starts)`` and collect the
     edges and labels that the correct traversals cover."""
-    correct = sorted(s for s, b in walked.items() if b is not None)
+    correct = [s for s, b in walked.items() if b is not None]
     nl = g.num_labels
     edge_ids: set[int] = set()
     label_codes: set[int] = set()
@@ -175,7 +175,7 @@ def collect(
     del visit  # break the closure's reference cycle
 
     exceptions = frozenset(walked).difference(correct)
-    bits = sum(walked[s] for s in correct)
+    bits = math.fsum(walked[s] for s in correct)
     return AssertionSet(frozenset(correct), exceptions, edge_ids, label_codes, bits)
 
 

@@ -254,9 +254,9 @@ def oracle_generate_candidates(
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = _neighbor_universe(g)
     for c in found.values():
-        c.traversal_bits = sum(
-            log_v + oracle_log_binomial(universe, c.start_matches[s])
-            for s in sorted(c.start_matches)
+        # correctly rounded, so the order of the starts does not matter
+        c.traversal_bits = math.fsum(
+            log_v + oracle_log_binomial(universe, n) for n in c.start_matches.values()
         )
     return list(found.values())
 

@@ -245,8 +245,8 @@ def test_match_bits_by_start_match_oracle_per_start_randomized():
         assert set(by_start) == aset.correct_starts
         for s in sorted(by_start):
             assert by_start[s] == pytest.approx(oracle_traversal_bits(g, s, rule), rel=1e-12)
-        # match's traversal bits are the per-start values summed in sorted order
-        assert aset.traversal_bits == sum(by_start[s] for s in sorted(by_start))
+        # match's traversal bits are the per-start values, correctly rounded
+        assert aset.traversal_bits == math.fsum(by_start.values())
         if aset.num_assertions:
             overhead = assertion_overhead(aset.num_assertions, len(aset.exception_starts))
             assert assertions_cost(aset, g) == overhead + aset.traversal_bits

@@ -61,7 +61,7 @@ def test_generate_candidates_equals_the_per_edge_oracle(g, label_cap):
         assert c.num_assertions == sum(w.root in ls for ls in g.node_labels)
         assert c.covered_edge_ids == w.edge_ids
         assert c.covered_label_codes == w.label_codes
-        # exact: both sum the same per-start terms in sorted start order
+        # exact: both sum the same per-start terms with math.fsum
         assert c.traversal_bits == w.traversal_bits
         assert c.rule_bits == pytest.approx(oracle_rule_cost(g, c.rule), rel=1e-12)
         n = c.num_assertions

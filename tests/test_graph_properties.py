@@ -1,7 +1,9 @@
-"""Property test: ``parse_graph`` agrees with the straight-line
+"""Property tests: ``parse_graph`` agrees with the straight-line
 ``oracle_parse`` on random line lists with duplicates, self-loops, comments,
 blank lines, CRLF endings, multi-label and label-only nodes, repeated label
-lines and the occasional malformed line."""
+lines and the occasional malformed line; ``edge_index`` and
+``neighbor_edge_ids`` agree with the oracle's edge list, also for ids the
+graph lacks."""
 
 import warnings
 
@@ -64,10 +66,13 @@ def test_parse_graph_equals_the_oracle(triple_lines, label_lines):
                 if (s, p, o) not in want.distinct_edges:
                     assert g.edge_index(s, p, o) is None
 
+    # neighbours come in ascending id order, also past the last node and predicate
     for v in range(n + 1):
         for p in range(m + 1):
-            assert g.neighbors(v, p, OUT) == {o for s, q, o in want.distinct_edges if (s, q) == (v, p)}
-            assert g.neighbors(v, p, IN) == {s for s, q, o in want.distinct_edges if (o, q) == (v, p)}
+            out = {o for s, q, o in want.distinct_edges if (s, q) == (v, p)}
+            into = {s for s, q, o in want.distinct_edges if (o, q) == (v, p)}
+            assert list(g.neighbors(v, p, OUT)) == sorted(out)
+            assert list(g.neighbors(v, p, IN)) == sorted(into)
 
     assert g.node_labels == want.node_labels
     # equal label sets are one shared object
@@ -88,15 +93,38 @@ def test_neighbor_edge_ids_equal_edge_index_per_neighbour(triple_lines, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = parse_graph(triple_lines, [])
-    for v in range(g.num_nodes):
-        for p in range(g.num_preds):
+    # one node and one predicate past the graph's have no neighbours at all
+    for v in range(g.num_nodes + 1):
+        for p in range(g.num_preds + 1):
             for direction in (OUT, IN):
                 ws = data.draw(st.permutations(sorted(g.neighbors(v, p, direction))))
                 ends = [(v, w) if direction == OUT else (w, v) for w in ws]
                 want = [g.edge_index(s, p, o) for s, o in ends]
                 assert None not in want
                 assert g.neighbor_edge_ids(v, p, direction, ws) == want
-                strangers = [u for u in range(g.num_nodes) if u not in ws]
-                if strangers:
+                # a node that is not a neighbour is a KeyError, also in place of
+                # a neighbour, where the list is as long as the row and so is
+                # checked against the whole row before it is read as one slice
+                strangers = [u for u in range(g.num_nodes + 1) if u not in ws]
+                with pytest.raises(KeyError):
+                    g.neighbor_edge_ids(v, p, direction, [*ws, strangers[0]])
+                if ws:
                     with pytest.raises(KeyError):
-                        g.neighbor_edge_ids(v, p, direction, [*ws, strangers[0]])
+                        g.neighbor_edge_ids(v, p, direction, [strangers[0], *ws[1:]])
+
+
+IDS = st.integers(-2, 6) | st.sampled_from([2**32 - 1, 2**32, 2**40])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TRIPLE, max_size=24), st.lists(st.tuples(IDS, IDS, IDS), max_size=40))
+def test_edge_index_equals_the_oracle(triple_lines, probes):
+    # an absent edge and an id outside the graph, negative or too wide for a
+    # column, are both None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = parse_graph(triple_lines, [])
+    want = {e: i for i, e in enumerate(oracle_parse(triple_lines, []).distinct_edges)}
+    for e in [*want, *probes]:
+        assert g.edge_index(*e) == want.get(e)
+

@@ -2,6 +2,8 @@
 the straight-line oracles on random graphs (self-loops included) and random
 rules up to depth 3."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,6 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
     assert {s for s, b in walked.items() if b is not None} == correct
     for s in correct:
         assert walked[s] == pytest.approx(oracle_traversal_bits(g, s, rule), rel=1e-12)
-    assert aset.traversal_bits == sum(walked[s] for s in sorted(correct))
+    assert aset.traversal_bits == math.fsum(walked[s] for s in correct)
     if aset.num_assertions:
         assert assertions_cost(aset, g) == pytest.approx(oracle_assertions_cost(g, rule), rel=1e-12)

@@ -321,6 +321,25 @@ def test_select_history_equals_the_resumming_oracle_to_the_bit(summation, monkey
     assert accepted >= 60
 
 
+@pytest.mark.parametrize(
+    "make",
+    [chained_ownership_kg, two_branch_kg, chain_kg, lambda: planted_cycle_kg(num_nodes=400, noise=0.05)],
+    ids=["chained_ownership", "two_branch", "chain", "planted_cycle"],
+)
+def test_model_file_is_the_same_under_a_compensated_sum(make, monkeypatch):
+    # no cost on the way to a model file goes through a float sum(), so the
+    # file is the same whether sum() compensates (Python 3.12+) or not
+    g = make()
+    docs = []
+    for summation in (builtins.sum, compensated_sum):
+        monkeypatch.setattr(builtins, "sum", summation)
+        log_binomial.cache_clear()  # a cached value would hide how it was summed
+        docs.append(model_to_dict(summarize(g, refine="nest")))
+    log_binomial.cache_clear()
+    assert docs[0] == docs[1]
+    assert docs[0]["rules"]
+
+
 def fold(entries) -> float:
     bits = 0.0
     for e in entries:
@@ -526,9 +545,10 @@ def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
         finally:
             self.label_refs, self.edge_refs = refs
 
-    def add(self, entry, phase, what, drop=()):
+    def add(self, entry, phase, what, total, drop=()):
         added.append(len(drop))
-        real_add(self, entry, phase, what, drop)
+        assert total == real_price(self, entry, drop)  # the caller's price, to the bit
+        real_add(self, entry, phase, what, total, drop)
         after_add.append((dict(self.label_refs), dict(self.edge_refs)))
 
     monkeypatch.setattr(Model, "price", price)
@@ -540,6 +560,23 @@ def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
     # in place of two parts
     assert added == [2] * counts.accepted
     assert (model.label_refs, model.edge_refs) == after_add[-1]
+
+
+def test_every_add_records_the_price_its_caller_computed(monkeypatch):
+    # select, merge, nest and a loaded model each price a change to decide on
+    # it, and hand that price to add, which does not price it again
+    real_add, real_price = Model.add, Model.price
+    phases = []
+
+    def add(self, entry, phase, what, total, drop=()):
+        assert total == real_price(self, entry, drop)
+        phases.append(phase)
+        real_add(self, entry, phase, what, total, drop)
+
+    monkeypatch.setattr(Model, "add", add)
+    for g in (two_branch_kg(), chained_ownership_kg(), planted_cycle_kg(num_nodes=200, noise=0.05)):
+        model_from_dict(model_to_dict(summarize(g, refine="nest")), g)
+    assert {"select", "merge", "nest", "load"} <= set(phases)
 
 
 @pytest.mark.parametrize(
@@ -658,7 +695,8 @@ def test_one_formula_for_mined_and_matched_records_randomized():
         graphs += 1
         for c in qualify_all(generate_candidates(g), g):
             built = RuleEntry.from_rule(c.rule, g)
-            empty_model(g).add(c, "test", "")  # joining fixes the exception starts
+            joined = empty_model(g)
+            joined.add(c, "test", "", joined.price(c))  # joining fixes the exception starts
             assert c == built
             assert (c.rule_bits, c.traversal_bits) == (built.rule_bits, built.traversal_bits)
             multi_label_roots += len(c.rule.root_labels) > 1

@@ -96,7 +96,7 @@ def assert_priced_as_added(model, g, entry, drop=()):
                    lambda g, labels, edges: counted.append((labels, edges)) or real(g, labels, edges))
         price = model.price(entry, drop)
     moved = Model(g, list(model.entries), dict(model.edge_refs), dict(model.label_refs), model.total)
-    moved.add(entry, "test", "", drop)
+    moved.add(entry, "test", "", price, drop)
     assert counted == [(len(moved.label_refs), len(moved.edge_refs))]
     assert moved.history[-1][3] == price
     assert price == pytest.approx(moved.total_bits, rel=1e-12)
