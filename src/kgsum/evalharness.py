@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .graph import KnowledgeGraph, parse_graph
 from .miner import ConfigError, Model, RuleEntry, empty_model
-from .rules import DIRECTION_IDS, DIRECTION_NAMES, IN, OUT
+from .rules import DIRECTION_IDS, DIRECTION_NAMES, IN, OUT, rule_text
 
 ANOMALY_TYPES = ("a1", "a2", "a3", "a4")
 VALIDATION_FRACTION = 0.2
@@ -312,7 +312,7 @@ def _baseline_select(cands: list[RuleEntry], g: KnowledgeGraph, k: int, keyfn, p
     order = sorted((c for c in cands if c.correct_starts), key=keyfn)
     model = empty_model(g)
     for c in order[:k]:
-        model.add(c, phase, c.root_key, model.price(c))
+        model.add(c, phase, rule_text(c.rule, g), model.price(c))
     return model
 
 
@@ -397,6 +397,8 @@ def _auc_with_ties(scores: list[float], labels: list[int]) -> float:
 
 
 def _precision_recall_at_k(scores: list[float], labels: list[int], k: int) -> tuple[float, float, float]:
+    if k < 1:
+        raise MetricsError(f"k must be >= 1, got {k}")
     order = sorted(range(len(scores)), key=lambda i: -scores[i])  # stable
     n = len(order)
     k_eff = min(k, n)

@@ -21,13 +21,11 @@ from .rules import (
     IN,
     MAX_RULE_DEPTH,
     OUT,
-    AssertionSet,
     Child,
     Rule,
     RuleFormatError,
     atomic,
     canonicalize,
-    collect,
     iter_positions,
     match,
     rule_from_dict,
@@ -51,7 +49,7 @@ def _canon_key(rule: Rule, g: KnowledgeGraph):
         tuple(sorted(g.label_names[l] for l in rule.root_labels)),
         tuple(
             (g.pred_names[c.predicate], c.direction, _canon_key(c.child, g))
-            for c in canonicalize(rule).children
+            for c in rule.children
         ),
     )
 
@@ -83,8 +81,8 @@ class RuleEntry:
     reverse_partner: "RuleEntry | None" = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_rule(cls, rule: Rule, g: KnowledgeGraph, aset: AssertionSet | None = None) -> "RuleEntry":
-        aset = match(rule, g) if aset is None else aset  # the caller may have matched it
+    def from_rule(cls, rule: Rule, g: KnowledgeGraph) -> "RuleEntry":
+        aset = match(rule, g)
         return cls(
             rule=rule,
             root_key=_root_key(rule, g),
@@ -235,15 +233,6 @@ def _lost(refs: dict[int, int], ids: set[int], dropped: list[set[int]]) -> int:
 # -- candidate generation ----------------------------------------------
 
 
-class _Builder:
-    __slots__ = ("start_matches", "edge_ids", "label_codes")
-
-    def __init__(self, edge_ids: set[int]) -> None:
-        self.start_matches: Counter[int] = Counter()
-        self.edge_ids = edge_ids
-        self.label_codes: set[int] = set()
-
-
 def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list[RuleEntry]:
     """One atomic candidate per (root label, predicate, direction, child label)
     pattern witnessed by at least one edge, in both orientations, with the two
@@ -252,11 +241,12 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
 
     The distinct edges are grouped by (subject's label set, predicate,
     object's label set) in first-seen order, and each group expands its label
-    pairs once.  A pattern's record is the union of its groups, and the
-    candidates come out in the order of the edge that first witnesses each
-    pattern, as they would from one edge at a time.  A pattern and its
-    reverse are fed by the same groups, so the two candidates share one
-    edge-id set.
+    pairs once.  One record per (subject label, predicate, object label) is
+    the union of its groups: the edge ids, which the OUT pattern and its IN
+    reverse share, and each orientation's starts and label codes.  The
+    records come in the order of the edge that first witnesses each, as they
+    would from one edge at a time, and each yields its OUT candidate, then
+    its IN reverse.
     """
     if label_cap is not None and label_cap < 1:
         raise ConfigError(f"label_cap must be >= 1, got {label_cap}")
@@ -290,7 +280,9 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
         objects.append(o)
 
     nl = g.num_labels
-    builders: dict[tuple[int, int, int, int], _Builder] = {}
+    # (subject label, predicate, object label) -> [edge ids, OUT starts,
+    # OUT label codes, IN starts, IN label codes]
+    records: dict[tuple[int, int, int], list] = {}
     for key in list(groups):
         s_sig, p, o_sig = key
         eids, subjects, objects = groups.pop(key)  # dropped once expanded (memory)
@@ -302,45 +294,42 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
         o_codes = {lo: [o * nl + lo for o in o_nodes] for lo in o_labels}
         for ls in s_labels:
             for lo in o_labels:
-                out = builders.get((ls, p, OUT, lo))
-                if out is None:
-                    out = builders[(ls, p, OUT, lo)] = _Builder(set())
-                    builders[(lo, p, IN, ls)] = _Builder(out.edge_ids)
-                out.edge_ids.update(eids)  # once for both orientations
-                out.start_matches.update(subjects)
-                out.label_codes.update(o_codes[lo])
-                rev = builders[(lo, p, IN, ls)]
-                rev.start_matches.update(objects)
-                rev.label_codes.update(s_codes[ls])
+                rec = records.get((ls, p, lo))
+                if rec is None:
+                    rec = records[(ls, p, lo)] = [set(), Counter(), set(), Counter(), set()]
+                rec[0].update(eids)
+                rec[1].update(subjects)
+                rec[2].update(o_codes[lo])
+                rec[3].update(objects)
+                rec[4].update(s_codes[ls])
 
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = g.neighbor_universe
-    cands: dict[tuple[int, int, int, int], RuleEntry] = {}
-    for (root, p, direction, child), b in builders.items():
-        rule = atomic(root, p, direction, child)
-        # summed with math.fsum, exactly as rules.match sums them
-        traversal = math.fsum(
-            log_v + encoding.log_binomial(universe, n) for n in b.start_matches.values()
-        )
-        cands[(root, p, direction, child)] = RuleEntry(
-            rule=rule,
-            root_key=_root_key(rule, g),
-            canon_key=_canon_key(rule, g),
-            # from an exact dict, frozenset sizes its table once (memory)
-            correct_starts=frozenset(dict(b.start_matches)),
-            num_assertions=g.n_label[root],
-            covered_edge_ids=b.edge_ids,
-            covered_label_codes=b.label_codes,
-            rule_bits=encoding.rule_cost(rule, g),
-            traversal_bits=traversal,
-        )
 
-    for (root, p, direction, child), cand in cands.items():
-        if cand.reverse_partner is None:
-            partner = cands[(child, p, OUT if direction == IN else IN, root)]
-            cand.reverse_partner = partner
-            partner.reverse_partner = cand
-    return list(cands.values())
+    cands: list[RuleEntry] = []
+    for (ls, p, lo), (eids, out_starts, out_codes, in_starts, in_codes) in records.items():
+        sides = (ls, OUT, lo, out_starts, out_codes), (lo, IN, ls, in_starts, in_codes)
+        for root, direction, child, starts, codes in sides:
+            rule = atomic(root, p, direction, child)
+            entry = RuleEntry(
+                rule=rule,
+                root_key=_root_key(rule, g),
+                canon_key=_canon_key(rule, g),
+                # from an exact dict, frozenset sizes its table once (memory)
+                correct_starts=frozenset(dict(starts)),
+                num_assertions=g.n_label[root],
+                covered_edge_ids=eids,
+                covered_label_codes=codes,
+                rule_bits=encoding.rule_cost(rule, g),
+                # summed with math.fsum, exactly as rules.match sums them
+                traversal_bits=math.fsum(
+                    log_v + encoding.log_binomial(universe, n) for n in starts.values()
+                ),
+            )
+            cands.append(entry)
+        out, rev = cands[-2:]
+        out.reverse_partner, rev.reverse_partner = rev, out
+    return cands
 
 
 # -- qualification -------------------------------------------------------
@@ -607,52 +596,52 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     covers a subset of its parts' union; ``Model.price`` prices it in place of
     its two parts from the ids they lose, and ``Model.add`` puts it at the
     earlier part's position, so the coverage refcounts move only when a pair
-    is accepted.  The sorted pair list is kept across acceptances: the two
-    replaced entries' pairs are dropped and the composed entry's added.
+    is accepted.  Each scan sorts the pairs of the live entries afresh.  A
+    rule's walk is cached by its canonical key from the first pair that reads
+    it until no live entry has that key, so an unchanged entry keeps its
+    occupied sets, and its pairs their order, across acceptances.
     ``counts``, when given, is incremented with what happened to the pairs.
     """
     if counts is None:
         counts = NestCounts()
     walked: dict[tuple, tuple[dict[int, float | None], dict, dict]] = {}
-    depths = [e.rule.depth() for e in model.entries]
 
-    def walk_once(entry: RuleEntry, bits: dict | None = None, lists: dict | None = None) -> tuple:
+    def walk_once(entry: RuleEntry) -> tuple:
         """Each correct start's traversal bits and, per inner path, the per-start
-        reach and its union (the node set occupying that position), from one walk,
-        the caller's when given; its neighbor lists not kept as depth-1 reach are
-        then dropped (memory)."""
+        reach and its union (the node set occupying that position), from one
+        walk; its neighbor lists not kept as depth-1 reach are then dropped
+        (memory)."""
         hit = walked.get(entry.canon_key)
         if hit is None:
-            if lists is None:
-                bits, lists = walk(entry.rule, g, entry.correct_starts)
+            bits, lists = walk(entry.rule, g, entry.correct_starts)
             reach = _reach_by_start(entry.rule, entry.correct_starts, lists)
             occupied = {path: frozenset().union(*r.values()) for path, r in reach.items()}
             hit = walked[entry.canon_key] = (bits, reach, occupied)
         return hit
 
-    def pairs_of(hosts: Iterable[int], nested: Iterable[int]) -> Iterator[tuple]:
-        """The pairs nesting an entry of ``nested`` beneath one of ``hosts``."""
-        for i in hosts:
-            e_in = model.entries[i]
+    while True:
+        entries = model.entries
+        for key in walked.keys() - {e.canon_key for e in entries}:
+            del walked[key]  # the walk of a replaced entry
+        by_root: dict[frozenset[int], list[int]] = {}
+        for j, e in enumerate(entries):
+            by_root.setdefault(e.rule.root_labels, []).append(j)
+        pairs = []
+        for i, e_in in enumerate(entries):
             for path, node in iter_positions(e_in.rule):
                 if not path:
                     continue
-                for j in nested:
-                    e_rt = model.entries[j]
-                    if i == j or node.root_labels != e_rt.rule.root_labels:
-                        continue
-                    if len(path) + depths[j] > MAX_RULE_DEPTH:
-                        continue  # the composition nests this deep, too deep to read back
+                for j in by_root.get(node.root_labels, ()):
+                    e_rt = entries[j]
+                    if i == j or len(path) + e_rt.rule.depth() > MAX_RULE_DEPTH:
+                        continue  # the composition would nest too deep to read back
                     occ = walk_once(e_in)[2][path]
                     union = occ | e_rt.correct_starts
                     jac = (len(occ & e_rt.correct_starts) / len(union)) if union else 0.0
-                    yield (-jac, e_in.canon_key, path, e_rt.canon_key, i, j)
-
-    everyone = range(len(model.entries))
-    pairs = sorted(pairs_of(everyone, everyone))
-    while True:
+                    pairs.append((-jac, e_in.canon_key, path, e_rt.canon_key, i, j))
+        pairs.sort()
         for _, _, path, _, i, j in pairs:
-            e_in, e_rt = model.entries[i], model.entries[j]
+            e_in, e_rt = entries[i], entries[j]
             counts.considered += 1
             composed_rule = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
             (bits_in, reach, _), (bits_rt, _, _) = walk_once(e_in), walk_once(e_rt)
@@ -662,29 +651,14 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                 counts.pruned += 1
                 continue
             counts.evaluated += 1
-            bits, lists = walk(composed_rule, g, g.nodes_with_labels(composed_rule.root_labels))
-            composed = RuleEntry.from_rule(composed_rule, g, collect(composed_rule, g, bits, lists))
+            composed = RuleEntry.from_rule(composed_rule, g)
             total = model.price(composed, (e_in, e_rt))
             if total < model.total:
                 break
         else:
             return model
-
         model.add(composed, "nest", rule_text(composed_rule, g), total, drop=(e_in, e_rt))
-        keep, drop = min(i, j), max(i, j)
-        depths[keep] = composed_rule.depth()
-        del depths[drop]
         counts.accepted += 1
-        walk_once(composed, bits, lists)
-
-        # the pairs of the two replaced entries go, later indexes shift down,
-        # and the composed entry's pairs, as host and as nested rule, come in
-        pairs = [(jac, k_in, p, k_rt, a - (a > drop), b - (b > drop))
-                 for jac, k_in, p, k_rt, a, b in pairs if a not in (i, j) and b not in (i, j)]
-        everyone = range(len(model.entries))
-        pairs += pairs_of((keep,), everyone)
-        pairs += pairs_of(everyone, (keep,))
-        pairs.sort()
 
 
 # -- pipeline -------------------------------------------------------------

@@ -18,7 +18,7 @@ from kgsum.evalharness import (
 )
 from kgsum.graph import label_lines, parse_graph, triple_lines
 from kgsum.miner import ConfigError, build_model, generate_candidates, qualify_all, rank, select
-from kgsum.rules import IN, atomic
+from kgsum.rules import IN, atomic, rule_text
 
 from oracles import oracle_auc_trapezoid
 from synth import private_children_kg, random_kg, symmetric_dominant_kg, two_branch_kg
@@ -221,6 +221,14 @@ def test_baselines_reject_k_below_one_as_config_error(selector):
         selector(cands, g, 0)
 
 
+@pytest.mark.parametrize("selector", [freq_select, coverage_select])
+def test_baselines_record_each_rule_as_its_text(selector):
+    g = private_children_kg(n_roots=20, degree=3)
+    model = selector(qualify_all(generate_candidates(g), g), g, 2)
+    # as select, merge, nest and load record them: two rules with one root read apart
+    assert [text for _, text, _, _ in model.history[1:]] == [rule_text(r, g) for r in model.rules]
+
+
 def test_all_selectors_agree_on_dominant_pattern():
     g = symmetric_dominant_kg()
     cands = qualify_all(generate_candidates(g), g)
@@ -313,6 +321,14 @@ def test_metrics_unknown_edge_rejected():
     truth = hand_truth([("a", "p", "b")], [("c", "p", "d")])
     with pytest.raises(MetricsError):
         metrics([("z", "p", "z", 1.0)], truth)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_metrics_reject_k_below_one(k):
+    rows = [("a", "p", "b", 3.0), ("c", "p", "d", 2.0), ("e", "p", "f", 1.0)]
+    truth = hand_truth([("a", "p", "b"), ("e", "p", "f")], [("c", "p", "d")])
+    with pytest.raises(MetricsError, match=f"k must be >= 1, got {k}"):
+        metrics(rows, truth, k=k)
 
 
 def test_metrics_degenerate_truth_rejected():

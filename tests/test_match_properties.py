@@ -1,6 +1,7 @@
 """Property tests: ``match`` and the costs built on its single walk agree with
 the straight-line oracles on random graphs (self-loops included) and random
-rules up to depth 3."""
+rules up to depth 3, and a canonical rule's ``canon_key`` is the oracle's
+name key."""
 
 import math
 
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from kgsum.encoding import assertions_cost
 from kgsum.graph import parse_graph
-from kgsum.rules import IN, OUT, Child, Rule, match, walk
+from kgsum.miner import _canon_key
+from kgsum.rules import IN, OUT, Child, Rule, canonicalize, match, walk
 
-from oracles import as_ids, oracle_assertions_cost, oracle_match, oracle_traversal_bits
+from oracles import _name_key, as_ids, oracle_assertions_cost, oracle_match, oracle_traversal_bits
 
 
 @st.composite
@@ -58,3 +60,5 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
     assert aset.traversal_bits == math.fsum(walked[s] for s in correct)
     if aset.num_assertions:
         assert assertions_cost(aset, g) == pytest.approx(oracle_assertions_cost(g, rule), rel=1e-12)
+    canon = canonicalize(rule)
+    assert _canon_key(canon, g) == _name_key(g, canon)

@@ -1,0 +1,64 @@
+"""Dead-code guard over ``src/kgsum``, with the standard library's ``ast``:
+every imported name is used in its module, and every private module-level
+name (one leading underscore) is referenced somewhere in the package
+outside its own definition."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kgsum"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def used_names(node: ast.AST) -> set[str]:
+    """Every name ``node`` reads, as a variable, an attribute or an import."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+    return names
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement binds, imports aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    if isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [s for s in tree.body if isinstance(s, (ast.Import, ast.ImportFrom))]
+    rest = set().union(*(used_names(s) for s in tree.body if s not in imports))
+    bound = [
+        (a.asname or a.name).split(".")[0]
+        for s in imports
+        if not (isinstance(s, ast.ImportFrom) and s.module == "__future__")
+        for a in s.names
+    ]
+    assert [name for name in bound if name not in rest] == []
+
+
+def test_every_private_module_level_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    uses = [(stmt, used_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    unused = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            for name in defined_names(stmt):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                # references from anywhere in the package but the definition itself
+                if not any(name in names for s, names in uses if s is not stmt):
+                    unused.append(f"{module}: {name}")
+    assert unused == []
