@@ -51,7 +51,7 @@ class AnomalyScorer:
     def edge_score(self, s: int, p: int, o: int) -> float:
         g = self.model.graph
         eid = g.edge_index(s, p, o)
-        modeled = eid is not None and eid in self.model.edge_refs
+        modeled = eid is not None and self.model.edge_refs[eid] > 0
         share = 0.0 if modeled else self._edge_share
         return self.node_score(s) + self.node_score(o) + share
 

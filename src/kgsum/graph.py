@@ -19,7 +19,8 @@ edges.  ``neighbors`` returns a slice of the neighbour column, in ascending id
 order; ``neighbor_edge_ids`` and ``edge_index`` bisect a node's rows and read
 the edge-id column, so no edge key is built or hashed after loading.  A rule's
 coverage is its edge ids and its label codes ``node * num_labels + label``.
-Nodes with equal label sets share one frozenset.  ``edges`` and
+Nodes with equal label sets share one frozenset, and each label's node set
+(``label_nodes``) is a frozenset built at load.  ``edges`` and
 ``distinct_edges`` build (s, p, o) tuple lists on each call; mining, scoring
 and completion never call them.
 """
@@ -101,7 +102,7 @@ class KnowledgeGraph:
         # CSR index per direction (OUT, IN)
         self._rows = (_Rows(array("I"), array("I"), array("I"), [], 0),) * 2
         self.node_labels: list[frozenset[int]] = []
-        self.label_index: list[set[int]] = []
+        self.label_index: list[frozenset[int]] = []
         self.n_label: list[int] = []
         self.n_pred: list[int] = []
         self.num_label_assignments = 0
@@ -205,10 +206,10 @@ class KnowledgeGraph:
         """Slots in the binary label matrix: |L_V| * |V|."""
         return self.num_labels * self.num_nodes
 
-    def label_nodes(self, label: int) -> set[int]:
+    def label_nodes(self, label: int) -> frozenset[int]:
         if 0 <= label < len(self.label_index):
             return self.label_index[label]
-        return set()
+        return frozenset()
 
     def nodes_with_labels(self, labels: Iterable[int]) -> set[int]:
         """Nodes carrying every label in ``labels`` (empty for unknown ids)."""
@@ -284,7 +285,7 @@ def parse_graph(
     lines_per_pred = Counter(map(preds.__getitem__, line_edges))
     g.n_pred = [lines_per_pred[p] for p in range(num_preds)]
     g.has_self_loop = any(map(eq, subjects, objects))
-    g.label_index = [nodes_of[l] for l in range(len(label_ids))]
+    g.label_index = [frozenset(nodes_of.pop(l)) for l in range(len(label_ids))]
     g.n_label = [len(nodes) for nodes in g.label_index]
     g.num_label_assignments = sum(g.n_label)
     # nodes with equal label sets share one frozenset

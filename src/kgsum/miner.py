@@ -13,6 +13,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import countOf, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import encoding
@@ -61,8 +62,10 @@ class RuleEntry:
     A mined candidate and a model rule are the same record.
     ``exception_starts`` stays ``None`` until the record joins a model (see
     ``Model.add``), so candidates that are never selected do not pay for it.
-    The coverage sets may be shared between records (a mined candidate and
-    its reverse partner hold one edge-id set) and are never mutated.
+    The coverage is strictly increasing id arrays, edge ids as ``array("I")``
+    and label codes as ``array("Q")``.  They may be shared between records (a
+    mined candidate and its reverse partner hold one edge-id array) and are
+    never mutated.
     ``reverse_partner`` is read only by ``select``.
     """
 
@@ -71,8 +74,8 @@ class RuleEntry:
     canon_key: tuple
     correct_starts: frozenset[int]
     num_assertions: int
-    covered_edge_ids: set[int]
-    covered_label_codes: set[int]
+    covered_edge_ids: array
+    covered_label_codes: array
     rule_bits: float
     traversal_bits: float
     assertion_bits: float = field(init=False)
@@ -121,19 +124,27 @@ class RuleEntry:
 class Model:
     """Selected rules plus reference-counted coverage and the cost trace.
 
-    ``rule_and_assertion_bits`` is stored, a left ``+=`` fold of the entries'
-    bits in entry order.  Every change goes through ``add``, and every total
-    in ``history`` is the ``price`` of the change it records."""
+    ``edge_refs[i]`` is the number of entries that cover edge ``i`` (an
+    ``array("I")`` over every edge id, 0 when unmodelled), and
+    ``num_modeled_edges`` its count of non-zero slots.  ``label_refs`` maps
+    each covered label code to its count; the code universe is too wide for
+    an array.  ``rule_and_assertion_bits`` is stored, a left ``+=`` fold of
+    the entries' bits in entry order.  Every change goes through ``add``, and
+    every total in ``history`` is the ``price`` of the change it records."""
 
     graph: KnowledgeGraph
     entries: list[RuleEntry] = field(default_factory=list)
-    edge_refs: dict[int, int] = field(default_factory=dict)
+    edge_refs: array | None = None  # None: all zeros
     label_refs: dict[int, int] = field(default_factory=dict)
     total: float = 0.0
     history: list[tuple[str, str, float, float]] = field(default_factory=list)
     rule_and_assertion_bits: float = field(default=0.0, init=False)
+    num_modeled_edges: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
+        if self.edge_refs is None:
+            self.edge_refs = array("I", [0]) * self.graph.num_distinct_edges
+        self.num_modeled_edges = len(self.edge_refs) - self.edge_refs.count(0)
         self._refold()
 
     def _refold(self) -> None:
@@ -145,10 +156,6 @@ class Model:
     @property
     def rules(self) -> list[Rule]:
         return [e.rule for e in self.entries]
-
-    @property
-    def num_modeled_edges(self) -> int:
-        return len(self.edge_refs)
 
     @property
     def num_modeled_labels(self) -> int:
@@ -175,8 +182,8 @@ class Model:
             bits -= e.model_bits
         label_refs, edge_refs = self.label_refs, self.edge_refs
         codes, eids = entry.covered_label_codes, entry.covered_edge_ids
-        labels = len(label_refs) + len(codes) - len(label_refs.keys() & codes)
-        edges = len(edge_refs) + len(eids) - len(edge_refs.keys() & eids)
+        labels = len(label_refs) + len(codes) - sum(map(label_refs.__contains__, codes))
+        edges = self.num_modeled_edges + countOf(_gather(edge_refs, eids), 0)
         if drop:
             labels -= _lost(label_refs, codes, [e.covered_label_codes for e in drop])
             edges -= _lost(edge_refs, eids, [e.covered_edge_ids for e in drop])
@@ -209,24 +216,39 @@ class Model:
         self.total = total
 
     def _count(self, entry: RuleEntry, step: int) -> None:
-        """Move the refcounts of the entry's ids by ``step``; a count of 0 goes."""
-        pairs = (self.label_refs, entry.covered_label_codes), (self.edge_refs, entry.covered_edge_ids)
-        for refs, ids in pairs:
-            for i in ids:
-                n = refs.get(i, 0) + step
-                if n:
-                    refs[i] = n
-                else:
-                    del refs[i]
+        """Move the refcounts of the entry's ids by ``step``; a label count of
+        0 goes, and ``num_modeled_edges`` follows the edge counts that leave
+        or reach 0."""
+        refs = self.label_refs
+        for i in entry.covered_label_codes:
+            n = refs.get(i, 0) + step
+            if n:
+                refs[i] = n
+            else:
+                del refs[i]
+        edge_refs, eids = self.edge_refs, entry.covered_edge_ids
+        old = _gather(edge_refs, eids)
+        for i, n in zip(eids, old):
+            edge_refs[i] = n + step
+        self.num_modeled_edges += countOf(old, 0) - countOf(old, -step)
 
 
-def _lost(refs: dict[int, int], ids: set[int], dropped: list[set[int]]) -> int:
+def _gather(refs: array, ids: array) -> tuple[int, ...]:
+    """``refs[i]`` for each id of ``ids``, read in one C loop (``itemgetter``),
+    which keeps ``select`` as fast as with dict refcounts.  ``itemgetter``
+    needs an id and gives a bare value for one id, so short lists map."""
+    if len(ids) < 2:
+        return tuple(map(refs.__getitem__, ids))
+    return itemgetter(*ids)(refs)
+
+
+def _lost(refs: array | dict[int, int], ids: array, dropped: list[array]) -> int:
     """How many ids ``refs`` stops counting when entries covering ``dropped``
     give way to one covering ``ids``: an id is lost exactly when ``ids`` lacks
     it and ``dropped`` holds all of its references."""
     held: Counter[int] = Counter()
     for d in dropped:
-        held.update(d - ids)
+        held.update(set(d).difference(ids))
     return sum(refs[i] == n for i, n in held.items())
 
 
@@ -281,7 +303,8 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
 
     nl = g.num_labels
     # (subject label, predicate, object label) -> [edge ids, OUT starts,
-    # OUT label codes, IN starts, IN label codes]
+    # OUT label codes, IN starts, IN label codes]; the id sets become sorted
+    # arrays as their record is emitted
     records: dict[tuple[int, int, int], list] = {}
     for key in list(groups):
         s_sig, p, o_sig = key
@@ -307,7 +330,11 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
     universe = g.neighbor_universe
 
     cands: list[RuleEntry] = []
-    for (ls, p, lo), (eids, out_starts, out_codes, in_starts, in_codes) in records.items():
+    for key in list(records):
+        ls, p, lo = key
+        # dropped once emitted (memory)
+        eids, out_starts, out_codes, in_starts, in_codes = records.pop(key)
+        eids = array("I", sorted(eids))
         sides = (ls, OUT, lo, out_starts, out_codes), (lo, IN, ls, in_starts, in_codes)
         for root, direction, child, starts, codes in sides:
             rule = atomic(root, p, direction, child)
@@ -319,7 +346,7 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
                 correct_starts=frozenset(dict(starts)),
                 num_assertions=g.n_label[root],
                 covered_edge_ids=eids,
-                covered_label_codes=codes,
+                covered_label_codes=array("Q", sorted(codes)),
                 rule_bits=encoding.rule_cost(rule, g),
                 # summed with math.fsum, exactly as rules.match sums them
                 traversal_bits=math.fsum(

@@ -12,6 +12,7 @@ edges and non-root labels count as covered.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -48,12 +49,13 @@ class Child:
 @dataclass(frozen=True)
 class AssertionSet:
     """Partition of a rule's starts plus what its correct traversals cover,
-    in the ids and bits that ``miner.RuleEntry`` stores."""
+    in the ids and bits that ``miner.RuleEntry`` stores.  The coverage is
+    strictly increasing id arrays (compact: 4 or 8 bytes per id)."""
 
     correct_starts: frozenset[int]
     exception_starts: frozenset[int]
-    covered_edge_ids: set[int]
-    covered_label_codes: set[int]  # node * num_labels + label
+    covered_edge_ids: array  # "I": edge ids
+    covered_label_codes: array  # "Q": node * num_labels + label
     traversal_bits: float  # the correct starts' walk bits, correctly rounded (math.fsum)
 
     @property
@@ -176,7 +178,8 @@ def collect(
 
     exceptions = frozenset(walked).difference(correct)
     bits = math.fsum(walked[s] for s in correct)
-    return AssertionSet(frozenset(correct), exceptions, edge_ids, label_codes, bits)
+    edge_array, label_array = array("I", sorted(edge_ids)), array("Q", sorted(label_codes))
+    return AssertionSet(frozenset(correct), exceptions, edge_array, label_array, bits)
 
 
 def match(rule: Rule, g: KnowledgeGraph) -> AssertionSet:

@@ -138,6 +138,16 @@ def as_ids(g: KnowledgeGraph, edges: set, labels: set) -> tuple[set[int], set[in
     return {index[t] for t in edges}, {n * g.num_labels + l for n, l in labels}
 
 
+def is_coverage_array(ids, typecode: str) -> bool:
+    """``ids`` is an ``array`` of ``typecode`` whose ids strictly increase."""
+    return ids.typecode == typecode and all(a < b for a, b in zip(ids, ids[1:]))
+
+
+def modeled_edge_ids(model) -> set[int]:
+    """The edge ids that ``model.edge_refs`` counts at least once."""
+    return {i for i, n in enumerate(model.edge_refs) if n}
+
+
 def oracle_rule_cost(g: KnowledgeGraph, rule: Rule) -> float:
     bits = math.log2(g.num_labels)
     for l in rule.root_labels:
@@ -277,7 +287,7 @@ def oracle_select(g: KnowledgeGraph, ranked: list, max_passes: int = 3) -> list[
 
     def evaluate(c) -> float:
         err = error_cost_counts(
-            g, len(labels | c.covered_label_codes), len(edges | c.covered_edge_ids)
+            g, len(labels | set(c.covered_label_codes)), len(edges | set(c.covered_edge_ids))
         )
         bits = 0.0  # a left fold, as the model sums: sum() compensates from 3.12
         for e in chosen:
@@ -297,8 +307,8 @@ def oracle_select(g: KnowledgeGraph, ranked: list, max_passes: int = 3) -> list[
                     choice, choice_total = partner, partner_total
             if choice_total < total:
                 chosen.append(choice)
-                edges |= choice.covered_edge_ids
-                labels |= choice.covered_label_codes
+                edges |= set(choice.covered_edge_ids)
+                labels |= set(choice.covered_label_codes)
                 history.append(("select", rule_text(choice.rule, g), choice_total - total, choice_total))
                 total = choice_total
                 added = True

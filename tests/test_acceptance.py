@@ -41,7 +41,7 @@ from kgsum.miner import (
 )
 from kgsum.rules import match
 
-from oracles import brute_force_best_subset, oracle_total_cost
+from oracles import brute_force_best_subset, modeled_edge_ids, oracle_total_cost
 from synth import (
     chained_ownership_kg,
     planted_desk_kg,
@@ -161,16 +161,17 @@ def test_criterion_4_lossless_accounting():
             edges_union = set()
             labels_union = set()
             for e in model.entries:
-                edges_union |= e.covered_edge_ids
-                labels_union |= e.covered_label_codes
-            assert set(model.edge_refs) == edges_union
+                edges_union |= set(e.covered_edge_ids)
+                labels_union |= set(e.covered_label_codes)
+            assert modeled_edge_ids(model) == edges_union
             assert set(model.label_refs) == labels_union
             modeled_edges = model.num_modeled_edges
             modeled_labels = model.num_modeled_labels
+            assert modeled_edges == len(edges_union)
             assert 0 <= modeled_edges <= g.num_distinct_edges
             assert 0 <= modeled_labels <= g.num_label_assignments
-            for eid in model.edge_refs:
-                assert 0 <= eid < g.num_distinct_edges  # indexes g.distinct_edges
+            # one count per edge id, each an index into g.distinct_edges
+            assert len(model.edge_refs) == g.num_distinct_edges
             for code in model.label_refs:
                 node, label = divmod(code, g.num_labels)
                 assert label in g.node_labels[node]

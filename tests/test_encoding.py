@@ -18,6 +18,7 @@ from kgsum.miner import build_model
 from kgsum.rules import OUT, AssertionSet, Child, Rule, match, walk
 
 from oracles import (
+    modeled_edge_ids,
     oracle_log_binomial,
     oracle_total_cost,
     oracle_traversal_bits,
@@ -279,8 +280,9 @@ def test_lossless_accounting_invariant():
         model = build_model(g, rules)
         assert 0 <= model.num_modeled_edges <= g.num_distinct_edges
         assert 0 <= model.num_modeled_labels <= g.num_label_assignments
-        for eid in model.edge_refs:
-            assert 0 <= eid < g.num_distinct_edges  # indexes g.distinct_edges
+        # one count per edge id, each an index into g.distinct_edges
+        assert len(model.edge_refs) == g.num_distinct_edges
+        assert model.num_modeled_edges == len(modeled_edge_ids(model))
         for code in model.label_refs:
             node, label = divmod(code, g.num_labels)
             assert label in g.node_labels[node]

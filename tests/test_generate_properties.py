@@ -3,7 +3,8 @@ with equal (subject label set, predicate, object label set) once, agrees with
 the one-edge-at-a-time ``oracle_generate_candidates`` field by field, in
 candidate order and in reverse partners, on random graphs with multi-label,
 repeated-set and unlabelled nodes and self-loops, with and without a label
-cap.  A candidate and its reverse partner share one edge-id set."""
+cap.  Each coverage is a strictly increasing id array, and a candidate and
+its reverse partner share one edge-id array."""
 
 import math
 
@@ -15,7 +16,13 @@ from kgsum.graph import parse_graph
 from kgsum.rules import IN, OUT, atomic
 from kgsum.miner import generate_candidates
 
-from oracles import _name_key, oracle_generate_candidates, oracle_log_binomial, oracle_rule_cost
+from oracles import (
+    _name_key,
+    is_coverage_array,
+    oracle_generate_candidates,
+    oracle_log_binomial,
+    oracle_rule_cost,
+)
 
 
 def build(edges, labels):
@@ -59,8 +66,10 @@ def test_generate_candidates_equals_the_per_edge_oracle(g, label_cap):
     for c, w in zip(got, want):
         assert c.correct_starts == frozenset(w.start_matches)
         assert c.num_assertions == sum(w.root in ls for ls in g.node_labels)
-        assert c.covered_edge_ids == w.edge_ids
-        assert c.covered_label_codes == w.label_codes
+        assert set(c.covered_edge_ids) == w.edge_ids
+        assert set(c.covered_label_codes) == w.label_codes
+        assert is_coverage_array(c.covered_edge_ids, "I")
+        assert is_coverage_array(c.covered_label_codes, "Q")
         # exact: both sum the same per-start terms with math.fsum
         assert c.traversal_bits == w.traversal_bits
         assert c.rule_bits == pytest.approx(oracle_rule_cost(g, c.rule), rel=1e-12)
@@ -73,5 +82,5 @@ def test_generate_candidates_equals_the_per_edge_oracle(g, label_cap):
         assert (c.exception_starts, c.gain) == (None, 0.0)
         flipped = (w.child, w.predicate, IN if w.direction == OUT else OUT, w.root)
         assert c.reverse_partner is got[position[flipped]]
-        # a pattern and its reverse are fed by the same edges: one set serves both
+        # a pattern and its reverse are fed by the same edges: one array serves both
         assert c.covered_edge_ids is c.reverse_partner.covered_edge_ids

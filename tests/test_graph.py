@@ -99,6 +99,16 @@ def test_equal_label_sets_share_one_frozenset():
     assert e in g.label_nodes(x) and e in g.label_nodes(y)
 
 
+def test_label_index_cannot_be_changed_through_label_nodes():
+    g = parse_graph(["a\tp\tb\n"], ["a\tX\n", "b\tY\n"])
+    x = g.label_id("X")
+    with pytest.raises(AttributeError):
+        g.label_nodes(x).add(99)
+    assert g.label_nodes(x) == {g.node_id("a")}
+    assert g.nodes_with_labels([x]) == {g.node_id("a")}
+    assert g.label_nodes(g.num_labels) == frozenset()  # an unknown label id
+
+
 def test_indexes_are_transposes_and_counts_consistent():
     g = parse_graph(
         ["a\tp\tb\n", "a\tp\tc\n", "c\tq\ta\n", "c\tq\ta\n", "b\tp\tb\n"],

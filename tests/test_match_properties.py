@@ -14,7 +14,14 @@ from kgsum.graph import parse_graph
 from kgsum.miner import _canon_key
 from kgsum.rules import IN, OUT, Child, Rule, canonicalize, match, walk
 
-from oracles import _name_key, as_ids, oracle_assertions_cost, oracle_match, oracle_traversal_bits
+from oracles import (
+    _name_key,
+    as_ids,
+    is_coverage_array,
+    oracle_assertions_cost,
+    oracle_match,
+    oracle_traversal_bits,
+)
 
 
 @st.composite
@@ -52,7 +59,9 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
     correct, exceptions, edges, labels = oracle_match(g, rule)
     assert aset.correct_starts == correct
     assert aset.exception_starts == exceptions
-    assert (aset.covered_edge_ids, aset.covered_label_codes) == as_ids(g, edges, labels)
+    assert (set(aset.covered_edge_ids), set(aset.covered_label_codes)) == as_ids(g, edges, labels)
+    assert is_coverage_array(aset.covered_edge_ids, "I")
+    assert is_coverage_array(aset.covered_label_codes, "Q")
     walked, _ = walk(rule, g, g.nodes_with_labels(rule.root_labels))
     assert {s for s, b in walked.items() if b is not None} == correct
     for s in correct:

@@ -3,7 +3,10 @@ import gc
 import importlib
 import math
 import random
+import tracemalloc
+import warnings
 import weakref
+from array import array
 from pathlib import Path
 from types import MappingProxyType
 
@@ -35,6 +38,7 @@ from kgsum.rules import IN, OUT, Child, Rule, RuleFormatError, atomic, match, ru
 
 from oracles import (
     brute_force_best_subset,
+    modeled_edge_ids,
     oracle_refine_nest,
     oracle_select,
     oracle_total_cost,
@@ -46,6 +50,7 @@ from synth import (
     planted_cycle_kg,
     private_children_kg,
     random_kg,
+    scaling_kg_lines,
     two_branch_kg,
 )
 
@@ -223,7 +228,7 @@ def test_select_considers_reverse_pair_and_keeps_cheaper():
     # artificially expensive, so select must add its cheaper reverse instead
     g = private_children_kg(n_roots=6, degree=2)
     a, b, p = g.label_id("A"), g.label_id("B"), g.pred_id("p")
-    covered = set(range(5))
+    covered = array("I", range(5))
 
     def make(rule, root_key, traversal_bits):
         return RuleEntry(
@@ -232,8 +237,8 @@ def test_select_considers_reverse_pair_and_keeps_cheaper():
             canon_key=(root_key,),
             correct_starts=frozenset({0}),
             num_assertions=1,
-            covered_edge_ids=set(covered),
-            covered_label_codes=set(),
+            covered_edge_ids=covered,
+            covered_label_codes=array("Q"),
             rule_bits=5.0,
             traversal_bits=traversal_bits,
         )
@@ -370,14 +375,14 @@ def test_refine_merge_fuses_shared_root_rules():
     model = select(g, rank(qualify_all(generate_candidates(g), g), g))
     a_rules = [e for e in model.entries if e.rule.root_labels == frozenset({g.label_id("A")})]
     assert len(a_rules) == 2
-    edges_before = set(model.edge_refs)
+    edges_before = modeled_edge_ids(model)
     total_before = model.total
     refine_merge(model, g)
     assert len(model.entries) == 1
     merged = model.entries[0]
     assert merged.rule.root_labels == frozenset({g.label_id("A")})
     assert len(merged.rule.children) == 2
-    assert set(model.edge_refs) == edges_before  # coverage invariant under Rm
+    assert modeled_edge_ids(model) == edges_before  # coverage invariant under Rm
     assert model.total <= total_before + 1e-9
 
 
@@ -408,7 +413,7 @@ def test_refine_merge_handles_multiple_groups():
     g = parse_graph(triples, labels)
     model = select(g, rank(qualify_all(generate_candidates(g), g), g))
     assert len(model.entries) == 4
-    edges_before = set(model.edge_refs)
+    edges_before = modeled_edge_ids(model)
     refine_merge(model, g)
     assert len(model.entries) == 2
     assert sorted(len(e.rule.children) for e in model.entries) == [2, 2]
@@ -416,7 +421,7 @@ def test_refine_merge_handles_multiple_groups():
         frozenset({g.label_id("A")}),
         frozenset({g.label_id("X")}),
     }
-    assert set(model.edge_refs) == edges_before
+    assert modeled_edge_ids(model) == edges_before
 
 
 def test_refine_merge_noop_on_distinct_roots():
@@ -533,13 +538,18 @@ def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
     model = summarize(g, refine="merge")
     real_price, real_add = Model.price, Model.add
     added = []  # how many entries each add replaced
-    after_add = [(dict(model.label_refs), dict(model.edge_refs))]
+
+    def snapshot(model):
+        return dict(model.label_refs), array("I", model.edge_refs), model.num_modeled_edges
+
+    after_add = [snapshot(model)]
 
     def price(self, entry, drop=()):
         # nothing but an add moved the refcounts, and a price cannot write them
-        assert (self.label_refs, self.edge_refs) == after_add[-1]
+        assert snapshot(self) == after_add[-1]
         refs = self.label_refs, self.edge_refs
-        self.label_refs, self.edge_refs = map(MappingProxyType, refs)
+        self.label_refs = MappingProxyType(self.label_refs)
+        self.edge_refs = memoryview(self.edge_refs).toreadonly()
         try:
             return real_price(self, entry, drop)
         finally:
@@ -549,7 +559,7 @@ def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
         added.append(len(drop))
         assert total == real_price(self, entry, drop)  # the caller's price, to the bit
         real_add(self, entry, phase, what, total, drop)
-        after_add.append((dict(self.label_refs), dict(self.edge_refs)))
+        after_add.append(snapshot(self))
 
     monkeypatch.setattr(Model, "price", price)
     monkeypatch.setattr(Model, "add", add)
@@ -559,7 +569,7 @@ def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
     # the refcounts move only in accepted adds, each putting one composition
     # in place of two parts
     assert added == [2] * counts.accepted
-    assert (model.label_refs, model.edge_refs) == after_add[-1]
+    assert snapshot(model) == after_add[-1]
 
 
 def test_every_add_records_the_price_its_caller_computed(monkeypatch):
@@ -616,6 +626,28 @@ def test_summarize_frees_the_unselected_candidates_before_the_refinements(make, 
     # only the candidates that are still model entries after merging are alive
     assert at_nest["uncollected"] == at_nest["collected"] <= at_nest["entries"]
     assert len(mined) > len(at_nest["entries"])
+
+
+def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
+    # the counterpart of the loaded-graph bound in test_graph.py: the
+    # tracemalloc peak of a whole summarize, the graph excluded.  Coverage as
+    # sorted id arrays and edge refcounts as one array indexed by edge id keep
+    # it at 162-166 B per distinct edge under Python 3.10-3.12; sets of ids
+    # and a dict of edge refcounts took 301-303 B.
+    triples, labels = scaling_kg_lines(50_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the planted graph repeats a few triples
+        g = parse_graph(triples, labels)
+    del triples, labels
+    gc.collect()
+    tracemalloc.start()
+    try:
+        summarize(g, refine="nest")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_edge = peak / g.num_distinct_edges
+    assert per_edge <= 225, f"{per_edge:.1f} B per distinct edge"
 
 
 def test_refine_nest_composes_no_rule_deeper_than_rule_from_dict_reads(monkeypatch):

@@ -1,5 +1,6 @@
 """Property tests: the model invariants hold after every stage of the pipeline
-on random graphs.  The coverage refcounts count each entry's coverage exactly,
+on random graphs.  The coverage refcounts count each entry's coverage exactly
+after every change, edge scores read them as a set of covered ids would,
 an accepted merge covers exactly the union of its parts, a nesting
 composition covers a subset of its parts' union, ``Model.price`` of every
 change select, merge and nest could make is the total after that change
@@ -9,6 +10,7 @@ same to the bit whether a start's depth-1 reach is the walk's neighbour list
 or a dict of branch counts."""
 
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgsum import encoding
+from kgsum.anomaly import AnomalyScorer
 from kgsum.miner import (
     Model,
     RuleEntry,
@@ -40,31 +43,72 @@ from synth import chained_ownership_kg, random_kg, random_owned_kg, random_rule,
 
 
 def assert_refcounts_exact(model):
-    assert model.edge_refs == Counter(i for e in model.entries for i in e.covered_edge_ids)
+    """For every edge id ``i``, ``edge_refs[i]`` is the number of entries
+    whose coverage holds ``i``; ``num_modeled_edges`` is the number of
+    non-zero slots; ``label_refs`` counts each covered label code."""
+    counts = Counter(i for e in model.entries for i in e.covered_edge_ids)
+    assert model.edge_refs.tolist() == [counts[i] for i in range(model.graph.num_distinct_edges)]
+    assert model.num_modeled_edges == len(counts) == sum(n > 0 for n in model.edge_refs)
     assert model.label_refs == Counter(c for e in model.entries for c in e.covered_label_codes)
+
+
+def assert_edge_scores_read_the_coverage(model, rng):
+    """``edge_score`` of every edge, and of random triples the graph may lack,
+    is its endpoints' node scores plus the uniform unmodelled share exactly
+    when no entry covers it, as when the refcounts were a dict of the covered
+    edge ids."""
+    g = model.graph
+    covered = {i for e in model.entries for i in e.covered_edge_ids}
+    unmodeled = g.num_distinct_edges - len(covered)
+    share = (
+        encoding.log_binomial(g.universe_edges - len(covered), unmodeled) / unmodeled
+        if unmodeled > 0
+        else 0.0
+    )
+    scorer = AnomalyScorer(model)
+    n, m = g.num_nodes, max(g.num_preds, 1)
+    triples = g.distinct_edges + [(rng.randrange(n), rng.randrange(m), rng.randrange(n)) for _ in range(20)]
+    for s, p, o in triples:
+        unexplained = g.edge_index(s, p, o) not in covered
+        want = scorer.node_score(s) + scorer.node_score(o) + (share if unexplained else 0.0)
+        assert scorer.edge_score(s, p, o) == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_model_invariants_after_select_merge_and_nest(seed):
-    g = random_owned_kg(random.Random(seed))
-    model = select(g, rank(qualify_all(generate_candidates(g), g), g))
-    assert_refcounts_exact(model)
+    rng = random.Random(seed)
+    g = random_owned_kg(rng)
+    real_add = Model.add
 
-    selected = list(model.entries)
-    model = refine_merge(model, g)
-    assert_refcounts_exact(model)
-    for merged in model.entries:
-        if any(merged is e for e in selected):
-            continue
-        key = (merged.rule.root_labels, merged.correct_starts)
-        parts = [e for e in selected if (e.rule.root_labels, e.correct_starts) == key]
-        assert len(parts) >= 2
-        assert merged.covered_edge_ids == set().union(*(e.covered_edge_ids for e in parts))
-        assert merged.covered_label_codes == set().union(*(e.covered_label_codes for e in parts))
+    def add(self, *args, **kwargs):
+        real_add(self, *args, **kwargs)
+        assert_refcounts_exact(self)  # after each select, merge and nest step
 
-    model = refine_nest(model, g)
-    assert_refcounts_exact(model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Model, "add", add)
+        model = select(g, rank(qualify_all(generate_candidates(g), g), g))
+        assert_refcounts_exact(model)
+        assert_edge_scores_read_the_coverage(model, rng)
+
+        selected = list(model.entries)
+        model = refine_merge(model, g)
+        assert_refcounts_exact(model)
+        assert_edge_scores_read_the_coverage(model, rng)
+        for merged in model.entries:
+            if any(merged is e for e in selected):
+                continue
+            key = (merged.rule.root_labels, merged.correct_starts)
+            parts = [e for e in selected if (e.rule.root_labels, e.correct_starts) == key]
+            assert len(parts) >= 2
+            assert set(merged.covered_edge_ids) == set().union(*(e.covered_edge_ids for e in parts))
+            assert set(merged.covered_label_codes) == set().union(
+                *(e.covered_label_codes for e in parts)
+            )
+
+        model = refine_nest(model, g)
+        assert_refcounts_exact(model)
+        assert_edge_scores_read_the_coverage(model, rng)
 
     for phase, _, delta, _ in model.history:
         if phase in ("select", "nest"):
@@ -95,9 +139,9 @@ def assert_priced_as_added(model, g, entry, drop=()):
         mp.setattr(encoding, "error_cost_counts",
                    lambda g, labels, edges: counted.append((labels, edges)) or real(g, labels, edges))
         price = model.price(entry, drop)
-    moved = Model(g, list(model.entries), dict(model.edge_refs), dict(model.label_refs), model.total)
+    moved = Model(g, list(model.entries), array("I", model.edge_refs), dict(model.label_refs), model.total)
     moved.add(entry, "test", "", price, drop)
-    assert counted == [(len(moved.label_refs), len(moved.edge_refs))]
+    assert counted == [(len(moved.label_refs), moved.num_modeled_edges)]
     assert moved.history[-1][3] == price
     assert price == pytest.approx(moved.total_bits, rel=1e-12)
     assert_refcounts_exact(moved)
@@ -125,8 +169,10 @@ def assert_every_change_priced_as_added(model, g, ranked) -> Counter:
             priced["merge"] += 1
     for e_in, path, e_rt in nest_pairs(model):
         composed = RuleEntry.from_rule(canonicalize(_nest_rule(e_in.rule, path, e_rt.rule)), g)
-        assert composed.covered_edge_ids <= e_in.covered_edge_ids | e_rt.covered_edge_ids
-        assert composed.covered_label_codes <= e_in.covered_label_codes | e_rt.covered_label_codes
+        assert set(composed.covered_edge_ids) <= set(e_in.covered_edge_ids) | set(e_rt.covered_edge_ids)
+        assert set(composed.covered_label_codes) <= set(e_in.covered_label_codes) | set(
+            e_rt.covered_label_codes
+        )
         assert_priced_as_added(model, g, composed, (e_in, e_rt))
         priced["nest"] += 1
     return priced

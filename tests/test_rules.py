@@ -18,7 +18,7 @@ from kgsum.rules import (
     rule_to_dict,
 )
 
-from oracles import as_ids, oracle_match
+from oracles import as_ids, is_coverage_array, oracle_match
 from synth import random_kg, random_rule
 
 
@@ -63,11 +63,11 @@ def test_match_book_rule_correct_assertion():
     n = g.node_id
     edges = [(f"cast{i}", "features", "novel0") for i in range(5)]
     edges += [("novel0", "writtenBy", "writer0"), ("writer0", "bornIn", "country0")]
-    assert aset.covered_edge_ids == {g.edge_index(n(s), g.pred_id(p), n(o)) for s, p, o in edges}
+    assert set(aset.covered_edge_ids) == {g.edge_index(n(s), g.pred_id(p), n(o)) for s, p, o in edges}
     # non-root labels revealed: 5 cast groups, the writer, the country
     labels = [(f"cast{i}", "CastGroup") for i in range(5)]
     labels += [("writer0", "Author"), ("country0", "Country")]
-    assert aset.covered_label_codes == {n(v) * g.num_labels + g.label_id(l) for v, l in labels}
+    assert set(aset.covered_label_codes) == {n(v) * g.num_labels + g.label_id(l) for v, l in labels}
 
 
 def test_match_book_rule_exception_when_born_in_missing():
@@ -75,7 +75,7 @@ def test_match_book_rule_exception_when_born_in_missing():
     aset = match(book_rule(g), g)
     assert aset.correct_starts == frozenset()
     assert aset.exception_starts == frozenset({g.node_id("novel0")})
-    assert aset.covered_edge_ids == set()
+    assert set(aset.covered_edge_ids) == set()
 
 
 def test_leaf_rule_asserts_nothing_beyond_start():
@@ -86,8 +86,8 @@ def test_leaf_rule_asserts_nothing_beyond_start():
     aset = match(Rule(frozenset({g.label_id("X")})), g)
     assert aset.correct_starts == frozenset({g.node_id("a"), g.node_id("b"), g.node_id("c")})
     assert aset.exception_starts == frozenset()
-    assert aset.covered_edge_ids == set()
-    assert aset.covered_label_codes == set()
+    assert set(aset.covered_edge_ids) == set()
+    assert set(aset.covered_label_codes) == set()
     assert aset.traversal_bits == 0
 
 
@@ -103,7 +103,7 @@ def test_a_child_with_an_unknown_predicate_matches_nothing():
     book, author = g.label_id("Book"), g.label_id("Author")
     aset = match(Rule(frozenset({book}), (Child(None, OUT, Rule(frozenset({author}))),)), g)
     assert aset.correct_starts == frozenset() and aset.exception_starts == {g.node_id("novel0")}
-    assert aset.covered_edge_ids == set() and aset.traversal_bits == 0
+    assert set(aset.covered_edge_ids) == set() and aset.traversal_bits == 0
 
 
 def test_rule_objects_shared_between_positions_match_like_copies():
@@ -124,7 +124,7 @@ def test_rule_objects_shared_between_positions_match_like_copies():
         correct, exceptions, edges, label_set = oracle_match(g, rule)
         assert aset.correct_starts == correct == {g.node_id("a0")}
         assert aset.exception_starts == exceptions
-        assert (aset.covered_edge_ids, aset.covered_label_codes) == as_ids(g, edges, label_set)
+        assert (set(aset.covered_edge_ids), set(aset.covered_label_codes)) == as_ids(g, edges, label_set)
 
 
 def test_empty_root_is_an_error():
@@ -142,7 +142,9 @@ def test_match_agrees_with_bruteforce_oracle():
         correct, exceptions, edges, labels = oracle_match(g, rule)
         assert aset.correct_starts == correct
         assert aset.exception_starts == exceptions
-        assert (aset.covered_edge_ids, aset.covered_label_codes) == as_ids(g, edges, labels)
+        assert (set(aset.covered_edge_ids), set(aset.covered_label_codes)) == as_ids(g, edges, labels)
+        assert is_coverage_array(aset.covered_edge_ids, "I")
+        assert is_coverage_array(aset.covered_label_codes, "Q")
 
 
 def test_partition_property():
