@@ -19,20 +19,6 @@ from pathlib import Path
 
 from . import __version__
 from .anomaly import AnomalyScorer, rank_edges
-from .evalharness import (
-    ANOMALY_TYPES,
-    GroundTruth,
-    MetricsError,
-    PerturbationError,
-    PerturbationSpec,
-    completeness_eval,
-    coverage_select,
-    evaluation_edges,
-    freq_select,
-    metrics,
-    perturb,
-    remove_nodes_pca,
-)
 from .graph import KnowledgeGraph, _fields, load_graph, write_graph
 from .miner import (
     ConfigError,
@@ -97,6 +83,7 @@ def _cmd_summarize(args) -> int:
     else:
         if args.top_k is None:
             raise ConfigError(f"--selector {args.selector} requires --top-k")
+        from .evalharness import coverage_select, freq_select
         with timed("generate", _log):
             cands = generate_candidates(g, label_cap=args.label_cap)
         with timed("qualify", _log):
@@ -120,6 +107,8 @@ def _read_test_edges(path: str, g: KnowledgeGraph) -> list[tuple[int, int, int]]
             s, p, o = parts
             sid, pid, oid = g.node_id(s), g.pred_id(p), g.node_id(o)
             if sid is None or pid is None or oid is None:
+                from .evalharness import PerturbationError
+
                 raise PerturbationError(f"{path}, line {line_no}: unknown identifier in {parts}")
             rows.append((sid, pid, oid))
     return rows
@@ -175,6 +164,14 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    from .evalharness import (
+        ANOMALY_TYPES,
+        PerturbationSpec,
+        evaluation_edges,
+        perturb,
+        remove_nodes_pca,
+    )
+
     g = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -182,7 +179,8 @@ def _cmd_perturb(args) -> int:
         with timed("remove nodes (pca)", _log):
             new_g, truth = remove_nodes_pca(g, args.q, seed=args.seed)
     else:
-        spec = PerturbationSpec(q=args.q, types=tuple(args.anomalies.split(",")), seed=args.seed)
+        types = ANOMALY_TYPES if args.anomalies is None else tuple(args.anomalies.split(","))
+        spec = PerturbationSpec(q=args.q, types=types, seed=args.seed)
         with timed("perturb", _log):
             new_g, truth = perturb(g, spec)
     write_graph(new_g, str(out / "triples.tsv"), str(out / "labels.tsv"))
@@ -203,6 +201,8 @@ def _read_ranking(path: str) -> list[tuple[str, str, str, float]]:
 
 
 def _cmd_evaluate(args) -> int:
+    from .evalharness import GroundTruth, MetricsError, completeness_eval, metrics
+
     truth = GroundTruth.from_dict(_read_json(args.truth, MetricsError))
     if truth.kind == "perturbation":
         if not args.ranking:
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True, help="fraction of nodes to sample per type")
     p.add_argument(
         "--anomalies",
-        default=",".join(ANOMALY_TYPES),
+        default=None,  # every type in evalharness.ANOMALY_TYPES, which is imported only to perturb
         help="comma-separated anomaly types among a1,a2,a3,a4 (default: all)",
     )
     p.add_argument(

@@ -17,10 +17,13 @@ parallel columns give each row's predicate, neighbour and edge id.  Every
 column is 32 bits wide, so a graph holds fewer than 2**32 nodes, predicates and
 edges.  ``neighbors`` returns a slice of the neighbour column, in ascending id
 order; ``neighbor_edge_ids`` and ``edge_index`` bisect a node's rows and read
-the edge-id column, so no edge key is built or hashed after loading.  A rule's
-coverage is its edge ids and its label codes ``node * num_labels + label``.
-Nodes with equal label sets share one frozenset, and each label's node set
-(``label_nodes``) is a frozenset built at load.  ``edges`` and
+the edge-id column, so no edge key is built or hashed after loading.  The
+label assignments (node, label) are numbered densely by node, then label:
+node ``v``'s labels, in ascending label id, hold the assignment ids
+``label_offsets[v]`` to ``label_offsets[v + 1] - 1``.  A rule's coverage is
+its edge ids and its assignment ids (``assignment_ids``).  Nodes with equal
+label sets share one frozenset, and each label's node set (``label_nodes``)
+is a frozenset built at load.  ``edges`` and
 ``distinct_edges`` build (s, p, o) tuple lists on each call; mining, scoring
 and completion never call them.
 """
@@ -59,15 +62,15 @@ class _Rows:
 
     def __init__(self, nodes: array, preds: array, ends: array, keys: list[int], num_nodes: int) -> None:
         """Rows from the edge columns; ``keys[e]`` orders edge ``e`` by (node,
-        predicate, neighbour)."""
-        order = sorted(range(len(keys)), key=keys.__getitem__)
+        predicate, neighbour).  The columns are gathered straight into arrays,
+        with no list of int objects (memory)."""
+        edge_ids = self.edge_ids = array("I", sorted(range(len(keys)), key=keys.__getitem__))
         rows_before = [0] * (num_nodes + 1)  # shifted by one: prefix sums give each row's start
         for u in nodes:
             rows_before[u + 1] += 1
         self.offsets = array("I", accumulate(rows_before))
-        self.preds = array("I", [preds[e] for e in order])
-        self.ends = array("I", [ends[e] for e in order])
-        self.edge_ids = array("I", order)
+        self.preds = array("I", map(preds.__getitem__, edge_ids))
+        self.ends = array("I", map(ends.__getitem__, edge_ids))
 
     def span(self, node: int, p: int) -> tuple[int, int]:
         """The rows of ``node``'s ``p`` edges; empty for an unknown node or predicate."""
@@ -102,10 +105,13 @@ class KnowledgeGraph:
         # CSR index per direction (OUT, IN)
         self._rows = (_Rows(array("I"), array("I"), array("I"), [], 0),) * 2
         self.node_labels: list[frozenset[int]] = []
+        # node v's assignment ids are label_offsets[v]:label_offsets[v + 1]
+        self.label_offsets = array("I", [0])
+        # each distinct label set -> its labels' ranks in ascending id order
+        self._label_ranks: dict[frozenset[int], dict[int, int]] = {}
         self.label_index: list[frozenset[int]] = []
         self.n_label: list[int] = []
         self.n_pred: list[int] = []
-        self.num_label_assignments = 0
         self.has_self_loop = False
         self.duplicates_collapsed = 0
 
@@ -191,6 +197,11 @@ class KnowledgeGraph:
         return len(self.pred_names)
 
     @property
+    def num_label_assignments(self) -> int:
+        """The number of (node, label) pairs, and so of label-assignment ids."""
+        return self.label_offsets[-1]
+
+    @property
     def universe_edges(self) -> int:
         """Slots in the binary adjacency tensor: |V|^2 * |L_E|."""
         return self.num_nodes * self.num_nodes * self.num_preds
@@ -210,6 +221,12 @@ class KnowledgeGraph:
         if 0 <= label < len(self.label_index):
             return self.label_index[label]
         return frozenset()
+
+    def assignment_ids(self, label: int, nodes: Iterable[int]) -> list[int]:
+        """The assignment id of (v, ``label``) for each node v of ``nodes``,
+        every one of which must carry ``label`` (``KeyError`` otherwise)."""
+        offsets, node_labels, ranks = self.label_offsets, self.node_labels, self._label_ranks
+        return [offsets[v] + ranks[node_labels[v]][label] for v in nodes]
 
     def nodes_with_labels(self, labels: Iterable[int]) -> set[int]:
         """Nodes carrying every label in ``labels`` (empty for unknown ids)."""
@@ -287,13 +304,14 @@ def parse_graph(
     g.has_self_loop = any(map(eq, subjects, objects))
     g.label_index = [frozenset(nodes_of.pop(l)) for l in range(len(label_ids))]
     g.n_label = [len(nodes) for nodes in g.label_index]
-    g.num_label_assignments = sum(g.n_label)
     # nodes with equal label sets share one frozenset
     shared: dict[frozenset[int], frozenset[int]] = {}
     node_labels = g.node_labels = [frozenset()] * len(node_ids)
     for vid, lid in first_label.items():
         labels = frozenset((lid, *more_labels.get(vid, ())))
         node_labels[vid] = shared.setdefault(labels, labels)
+    g.label_offsets = array("I", accumulate(map(len, node_labels), initial=0))
+    g._label_ranks = {ls: {l: i for i, l in enumerate(sorted(ls))} for ls in shared}
     duplicates = g.duplicates_collapsed = len(line_edges) - len(subjects)
     if duplicates:
         warnings.warn(

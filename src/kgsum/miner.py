@@ -62,10 +62,10 @@ class RuleEntry:
     A mined candidate and a model rule are the same record.
     ``exception_starts`` stays ``None`` until the record joins a model (see
     ``Model.add``), so candidates that are never selected do not pay for it.
-    The coverage is strictly increasing id arrays, edge ids as ``array("I")``
-    and label codes as ``array("Q")``.  They may be shared between records (a
-    mined candidate and its reverse partner hold one edge-id array) and are
-    never mutated.
+    The coverage is strictly increasing ``array("I")`` columns of edge ids and
+    label-assignment ids.  They may be shared between records (a mined
+    candidate and its reverse partner hold one edge-id array) and are never
+    mutated.
     ``reverse_partner`` is read only by ``select``.
     """
 
@@ -75,7 +75,7 @@ class RuleEntry:
     correct_starts: frozenset[int]
     num_assertions: int
     covered_edge_ids: array
-    covered_label_codes: array
+    covered_label_ids: array
     rule_bits: float
     traversal_bits: float
     assertion_bits: float = field(init=False)
@@ -93,7 +93,7 @@ class RuleEntry:
             correct_starts=aset.correct_starts,
             num_assertions=aset.num_assertions,
             covered_edge_ids=aset.covered_edge_ids,
-            covered_label_codes=aset.covered_label_codes,
+            covered_label_ids=aset.covered_label_ids,
             rule_bits=encoding.rule_cost(rule, g),
             traversal_bits=aset.traversal_bits,
             exception_starts=aset.exception_starts,
@@ -126,25 +126,29 @@ class Model:
 
     ``edge_refs[i]`` is the number of entries that cover edge ``i`` (an
     ``array("I")`` over every edge id, 0 when unmodelled), and
-    ``num_modeled_edges`` its count of non-zero slots.  ``label_refs`` maps
-    each covered label code to its count; the code universe is too wide for
-    an array.  ``rule_and_assertion_bits`` is stored, a left ``+=`` fold of
+    ``num_modeled_edges`` its count of non-zero slots; ``label_refs`` and
+    ``num_modeled_labels`` are the same over the label-assignment ids.
+    ``rule_and_assertion_bits`` is stored, a left ``+=`` fold of
     the entries' bits in entry order.  Every change goes through ``add``, and
     every total in ``history`` is the ``price`` of the change it records."""
 
     graph: KnowledgeGraph
     entries: list[RuleEntry] = field(default_factory=list)
     edge_refs: array | None = None  # None: all zeros
-    label_refs: dict[int, int] = field(default_factory=dict)
+    label_refs: array | None = None  # None: all zeros
     total: float = 0.0
     history: list[tuple[str, str, float, float]] = field(default_factory=list)
     rule_and_assertion_bits: float = field(default=0.0, init=False)
     num_modeled_edges: int = field(default=0, init=False)
+    num_modeled_labels: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.edge_refs is None:
             self.edge_refs = array("I", [0]) * self.graph.num_distinct_edges
+        if self.label_refs is None:
+            self.label_refs = array("I", [0]) * self.graph.num_label_assignments
         self.num_modeled_edges = len(self.edge_refs) - self.edge_refs.count(0)
+        self.num_modeled_labels = len(self.label_refs) - self.label_refs.count(0)
         self._refold()
 
     def _refold(self) -> None:
@@ -156,10 +160,6 @@ class Model:
     @property
     def rules(self) -> list[Rule]:
         return [e.rule for e in self.entries]
-
-    @property
-    def num_modeled_labels(self) -> int:
-        return len(self.label_refs)
 
     @property
     def error_bits(self) -> float:
@@ -181,11 +181,11 @@ class Model:
         for e in drop:
             bits -= e.model_bits
         label_refs, edge_refs = self.label_refs, self.edge_refs
-        codes, eids = entry.covered_label_codes, entry.covered_edge_ids
-        labels = len(label_refs) + len(codes) - sum(map(label_refs.__contains__, codes))
+        lids, eids = entry.covered_label_ids, entry.covered_edge_ids
+        labels = self.num_modeled_labels + countOf(_gather(label_refs, lids), 0)
         edges = self.num_modeled_edges + countOf(_gather(edge_refs, eids), 0)
         if drop:
-            labels -= _lost(label_refs, codes, [e.covered_label_codes for e in drop])
+            labels -= _lost(label_refs, lids, [e.covered_label_ids for e in drop])
             edges -= _lost(edge_refs, eids, [e.covered_edge_ids for e in drop])
         err = encoding.error_cost_counts(self.graph, labels, edges)
         return encoding.model_constant(self.graph) + bits + entry.model_bits + err
@@ -216,21 +216,20 @@ class Model:
         self.total = total
 
     def _count(self, entry: RuleEntry, step: int) -> None:
-        """Move the refcounts of the entry's ids by ``step``; a label count of
-        0 goes, and ``num_modeled_edges`` follows the edge counts that leave
-        or reach 0."""
-        refs = self.label_refs
-        for i in entry.covered_label_codes:
-            n = refs.get(i, 0) + step
-            if n:
-                refs[i] = n
-            else:
-                del refs[i]
-        edge_refs, eids = self.edge_refs, entry.covered_edge_ids
-        old = _gather(edge_refs, eids)
-        for i, n in zip(eids, old):
-            edge_refs[i] = n + step
-        self.num_modeled_edges += countOf(old, 0) - countOf(old, -step)
+        """Move the refcounts of the entry's ids by ``step``;
+        ``num_modeled_labels`` and ``num_modeled_edges`` follow the counts
+        that leave or reach 0."""
+        self.num_modeled_labels += _move(self.label_refs, entry.covered_label_ids, step)
+        self.num_modeled_edges += _move(self.edge_refs, entry.covered_edge_ids, step)
+
+
+def _move(refs: array, ids: array, step: int) -> int:
+    """Add ``step`` to ``refs[i]`` for each id of ``ids``; returns how many
+    more slots are non-zero."""
+    old = _gather(refs, ids)
+    for i, n in zip(ids, old):
+        refs[i] = n + step
+    return countOf(old, 0) - countOf(old, -step)
 
 
 def _gather(refs: array, ids: array) -> tuple[int, ...]:
@@ -242,7 +241,7 @@ def _gather(refs: array, ids: array) -> tuple[int, ...]:
     return itemgetter(*ids)(refs)
 
 
-def _lost(refs: array | dict[int, int], ids: array, dropped: list[array]) -> int:
+def _lost(refs: array, ids: array, dropped: list[array]) -> int:
     """How many ids ``refs`` stops counting when entries covering ``dropped``
     give way to one covering ``ids``: an id is lost exactly when ``ids`` lacks
     it and ``dropped`` holds all of its references."""
@@ -262,13 +261,15 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
     only that many of the most frequent labels.
 
     The distinct edges are grouped by (subject's label set, predicate,
-    object's label set) in first-seen order, and each group expands its label
-    pairs once.  One record per (subject label, predicate, object label) is
-    the union of its groups: the edge ids, which the OUT pattern and its IN
-    reverse share, and each orientation's starts and label codes.  The
-    records come in the order of the edge that first witnesses each, as they
-    would from one edge at a time, and each yields its OUT candidate, then
-    its IN reverse.
+    object's label set) in first-seen order, as ``array("I")`` columns of
+    edge ids, subjects and objects.  Each (subject label, predicate, object
+    label) pattern is indexed to the groups that witness it, in the order of
+    the edge that first witnesses it, as one edge at a time would find them.
+    The patterns are then built one at a time (memory): the union of a
+    pattern's groups gives its edge ids, which the OUT candidate and its IN
+    reverse share, and each orientation's starts, which with the root label
+    are the other orientation's label coverage.  Each pattern yields its OUT
+    candidate, then its IN reverse.
     """
     if label_cap is not None and label_cap < 1:
         raise ConfigError(f"label_cap must be >= 1, got {label_cap}")
@@ -288,55 +289,43 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
     sig_labels = list(sig_ids)
     node_sig = [sig_of[ls] for ls in g.node_labels]
 
-    # (subject sig, predicate, object sig) -> (edge ids, subjects, objects);
-    # the edge ids end up in the candidates, the node ids are packed (memory)
-    groups: dict[tuple[int, int, int], tuple[list[int], array, array]] = {}
+    # (subject sig, predicate, object sig) -> (edge ids, subjects, objects)
+    groups: dict[tuple[int, int, int], tuple[array, array, array]] = {}
     for eid, s, p, o in g.iter_distinct_edges():
         key = (node_sig[s], p, node_sig[o])
         if key in groups:
             eids, subjects, objects = groups[key]
         else:
-            eids, subjects, objects = groups[key] = ([], array("L"), array("L"))
+            eids, subjects, objects = groups[key] = (array("I"), array("I"), array("I"))
         eids.append(eid)
         subjects.append(s)
         objects.append(o)
 
-    nl = g.num_labels
-    # (subject label, predicate, object label) -> [edge ids, OUT starts,
-    # OUT label codes, IN starts, IN label codes]; the id sets become sorted
-    # arrays as their record is emitted
-    records: dict[tuple[int, int, int], list] = {}
-    for key in list(groups):
-        s_sig, p, o_sig = key
-        eids, subjects, objects = groups.pop(key)  # dropped once expanded (memory)
-        s_labels, o_labels = sig_labels[s_sig], sig_labels[o_sig]
-        if not s_labels or not o_labels:
-            continue
-        s_nodes, o_nodes = set(subjects), set(objects)
-        s_codes = {ls: [s * nl + ls for s in s_nodes] for ls in s_labels}
-        o_codes = {lo: [o * nl + lo for o in o_nodes] for lo in o_labels}
-        for ls in s_labels:
-            for lo in o_labels:
-                rec = records.get((ls, p, lo))
-                if rec is None:
-                    rec = records[(ls, p, lo)] = [set(), Counter(), set(), Counter(), set()]
-                rec[0].update(eids)
-                rec[1].update(subjects)
-                rec[2].update(o_codes[lo])
-                rec[3].update(objects)
-                rec[4].update(s_codes[ls])
+    # (subject label, predicate, object label) -> the groups that witness it
+    patterns: dict[tuple[int, int, int], list[tuple[array, array, array]]] = {}
+    for (s_sig, p, o_sig), group in groups.items():
+        for ls in sig_labels[s_sig]:
+            for lo in sig_labels[o_sig]:
+                patterns.setdefault((ls, p, lo), []).append(group)
+    del groups
 
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = g.neighbor_universe
 
     cands: list[RuleEntry] = []
-    for key in list(records):
+    for key in list(patterns):
         ls, p, lo = key
-        # dropped once emitted (memory)
-        eids, out_starts, out_codes, in_starts, in_codes = records.pop(key)
-        eids = array("I", sorted(eids))
-        sides = (ls, OUT, lo, out_starts, out_codes), (lo, IN, ls, in_starts, in_codes)
-        for root, direction, child, starts, codes in sides:
+        edge_ids: set[int] = set()
+        out_starts: Counter[int] = Counter()
+        in_starts: Counter[int] = Counter()
+        for eids, subjects, objects in patterns.pop(key):
+            edge_ids.update(eids)
+            out_starts.update(subjects)
+            in_starts.update(objects)
+        eids = array("I", sorted(edge_ids))
+        del edge_ids
+        sides = (ls, OUT, lo, out_starts, in_starts), (lo, IN, ls, in_starts, out_starts)
+        for root, direction, child, starts, neighbours in sides:
             rule = atomic(root, p, direction, child)
             entry = RuleEntry(
                 rule=rule,
@@ -346,7 +335,8 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
                 correct_starts=frozenset(dict(starts)),
                 num_assertions=g.n_label[root],
                 covered_edge_ids=eids,
-                covered_label_codes=array("Q", sorted(codes)),
+                # one label's assignment ids ascend with the node
+                covered_label_ids=array("I", g.assignment_ids(child, sorted(neighbours))),
                 rule_bits=encoding.rule_cost(rule, g),
                 # summed with math.fsum, exactly as rules.match sums them
                 traversal_bits=math.fsum(
@@ -419,7 +409,7 @@ def rank(cands: list[RuleEntry], g: KnowledgeGraph) -> list[RuleEntry]:
     usable = [c for c in cands if c.num_assertions >= 1 and c.correct_starts]
     for c in usable:
         c.gain = err0 - encoding.error_cost_counts(
-            g, len(c.covered_label_codes), len(c.covered_edge_ids)
+            g, len(c.covered_label_ids), len(c.covered_edge_ids)
         )
     return sorted(usable, key=lambda c: (-c.gain, -c.num_correct, c.root_key, c.canon_key))
 

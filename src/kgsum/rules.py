@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -50,12 +51,12 @@ class Child:
 class AssertionSet:
     """Partition of a rule's starts plus what its correct traversals cover,
     in the ids and bits that ``miner.RuleEntry`` stores.  The coverage is
-    strictly increasing id arrays (compact: 4 or 8 bytes per id)."""
+    strictly increasing id arrays (compact: 4 bytes per id)."""
 
     correct_starts: frozenset[int]
     exception_starts: frozenset[int]
     covered_edge_ids: array  # "I": edge ids
-    covered_label_codes: array  # "Q": node * num_labels + label
+    covered_label_ids: array  # "I": label-assignment ids (KnowledgeGraph.assignment_ids)
     traversal_bits: float  # the correct starts' walk bits, correctly rounded (math.fsum)
 
     @property
@@ -150,11 +151,12 @@ def collect(
     rule: Rule, g: KnowledgeGraph, walked: dict[int, float | None], lists: dict[tuple[int, int], list[int]]
 ) -> AssertionSet:
     """Partition the starts of ``walk(rule, g, starts)`` and collect the
-    edges and labels that the correct traversals cover."""
+    edges and labels that the correct traversals cover.  The covered nodes
+    are gathered per label, and each (node, label) pair is turned into its
+    assignment id once."""
     correct = [s for s, b in walked.items() if b is not None]
-    nl = g.num_labels
     edge_ids: set[int] = set()
-    label_codes: set[int] = set()
+    labelled: defaultdict[int, set[int]] = defaultdict(set)  # label -> nodes covered with it
     expanded: set[tuple[int, int]] = set()
     edge_ids_to = g.neighbor_edge_ids
 
@@ -167,7 +169,7 @@ def collect(
             ws = lists[(u, id(c))]
             edge_ids.update(edge_ids_to(u, c.predicate, c.direction, ws))
             for l in c.child.root_labels:
-                label_codes.update([w * nl + l for w in ws])
+                labelled[l].update(ws)
             if c.child.children:
                 for w in ws:
                     visit(w, c.child)
@@ -178,7 +180,8 @@ def collect(
 
     exceptions = frozenset(walked).difference(correct)
     bits = math.fsum(walked[s] for s in correct)
-    edge_array, label_array = array("I", sorted(edge_ids)), array("Q", sorted(label_codes))
+    label_ids = [i for l, nodes in labelled.items() for i in g.assignment_ids(l, nodes)]
+    edge_array, label_array = array("I", sorted(edge_ids)), array("I", sorted(label_ids))
     return AssertionSet(frozenset(correct), exceptions, edge_array, label_array, bits)
 
 

@@ -130,12 +130,20 @@ def oracle_match(g: KnowledgeGraph, rule: Rule):
     return correct, exceptions, edges, labels
 
 
-def as_ids(g: KnowledgeGraph, edges: set, labels: set) -> tuple[set[int], set[int]]:
+def assignment_pairs(g: KnowledgeGraph) -> list[tuple[int, int]]:
+    """Every (node, label) pair of ``g`` in label-assignment-id order, numbered
+    here from the definition, not from ``g.label_offsets``: nodes in id order,
+    each node's labels ascending."""
+    return [(v, l) for v in range(g.num_nodes) for l in sorted(g.node_labels[v])]
+
+
+def as_ids(g: KnowledgeGraph, edges, labels) -> tuple[set[int], set[int]]:
     """``oracle_match``'s coverage in the package's ids: each (s, p, o) edge as
-    its index in ``g.distinct_edges``, each (node, label) pair as the code
-    ``node * num_labels + label``."""
+    its index in ``g.distinct_edges``, each (node, label) pair as its
+    position in ``assignment_pairs(g)``."""
     index = {t: i for i, t in enumerate(g.distinct_edges)}
-    return {index[t] for t in edges}, {n * g.num_labels + l for n, l in labels}
+    label_index = {t: i for i, t in enumerate(assignment_pairs(g))}
+    return {index[t] for t in edges}, {label_index[t] for t in labels}
 
 
 def is_coverage_array(ids, typecode: str) -> bool:
@@ -146,6 +154,11 @@ def is_coverage_array(ids, typecode: str) -> bool:
 def modeled_edge_ids(model) -> set[int]:
     """The edge ids that ``model.edge_refs`` counts at least once."""
     return {i for i, n in enumerate(model.edge_refs) if n}
+
+
+def modeled_label_ids(model) -> set[int]:
+    """The label-assignment ids that ``model.label_refs`` counts at least once."""
+    return {i for i, n in enumerate(model.label_refs) if n}
 
 
 def oracle_rule_cost(g: KnowledgeGraph, rule: Rule) -> float:
@@ -221,7 +234,7 @@ class GeneratedCandidate:
     child: int
     start_matches: dict[int, int]  # start -> its matching neighbours
     edge_ids: set[int]
-    label_codes: set[int]  # node * |labels| + label
+    labels: set[tuple[int, int]]  # (neighbour, label)
     traversal_bits: float = 0.0
 
     @property
@@ -244,22 +257,21 @@ def oracle_generate_candidates(
         freq = {l: sum(l in ls for ls in labels) for l in range(len(g.label_names))}
         kept = set(sorted(freq, key=lambda l: (-freq[l], g.label_names[l]))[:label_cap])
         labels = [ls & kept for ls in labels]
-    nl = len(g.label_names)
     found: dict[tuple[int, int, int, int], GeneratedCandidate] = {}
 
-    def witness(key, start: int, eid: int, code: int) -> None:
+    def witness(key, start: int, eid: int, label: tuple[int, int]) -> None:
         if key not in found:
             found[key] = GeneratedCandidate(*key, {}, set(), set())
         c = found[key]
         c.start_matches[start] = c.start_matches.get(start, 0) + 1
         c.edge_ids.add(eid)
-        c.label_codes.add(code)
+        c.labels.add(label)
 
     for eid, (s, p, o) in enumerate(g.distinct_edges):
         for ls in sorted(labels[s]):
             for lo in sorted(labels[o]):
-                witness((ls, p, OUT, lo), s, eid, o * nl + lo)
-                witness((lo, p, IN, ls), o, eid, s * nl + ls)
+                witness((ls, p, OUT, lo), s, eid, (o, lo))
+                witness((lo, p, IN, ls), o, eid, (s, ls))
 
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = _neighbor_universe(g)
@@ -287,7 +299,7 @@ def oracle_select(g: KnowledgeGraph, ranked: list, max_passes: int = 3) -> list[
 
     def evaluate(c) -> float:
         err = error_cost_counts(
-            g, len(labels | set(c.covered_label_codes)), len(edges | set(c.covered_edge_ids))
+            g, len(labels | set(c.covered_label_ids)), len(edges | set(c.covered_edge_ids))
         )
         bits = 0.0  # a left fold, as the model sums: sum() compensates from 3.12
         for e in chosen:
@@ -308,7 +320,7 @@ def oracle_select(g: KnowledgeGraph, ranked: list, max_passes: int = 3) -> list[
             if choice_total < total:
                 chosen.append(choice)
                 edges |= set(choice.covered_edge_ids)
-                labels |= set(choice.covered_label_codes)
+                labels |= set(choice.covered_label_ids)
                 history.append(("select", rule_text(choice.rule, g), choice_total - total, choice_total))
                 total = choice_total
                 added = True

@@ -41,7 +41,13 @@ from kgsum.miner import (
 )
 from kgsum.rules import match
 
-from oracles import brute_force_best_subset, modeled_edge_ids, oracle_total_cost
+from oracles import (
+    assignment_pairs,
+    brute_force_best_subset,
+    modeled_edge_ids,
+    modeled_label_ids,
+    oracle_total_cost,
+)
 from synth import (
     chained_ownership_kg,
     planted_desk_kg,
@@ -162,18 +168,22 @@ def test_criterion_4_lossless_accounting():
             labels_union = set()
             for e in model.entries:
                 edges_union |= set(e.covered_edge_ids)
-                labels_union |= set(e.covered_label_codes)
+                labels_union |= set(e.covered_label_ids)
             assert modeled_edge_ids(model) == edges_union
-            assert set(model.label_refs) == labels_union
+            assert modeled_label_ids(model) == labels_union
             modeled_edges = model.num_modeled_edges
             modeled_labels = model.num_modeled_labels
             assert modeled_edges == len(edges_union)
+            assert modeled_labels == len(labels_union)
             assert 0 <= modeled_edges <= g.num_distinct_edges
             assert 0 <= modeled_labels <= g.num_label_assignments
-            # one count per edge id, each an index into g.distinct_edges
+            # one count per edge id, each an index into g.distinct_edges, and
+            # one per label-assignment id, each naming a label its node carries
             assert len(model.edge_refs) == g.num_distinct_edges
-            for code in model.label_refs:
-                node, label = divmod(code, g.num_labels)
+            assert len(model.label_refs) == g.num_label_assignments
+            pairs = assignment_pairs(g)
+            for i in modeled_label_ids(model):
+                node, label = pairs[i]
                 assert label in g.node_labels[node]
 
 

@@ -44,6 +44,43 @@ def test_importing_the_graph_module_imports_no_mining_code():
     assert got.stdout.split() == ["kgsum", "kgsum.graph"]
 
 
+def test_mining_scoring_and_completion_import_no_evaluation_harness(tmp_path):
+    # only perturb, evaluate and the freq/coverage selectors use kgsum.evalharness
+    triples, labels = write_inputs(tmp_path, private_children_kg())
+    common = ["--graph", triples, "--labels", labels]
+    model, edges = str(tmp_path / "m.json"), tmp_path / "edges.tsv"
+    edges.write_text("a0\tp\tb0\n")
+    commands = [
+        ["summarize", *common, "--out", model],
+        ["score", *common, "--model", model, "--test-edges", str(edges), "--out", str(tmp_path / "r.tsv")],
+        ["complete", *common, "--model", model, "--out", str(tmp_path / "c.json")],
+    ]
+    code = (
+        "import sys; import kgsum.cli as cli; loaded = ['kgsum.evalharness' in sys.modules];"
+        f"loaded += [cli.main(argv) or 'kgsum.evalharness' in sys.modules for argv in {commands!r}];"
+        "print(*loaded)"
+    )
+    got = run_python(["-c", code])
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.split() == ["False"] * 4
+    # an unknown test-edge identifier is still the harness's PerturbationError
+    edges.write_text("a0\tp\tnobody\n")
+    proc = run_cli(commands[1])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "unknown identifier" in errors[0]
+
+
+def test_perturb_without_anomalies_injects_every_type(tmp_path):
+    triples, labels = write_inputs(tmp_path, chained_ownership_kg(n_a=20, d_a=3, d_b=4))
+    with open(labels, "a", encoding="utf-8") as fh:  # a1 removes one of a node's labels
+        fh.writelines(f"a{i}\tOwner\n" for i in range(20))
+    out = tmp_path / "perturbed"
+    assert main(["perturb", "--graph", triples, "--labels", labels, "--out", str(out), "--q", "0.05"]) == 0
+    assert json.loads((out / "truth.json").read_text())["types"] == ["a1", "a2", "a3", "a4"]
+
+
 def test_every_exported_name_resolves_on_first_access():
     got = run_python(["-c", "from kgsum import *; from kgsum import summarize; import kgsum, sys;"
                             "assert summarize is sys.modules['kgsum.miner'].summarize;"

@@ -18,7 +18,9 @@ from kgsum.miner import build_model
 from kgsum.rules import OUT, AssertionSet, Child, Rule, match, walk
 
 from oracles import (
+    assignment_pairs,
     modeled_edge_ids,
+    modeled_label_ids,
     oracle_log_binomial,
     oracle_total_cost,
     oracle_traversal_bits,
@@ -283,6 +285,10 @@ def test_lossless_accounting_invariant():
         # one count per edge id, each an index into g.distinct_edges
         assert len(model.edge_refs) == g.num_distinct_edges
         assert model.num_modeled_edges == len(modeled_edge_ids(model))
-        for code in model.label_refs:
-            node, label = divmod(code, g.num_labels)
+        # one count per label-assignment id, each naming a label its node carries
+        assert len(model.label_refs) == g.num_label_assignments
+        assert model.num_modeled_labels == len(modeled_label_ids(model))
+        pairs = assignment_pairs(g)
+        for i in modeled_label_ids(model):
+            node, label = pairs[i]
             assert label in g.node_labels[node]

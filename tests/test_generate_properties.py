@@ -18,6 +18,7 @@ from kgsum.miner import generate_candidates
 
 from oracles import (
     _name_key,
+    as_ids,
     is_coverage_array,
     oracle_generate_candidates,
     oracle_log_binomial,
@@ -67,9 +68,9 @@ def test_generate_candidates_equals_the_per_edge_oracle(g, label_cap):
         assert c.correct_starts == frozenset(w.start_matches)
         assert c.num_assertions == sum(w.root in ls for ls in g.node_labels)
         assert set(c.covered_edge_ids) == w.edge_ids
-        assert set(c.covered_label_codes) == w.label_codes
+        assert set(c.covered_label_ids) == as_ids(g, (), w.labels)[1]
         assert is_coverage_array(c.covered_edge_ids, "I")
-        assert is_coverage_array(c.covered_label_codes, "Q")
+        assert is_coverage_array(c.covered_label_ids, "I")
         # exact: both sum the same per-start terms with math.fsum
         assert c.traversal_bits == w.traversal_bits
         assert c.rule_bits == pytest.approx(oracle_rule_cost(g, c.rule), rel=1e-12)

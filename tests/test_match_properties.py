@@ -59,9 +59,9 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
     correct, exceptions, edges, labels = oracle_match(g, rule)
     assert aset.correct_starts == correct
     assert aset.exception_starts == exceptions
-    assert (set(aset.covered_edge_ids), set(aset.covered_label_codes)) == as_ids(g, edges, labels)
+    assert (set(aset.covered_edge_ids), set(aset.covered_label_ids)) == as_ids(g, edges, labels)
     assert is_coverage_array(aset.covered_edge_ids, "I")
-    assert is_coverage_array(aset.covered_label_codes, "Q")
+    assert is_coverage_array(aset.covered_label_ids, "I")
     walked, _ = walk(rule, g, g.nodes_with_labels(rule.root_labels))
     assert {s for s, b in walked.items() if b is not None} == correct
     for s in correct:

@@ -8,7 +8,6 @@ import warnings
 import weakref
 from array import array
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 
@@ -238,7 +237,7 @@ def test_select_considers_reverse_pair_and_keeps_cheaper():
             correct_starts=frozenset({0}),
             num_assertions=1,
             covered_edge_ids=covered,
-            covered_label_codes=array("Q"),
+            covered_label_ids=array("I"),
             rule_bits=5.0,
             traversal_bits=traversal_bits,
         )
@@ -540,7 +539,12 @@ def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
     added = []  # how many entries each add replaced
 
     def snapshot(model):
-        return dict(model.label_refs), array("I", model.edge_refs), model.num_modeled_edges
+        return (
+            array("I", model.label_refs),
+            array("I", model.edge_refs),
+            model.num_modeled_labels,
+            model.num_modeled_edges,
+        )
 
     after_add = [snapshot(model)]
 
@@ -548,7 +552,7 @@ def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
         # nothing but an add moved the refcounts, and a price cannot write them
         assert snapshot(self) == after_add[-1]
         refs = self.label_refs, self.edge_refs
-        self.label_refs = MappingProxyType(self.label_refs)
+        self.label_refs = memoryview(self.label_refs).toreadonly()
         self.edge_refs = memoryview(self.edge_refs).toreadonly()
         try:
             return real_price(self, entry, drop)
@@ -628,12 +632,9 @@ def test_summarize_frees_the_unselected_candidates_before_the_refinements(make, 
     assert len(mined) > len(at_nest["entries"])
 
 
-def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
-    # the counterpart of the loaded-graph bound in test_graph.py: the
-    # tracemalloc peak of a whole summarize, the graph excluded.  Coverage as
-    # sorted id arrays and edge refcounts as one array indexed by edge id keep
-    # it at 162-166 B per distinct edge under Python 3.10-3.12; sets of ids
-    # and a dict of edge refcounts took 301-303 B.
+def traced_peak_per_edge(mine) -> float:
+    """The tracemalloc peak of ``mine(g)`` on ``scaling_kg_lines(50_000)``, in
+    bytes per distinct edge, the loaded graph excluded."""
     triples, labels = scaling_kg_lines(50_000)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the planted graph repeats a few triples
@@ -642,12 +643,30 @@ def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
     gc.collect()
     tracemalloc.start()
     try:
-        summarize(g, refine="nest")
+        mine(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_edge = peak / g.num_distinct_edges
-    assert per_edge <= 225, f"{per_edge:.1f} B per distinct edge"
+    return peak / g.num_distinct_edges
+
+
+def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
+    # the counterpart of the loaded-graph bound in test_graph.py: the peak of
+    # a whole summarize.  Coverage as sorted id arrays, edge and label
+    # refcounts as arrays indexed by id and candidates built one pattern at a
+    # time keep it at 143-146 B per distinct edge under Python 3.10-3.12;
+    # with label refcounts in a dict and every pattern's sets built at once,
+    # 162-166 B, and with sets of ids and a dict of edge refcounts, 301-303 B.
+    per_edge = traced_peak_per_edge(lambda g: summarize(g, refine="nest"))
+    assert per_edge <= 155, f"{per_edge:.1f} B per distinct edge"
+
+
+def test_generating_candidates_holds_few_bytes_per_edge_beyond_the_graph():
+    # one pattern's edge-id set and start counters at a time: 70-75 B per
+    # distinct edge under Python 3.10-3.12, against 157-159 B with every
+    # pattern's sets held until the candidates were emitted
+    per_edge = traced_peak_per_edge(generate_candidates)
+    assert per_edge <= 110, f"{per_edge:.1f} B per distinct edge"
 
 
 def test_refine_nest_composes_no_rule_deeper_than_rule_from_dict_reads(monkeypatch):

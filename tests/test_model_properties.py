@@ -1,17 +1,18 @@
 """Property tests: the model invariants hold after every stage of the pipeline
 on random graphs.  The coverage refcounts count each entry's coverage exactly
-after every change, edge scores read them as a set of covered ids would,
-an accepted merge covers exactly the union of its parts, a nesting
-composition covers a subset of its parts' union, ``Model.price`` of every
-change select, merge and nest could make is the total after that change
-(its ids counted exactly), the cost descends at every step, and a model file
-re-applied to its graph serializes identically.  The nesting bound is the
-same to the bit whether a start's depth-1 reach is the walk's neighbour list
-or a dict of branch counts."""
+after every change, on one-label and multi-label graphs, edge scores read
+them as a set of covered ids would, an accepted merge covers exactly the
+union of its parts, a nesting composition covers a subset of its parts'
+union, ``Model.price`` of every change select, merge and nest could make is
+the total after that change (its ids counted exactly), the cost descends at
+every step, and a model file re-applied to its graph serializes identically.
+The nesting bound is the same to the bit whether a start's depth-1 reach is
+the walk's neighbour list or a dict of branch counts."""
 
 import random
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -39,17 +40,22 @@ from kgsum.miner import (
 )
 from kgsum.rules import MAX_RULE_DEPTH, Rule, canonicalize, iter_positions, walk
 
+from oracles import assignment_pairs
 from synth import chained_ownership_kg, random_kg, random_owned_kg, random_rule, two_branch_kg
 
 
 def assert_refcounts_exact(model):
     """For every edge id ``i``, ``edge_refs[i]`` is the number of entries
-    whose coverage holds ``i``; ``num_modeled_edges`` is the number of
-    non-zero slots; ``label_refs`` counts each covered label code."""
+    whose coverage holds ``i``, and ``num_modeled_edges`` is the number of
+    non-zero slots; the same for every label-assignment id, ``label_refs``
+    and ``num_modeled_labels``."""
+    g = model.graph
     counts = Counter(i for e in model.entries for i in e.covered_edge_ids)
-    assert model.edge_refs.tolist() == [counts[i] for i in range(model.graph.num_distinct_edges)]
+    assert model.edge_refs.tolist() == [counts[i] for i in range(g.num_distinct_edges)]
     assert model.num_modeled_edges == len(counts) == sum(n > 0 for n in model.edge_refs)
-    assert model.label_refs == Counter(c for e in model.entries for c in e.covered_label_codes)
+    counts = Counter(i for e in model.entries for i in e.covered_label_ids)
+    assert model.label_refs.tolist() == [counts[i] for i in range(g.num_label_assignments)]
+    assert model.num_modeled_labels == len(counts) == sum(n > 0 for n in model.label_refs)
 
 
 def assert_edge_scores_read_the_coverage(model, rng):
@@ -74,19 +80,27 @@ def assert_edge_scores_read_the_coverage(model, rng):
         assert scorer.edge_score(s, p, o) == want
 
 
+@contextmanager
+def refcounts_checked_at_every_add():
+    """Within the block, every ``Model.add`` (each select, merge and nest step)
+    ends with ``assert_refcounts_exact``."""
+    real_add = Model.add
+
+    def add(self, *args, **kwargs):
+        real_add(self, *args, **kwargs)
+        assert_refcounts_exact(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Model, "add", add)
+        yield
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_model_invariants_after_select_merge_and_nest(seed):
     rng = random.Random(seed)
     g = random_owned_kg(rng)
-    real_add = Model.add
-
-    def add(self, *args, **kwargs):
-        real_add(self, *args, **kwargs)
-        assert_refcounts_exact(self)  # after each select, merge and nest step
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Model, "add", add)
+    with refcounts_checked_at_every_add():
         model = select(g, rank(qualify_all(generate_candidates(g), g), g))
         assert_refcounts_exact(model)
         assert_edge_scores_read_the_coverage(model, rng)
@@ -102,8 +116,8 @@ def test_model_invariants_after_select_merge_and_nest(seed):
             parts = [e for e in selected if (e.rule.root_labels, e.correct_starts) == key]
             assert len(parts) >= 2
             assert set(merged.covered_edge_ids) == set().union(*(e.covered_edge_ids for e in parts))
-            assert set(merged.covered_label_codes) == set().union(
-                *(e.covered_label_codes for e in parts)
+            assert set(merged.covered_label_ids) == set().union(
+                *(e.covered_label_ids for e in parts)
             )
 
         model = refine_nest(model, g)
@@ -139,9 +153,12 @@ def assert_priced_as_added(model, g, entry, drop=()):
         mp.setattr(encoding, "error_cost_counts",
                    lambda g, labels, edges: counted.append((labels, edges)) or real(g, labels, edges))
         price = model.price(entry, drop)
-    moved = Model(g, list(model.entries), array("I", model.edge_refs), dict(model.label_refs), model.total)
+    moved = Model(
+        g, list(model.entries), array("I", model.edge_refs), array("I", model.label_refs), model.total
+    )
     moved.add(entry, "test", "", price, drop)
-    assert counted == [(len(moved.label_refs), moved.num_modeled_edges)]
+    labels = len(moved.label_refs) - moved.label_refs.count(0)
+    assert counted == [(labels, moved.num_modeled_edges)]
     assert moved.history[-1][3] == price
     assert price == pytest.approx(moved.total_bits, rel=1e-12)
     assert_refcounts_exact(moved)
@@ -170,8 +187,8 @@ def assert_every_change_priced_as_added(model, g, ranked) -> Counter:
     for e_in, path, e_rt in nest_pairs(model):
         composed = RuleEntry.from_rule(canonicalize(_nest_rule(e_in.rule, path, e_rt.rule)), g)
         assert set(composed.covered_edge_ids) <= set(e_in.covered_edge_ids) | set(e_rt.covered_edge_ids)
-        assert set(composed.covered_label_codes) <= set(e_in.covered_label_codes) | set(
-            e_rt.covered_label_codes
+        assert set(composed.covered_label_ids) <= set(e_in.covered_label_ids) | set(
+            e_rt.covered_label_ids
         )
         assert_priced_as_added(model, g, composed, (e_in, e_rt))
         priced["nest"] += 1
@@ -204,6 +221,40 @@ def test_merges_and_nests_are_priced_as_added():
         priced += assert_every_change_priced_as_added(model, g, ranked)
         priced += assert_every_change_priced_as_added(refine_nest(model, g), g, ranked)
     assert min(priced["select"], priced["merge"], priced["nest"]) >= 1
+
+
+def multi_label_model(seed):
+    """A random graph whose nodes carry one to three labels (every bench
+    workload node carries one), its ranked candidates, and a model of every
+    ranked rule, since select keeps none on graphs this small."""
+    g = random_kg(random.Random(seed), max_nodes=10)
+    ranked = rank(qualify_all(generate_candidates(g), g), g)
+    return g, ranked, build_model(g, [c.rule for c in ranked])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_refcounts_exact_after_every_change_on_multi_label_graphs(seed):
+    with refcounts_checked_at_every_add():
+        g, ranked, model = multi_label_model(seed)
+        assert_refcounts_exact(model)
+        # each candidate appended, and each merge and nest in place of its parts
+        assert_every_change_priced_as_added(model, g, ranked)
+        model = refine_nest(refine_merge(model, g), g)
+    assert_refcounts_exact(model)
+
+
+def test_multi_label_models_count_labels_beyond_a_nodes_first():
+    # a node's first label has the lowest of its assignment ids, so these
+    # models also count ids that no one-label graph has
+    beyond_first = 0
+    for seed in range(30):
+        g, _, model = multi_label_model(seed)
+        pairs = assignment_pairs(g)
+        beyond_first += any(
+            n and pairs[i][1] != min(g.node_labels[pairs[i][0]]) for i, n in enumerate(model.label_refs)
+        )
+    assert beyond_first >= 10
 
 
 def dict_reach_by_start(rule, starts, lists):

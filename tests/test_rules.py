@@ -67,7 +67,7 @@ def test_match_book_rule_correct_assertion():
     # non-root labels revealed: 5 cast groups, the writer, the country
     labels = [(f"cast{i}", "CastGroup") for i in range(5)]
     labels += [("writer0", "Author"), ("country0", "Country")]
-    assert set(aset.covered_label_codes) == {n(v) * g.num_labels + g.label_id(l) for v, l in labels}
+    assert set(aset.covered_label_ids) == as_ids(g, (), {(n(v), g.label_id(l)) for v, l in labels})[1]
 
 
 def test_match_book_rule_exception_when_born_in_missing():
@@ -87,7 +87,7 @@ def test_leaf_rule_asserts_nothing_beyond_start():
     assert aset.correct_starts == frozenset({g.node_id("a"), g.node_id("b"), g.node_id("c")})
     assert aset.exception_starts == frozenset()
     assert set(aset.covered_edge_ids) == set()
-    assert set(aset.covered_label_codes) == set()
+    assert set(aset.covered_label_ids) == set()
     assert aset.traversal_bits == 0
 
 
@@ -124,7 +124,7 @@ def test_rule_objects_shared_between_positions_match_like_copies():
         correct, exceptions, edges, label_set = oracle_match(g, rule)
         assert aset.correct_starts == correct == {g.node_id("a0")}
         assert aset.exception_starts == exceptions
-        assert (set(aset.covered_edge_ids), set(aset.covered_label_codes)) == as_ids(g, edges, label_set)
+        assert (set(aset.covered_edge_ids), set(aset.covered_label_ids)) == as_ids(g, edges, label_set)
 
 
 def test_empty_root_is_an_error():
@@ -142,9 +142,9 @@ def test_match_agrees_with_bruteforce_oracle():
         correct, exceptions, edges, labels = oracle_match(g, rule)
         assert aset.correct_starts == correct
         assert aset.exception_starts == exceptions
-        assert (set(aset.covered_edge_ids), set(aset.covered_label_codes)) == as_ids(g, edges, labels)
+        assert (set(aset.covered_edge_ids), set(aset.covered_label_ids)) == as_ids(g, edges, labels)
         assert is_coverage_array(aset.covered_edge_ids, "I")
-        assert is_coverage_array(aset.covered_label_codes, "Q")
+        assert is_coverage_array(aset.covered_label_ids, "I")
 
 
 def test_partition_property():
