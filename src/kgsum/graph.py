@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from itertools import accumulate, count, repeat
 from operator import and_, eq, rshift
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 OUT = 0  # the node is the subject of the edge
 IN = 1  # the node is the object of the edge
@@ -147,20 +147,22 @@ class KnowledgeGraph:
         i = bisect_left(rows.ends, o, lo, hi)
         return rows.edge_ids[i] if i < hi and rows.ends[i] == o else None
 
-    def neighbor_edge_ids(self, node: int, p: int, direction: int, ws: list[int]) -> list[int]:
+    def neighbor_edge_ids(self, node: int, p: int, direction: int, ws: Sequence[int]) -> array:
         """The ids of the ``p`` edges joining ``node`` to each node of ``ws``, in
-        order: ``node -> w`` for ``OUT``, ``w -> node`` for ``IN``.  Every such
-        edge must be in the graph (``KeyError`` otherwise)."""
+        order, as an ``array("I")``: ``node -> w`` for ``OUT``, ``w -> node``
+        for ``IN``.  Every such edge must be in the graph (``KeyError``
+        otherwise).  When ``ws`` is an array of all the ``p`` neighbours (what
+        ``neighbors`` returns), the ids are one slice of the edge-id column."""
         rows = self._rows[direction]
         lo, hi = rows.span(node, p)
         ends, edge_ids = rows.ends, rows.edge_ids
-        if len(ws) == hi - lo and ends[lo:hi].tolist() == ws:
-            return edge_ids[lo:hi].tolist()  # the whole row, which nearly every walk asks for
+        if len(ws) == hi - lo and ends[lo:hi] == ws:
+            return edge_ids[lo:hi]  # the whole row, which nearly every walk asks for
         at = [bisect_left(ends, w, lo, hi) for w in ws]
         for i, w in zip(at, ws):
             if i == hi or ends[i] != w:
                 raise KeyError(w)
-        return list(map(edge_ids.__getitem__, at))
+        return array("I", map(edge_ids.__getitem__, at))
 
     def neighbors(self, node: int, p: int | None, direction: int) -> array:
         """Nodes joined to ``node`` by a ``p`` edge, in ascending id order: its

@@ -12,9 +12,9 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import countOf, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate
+from operator import countOf, itemgetter, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import encoding
 from .graph import KnowledgeGraph
@@ -518,38 +518,55 @@ class NestCounts:
     accepted: int = 0
 
 
-def _ways(nodes: list[int] | dict[int, int]) -> Iterable[tuple[int, int]]:
-    """Each reached node with the number of traversal branches that reach it."""
-    return nodes.items() if isinstance(nodes, dict) else zip(nodes, repeat(1))
+class Reach(NamedTuple):
+    """What each correct start of a rule reaches at one inner path, as flat
+    arrays: ``starts[k]`` reaches the nodes ``nodes[offsets[k]:offsets[k + 1]]``,
+    each by as many traversal branches as the same slice of ``ways`` says.  At
+    depth 1 a start's slice holds the walk's neighbour array for it, whose
+    nodes are distinct and each reached one way, and ``ways`` is ``None``.
+    Branch counts are stored as floats, each the correctly rounded value of
+    the exact count, which is what multiplying the count by a float uses."""
+
+    starts: array  # "I", one array shared by every path of the rule
+    offsets: array  # "I", len(starts) + 1 entries
+    nodes: array  # "I"
+    ways: array | None  # "d"
 
 
 def _reach_by_start(
-    rule: Rule, starts: Iterable[int], lists: dict[tuple[int, int], list[int]]
-) -> dict[tuple[int, ...], dict[int, list[int] | dict[int, int]]]:
-    """For every inner path of ``rule`` and each correct start, the nodes the
-    start's traversal reaches at that path; ``lists`` are those of
-    ``walk(rule, g, starts)``.  At depth 1 the reach is the walk's own
-    neighbour list, whose nodes are distinct and each reached one way.  Deeper,
-    several branches can reach one node, so the reach maps each node to the
-    number of branches that reach it."""
-    reach: dict[tuple[int, ...], dict[int, list[int] | dict[int, int]]] = {}
+    rule: Rule, starts: Iterable[int], lists: dict[tuple[int, int], array]
+) -> dict[tuple[int, ...], Reach]:
+    """The ``Reach`` of every inner path of ``rule``, its starts in the order
+    of ``starts``, the correct starts of ``walk(rule, g, starts)``, whose
+    neighbour arrays are ``lists``.  Each start's branch counts are summed
+    exactly, one start at a time, before they are stored."""
+    order = array("I", starts)
+    reach = {
+        path: Reach(order, array("I", [0]), array("I"), array("d") if len(path) > 1 else None)
+        for path, _ in iter_positions(rule)
+        if path
+    }
 
-    def descend(
-        r: Rule, path: tuple[int, ...], by_start: dict[int, list[int] | dict[int, int]]
-    ) -> None:
+    def descend(r: Rule, path: tuple[int, ...], reached: dict[int, int]) -> None:
         for i, c in enumerate(r.children):
-            step: dict[int, dict[int, int]] = {}
-            for s, nodes in by_start.items():
-                nxt = step[s] = {}
-                for u, ways in _ways(nodes):
-                    for w in lists[(u, id(c))]:
-                        nxt[w] = nxt.get(w, 0) + ways
-            reach[path + (i,)] = step
-            descend(c.child, path + (i,), step)
+            nxt: dict[int, int] = {}
+            for u, ways in reached.items():
+                for w in lists[(u, id(c))]:
+                    nxt[w] = nxt.get(w, 0) + ways
+            at = reach[path + (i,)]
+            at.nodes.extend(nxt)
+            at.ways.extend(nxt.values())
+            at.offsets.append(len(at.nodes))
+            descend(c.child, path + (i,), nxt)
 
     for i, c in enumerate(rule.children):
-        step = reach[(i,)] = {s: lists[(s, id(c))] for s in starts}
-        descend(c.child, (i,), step)
+        rows = [lists[(s, id(c))] for s in order]
+        at = reach[(i,)]
+        at.offsets.extend(accumulate(map(len, rows)))
+        at.nodes.frombytes(b"".join(rows))
+        if c.child.children:
+            for ws in rows:
+                descend(c.child, (i,), dict.fromkeys(ws, 1))
     del descend  # break the closure's reference cycle, which holds ``lists``
     return reach
 
@@ -559,17 +576,17 @@ def nest_bound(
     path: tuple[int, ...],
     e_rt: RuleEntry,
     composed_rule: Rule,
-    reach: dict[int, list[int] | dict[int, int]],
+    reach: Reach,
     bits_in: dict[int, float],
     bits_rt: dict[int, float],
     g: KnowledgeGraph,
+    slack: float = math.inf,
 ) -> float | None:
     """The model bits of ``composed_rule`` (``e_rt`` nested at ``path`` of
     ``e_in``) from cached per-start data, without matching it: ``reach`` is
-    e_in's per-start reach at ``path``, and ``bits_in`` and ``bits_rt`` are
-    the two rules' per-start traversal bits.  ``None`` when
-    ``_dedup_children`` drops a child at the inner node, where the sum below
-    would overcount.
+    e_in's reach at ``path``, and ``bits_in`` and ``bits_rt`` are the two
+    rules' per-start traversal bits.  ``None`` when ``_dedup_children`` drops
+    a child at the inner node, where the sum below would overcount.
 
     The path is non-empty, so the composed rule keeps e_in's root and its
     assertions.  A start stays correct exactly when it is correct in e_in and
@@ -578,6 +595,13 @@ def nest_bound(
     node, counted once per branch that reaches it.  Nesting covers no edge or
     label its two parts did not, so the error bits cannot fall, and this value
     plus the current error bits bounds the total with the pair accepted.
+
+    The sum stops early, once the rule bits plus the traversal bits summed so
+    far exceed the model bits of the two parts by more than ``slack``
+    (``value - e_in.model_bits - e_rt.model_bits > slack``), and returns that
+    partial value, which passes the same test.  Every term is at least 0 and
+    float addition is monotone, so the full value passes it too: the prune
+    decision is the full bound's.  With ``slack`` infinite the sum never stops.
     """
     node = e_in.rule
     for i in path:
@@ -585,19 +609,25 @@ def nest_bound(
     joined = node.children + e_rt.rule.children
     if len(_dedup_children(joined)) < len(joined):
         return None
+    rule_bits = encoding.rule_cost(composed_rule, g)
+    model_in, model_rt = e_in.model_bits, e_rt.model_bits
     rt_correct = e_rt.correct_starts
+    starts, offsets, nodes, ways = reach
     num_correct = 0
     traversal = 0.0
-    for s, reached in reach.items():
+    for k, s in enumerate(starts):
+        lo, hi = offsets[k], offsets[k + 1]
+        reached = nodes[lo:hi]
         if rt_correct.issuperset(reached):
             num_correct += 1
-            traversal += bits_in[s] + math.fsum(ways * bits_rt[w] for w, ways in _ways(reached))
+            rt_bits = map(bits_rt.__getitem__, reached)
+            if ways is not None:
+                rt_bits = map(mul, ways[lo:hi], rt_bits)
+            traversal += bits_in[s] + math.fsum(rt_bits)
+            if rule_bits + traversal - model_in - model_rt > slack:
+                return rule_bits + traversal
     n = e_in.num_assertions
-    return (
-        encoding.rule_cost(composed_rule, g)
-        + encoding.assertion_overhead(n, n - num_correct)
-        + traversal
-    )
+    return rule_bits + encoding.assertion_overhead(n, n - num_correct) + traversal
 
 
 def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = None) -> Model:
@@ -616,23 +646,24 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     is accepted.  Each scan sorts the pairs of the live entries afresh.  A
     rule's walk is cached by its canonical key from the first pair that reads
     it until no live entry has that key, so an unchanged entry keeps its
-    occupied sets, and its pairs their order, across acceptances.
+    occupied nodes, and its pairs their order, across acceptances.
     ``counts``, when given, is incremented with what happened to the pairs.
     """
     if counts is None:
         counts = NestCounts()
-    walked: dict[tuple, tuple[dict[int, float | None], dict, dict]] = {}
+    walked: dict[tuple, tuple[dict[int, float], dict[tuple, Reach], dict[tuple, array]]] = {}
 
     def walk_once(entry: RuleEntry) -> tuple:
-        """Each correct start's traversal bits and, per inner path, the per-start
-        reach and its union (the node set occupying that position), from one
-        walk; its neighbor lists not kept as depth-1 reach are then dropped
-        (memory)."""
+        """Each correct start's traversal bits, and per inner path the ``Reach``
+        and the sorted ``array("I")`` of the nodes occupying that position (the
+        union of the reach), from one walk whose neighbour arrays are dropped
+        once the reach is flattened (memory)."""
         hit = walked.get(entry.canon_key)
         if hit is None:
             bits, lists = walk(entry.rule, g, entry.correct_starts)
             reach = _reach_by_start(entry.rule, entry.correct_starts, lists)
-            occupied = {path: frozenset().union(*r.values()) for path, r in reach.items()}
+            del lists
+            occupied = {path: array("I", sorted(set(r.nodes))) for path, r in reach.items()}
             hit = walked[entry.canon_key] = (bits, reach, occupied)
         return hit
 
@@ -652,9 +683,10 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                     e_rt = entries[j]
                     if i == j or len(path) + e_rt.rule.depth() > MAX_RULE_DEPTH:
                         continue  # the composition would nest too deep to read back
-                    occ = walk_once(e_in)[2][path]
-                    union = occ | e_rt.correct_starts
-                    jac = (len(occ & e_rt.correct_starts) / len(union)) if union else 0.0
+                    occ, rt_starts = walk_once(e_in)[2][path], e_rt.correct_starts
+                    inter = countOf(map(rt_starts.__contains__, occ), True)
+                    union = len(occ) + len(rt_starts) - inter
+                    jac = inter / union if union else 0.0
                     pairs.append((-jac, e_in.canon_key, path, e_rt.canon_key, i, j))
         pairs.sort()
         for _, _, path, _, i, j in pairs:
@@ -662,8 +694,8 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
             counts.considered += 1
             composed_rule = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
             (bits_in, reach, _), (bits_rt, _, _) = walk_once(e_in), walk_once(e_rt)
-            bound = nest_bound(e_in, path, e_rt, composed_rule, reach[path], bits_in, bits_rt, g)
             slack = NEST_PRUNE_MARGIN * model.total
+            bound = nest_bound(e_in, path, e_rt, composed_rule, reach[path], bits_in, bits_rt, g, slack)
             if bound is not None and bound - e_in.model_bits - e_rt.model_bits > slack:
                 counts.pruned += 1
                 continue

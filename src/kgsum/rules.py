@@ -96,28 +96,32 @@ def iter_positions(rule: Rule, _path: tuple[int, ...] = ()) -> Iterator[tuple[tu
         yield from iter_positions(c.child, _path + (i,))
 
 
-def matching_neighbors(g: KnowledgeGraph, node: int, child: Child) -> list[int]:
-    """Direction-respecting neighbors of ``node`` carrying the child's root labels."""
-    neighbors = g.neighbors(node, child.predicate, child.direction)
-    if not neighbors:
-        return []
-    want = child.child.root_labels
-    return [w for w in neighbors if want <= g.node_labels[w]]
+def matching_neighbors(g: KnowledgeGraph, node: int, child: Child) -> array:
+    """Direction-respecting neighbors of ``node`` carrying the child's root
+    labels, in ascending id order: the graph's neighbour slice itself
+    (``KnowledgeGraph.neighbors``) when every neighbour carries them, which one
+    pass in C tests, else a filtered copy."""
+    ws = g.neighbors(node, child.predicate, child.direction)
+    want, node_labels = child.child.root_labels, g.node_labels
+    if all(map(want.issubset, map(node_labels.__getitem__, ws))):
+        return ws
+    return array("I", [w for w in ws if want <= node_labels[w]])
 
 
 def walk(
     rule: Rule, g: KnowledgeGraph, starts: Iterable[int]
-) -> tuple[dict[int, float | None], dict[tuple[int, int], list[int]]]:
+) -> tuple[dict[int, float | None], dict[tuple[int, int], array]]:
     """Walk ``rule`` from each start: ``None`` for an exception, else the bits
     that guide its traversal (per child at each visited node, the
     matching-neighbor count, bounded by |V|, and the neighbor ids).  Also
-    returns every neighbor list looked up, keyed by (node, id of the child),
-    which covers each node a correct traversal visits.  Repeated (node,
-    rule-node) expansions are memoized, so the walk terminates on any graph."""
+    returns every ``matching_neighbors`` array looked up, keyed by (node, id
+    of the child), which covers each node a correct traversal visits.
+    Repeated (node, rule-node) expansions are memoized, so the walk
+    terminates on any graph."""
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = g.neighbor_universe
     memo: dict[tuple[int, int], float | None] = {}
-    lists: dict[tuple[int, int], list[int]] = {}
+    lists: dict[tuple[int, int], array] = {}
 
     def expand(u: int, r: Rule) -> float | None:
         key = (u, id(r))
@@ -148,7 +152,7 @@ def walk(
 
 
 def collect(
-    rule: Rule, g: KnowledgeGraph, walked: dict[int, float | None], lists: dict[tuple[int, int], list[int]]
+    rule: Rule, g: KnowledgeGraph, walked: dict[int, float | None], lists: dict[tuple[int, int], array]
 ) -> AssertionSet:
     """Partition the starts of ``walk(rule, g, starts)`` and collect the
     edges and labels that the correct traversals cover.  The covered nodes

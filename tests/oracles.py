@@ -88,7 +88,9 @@ def oracle_log_binomial(n: int, k: int) -> float:
     return math.log2(math.comb(n, k))
 
 
-def _neighbors(g: KnowledgeGraph, u: int, child: Child) -> list[int]:
+def oracle_matching_neighbors(g: KnowledgeGraph, u: int, child: Child) -> list[int]:
+    """The child's direction-respecting neighbours of ``u`` that carry its
+    root labels, in ascending id order, from a scan of every edge."""
     want = child.child.root_labels
     if child.direction == OUT:
         found = {o for s, p, o in g.distinct_edges if s == u and p == child.predicate}
@@ -99,7 +101,7 @@ def _neighbors(g: KnowledgeGraph, u: int, child: Child) -> list[int]:
 
 def _succeeds(g: KnowledgeGraph, u: int, rule: Rule) -> bool:
     for c in rule.children:
-        ws = _neighbors(g, u, c)
+        ws = oracle_matching_neighbors(g, u, c)
         if not ws:
             return False
         for w in ws:
@@ -119,7 +121,7 @@ def oracle_match(g: KnowledgeGraph, rule: Rule):
 
     def collect(u: int, r: Rule) -> None:
         for c in r.children:
-            for w in _neighbors(g, u, c):
+            for w in oracle_matching_neighbors(g, u, c):
                 edges.add((u, c.predicate, w) if c.direction == OUT else (w, c.predicate, u))
                 for l in c.child.root_labels:
                     labels.add((w, l))
@@ -184,7 +186,7 @@ def oracle_traversal_bits(g: KnowledgeGraph, u: int, rule: Rule) -> float:
     """Traversal bits of ``rule`` from the single start ``u``."""
     bits = 0.0
     for c in rule.children:
-        ws = _neighbors(g, u, c)
+        ws = oracle_matching_neighbors(g, u, c)
         bits += math.log2(g.num_nodes) + oracle_log_binomial(_neighbor_universe(g), len(ws))
         for w in ws:
             bits += oracle_traversal_bits(g, w, c.child)
@@ -394,7 +396,7 @@ def oracle_refine_nest(
                 occ = set(correct[i])
                 r = r_in
                 for k in path:
-                    occ = {w for u in occ for w in _neighbors(g, u, r.children[k])}
+                    occ = {w for u in occ for w in oracle_matching_neighbors(g, u, r.children[k])}
                     r = r.children[k].child
                 for j, r_rt in enumerate(rules):
                     if i == j or node.root_labels != r_rt.root_labels:

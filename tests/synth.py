@@ -3,7 +3,10 @@ checks and planted-pattern graphs for the desk-scale and scaling runs."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from kgsum.graph import KnowledgeGraph, parse_graph
 from kgsum.rules import IN, OUT, Child, Rule
@@ -274,3 +277,17 @@ def scaling_kg_lines(
             j = targets[rng.randrange(len(targets))]
             triple_rows.append(f"{name}\t{pred}\tn{j:07d}\n")
     return triple_rows, label_rows
+
+
+def bench_kg(name: str, seed: int, scale: float = 1.0) -> KnowledgeGraph:
+    """The graph of the ``bench/workloads.py`` workload ``name`` at ``scale``.
+    That module imports no kgsum; it is loaded from its file once, as
+    ``bench_workloads``."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    w = workloads.GENERATORS[name](seed, scale)
+    return parse_graph(("\t".join(t) + "\n" for t in w.triples), ("\t".join(l) + "\n" for l in w.labels))

@@ -6,6 +6,8 @@ lines and the occasional malformed line; ``edge_index`` and
 graph lacks."""
 
 import warnings
+from array import array
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -101,16 +103,20 @@ def test_neighbor_edge_ids_equal_edge_index_per_neighbour(triple_lines, data):
                 ends = [(v, w) if direction == OUT else (w, v) for w in ws]
                 want = [g.edge_index(s, p, o) for s, o in ends]
                 assert None not in want
-                assert g.neighbor_edge_ids(v, p, direction, ws) == want
+                # a list, and an array as a walk passes, which is one slice of
+                # the row when it holds all of the row in order
+                for seq in (ws, array("I", ws)):
+                    assert list(g.neighbor_edge_ids(v, p, direction, seq)) == want
                 # a node that is not a neighbour is a KeyError, also in place of
                 # a neighbour, where the list is as long as the row and so is
                 # checked against the whole row before it is read as one slice
                 strangers = [u for u in range(g.num_nodes + 1) if u not in ws]
-                with pytest.raises(KeyError):
-                    g.neighbor_edge_ids(v, p, direction, [*ws, strangers[0]])
-                if ws:
+                for seq in (list, partial(array, "I")):
                     with pytest.raises(KeyError):
-                        g.neighbor_edge_ids(v, p, direction, [strangers[0], *ws[1:]])
+                        g.neighbor_edge_ids(v, p, direction, seq([*ws, strangers[0]]))
+                    if ws:
+                        with pytest.raises(KeyError):
+                            g.neighbor_edge_ids(v, p, direction, seq([strangers[0], *ws[1:]]))
 
 
 IDS = st.integers(-2, 6) | st.sampled_from([2**32 - 1, 2**32, 2**40])

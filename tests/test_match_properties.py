@@ -1,9 +1,10 @@
 """Property tests: ``match`` and the costs built on its single walk agree with
 the straight-line oracles on random graphs (self-loops included) and random
-rules up to depth 3, and a canonical rule's ``canon_key`` is the oracle's
-name key."""
+rules up to depth 3, a canonical rule's ``canon_key`` is the oracle's name
+key, and each node's matching neighbours and their edge ids are the oracles'."""
 
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from kgsum.encoding import assertions_cost
 from kgsum.graph import parse_graph
 from kgsum.miner import _canon_key
-from kgsum.rules import IN, OUT, Child, Rule, canonicalize, match, walk
+from kgsum.rules import IN, OUT, Child, Rule, canonicalize, match, matching_neighbors, walk
 
 from oracles import (
     _name_key,
@@ -20,6 +21,7 @@ from oracles import (
     is_coverage_array,
     oracle_assertions_cost,
     oracle_match,
+    oracle_matching_neighbors,
     oracle_traversal_bits,
 )
 
@@ -71,3 +73,22 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
         assert assertions_cost(aset, g) == pytest.approx(oracle_assertions_cost(g, rule), rel=1e-12)
     canon = canonicalize(rule)
     assert _canon_key(canon, g) == _name_key(g, canon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matching_neighbors_and_their_edge_ids_equal_the_oracles(data):
+    # the whole row, a filtered copy or nothing, with the ids and order of a
+    # scan of every edge; the walk's arrays read back as one edge id per
+    # neighbour
+    g = data.draw(graphs())
+    want = data.draw(st.frozensets(st.integers(0, g.num_labels - 1), min_size=1, max_size=2))
+    for u in range(g.num_nodes):
+        for p in range(g.num_preds):
+            for direction in (OUT, IN):
+                child = Child(p, direction, Rule(want))
+                ws = matching_neighbors(g, u, child)
+                assert type(ws) is array and ws.typecode == "I"
+                assert list(ws) == oracle_matching_neighbors(g, u, child)
+                ends = [(u, w) if direction == OUT else (w, u) for w in ws]
+                assert list(g.neighbor_edge_ids(u, p, direction, ws)) == [g.edge_index(s, p, o) for s, o in ends]

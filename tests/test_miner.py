@@ -1,13 +1,11 @@
 import builtins
 import gc
-import importlib
 import math
 import random
 import tracemalloc
 import warnings
 import weakref
 from array import array
-from pathlib import Path
 
 import pytest
 
@@ -23,6 +21,7 @@ from kgsum.miner import (
     build_model,
     empty_model,
     generate_candidates,
+    nest_bound,
     qualify,
     qualify_all,
     rank,
@@ -44,6 +43,7 @@ from oracles import (
     oracle_traversal_bits,
 )
 from synth import (
+    bench_kg,
     chain_kg,
     chained_ownership_kg,
     planted_cycle_kg,
@@ -459,12 +459,13 @@ def check_nest_against_oracle(g, model, monkeypatch) -> tuple[NestCounts, list[t
     bound to equal the model bits of the fully matched composition, and the
     result to equal the unpruned straight-line refinement's."""
     bounds = []
-    real = miner.nest_bound
 
-    def recording(e_in, path, e_rt, composed_rule, reach, bits_in, bits_rt, g_):
-        bound = real(e_in, path, e_rt, composed_rule, reach, bits_in, bits_rt, g_)
+    def recording(e_in, path, e_rt, composed_rule, reach, bits_in, bits_rt, g_, slack):
+        # the full bound is recorded; refine_nest gets the one that stops once
+        # it clears, which prunes the same pairs
+        bound = nest_bound(e_in, path, e_rt, composed_rule, reach, bits_in, bits_rt, g_)
         bounds.append((path, composed_rule, bound))
-        return bound
+        return nest_bound(e_in, path, e_rt, composed_rule, reach, bits_in, bits_rt, g_, slack)
 
     monkeypatch.setattr(miner, "nest_bound", recording)
     rules_before = list(model.rules)
@@ -522,18 +523,11 @@ def test_refine_nest_evaluates_pairs_whose_children_dedup(monkeypatch):
     assert ((0,), nested, None) in bounds
 
 
-def load_bench_workload(name: str, seed: int, monkeypatch):
-    """The graph of a ``bench/workloads.py`` workload, which imports no kgsum."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    w = importlib.import_module("workloads").GENERATORS[name](seed)
-    return parse_graph(("\t".join(t) + "\n" for t in w.triples), ("\t".join(l) + "\n" for l in w.labels))
-
-
 @pytest.mark.parametrize(
     "name, expected", [("sparse", (300, 300, 0, 0)), ("nested", (50, 0, 50, 25))]
 )
 def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
-    g = load_bench_workload(name, 101, monkeypatch)
+    g = bench_kg(name, 101)
     model = summarize(g, refine="merge")
     real_price, real_add = Model.price, Model.add
     added = []  # how many entries each add replaced
@@ -653,12 +647,36 @@ def traced_peak_per_edge(mine) -> float:
 def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
     # the counterpart of the loaded-graph bound in test_graph.py: the peak of
     # a whole summarize.  Coverage as sorted id arrays, edge and label
-    # refcounts as arrays indexed by id and candidates built one pattern at a
-    # time keep it at 143-146 B per distinct edge under Python 3.10-3.12;
-    # with label refcounts in a dict and every pattern's sets built at once,
-    # 162-166 B, and with sets of ids and a dict of edge refcounts, 301-303 B.
+    # refcounts as arrays indexed by id, candidates built one pattern at a
+    # time and nest walks kept as flat reach arrays keep it at 79-82 B per
+    # distinct edge under Python 3.10-3.12; with per-start reach lists and
+    # occupied frozensets, 143-146 B; with label refcounts in a dict and every
+    # pattern's sets built at once, 162-166 B, and with sets of ids and a dict
+    # of edge refcounts, 301-303 B.
     per_edge = traced_peak_per_edge(lambda g: summarize(g, refine="nest"))
-    assert per_edge <= 155, f"{per_edge:.1f} B per distinct edge"
+    assert per_edge <= 91, f"{per_edge:.1f} B per distinct edge"
+
+
+def test_nesting_peaks_no_higher_than_selection(monkeypatch):
+    # refine_nest keeps a walk cache for every host it pairs; as flat reach
+    # arrays it peaks at 3.62-3.77 MiB against select's 3.68-3.90 under Python
+    # 3.10-3.12 (with per-start reach lists and occupied frozensets, 6.58-6.73)
+    peaks = {}
+
+    def traced(name, real):
+        def phase(*args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+
+        return phase
+
+    monkeypatch.setattr(miner, "select", traced("select", miner.select))
+    monkeypatch.setattr(miner, "refine_nest", traced("refine_nest", miner.refine_nest))
+    traced_peak_per_edge(lambda g: summarize(g, refine="nest"))
+    assert peaks["refine_nest"] <= peaks["select"], peaks
 
 
 def test_generating_candidates_holds_few_bytes_per_edge_beyond_the_graph():

@@ -7,26 +7,30 @@ union, ``Model.price`` of every change select, merge and nest could make is
 the total after that change (its ids counted exactly), the cost descends at
 every step, and a model file re-applied to its graph serializes identically.
 The nesting bound is the same to the bit whether a start's depth-1 reach is
-the walk's neighbour list or a dict of branch counts."""
+the walk's neighbour array or carries branch counts of 1, and the bound that
+stops once it clears prunes exactly the pairs the full bound prunes."""
 
+import math
 import random
 from array import array
 from collections import Counter
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgsum import encoding
+from kgsum import encoding, miner
 from kgsum.anomaly import AnomalyScorer
 from kgsum.miner import (
+    NEST_PRUNE_MARGIN,
     Model,
+    Reach,
     RuleEntry,
     _dedup_children,
     _nest_rule,
     _reach_by_start,
-    _ways,
     build_model,
     generate_candidates,
     model_from_dict,
@@ -37,11 +41,12 @@ from kgsum.miner import (
     refine_merge,
     refine_nest,
     select,
+    summarize,
 )
 from kgsum.rules import MAX_RULE_DEPTH, Rule, canonicalize, iter_positions, walk
 
 from oracles import assignment_pairs
-from synth import chained_ownership_kg, random_kg, random_owned_kg, random_rule, two_branch_kg
+from synth import bench_kg, chained_ownership_kg, random_kg, random_owned_kg, random_rule, two_branch_kg
 
 
 def assert_refcounts_exact(model):
@@ -277,33 +282,84 @@ def dict_reach_by_start(rule, starts, lists):
     return reach
 
 
-def check_reach(g, hosts, nested) -> set[tuple[int, int]]:
-    """Require each host's reach to be the dict form's, its depth-1 reach to
-    be the walk's own lists, and ``nest_bound`` from it to equal the bound from
-    the dict form for every pair.  Returns each (path length, most branches
-    reaching one node) seen."""
-    seen = set()
+def flat_reach(starts, by_start) -> Reach:
+    """The dict form of one path's reach as a ``Reach`` with branch counts at
+    every depth, depth 1 included."""
+    order = array("I", starts)
+    offsets, nodes, ways = array("I", [0]), array("I"), array("d")
+    for s in order:
+        nodes.extend(by_start[s])
+        ways.extend(by_start[s].values())
+        offsets.append(len(nodes))
+    return Reach(order, offsets, nodes, ways)
+
+
+def nest_bound_args(g, hosts, nested):
+    """The ``nest_bound`` arguments but the graph, (e_in, path, e_rt, composed
+    rule, e_in's reach at the path, e_in's per-start bits, e_rt's per-start
+    bits), of every pair of a host and a nested rule whose root labels are
+    those of an inner node of the host."""
     for e_in in hosts:
         bits_in, lists = walk(e_in.rule, g, e_in.correct_starts)
         reach = _reach_by_start(e_in.rule, e_in.correct_starts, lists)
-        want = dict_reach_by_start(e_in.rule, e_in.correct_starts, lists)
-        assert reach.keys() == want.keys()
-        for path, by_start in reach.items():
-            assert by_start.keys() == want[path].keys()
-            for s, nodes in by_start.items():
-                if len(path) == 1:
-                    assert nodes is lists[(s, id(e_in.rule.children[path[0]]))]
-                assert list(_ways(nodes)) == list(want[path][s].items())
-                seen.add((len(path), max(want[path][s].values())))
         for path, node in iter_positions(e_in.rule):
             for e_rt in nested:
                 if path and node.root_labels == e_rt.rule.root_labels:
                     composed = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
                     bits_rt, _ = walk(e_rt.rule, g, e_rt.correct_starts)
-                    args = bits_in, bits_rt, g
-                    bound = nest_bound(e_in, path, e_rt, composed, reach[path], *args)
-                    assert bound == nest_bound(e_in, path, e_rt, composed, want[path], *args)
+                    yield e_in, path, e_rt, composed, reach[path], bits_in, bits_rt
+
+
+def check_reach(g, hosts, nested) -> set[tuple[int, int]]:
+    """Require each host's reach to be the dict form's, its depth-1 reach to
+    be the walk's own arrays, and ``nest_bound`` from it to equal the bound from
+    the dict form for every pair.  Returns each (path length, most branches
+    reaching one node) seen."""
+    seen = set()
+    dict_forms = {}
+    for e_in in hosts:
+        _, lists = walk(e_in.rule, g, e_in.correct_starts)
+        reach = _reach_by_start(e_in.rule, e_in.correct_starts, lists)
+        want = dict_forms[id(e_in)] = dict_reach_by_start(e_in.rule, e_in.correct_starts, lists)
+        assert reach.keys() == want.keys()
+        for path, at in reach.items():
+            assert list(at.starts) == list(want[path])
+            for k, s in enumerate(at.starts):
+                lo, hi = at.offsets[k], at.offsets[k + 1]
+                nodes = at.nodes[lo:hi]
+                if len(path) == 1:
+                    assert at.ways is None
+                    assert nodes == lists[(s, id(e_in.rule.children[path[0]]))]
+                    ways = [1] * len(nodes)
+                else:
+                    ways = at.ways[lo:hi]
+                assert list(zip(nodes, ways)) == list(want[path][s].items())
+                seen.add((len(path), max(want[path][s].values())))
+    for e_in, path, e_rt, composed, reach, bits_in, bits_rt in nest_bound_args(g, hosts, nested):
+        args = bits_in, bits_rt, g
+        bound = nest_bound(e_in, path, e_rt, composed, reach, *args)
+        want = flat_reach(e_in.correct_starts, dict_forms[id(e_in)][path])
+        assert bound == nest_bound(e_in, path, e_rt, composed, want, *args)
     return seen
+
+
+def assert_early_stop_prunes_as_the_full_bound(g, pair, slack) -> bool:
+    """Require ``nest_bound`` with ``slack`` to prune a pair (the arguments
+    ``nest_bound_args`` yields) exactly when the full bound does, to equal
+    the full bound when it does not prune, and to be at most the full bound.
+    True when its value is not the full bound's."""
+    e_in, e_rt = pair[0], pair[2]
+    full = nest_bound(*pair, g)
+    early = nest_bound(*pair, g, slack)
+    if full is None:
+        assert early is None
+        return False
+    pruned = full - e_in.model_bits - e_rt.model_bits > slack
+    assert (early - e_in.model_bits - e_rt.model_bits > slack) == pruned
+    assert early <= full
+    if not pruned:
+        assert early == full
+    return early != full
 
 
 def reach_case(seed):
@@ -322,6 +378,60 @@ def reach_case(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_nest_bound_from_list_reach_equals_the_dict_form(seed):
     check_reach(*reach_case(seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-64.0, 64.0))
+def test_early_stopped_nest_bound_prunes_as_the_full_bound(seed, offset):
+    # slacks on both sides of each pair's prune threshold, and on it
+    g, hosts, nested = reach_case(seed)
+    for pair in nest_bound_args(g, hosts, nested):
+        full = nest_bound(*pair, g)
+        threshold = 0.0 if full is None else full - pair[0].model_bits - pair[2].model_bits
+        for slack in (
+            offset,
+            threshold + offset,
+            threshold,
+            math.nextafter(threshold, -math.inf),
+            math.nextafter(threshold, math.inf),
+            threshold - (full or 0.0) / 2,
+            NEST_PRUNE_MARGIN * abs(threshold),
+        ):
+            assert_early_stop_prunes_as_the_full_bound(g, pair, slack)
+
+
+def test_early_stop_cases_return_partial_bounds():
+    # with the slack half the bound below a pair's prune threshold, about 45%
+    # of these pairs clear before the sum ends
+    stopped = 0
+    for seed in range(20):
+        g, hosts, nested = reach_case(seed)
+        for pair in nest_bound_args(g, hosts, nested):
+            full = nest_bound(*pair, g)
+            if full is not None:
+                threshold = full - pair[0].model_bits - pair[2].model_bits
+                stopped += assert_early_stop_prunes_as_the_full_bound(g, pair, threshold - full / 2)
+    assert stopped >= 300
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["sparse", "nested"]), st.integers(0, 2**16))
+def test_early_stopped_nest_bound_prunes_as_the_full_bound_on_bench_shaped_graphs(name, seed):
+    # every pair refine_nest tries, at the slack it uses and on both sides of
+    # the pair's prune threshold
+    g = bench_kg(name, seed, scale=0.1)
+    model = summarize(g, refine="merge")
+
+    def checked(*args):
+        *pair, g_, slack = args
+        full = nest_bound(*pair, g_)
+        threshold = 0.0 if full is None else full - pair[0].model_bits - pair[2].model_bits
+        for s in (slack, threshold, math.nextafter(threshold, -math.inf), math.nextafter(threshold, math.inf)):
+            assert_early_stop_prunes_as_the_full_bound(g_, pair, s)
+        return nest_bound(*args)
+
+    with mock.patch.object(miner, "nest_bound", checked):
+        refine_nest(model, g)
 
 
 def test_reach_cases_cover_both_depths_and_converging_branches():

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -14,11 +15,12 @@ from kgsum.rules import (
     atomic,
     canonicalize,
     match,
+    matching_neighbors,
     rule_from_dict,
     rule_to_dict,
 )
 
-from oracles import as_ids, is_coverage_array, oracle_match
+from oracles import as_ids, is_coverage_array, oracle_match, oracle_matching_neighbors
 from synth import random_kg, random_rule
 
 
@@ -104,6 +106,33 @@ def test_a_child_with_an_unknown_predicate_matches_nothing():
     aset = match(Rule(frozenset({book}), (Child(None, OUT, Rule(frozenset({author}))),)), g)
     assert aset.correct_starts == frozenset() and aset.exception_starts == {g.node_id("novel0")}
     assert set(aset.covered_edge_ids) == set() and aset.traversal_bits == 0
+
+
+def test_matching_neighbors_is_the_whole_row_a_filtered_copy_or_empty():
+    g = parse_graph(
+        ["a\tp\tb\n", "a\tp\tc\n", "a\tp\td\n", "e\tp\tc\n", "e\tp\tb\n", "e\tq\ta\n"],
+        ["b\tX\n", "c\tX\n", "c\tY\n", "d\tY\n", "a\tW\n", "e\tW\n", "a\tZ\n"],
+    )
+    node, label, pred = g.node_id, g.label_id, g.pred_id
+    cases = [
+        # (node, predicate, direction, child labels, neighbours, whole row)
+        ("e", "p", OUT, "X", "bc", True),
+        ("c", "p", IN, "W", "ae", True),
+        ("a", "p", OUT, "X", "bc", False),
+        ("e", "p", OUT, "Y", "c", False),
+        ("e", "p", OUT, "XY", "c", False),
+        ("e", "q", OUT, "X", "", False),
+        ("b", "p", OUT, "X", "", True),  # a node without p edges: its empty row
+    ]
+    for u, p, direction, labels, want, whole in cases:
+        u, p = node(u), pred(p)
+        child = Child(p, direction, Rule(frozenset(map(label, labels))))
+        ws = matching_neighbors(g, u, child)
+        assert type(ws) is array and ws.typecode == "I"
+        assert list(ws) == list(map(node, want)) == oracle_matching_neighbors(g, u, child)
+        assert (ws == g.neighbors(u, p, direction)) == whole
+        ends = [(u, w) if direction == OUT else (w, u) for w in ws]
+        assert list(g.neighbor_edge_ids(u, p, direction, ws)) == [g.edge_index(s, p, o) for s, o in ends]
 
 
 def test_rule_objects_shared_between_positions_match_like_copies():
