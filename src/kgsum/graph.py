@@ -22,8 +22,9 @@ label assignments (node, label) are numbered densely by node, then label:
 node ``v``'s labels, in ascending label id, hold the assignment ids
 ``label_offsets[v]`` to ``label_offsets[v + 1] - 1``.  A rule's coverage is
 its edge ids and its assignment ids (``assignment_ids``).  Nodes with equal
-label sets share one frozenset, and each label's node set (``label_nodes``)
-is a frozenset built at load.  ``edges`` and
+label sets share one frozenset, and each label's nodes are one ascending
+``array("I")`` of node ids (``label_index``), built at load from the nodes'
+label sets; ``label_nodes`` hands out a frozenset copy.  ``edges`` and
 ``distinct_edges`` build (s, p, o) tuple lists on each call; mining, scoring
 and completion never call them.
 """
@@ -34,7 +35,7 @@ import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from itertools import accumulate, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import and_, eq, rshift
 from typing import Iterable, Iterator, Sequence
 
@@ -109,7 +110,8 @@ class KnowledgeGraph:
         self.label_offsets = array("I", [0])
         # each distinct label set -> its labels' ranks in ascending id order
         self._label_ranks: dict[frozenset[int], dict[int, int]] = {}
-        self.label_index: list[frozenset[int]] = []
+        # each label's nodes, ascending
+        self.label_index: list[array] = []
         self.n_label: list[int] = []
         self.n_pred: list[int] = []
         self.has_self_loop = False
@@ -220,9 +222,13 @@ class KnowledgeGraph:
         return self.num_labels * self.num_nodes
 
     def label_nodes(self, label: int) -> frozenset[int]:
+        """The nodes carrying ``label``, as a snapshot (empty for an unknown id)."""
+        return frozenset(self._label_array(label))
+
+    def _label_array(self, label: int) -> array:
         if 0 <= label < len(self.label_index):
             return self.label_index[label]
-        return frozenset()
+        return array("I")
 
     def assignment_ids(self, label: int, nodes: Iterable[int]) -> list[int]:
         """The assignment id of (v, ``label``) for each node v of ``nodes``,
@@ -231,16 +237,13 @@ class KnowledgeGraph:
         return [offsets[v] + ranks[node_labels[v]][label] for v in nodes]
 
     def nodes_with_labels(self, labels: Iterable[int]) -> set[int]:
-        """Nodes carrying every label in ``labels`` (empty for unknown ids)."""
-        sets = sorted((self.label_nodes(l) for l in labels), key=len)
-        if not sets:
+        """Nodes carrying every label in ``labels`` (empty for unknown ids):
+        the nodes of the rarest label whose label sets hold all of ``labels``."""
+        want = frozenset(labels)
+        if not want:
             return set()
-        acc = set(sets[0])
-        for s in sets[1:]:
-            acc &= s
-            if not acc:
-                break
-        return acc
+        rarest = min(map(self._label_array, want), key=len)
+        return set(compress(rarest, map(want.issubset, map(self.node_labels.__getitem__, rarest))))
 
 
 def _fields(source: str, lines: Iterable[str], arity: int) -> Iterator[tuple[int, list[str]]]:
@@ -283,13 +286,28 @@ def parse_graph(
     # that a one-label node needs no set of its own while the file is read
     first_label: dict[int, int] = {}
     more_labels: defaultdict[int, set[int]] = defaultdict(set)
-    nodes_of: defaultdict[int, set[int]] = defaultdict(set)
     for _, (v, l) in _fields(label_source, label_lines, 2):
         vid = node_ids.setdefault(v, len(node_ids))
         lid = label_ids.setdefault(l, len(label_ids))
         if first_label.setdefault(vid, lid) != lid:
             more_labels[vid].add(lid)
-        nodes_of[lid].add(vid)
+
+    # the label index is built, and the label pass's dicts freed, before the
+    # rows sort (memory); nodes with equal label sets share one frozenset
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    node_labels = g.node_labels = [frozenset()] * len(node_ids)
+    for vid, lid in first_label.items():
+        labels = frozenset((lid, *more_labels.get(vid, ())))
+        node_labels[vid] = shared.setdefault(labels, labels)
+    del first_label, more_labels
+    g.label_offsets = array("I", accumulate(map(len, node_labels), initial=0))
+    g._label_ranks = {ls: {l: i for i, l in enumerate(sorted(ls))} for ls in shared}
+    del shared
+    label_index = g.label_index = [array("I") for _ in label_ids]
+    for vid, labels in enumerate(node_labels):
+        for lid in labels:
+            label_index[lid].append(vid)
+    g.n_label = list(map(len, label_index))
 
     g.node_names = list(node_ids)
     g.pred_names = list(pred_ids)
@@ -304,16 +322,6 @@ def parse_graph(
     lines_per_pred = Counter(map(preds.__getitem__, line_edges))
     g.n_pred = [lines_per_pred[p] for p in range(num_preds)]
     g.has_self_loop = any(map(eq, subjects, objects))
-    g.label_index = [frozenset(nodes_of.pop(l)) for l in range(len(label_ids))]
-    g.n_label = [len(nodes) for nodes in g.label_index]
-    # nodes with equal label sets share one frozenset
-    shared: dict[frozenset[int], frozenset[int]] = {}
-    node_labels = g.node_labels = [frozenset()] * len(node_ids)
-    for vid, lid in first_label.items():
-        labels = frozenset((lid, *more_labels.get(vid, ())))
-        node_labels[vid] = shared.setdefault(labels, labels)
-    g.label_offsets = array("I", accumulate(map(len, node_labels), initial=0))
-    g._label_ranks = {ls: {l: i for i, l in enumerate(sorted(ls))} for ls in shared}
     duplicates = g.duplicates_collapsed = len(line_edges) - len(subjects)
     if duplicates:
         warnings.warn(

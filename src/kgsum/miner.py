@@ -9,11 +9,11 @@ import math
 import time
 import warnings
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import countOf, itemgetter, mul
+from itertools import accumulate, repeat
+from operator import attrgetter, countOf, itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import encoding
@@ -25,7 +25,6 @@ from .rules import (
     Child,
     Rule,
     RuleFormatError,
-    atomic,
     canonicalize,
     iter_positions,
     match,
@@ -55,7 +54,12 @@ def _canon_key(rule: Rule, g: KnowledgeGraph):
     )
 
 
-@dataclass
+_compared = attrgetter(
+    "rule", "root_key", "canon_key", "correct_starts", "num_assertions", "covered_edge_ids",
+    "covered_label_ids", "rule_bits", "traversal_bits", "assertion_bits", "exception_starts",
+)
+
+
 class RuleEntry:
     """A rule with its cached starts, coverage, and costs.
 
@@ -66,22 +70,48 @@ class RuleEntry:
     label-assignment ids.  They may be shared between records (a mined
     candidate and its reverse partner hold one edge-id array) and are never
     mutated.
-    ``reverse_partner`` is read only by ``select``.
+    ``reverse_partner`` is read only by ``select``.  Two records are equal
+    when every field but ``gain`` and ``reverse_partner`` is.
     """
 
-    rule: Rule
-    root_key: str
-    canon_key: tuple
-    correct_starts: frozenset[int]
-    num_assertions: int
-    covered_edge_ids: array
-    covered_label_ids: array
-    rule_bits: float
-    traversal_bits: float
-    assertion_bits: float = field(init=False)
-    exception_starts: frozenset[int] | None = None
-    gain: float = field(default=0.0, compare=False)
-    reverse_partner: "RuleEntry | None" = field(default=None, compare=False, repr=False)
+    __slots__ = (
+        "rule", "root_key", "canon_key", "correct_starts", "num_assertions", "covered_edge_ids",
+        "covered_label_ids", "rule_bits", "traversal_bits", "assertion_bits", "exception_starts",
+        "gain", "reverse_partner", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        rule: Rule,
+        root_key: str,
+        canon_key: tuple,
+        correct_starts: frozenset[int],
+        num_assertions: int,
+        covered_edge_ids: array,
+        covered_label_ids: array,
+        rule_bits: float,
+        traversal_bits: float,
+        exception_starts: frozenset[int] | None = None,
+        gain: float = 0.0,
+        reverse_partner: RuleEntry | None = None,
+    ) -> None:
+        self.rule = rule
+        self.root_key = root_key
+        self.canon_key = canon_key
+        self.correct_starts = correct_starts
+        self.num_assertions = num_assertions
+        self.covered_edge_ids = covered_edge_ids
+        self.covered_label_ids = covered_label_ids
+        self.rule_bits = rule_bits
+        self.traversal_bits = traversal_bits
+        self.exception_starts = exception_starts
+        self.gain = gain
+        self.reverse_partner = reverse_partner
+        # stored, not derived on access, because model sums read it for
+        # every entry; qualify keeps it current when it widens the root
+        self.assertion_bits = (
+            encoding.assertion_overhead(num_assertions, self.num_exceptions) + traversal_bits
+        )
 
     @classmethod
     def from_rule(cls, rule: Rule, g: KnowledgeGraph) -> "RuleEntry":
@@ -99,13 +129,10 @@ class RuleEntry:
             exception_starts=aset.exception_starts,
         )
 
-    def __post_init__(self) -> None:
-        # stored, not derived on access, because model sums read it for
-        # every entry; qualify keeps it current when it widens the root
-        self.assertion_bits = (
-            encoding.assertion_overhead(self.num_assertions, self.num_exceptions)
-            + self.traversal_bits
-        )
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _compared(self) == _compared(other)
 
     @property
     def num_correct(self) -> int:
@@ -120,7 +147,6 @@ class RuleEntry:
         return self.rule_bits + self.assertion_bits
 
 
-@dataclass
 class Model:
     """Selected rules plus reference-counted coverage and the cost trace.
 
@@ -132,23 +158,31 @@ class Model:
     the entries' bits in entry order.  Every change goes through ``add``, and
     every total in ``history`` is the ``price`` of the change it records."""
 
-    graph: KnowledgeGraph
-    entries: list[RuleEntry] = field(default_factory=list)
-    edge_refs: array | None = None  # None: all zeros
-    label_refs: array | None = None  # None: all zeros
-    total: float = 0.0
-    history: list[tuple[str, str, float, float]] = field(default_factory=list)
-    rule_and_assertion_bits: float = field(default=0.0, init=False)
-    num_modeled_edges: int = field(default=0, init=False)
-    num_modeled_labels: int = field(default=0, init=False)
+    __slots__ = (
+        "graph", "entries", "edge_refs", "label_refs", "total", "history",
+        "rule_and_assertion_bits", "num_modeled_edges", "num_modeled_labels",
+    )
 
-    def __post_init__(self) -> None:
-        if self.edge_refs is None:
-            self.edge_refs = array("I", [0]) * self.graph.num_distinct_edges
-        if self.label_refs is None:
-            self.label_refs = array("I", [0]) * self.graph.num_label_assignments
-        self.num_modeled_edges = len(self.edge_refs) - self.edge_refs.count(0)
-        self.num_modeled_labels = len(self.label_refs) - self.label_refs.count(0)
+    def __init__(
+        self,
+        graph: KnowledgeGraph,
+        entries: list[RuleEntry] | None = None,
+        edge_refs: array | None = None,  # None: all zeros
+        label_refs: array | None = None,  # None: all zeros
+        total: float = 0.0,
+        history: list[tuple[str, str, float, float]] | None = None,
+    ) -> None:
+        self.graph = graph
+        self.entries = [] if entries is None else entries
+        if edge_refs is None:
+            edge_refs = array("I", [0]) * graph.num_distinct_edges
+        if label_refs is None:
+            label_refs = array("I", [0]) * graph.num_label_assignments
+        self.edge_refs, self.label_refs = edge_refs, label_refs
+        self.total = total
+        self.history = [] if history is None else history
+        self.num_modeled_edges = len(edge_refs) - edge_refs.count(0)
+        self.num_modeled_labels = len(label_refs) - label_refs.count(0)
         self._refold()
 
     def _refold(self) -> None:
@@ -311,6 +345,7 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
 
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = g.neighbor_universe
+    single = [frozenset((l,)) for l in range(g.num_labels)]  # one shared set per label (memory)
 
     cands: list[RuleEntry] = []
     for key in list(patterns):
@@ -326,7 +361,7 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
         del edge_ids
         sides = (ls, OUT, lo, out_starts, in_starts), (lo, IN, ls, in_starts, out_starts)
         for root, direction, child, starts, neighbours in sides:
-            rule = atomic(root, p, direction, child)
+            rule = Rule(single[root], (Child(p, direction, Rule(single[child])),))
             entry = RuleEntry(
                 rule=rule,
                 root_key=_root_key(rule, g),
@@ -506,16 +541,20 @@ def _nest_rule(rule: Rule, path: tuple[int, ...], inner: Rule) -> Rule:
 NEST_PRUNE_MARGIN = 1e-9  # times the model total: float slack a nest bound must clear
 
 
-@dataclass
 class NestCounts:
     """What ``refine_nest`` did with the pairs it tried: each considered pair is
     either pruned by its bound or fully evaluated, and some evaluated pairs are
     accepted."""
 
-    considered: int = 0
-    pruned: int = 0
-    evaluated: int = 0
-    accepted: int = 0
+    __slots__ = ("considered", "pruned", "evaluated", "accepted")
+
+    def __init__(
+        self, considered: int = 0, pruned: int = 0, evaluated: int = 0, accepted: int = 0
+    ) -> None:
+        self.considered = considered
+        self.pruned = pruned
+        self.evaluated = evaluated
+        self.accepted = accepted
 
 
 class Reach(NamedTuple):
@@ -531,6 +570,29 @@ class Reach(NamedTuple):
     offsets: array  # "I", len(starts) + 1 entries
     nodes: array  # "I"
     ways: array | None  # "d"
+
+
+class StartBits(NamedTuple):
+    """A rule's correct starts, ascending, and each one's traversal bits (the
+    values ``walk`` gives them), as parallel arrays (memory: 12 bytes a
+    start).  ``bits_of`` looks starts up by bisection."""
+
+    starts: array  # "I"
+    bits: array  # "d"
+
+    def bits_of(self, nodes: Iterable[int]) -> Iterator[float]:
+        """The bits of each node of ``nodes``, every one a start."""
+        return map(self.bits.__getitem__, map(bisect_left, repeat(self.starts), nodes))
+
+
+def start_bits(
+    rule: Rule, g: KnowledgeGraph, correct_starts: Iterable[int]
+) -> tuple[StartBits, dict[tuple[int, int], array]]:
+    """``StartBits`` of ``rule`` and the ``walk`` neighbour arrays of its
+    correct starts."""
+    starts = array("I", sorted(correct_starts))
+    bits, lists = walk(rule, g, starts)
+    return StartBits(starts, array("d", bits.values())), lists
 
 
 def _reach_by_start(
@@ -577,16 +639,17 @@ def nest_bound(
     e_rt: RuleEntry,
     composed_rule: Rule,
     reach: Reach,
-    bits_in: dict[int, float],
-    bits_rt: dict[int, float],
+    bits_in: StartBits,
+    bits_rt: StartBits,
     g: KnowledgeGraph,
     slack: float = math.inf,
 ) -> float | None:
     """The model bits of ``composed_rule`` (``e_rt`` nested at ``path`` of
     ``e_in``) from cached per-start data, without matching it: ``reach`` is
-    e_in's reach at ``path``, and ``bits_in`` and ``bits_rt`` are the two
-    rules' per-start traversal bits.  ``None`` when ``_dedup_children`` drops
-    a child at the inner node, where the sum below would overcount.
+    e_in's reach at ``path``, listing its starts in the order of ``bits_in``,
+    and ``bits_in`` and ``bits_rt`` are the two rules' ``StartBits``.
+    ``None`` when ``_dedup_children`` drops a child at the inner node, where
+    the sum below would overcount.
 
     The path is non-empty, so the composed rule keeps e_in's root and its
     assertions.  A start stays correct exactly when it is correct in e_in and
@@ -612,18 +675,18 @@ def nest_bound(
     rule_bits = encoding.rule_cost(composed_rule, g)
     model_in, model_rt = e_in.model_bits, e_rt.model_bits
     rt_correct = e_rt.correct_starts
-    starts, offsets, nodes, ways = reach
+    _, offsets, nodes, ways = reach
     num_correct = 0
     traversal = 0.0
-    for k, s in enumerate(starts):
+    for k, in_bits in enumerate(bits_in.bits):
         lo, hi = offsets[k], offsets[k + 1]
         reached = nodes[lo:hi]
         if rt_correct.issuperset(reached):
             num_correct += 1
-            rt_bits = map(bits_rt.__getitem__, reached)
+            rt_bits = bits_rt.bits_of(reached)
             if ways is not None:
                 rt_bits = map(mul, ways[lo:hi], rt_bits)
-            traversal += bits_in[s] + math.fsum(rt_bits)
+            traversal += in_bits + math.fsum(rt_bits)
             if rule_bits + traversal - model_in - model_rt > slack:
                 return rule_bits + traversal
     n = e_in.num_assertions
@@ -651,17 +714,17 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     """
     if counts is None:
         counts = NestCounts()
-    walked: dict[tuple, tuple[dict[int, float], dict[tuple, Reach], dict[tuple, array]]] = {}
+    walked: dict[tuple, tuple[StartBits, dict[tuple, Reach], dict[tuple, array]]] = {}
 
     def walk_once(entry: RuleEntry) -> tuple:
-        """Each correct start's traversal bits, and per inner path the ``Reach``
-        and the sorted ``array("I")`` of the nodes occupying that position (the
-        union of the reach), from one walk whose neighbour arrays are dropped
-        once the reach is flattened (memory)."""
+        """The ``StartBits``, and per inner path the ``Reach`` and the sorted
+        ``array("I")`` of the nodes occupying that position (the union of the
+        reach), from one walk whose neighbour arrays are dropped once the
+        reach is flattened (memory)."""
         hit = walked.get(entry.canon_key)
         if hit is None:
-            bits, lists = walk(entry.rule, g, entry.correct_starts)
-            reach = _reach_by_start(entry.rule, entry.correct_starts, lists)
+            bits, lists = start_bits(entry.rule, g, entry.correct_starts)
+            reach = _reach_by_start(entry.rule, bits.starts, lists)
             del lists
             occupied = {path: array("I", sorted(set(r.nodes))) for path, r in reach.items()}
             hit = walked[entry.canon_key] = (bits, reach, occupied)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .encoding import log_binomial
 from .graph import IN, OUT, KnowledgeGraph
@@ -28,8 +27,10 @@ class RuleFormatError(ValueError):
     """A structurally invalid serialized rule."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
+    """A rule node: its root labels and its children.  Rules and children are
+    named tuples, which compare and hash as the tuple of their fields."""
+
     root_labels: frozenset[int]
     children: tuple["Child", ...] = ()
 
@@ -40,15 +41,13 @@ class Rule:
         return 1 + max((c.child.depth() for c in self.children), default=0)
 
 
-@dataclass(frozen=True)
-class Child:
+class Child(NamedTuple):
     predicate: int
     direction: int
     child: Rule
 
 
-@dataclass(frozen=True)
-class AssertionSet:
+class AssertionSet(NamedTuple):
     """Partition of a rule's starts plus what its correct traversals cover,
     in the ids and bits that ``miner.RuleEntry`` stores.  The coverage is
     strictly increasing id arrays (compact: 4 bytes per id)."""

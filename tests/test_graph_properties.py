@@ -1,9 +1,9 @@
 """Property tests: ``parse_graph`` agrees with the straight-line
 ``oracle_parse`` on random line lists with duplicates, self-loops, comments,
 blank lines, CRLF endings, multi-label and label-only nodes, repeated label
-lines and the occasional malformed line; ``edge_index`` and
-``neighbor_edge_ids`` agree with the oracle's edge list, also for ids the
-graph lacks."""
+lines and the occasional malformed line; ``edge_index``,
+``neighbor_edge_ids`` and ``nodes_with_labels`` agree with the oracle's edges
+and label sets, also for ids the graph lacks."""
 
 import warnings
 from array import array
@@ -79,14 +79,32 @@ def test_parse_graph_equals_the_oracle(triple_lines, label_lines):
     assert g.node_labels == want.node_labels
     # equal label sets are one shared object
     assert len({id(ls) for ls in g.node_labels}) == len(set(g.node_labels))
-    assert g.label_index == [
-        {v for v, ls in enumerate(want.node_labels) if l in ls} for l in range(len(want.label_names))
+    # each label's nodes, as an ascending array of ids
+    assert all(a.typecode == "I" for a in g.label_index)
+    assert [list(a) for a in g.label_index] == [
+        [v for v, ls in enumerate(want.node_labels) if l in ls] for l in range(len(want.label_names))
     ]
     assert g.n_label == [sum(l in ls for ls in want.node_labels) for l in range(len(want.label_names))]
     assert g.num_label_assignments == sum(map(len, want.node_labels))
     assert g.n_pred == [sum(1 for _, q, _ in want.edges if q == p) for p in range(m)]
     assert g.has_self_loop == any(s == o for s, _, o in want.distinct_edges)
     assert g.duplicates_collapsed == len(want.edges) - len(want.distinct_edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(TRIPLE, max_size=12), st.lists(LABEL, max_size=24), st.lists(st.integers(-2, 4), max_size=4)
+)
+def test_nodes_with_labels_equal_the_oracle(triple_lines, label_lines, labels):
+    # nodes carry up to three labels; ids 3 and 4 name no label, and no label
+    # at all selects no node
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = parse_graph(triple_lines, label_lines)
+    want = oracle_parse(triple_lines, label_lines).node_labels
+    got = g.nodes_with_labels(labels)
+    assert isinstance(got, set)
+    assert got == ({v for v, ls in enumerate(want) if set(labels) <= ls} if labels else set())
 
 
 @settings(max_examples=300, deadline=None)

@@ -45,7 +45,8 @@ def graphs(draw):
 def rules(g, depth: int):
     root = st.frozensets(st.integers(0, g.num_labels - 1), min_size=1, max_size=2)
     if depth == 1 or not g.num_preds:
-        return st.builds(Rule, root)
+        # a leaf: builds infers every field of a NamedTuple it is not given
+        return st.builds(Rule, root, st.just(()))
     child = st.builds(
         Child, st.integers(0, g.num_preds - 1), st.sampled_from((OUT, IN)), rules(g, depth - 1)
     )

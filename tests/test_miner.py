@@ -648,19 +648,21 @@ def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
     # the counterpart of the loaded-graph bound in test_graph.py: the peak of
     # a whole summarize.  Coverage as sorted id arrays, edge and label
     # refcounts as arrays indexed by id, candidates built one pattern at a
-    # time and nest walks kept as flat reach arrays keep it at 79-82 B per
-    # distinct edge under Python 3.10-3.12; with per-start reach lists and
-    # occupied frozensets, 143-146 B; with label refcounts in a dict and every
-    # pattern's sets built at once, 162-166 B, and with sets of ids and a dict
-    # of edge refcounts, 301-303 B.
+    # time as slotted records, and nest walks kept as flat reach and bits
+    # arrays keep it at 68-70 B per distinct edge under Python 3.10-3.12; with
+    # dataclass records and per-start bits dicts, 79-82 B; with per-start
+    # reach lists and occupied frozensets, 143-146 B; with label refcounts in
+    # a dict and every pattern's sets built at once, 162-166 B, and with sets
+    # of ids and a dict of edge refcounts, 301-303 B.
     per_edge = traced_peak_per_edge(lambda g: summarize(g, refine="nest"))
     assert per_edge <= 91, f"{per_edge:.1f} B per distinct edge"
 
 
 def test_nesting_peaks_no_higher_than_selection(monkeypatch):
     # refine_nest keeps a walk cache for every host it pairs; as flat reach
-    # arrays it peaks at 3.62-3.77 MiB against select's 3.68-3.90 under Python
-    # 3.10-3.12 (with per-start reach lists and occupied frozensets, 6.58-6.73)
+    # and bits arrays it peaks at 3.14-3.20 MiB against select's 3.45-3.50
+    # under Python 3.10-3.12 (with per-start bits dicts, 3.54-3.60; with
+    # per-start reach lists and occupied frozensets, 6.58-6.73)
     peaks = {}
 
     def traced(name, real):
@@ -680,9 +682,11 @@ def test_nesting_peaks_no_higher_than_selection(monkeypatch):
 
 
 def test_generating_candidates_holds_few_bytes_per_edge_beyond_the_graph():
-    # one pattern's edge-id set and start counters at a time: 70-75 B per
-    # distinct edge under Python 3.10-3.12, against 157-159 B with every
-    # pattern's sets held until the candidates were emitted
+    # one pattern's edge-id set and start counters at a time, as slotted
+    # records sharing one root-label set per label: 65-66 B per distinct edge
+    # under Python 3.10-3.12 (70-75 B as dataclass records with their own
+    # sets), against 157-159 B with every pattern's sets held until the
+    # candidates were emitted
     per_edge = traced_peak_per_edge(generate_candidates)
     assert per_edge <= 110, f"{per_edge:.1f} B per distinct edge"
 

@@ -41,6 +41,7 @@ from kgsum.miner import (
     refine_merge,
     refine_nest,
     select,
+    start_bits,
     summarize,
 )
 from kgsum.rules import MAX_RULE_DEPTH, Rule, canonicalize, iter_positions, walk
@@ -296,17 +297,17 @@ def flat_reach(starts, by_start) -> Reach:
 
 def nest_bound_args(g, hosts, nested):
     """The ``nest_bound`` arguments but the graph, (e_in, path, e_rt, composed
-    rule, e_in's reach at the path, e_in's per-start bits, e_rt's per-start
-    bits), of every pair of a host and a nested rule whose root labels are
-    those of an inner node of the host."""
+    rule, e_in's reach at the path, e_in's ``StartBits``, e_rt's
+    ``StartBits``), of every pair of a host and a nested rule whose root
+    labels are those of an inner node of the host."""
     for e_in in hosts:
-        bits_in, lists = walk(e_in.rule, g, e_in.correct_starts)
-        reach = _reach_by_start(e_in.rule, e_in.correct_starts, lists)
+        bits_in, lists = start_bits(e_in.rule, g, e_in.correct_starts)
+        reach = _reach_by_start(e_in.rule, bits_in.starts, lists)
         for path, node in iter_positions(e_in.rule):
             for e_rt in nested:
                 if path and node.root_labels == e_rt.rule.root_labels:
                     composed = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
-                    bits_rt, _ = walk(e_rt.rule, g, e_rt.correct_starts)
+                    bits_rt, _ = start_bits(e_rt.rule, g, e_rt.correct_starts)
                     yield e_in, path, e_rt, composed, reach[path], bits_in, bits_rt
 
 
@@ -338,7 +339,7 @@ def check_reach(g, hosts, nested) -> set[tuple[int, int]]:
     for e_in, path, e_rt, composed, reach, bits_in, bits_rt in nest_bound_args(g, hosts, nested):
         args = bits_in, bits_rt, g
         bound = nest_bound(e_in, path, e_rt, composed, reach, *args)
-        want = flat_reach(e_in.correct_starts, dict_forms[id(e_in)][path])
+        want = flat_reach(bits_in.starts, dict_forms[id(e_in)][path])
         assert bound == nest_bound(e_in, path, e_rt, composed, want, *args)
     return seen
 

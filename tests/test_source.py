@@ -1,9 +1,13 @@
-"""Dead-code guard over ``src/kgsum``, with the standard library's ``ast``:
+"""Source guards over ``src/kgsum``.  With the standard library's ``ast``:
 every imported name is used in its module, and every private module-level
 name (one leading underscore) is referenced somewhere in the package
-outside its own definition."""
+outside its own definition.  And the modules every command imports leave
+out the heavy standard-library modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,19 @@ def test_every_private_module_level_name_is_referenced():
                 if not any(name in names for s, names in uses if s is not stmt):
                     unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def test_the_command_modules_import_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, which imports ast, dis and tokenize: about
+    # 1 MB of RSS in every command.  -S keeps a site hook from importing them
+    # or hiding them.
+    code = (
+        "import sys\n"
+        "import kgsum.cli, kgsum.miner, kgsum.anomaly\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
