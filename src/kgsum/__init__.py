@@ -31,6 +31,7 @@ _MODULE_OF = {
     "log_binomial": "encoding",
     "match": "rules",
     "metrics": "evalharness",
+    "missing_reports": "anomaly",
     "parse_graph": "graph",
     "perturb": "evalharness",
     "qualify": "miner",

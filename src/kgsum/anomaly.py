@@ -1,15 +1,17 @@
-"""Anomaly scores derived from a mined model.
+"""Anomaly scores and missing-information reports derived from a mined model.
 
 A node's score is its share of the exception-id bits of every applicable rule
 it violates.  An edge's score adds its endpoints' scores to a uniform share of
 the unmodeled-edge transmission cost when the edge is not explained by the
-model; edges outside the graph are unexplained by definition.
+model; edges outside the graph are unexplained by definition.  A rule's
+exception node that lacks a child outright is reported as missing that child.
 """
 
 from __future__ import annotations
 
 from . import encoding
 from .miner import Model
+from .rules import DIRECTION_NAMES, matching_neighbors
 
 
 class UnknownNodeError(KeyError):
@@ -63,3 +65,40 @@ def rank_edges(
     scorer = AnomalyScorer(model)
     scored = [(s, p, o, scorer.edge_score(s, p, o)) for s, p, o in test_edges]
     return sorted(scored, key=lambda row: -row[3])
+
+
+def missing_reports(model: Model) -> list[dict]:
+    """Where entities are missing: for each exception node of a rule and each
+    of the rule's children with no matching neighbour there, one row naming
+    the node, the child's predicate and direction, its labels
+    (``expected_labels``) and the node's score (``score_bits``).  A row is
+    reported once however many rules ask for it; rows sort by descending
+    score, then node, predicate and direction, ties in the order first met."""
+    g = model.graph
+    scorer = AnomalyScorer(model)
+    rows: dict[tuple, dict] = {}
+    for entry in model.entries:
+        for v in entry.exception_starts:
+            for child in entry.rule.children:
+                if matching_neighbors(g, v, child):
+                    continue  # this child is satisfied; the failure is elsewhere
+                key = (
+                    g.node_names[v],
+                    g.pred_names[child.predicate],
+                    DIRECTION_NAMES[child.direction],
+                    tuple(sorted(g.label_names[l] for l in child.child.root_labels)),
+                )
+                rows.setdefault(
+                    key,
+                    {
+                        "node": key[0],
+                        "predicate": key[1],
+                        "direction": key[2],
+                        "expected_labels": list(key[3]),
+                        "score_bits": scorer.node_score(v),
+                    },
+                )
+    return sorted(
+        rows.values(),
+        key=lambda r: (-r["score_bits"], r["node"], r["predicate"], r["direction"]),
+    )

@@ -2,12 +2,13 @@
 
 Subcommands: ``summarize`` (mine a rule model and write the model report),
 ``score`` (rank test edges by anomaly score), ``complete`` (report where
-entities are missing), ``perturb`` (inject anomalies or PCA-remove nodes),
-and ``evaluate`` (metrics for a ranking or a completeness run).
+entities are missing, ``anomaly.missing_reports``), ``perturb`` (inject
+anomalies or PCA-remove nodes), and ``evaluate`` (metrics for a ranking, or
+the recall of ``complete``'s reports against a PCA removal).
 
 Machine-readable reports go to the ``--out`` path; progress, timings, and
 human-readable summaries go to stderr.  Every command is deterministic given
-its arguments (seed included).
+its arguments; ``perturb`` alone draws random numbers, from ``--seed``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .anomaly import AnomalyScorer, rank_edges
+from .anomaly import missing_reports, rank_edges
 from .graph import KnowledgeGraph, _fields, load_graph, write_graph
 from .miner import (
     ConfigError,
@@ -30,7 +31,7 @@ from .miner import (
     summarize,
     timed,
 )
-from .rules import DIRECTION_NAMES, RuleFormatError, matching_neighbors
+from .rules import RuleFormatError
 
 
 def _log(msg: str) -> None:
@@ -130,36 +131,10 @@ def _cmd_score(args) -> int:
 def _cmd_complete(args) -> int:
     g = _load_inputs(args)
     model = _load_model(args, g)
-    scorer = AnomalyScorer(model)
-    rows: dict[tuple, dict] = {}
     with timed("complete", _log):
-        for entry in model.entries:
-            for v in entry.exception_starts:
-                for child in entry.rule.children:
-                    if matching_neighbors(g, v, child):
-                        continue  # this child is satisfied; the failure is elsewhere
-                    key = (
-                        g.node_names[v],
-                        g.pred_names[child.predicate],
-                        DIRECTION_NAMES[child.direction],
-                        tuple(sorted(g.label_names[l] for l in child.child.root_labels)),
-                    )
-                    rows.setdefault(
-                        key,
-                        {
-                            "node": key[0],
-                            "predicate": key[1],
-                            "direction": key[2],
-                            "expected_labels": list(key[3]),
-                            "score_bits": scorer.node_score(v),
-                        },
-                    )
-    ordered = sorted(
-        rows.values(),
-        key=lambda r: (-r["score_bits"], r["node"], r["predicate"], r["direction"]),
-    )
-    _write_json(args.out, {"missing": ordered})
-    _log(f"{len(ordered)} missing-information reports")
+        rows = missing_reports(model)
+    _write_json(args.out, {"missing": rows})
+    _log(f"{len(rows)} missing-information reports")
     return 0
 
 
@@ -228,10 +203,6 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--labels", required=True, help="label file (node<TAB>label per line)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgsum",
@@ -268,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="rule budget for the freq/coverage selectors",
     )
-    _add_common(p)
     p.set_defaults(func=_cmd_summarize)
 
     p = sub.add_parser("score", help="rank test edges by anomaly score")
@@ -276,14 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file from summarize")
     p.add_argument("--test-edges", required=True, help="TSV of edges to score (s<TAB>p<TAB>o)")
     p.add_argument("--out", required=True, help="output ranking TSV (s, p, o, score)")
-    _add_common(p)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("complete", help="report missing-entity locations from rule exceptions")
     _add_graph_args(p)
     p.add_argument("--model", required=True, help="model file from summarize")
     p.add_argument("--out", required=True, help="output report (JSON)")
-    _add_common(p)
     p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("perturb", help="inject anomalies or remove nodes under the PCA")
@@ -300,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="remove nodes and enforce the partial completeness assumption instead of injecting",
     )
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("evaluate", help="compute metrics for a ranking or completeness run")
@@ -310,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="triple file (pca_removal truth)")
     p.add_argument("--labels", help="label file (pca_removal truth)")
     p.add_argument("--out", required=True, help="output metrics report (JSON)")
-    _add_common(p)
     p.set_defaults(func=_cmd_evaluate)
     return parser
 

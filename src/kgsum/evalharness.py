@@ -13,9 +13,10 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
+from .anomaly import missing_reports
 from .graph import KnowledgeGraph, parse_graph
-from .miner import ConfigError, Model, RuleEntry, empty_model
-from .rules import DIRECTION_IDS, DIRECTION_NAMES, IN, OUT, rule_text
+from .miner import ConfigError, Model, RuleEntry
+from .rules import DIRECTION_NAMES, IN, OUT, rule_text
 
 ANOMALY_TYPES = ("a1", "a2", "a3", "a4")
 VALIDATION_FRACTION = 0.2
@@ -310,7 +311,7 @@ def _baseline_select(cands: list[RuleEntry], g: KnowledgeGraph, k: int, keyfn, p
     if k < 1:
         raise ConfigError(f"top-k must be >= 1, got {k}")
     order = sorted((c for c in cands if c.correct_starts), key=keyfn)
-    model = empty_model(g)
+    model = Model(g)
     for c in order[:k]:
         model.add(c, phase, rule_text(c.rule, g), model.price(c))
     return model
@@ -450,42 +451,37 @@ def metrics(
 
 
 def completeness_eval(model: Model, truth: GroundTruth, split: str = "test") -> tuple[float, float]:
-    """Fraction of removed nodes whose destroyed assertions some rule re-asserts
-    at a surviving exception node; the label-strict variant also requires the
-    asserting child's labels to hold on the removed endpoint."""
+    """Recall of the missing-information reports, ``anomaly.missing_reports``
+    (what ``kgsum complete`` writes): the fraction of removed nodes for which
+    a report names one of their destroyed (survivor, predicate, direction)
+    triples; the label-strict variant also requires that report's expected
+    labels to hold on the removed node.
+
+    On every graph that ``remove_nodes_pca`` writes, this is recall read off
+    the rules' exceptions: that removal leaves a survivor no edge of any
+    (predicate, direction) kind it lost an edge of, so a rule child of a
+    destroyed kind has no matching neighbour at the survivor and is reported
+    wherever the survivor is an exception of the rule.  Only a graph that
+    still holds such an edge, which contradicts the truth file, could leave
+    that child unreported."""
     if truth.kind != "pca_removal":
         raise MetricsError(f"completeness_eval needs pca_removal truth, got {truth.kind!r}")
-    g = model.graph
-    exception_entries: dict[int, list] = {}
-    for entry in model.entries:
-        for v in entry.exception_starts:
-            exception_entries.setdefault(v, []).append(entry)
-
     records = [r for r in truth.removed if r["split"] == split]
     if not records:
         return 0.0, 0.0
+    expected: dict[tuple[str, str, str], list[set[str]]] = {}
+    for row in missing_reports(model):
+        key = row["node"], row["predicate"], row["direction"]
+        expected.setdefault(key, []).append(set(row["expected_labels"]))
     hits = 0
     label_hits = 0
     for rec in records:
-        removed_labels = set(rec["labels"])
-        recovered = False
-        recovered_label = False
-        for d in rec["destroyed"]:
-            sid = g.node_id(d["survivor"])
-            pid = g.pred_id(d["predicate"])
-            direction = DIRECTION_IDS[d["direction"]]
-            if sid is None or pid is None:
-                continue
-            for entry in exception_entries.get(sid, ()):
-                for child in entry.rule.children:
-                    if child.predicate != pid or child.direction != direction:
-                        continue
-                    recovered = True
-                    child_labels = {g.label_names[l] for l in child.child.root_labels}
-                    if child_labels <= removed_labels:
-                        recovered_label = True
-            if recovered_label:
-                break
-        hits += recovered
-        label_hits += recovered_label
+        labels = set(rec["labels"])
+        found = [
+            want
+            for d in rec["destroyed"]
+            for want in expected.get((d["survivor"], d["predicate"], d["direction"]), ())
+        ]
+        hits += bool(found)
+        label_hits += any(want <= labels for want in found)
     return hits / len(records), label_hits / len(records)

@@ -163,27 +163,17 @@ class Model:
         "rule_and_assertion_bits", "num_modeled_edges", "num_modeled_labels",
     )
 
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        entries: list[RuleEntry] | None = None,
-        edge_refs: array | None = None,  # None: all zeros
-        label_refs: array | None = None,  # None: all zeros
-        total: float = 0.0,
-        history: list[tuple[str, str, float, float]] | None = None,
-    ) -> None:
+    def __init__(self, graph: KnowledgeGraph) -> None:
+        """The empty model of ``graph``: no entries, nothing modelled, and an
+        ``init`` history step that records its total."""
         self.graph = graph
-        self.entries = [] if entries is None else entries
-        if edge_refs is None:
-            edge_refs = array("I", [0]) * graph.num_distinct_edges
-        if label_refs is None:
-            label_refs = array("I", [0]) * graph.num_label_assignments
-        self.edge_refs, self.label_refs = edge_refs, label_refs
-        self.total = total
-        self.history = [] if history is None else history
-        self.num_modeled_edges = len(edge_refs) - edge_refs.count(0)
-        self.num_modeled_labels = len(label_refs) - label_refs.count(0)
-        self._refold()
+        self.entries = []
+        self.edge_refs = array("I", [0]) * graph.num_distinct_edges
+        self.label_refs = array("I", [0]) * graph.num_label_assignments
+        self.num_modeled_edges = self.num_modeled_labels = 0
+        self.rule_and_assertion_bits = 0.0
+        self.total = self.total_bits
+        self.history = [("init", "", 0.0, self.total)]
 
     def _refold(self) -> None:
         bits = 0.0
@@ -449,19 +439,12 @@ def rank(cands: list[RuleEntry], g: KnowledgeGraph) -> list[RuleEntry]:
     return sorted(usable, key=lambda c: (-c.gain, -c.num_correct, c.root_key, c.canon_key))
 
 
-def empty_model(g: KnowledgeGraph) -> Model:
-    model = Model(graph=g)
-    model.total = model.total_bits
-    model.history.append(("init", "", 0.0, model.total))
-    return model
-
-
 def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> Model:
     """Multi-pass greedy scan: add a rule whenever it strictly lowers the total
     cost, considering reverse orientations together and keeping the cheaper."""
     if max_passes < 1:
         raise ConfigError(f"max_passes must be >= 1, got {max_passes}")
-    model = empty_model(g)
+    model = Model(g)
     chosen: set[int] = set()  # id()s of the added candidates; the list stays reusable
 
     for _ in range(max_passes):
@@ -486,7 +469,7 @@ def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> M
 
 def build_model(g: KnowledgeGraph, rules: Iterable[Rule], phase: str = "load") -> Model:
     """Cost an explicit rule list (used by baselines and model files)."""
-    model = empty_model(g)
+    model = Model(g)
     for rule in rules:
         entry = RuleEntry.from_rule(canonicalize(rule), g)
         model.add(entry, phase, rule_text(rule, g), model.price(entry))
@@ -559,15 +542,15 @@ class NestCounts:
 
 class Reach(NamedTuple):
     """What each correct start of a rule reaches at one inner path, as flat
-    arrays: ``starts[k]`` reaches the nodes ``nodes[offsets[k]:offsets[k + 1]]``,
-    each by as many traversal branches as the same slice of ``ways`` says.  At
-    depth 1 a start's slice holds the walk's neighbour array for it, whose
-    nodes are distinct and each reached one way, and ``ways`` is ``None``.
-    Branch counts are stored as floats, each the correctly rounded value of
-    the exact count, which is what multiplying the count by a float uses."""
+    arrays: the ``k``-th start, in the order the reach was built in, reaches
+    the nodes ``nodes[offsets[k]:offsets[k + 1]]``, each by as many traversal
+    branches as the same slice of ``ways`` says.  At depth 1 a start's slice
+    holds the walk's neighbour array for it, whose nodes are distinct and each
+    reached one way, and ``ways`` is ``None``.  Branch counts are stored as
+    floats, each the correctly rounded value of the exact count, which is what
+    multiplying the count by a float uses."""
 
-    starts: array  # "I", one array shared by every path of the rule
-    offsets: array  # "I", len(starts) + 1 entries
+    offsets: array  # "I", one entry per start and one more
     nodes: array  # "I"
     ways: array | None  # "d"
 
@@ -596,15 +579,14 @@ def start_bits(
 
 
 def _reach_by_start(
-    rule: Rule, starts: Iterable[int], lists: dict[tuple[int, int], array]
+    rule: Rule, starts: Sequence[int], lists: dict[tuple[int, int], array]
 ) -> dict[tuple[int, ...], Reach]:
     """The ``Reach`` of every inner path of ``rule``, its starts in the order
     of ``starts``, the correct starts of ``walk(rule, g, starts)``, whose
     neighbour arrays are ``lists``.  Each start's branch counts are summed
     exactly, one start at a time, before they are stored."""
-    order = array("I", starts)
     reach = {
-        path: Reach(order, array("I", [0]), array("I"), array("d") if len(path) > 1 else None)
+        path: Reach(array("I", [0]), array("I"), array("d") if len(path) > 1 else None)
         for path, _ in iter_positions(rule)
         if path
     }
@@ -622,7 +604,7 @@ def _reach_by_start(
             descend(c.child, path + (i,), nxt)
 
     for i, c in enumerate(rule.children):
-        rows = [lists[(s, id(c))] for s in order]
+        rows = [lists[(s, id(c))] for s in starts]
         at = reach[(i,)]
         at.offsets.extend(accumulate(map(len, rows)))
         at.nodes.frombytes(b"".join(rows))
@@ -675,7 +657,7 @@ def nest_bound(
     rule_bits = encoding.rule_cost(composed_rule, g)
     model_in, model_rt = e_in.model_bits, e_rt.model_bits
     rt_correct = e_rt.correct_starts
-    _, offsets, nodes, ways = reach
+    offsets, nodes, ways = reach
     num_correct = 0
     traversal = 0.0
     for k, in_bits in enumerate(bits_in.bits):

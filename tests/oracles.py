@@ -454,3 +454,45 @@ def oracle_auc_trapezoid(scores: list[float], labels: list[int]) -> float:
         prev_tpr, prev_fpr = tpr, fpr
         i = j
     return area
+
+
+def oracle_completeness_eval(model, truth, split: str = "test") -> tuple[float, float]:
+    """Missing-entity recall read off the model's rule exceptions directly: a
+    removed node is found when one of its destroyed survivors is an exception
+    node of a rule with a child of the destroyed predicate and direction; the
+    label-strict variant also requires that child's labels to hold on the
+    removed node."""
+    g = model.graph
+    exception_entries: dict[int, list] = {}
+    for entry in model.entries:
+        for v in entry.exception_starts:
+            exception_entries.setdefault(v, []).append(entry)
+
+    records = [r for r in truth.removed if r["split"] == split]
+    if not records:
+        return 0.0, 0.0
+    hits = 0
+    label_hits = 0
+    for rec in records:
+        removed_labels = set(rec["labels"])
+        recovered = False
+        recovered_label = False
+        for d in rec["destroyed"]:
+            sid = g.node_id(d["survivor"])
+            pid = g.pred_id(d["predicate"])
+            direction = {"out": OUT, "in": IN}[d["direction"]]
+            if sid is None or pid is None:
+                continue
+            for entry in exception_entries.get(sid, ()):
+                for child in entry.rule.children:
+                    if child.predicate != pid or child.direction != direction:
+                        continue
+                    recovered = True
+                    child_labels = {g.label_names[l] for l in child.child.root_labels}
+                    if child_labels <= removed_labels:
+                        recovered_label = True
+            if recovered_label:
+                break
+        hits += recovered
+        label_hits += recovered_label
+    return hits / len(records), label_hits / len(records)

@@ -323,7 +323,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     def run_all(out: Path, hash_seed: str) -> dict[str, bytes]:
         out.mkdir()
         _run_cli(
-            ["summarize", *base, "--out", str(out / "model.json"), "--seed", "7"],
+            ["summarize", *base, "--out", str(out / "model.json")],
             tmp_path,
             hash_seed,
         )
@@ -341,13 +341,13 @@ def test_criterion_9_cli_determinism(tmp_path):
         _run_cli(
             ["score", *base, "--model", str(out / "model.json"),
              "--test-edges", str(out / "inject" / "test_edges.tsv"),
-             "--out", str(out / "ranking.tsv"), "--seed", "7"],
+             "--out", str(out / "ranking.tsv")],
             tmp_path,
             hash_seed,
         )
         _run_cli(
             ["complete", *base, "--model", str(out / "model.json"),
-             "--out", str(out / "missing.json"), "--seed", "7"],
+             "--out", str(out / "missing.json")],
             tmp_path,
             hash_seed,
         )

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kgsum.encoding import error_cost_counts, model_constant
 from kgsum.evalharness import (
@@ -17,11 +19,11 @@ from kgsum.evalharness import (
     evaluation_edges,
 )
 from kgsum.graph import label_lines, parse_graph, triple_lines
-from kgsum.miner import ConfigError, build_model, generate_candidates, qualify_all, rank, select
+from kgsum.miner import ConfigError, build_model, generate_candidates, qualify_all, rank, select, summarize
 from kgsum.rules import IN, atomic, rule_text
 
-from oracles import oracle_auc_trapezoid
-from synth import private_children_kg, random_kg, symmetric_dominant_kg, two_branch_kg
+from oracles import oracle_auc_trapezoid, oracle_completeness_eval
+from synth import private_children_kg, random_kg, random_owned_kg, symmetric_dominant_kg, two_branch_kg
 
 
 def test_spec_validation():
@@ -372,6 +374,64 @@ def test_completeness_on_planted_structure():
     assert recall == pytest.approx(expected_hits / len(test_records), rel=1e-12)
     assert recall_label == pytest.approx(recall, rel=1e-12)  # child labels always match here
     assert recall_label <= recall
+
+
+def completeness_pair(make, seed: int, q: float, mining: str):
+    """``completeness_eval`` and the oracle on both splits of a PCA removal
+    from a random graph, or ``None`` when ``q`` samples no node of it.  The
+    model is mined with refinement ``none`` or ``nest``, or is the top 5 of
+    the ``freq`` baseline, which keeps rules that MDL finds too costly on
+    small random graphs, with their exceptions."""
+    g = make(random.Random(seed))
+    if q * g.num_nodes < 1:
+        return None
+    pg, truth = remove_nodes_pca(g, q, seed=seed)
+    if mining == "freq":
+        model = freq_select(qualify_all(generate_candidates(pg), pg), pg, 5)
+    else:
+        model = summarize(pg, refine=mining)
+    return [
+        (completeness_eval(model, truth, split), oracle_completeness_eval(model, truth, split))
+        for split in ("val", "test")
+    ]
+
+
+GRAPH_MAKERS = {
+    "random_kg": lambda rng: random_kg(rng, max_nodes=16, max_labels=3, max_preds=2, edge_factor=2.0),
+    "random_owned_kg": random_owned_kg,
+}
+MINING = ("none", "nest", "freq")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(GRAPH_MAKERS)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((0.1, 0.25, 0.5)),
+    st.sampled_from(MINING),
+)
+def test_completeness_eval_equals_the_exception_walk_oracle(maker, seed, q, mining):
+    # recall over the reports of ``kgsum complete`` equals recall read off the
+    # rule exceptions directly, on every graph that PCA removal writes
+    pairs = completeness_pair(GRAPH_MAKERS[maker], seed, q, mining)
+    assume(pairs is not None)
+    for got, want in pairs:
+        assert got == want
+
+
+@pytest.mark.parametrize("maker", sorted(GRAPH_MAKERS))
+def test_completeness_eval_equals_the_oracle_where_labels_decide(maker):
+    # the sweep finds removed nodes, some of them by a report whose expected
+    # labels they lack, so the label-strict check decides some of its cases
+    found = strict_below = 0
+    for seed in range(40):
+        for q in (0.1, 0.25, 0.5):
+            for mining in MINING:
+                for got, want in completeness_pair(GRAPH_MAKERS[maker], seed, q, mining) or ():
+                    assert got == want
+                    found += got[0] > 0
+                    strict_below += got[1] < got[0]
+    assert found >= 40 and strict_below >= 10
 
 
 def test_completeness_empty_model_is_zero():

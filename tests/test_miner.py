@@ -19,7 +19,6 @@ from kgsum.miner import (
     NestCounts,
     RuleEntry,
     build_model,
-    empty_model,
     generate_candidates,
     nest_bound,
     qualify,
@@ -365,7 +364,6 @@ def test_stored_model_sum_equals_a_fold_over_the_entries():
             assert model.rule_and_assertion_bits == fold(model.entries)
             rebuilt = model_from_dict(model_to_dict(model), g)
             assert rebuilt.rule_and_assertion_bits == fold(rebuilt.entries)
-            assert Model(g, list(model.entries)).rule_and_assertion_bits == fold(model.entries)
     assert {"select", "merge", "nest"} <= phases
 
 
@@ -768,7 +766,7 @@ def test_one_formula_for_mined_and_matched_records_randomized():
         graphs += 1
         for c in qualify_all(generate_candidates(g), g):
             built = RuleEntry.from_rule(c.rule, g)
-            joined = empty_model(g)
+            joined = Model(g)
             joined.add(c, "test", "", joined.price(c))  # joining fixes the exception starts
             assert c == built
             assert (c.rule_bits, c.traversal_bits) == (built.rule_bits, built.traversal_bits)

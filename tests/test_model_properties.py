@@ -10,6 +10,7 @@ The nesting bound is the same to the bit whether a start's depth-1 reach is
 the walk's neighbour array or carries branch counts of 1, and the bound that
 stops once it clears prunes exactly the pairs the full bound prunes."""
 
+import copy
 import math
 import random
 from array import array
@@ -159,9 +160,9 @@ def assert_priced_as_added(model, g, entry, drop=()):
         mp.setattr(encoding, "error_cost_counts",
                    lambda g, labels, edges: counted.append((labels, edges)) or real(g, labels, edges))
         price = model.price(entry, drop)
-    moved = Model(
-        g, list(model.entries), array("I", model.edge_refs), array("I", model.label_refs), model.total
-    )
+    moved = copy.copy(model)
+    moved.entries, moved.history = list(model.entries), list(model.history)
+    moved.edge_refs, moved.label_refs = array("I", model.edge_refs), array("I", model.label_refs)
     moved.add(entry, "test", "", price, drop)
     labels = len(moved.label_refs) - moved.label_refs.count(0)
     assert counted == [(labels, moved.num_modeled_edges)]
@@ -284,15 +285,14 @@ def dict_reach_by_start(rule, starts, lists):
 
 
 def flat_reach(starts, by_start) -> Reach:
-    """The dict form of one path's reach as a ``Reach`` with branch counts at
-    every depth, depth 1 included."""
-    order = array("I", starts)
+    """The dict form of one path's reach as a ``Reach`` over ``starts``, in
+    that order, with branch counts at every depth, depth 1 included."""
     offsets, nodes, ways = array("I", [0]), array("I"), array("d")
-    for s in order:
+    for s in starts:
         nodes.extend(by_start[s])
         ways.extend(by_start[s].values())
         offsets.append(len(nodes))
-    return Reach(order, offsets, nodes, ways)
+    return Reach(offsets, nodes, ways)
 
 
 def nest_bound_args(g, hosts, nested):
@@ -319,13 +319,14 @@ def check_reach(g, hosts, nested) -> set[tuple[int, int]]:
     seen = set()
     dict_forms = {}
     for e_in in hosts:
-        _, lists = walk(e_in.rule, g, e_in.correct_starts)
-        reach = _reach_by_start(e_in.rule, e_in.correct_starts, lists)
-        want = dict_forms[id(e_in)] = dict_reach_by_start(e_in.rule, e_in.correct_starts, lists)
+        starts = list(e_in.correct_starts)
+        _, lists = walk(e_in.rule, g, starts)
+        reach = _reach_by_start(e_in.rule, starts, lists)
+        want = dict_forms[id(e_in)] = dict_reach_by_start(e_in.rule, starts, lists)
         assert reach.keys() == want.keys()
         for path, at in reach.items():
-            assert list(at.starts) == list(want[path])
-            for k, s in enumerate(at.starts):
+            assert list(want[path]) == starts and len(at.offsets) == len(starts) + 1
+            for k, s in enumerate(starts):
                 lo, hi = at.offsets[k], at.offsets[k + 1]
                 nodes = at.nodes[lo:hi]
                 if len(path) == 1:

@@ -1,9 +1,11 @@
 """Source guards over ``src/kgsum``.  With the standard library's ``ast``:
-every imported name is used in its module, and every private module-level
+every imported name is used in its module, every private module-level
 name (one leading underscore) is referenced somewhere in the package
-outside its own definition.  And the modules every command imports leave
-out the heavy standard-library modules."""
+outside its own definition, and every option a subcommand declares is read
+by that subcommand.  And the modules every command imports leave out the
+heavy standard-library modules."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -82,3 +84,36 @@ def test_the_command_modules_import_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_every_option_of_a_subcommand_is_read_by_it():
+    # an option that its command never reads is accepted and does nothing
+    from kgsum import cli
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {s.name: s for s in tree.body if isinstance(s, ast.FunctionDef)}
+
+    def reads(name: str, seen: set[str]) -> set[str]:
+        """The ``args`` attributes that the cli function ``name`` and every cli
+        function it calls read."""
+        if name in seen or name not in functions:
+            return set()
+        seen.add(name)
+        out = set()
+        for n in ast.walk(functions[name]):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args":
+                out.add(n.attr)
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name):
+                out |= reads(n.func.id, seen)
+        return out
+
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for command, parser in commands.choices.items():
+        read = reads(parser.get_default("func").__name__, set())
+        unread += [
+            f"{command} {a.option_strings[0]}"
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction) and a.dest not in read
+        ]
+    assert unread == []
