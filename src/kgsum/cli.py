@@ -147,6 +147,8 @@ def _cmd_perturb(args) -> int:
         remove_nodes_pca,
     )
 
+    if args.pca and args.anomalies is not None:
+        raise ConfigError("--anomalies chooses injected anomaly types; --pca injects none")
     g = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

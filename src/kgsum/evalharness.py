@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .anomaly import missing_reports
 from .graph import KnowledgeGraph, parse_graph
 from .miner import ConfigError, Model, RuleEntry
-from .rules import DIRECTION_NAMES, IN, OUT, rule_text
+from .rules import DIRECTION_NAMES, IN, OUT
 
 ANOMALY_TYPES = ("a1", "a2", "a3", "a4")
 VALIDATION_FRACTION = 0.2
@@ -313,7 +313,7 @@ def _baseline_select(cands: list[RuleEntry], g: KnowledgeGraph, k: int, keyfn, p
     order = sorted((c for c in cands if c.correct_starts), key=keyfn)
     model = Model(g)
     for c in order[:k]:
-        model.add(c, phase, rule_text(c.rule, g), model.price(c))
+        model.add(c, phase, model.price(c))
     return model
 
 
@@ -424,7 +424,9 @@ def metrics(
     """AUC over reciprocal ranks plus precision/recall/F1@k with tie extension.
 
     With a type filter, edges perturbed by other types are dropped from the
-    ranking first so they are never counted as false negatives.
+    ranking first so they are never counted as false negatives.  Without one,
+    ``by_type`` holds the filtered report of each type that a ranked positive
+    has, when there are more than one.
     """
     scores, labels = _ranking_rows(ranking, truth, anomaly_filter)
     if not scores:
@@ -440,7 +442,9 @@ def metrics(
         num_negatives=len(labels) - sum(labels),
     )
     if anomaly_filter is None:
-        seen_types = sorted({t for r in truth.positives for t in r["types"]})
+        # a type whose positives all fell in another split has none ranked
+        pos_types = truth.positive_types()
+        seen_types = sorted({t for s, p, o, _ in ranking for t in pos_types.get((s, p, o), ())})
         if len(seen_types) > 1:
             for t in seen_types:
                 report.by_type[t] = metrics(ranking, truth, anomaly_filter=t, k=k)

@@ -39,10 +39,6 @@ class ConfigError(ValueError):
     """Invalid mining configuration."""
 
 
-def _root_key(rule: Rule, g: KnowledgeGraph) -> str:
-    return ",".join(sorted(g.label_names[l] for l in rule.root_labels))
-
-
 def _canon_key(rule: Rule, g: KnowledgeGraph):
     """Total order over canonical rules, by external names (interning-independent)."""
     return (
@@ -54,10 +50,11 @@ def _canon_key(rule: Rule, g: KnowledgeGraph):
     )
 
 
-_compared = attrgetter(
-    "rule", "root_key", "canon_key", "correct_starts", "num_assertions", "covered_edge_ids",
+_FIELDS = (
+    "rule", "canon_key", "correct_starts", "num_assertions", "covered_edge_ids",
     "covered_label_ids", "rule_bits", "traversal_bits", "assertion_bits", "exception_starts",
 )
+_compared = attrgetter(*_FIELDS)
 
 
 class RuleEntry:
@@ -70,20 +67,17 @@ class RuleEntry:
     label-assignment ids.  They may be shared between records (a mined
     candidate and its reverse partner hold one edge-id array) and are never
     mutated.
-    ``reverse_partner`` is read only by ``select``.  Two records are equal
-    when every field but ``gain`` and ``reverse_partner`` is.
+    ``reverse_partner`` is ``None`` until ``generate_candidates`` links the
+    two orientations of a pattern, and is read only by ``select``.  Two
+    records are equal when every field but ``reverse_partner`` is.
+    ``root_key`` is read off ``canon_key``.
     """
 
-    __slots__ = (
-        "rule", "root_key", "canon_key", "correct_starts", "num_assertions", "covered_edge_ids",
-        "covered_label_ids", "rule_bits", "traversal_bits", "assertion_bits", "exception_starts",
-        "gain", "reverse_partner", "__weakref__",
-    )
+    __slots__ = _FIELDS + ("reverse_partner", "__weakref__")
 
     def __init__(
         self,
         rule: Rule,
-        root_key: str,
         canon_key: tuple,
         correct_starts: frozenset[int],
         num_assertions: int,
@@ -92,11 +86,8 @@ class RuleEntry:
         rule_bits: float,
         traversal_bits: float,
         exception_starts: frozenset[int] | None = None,
-        gain: float = 0.0,
-        reverse_partner: RuleEntry | None = None,
     ) -> None:
         self.rule = rule
-        self.root_key = root_key
         self.canon_key = canon_key
         self.correct_starts = correct_starts
         self.num_assertions = num_assertions
@@ -105,8 +96,7 @@ class RuleEntry:
         self.rule_bits = rule_bits
         self.traversal_bits = traversal_bits
         self.exception_starts = exception_starts
-        self.gain = gain
-        self.reverse_partner = reverse_partner
+        self.reverse_partner: RuleEntry | None = None
         # stored, not derived on access, because model sums read it for
         # every entry; qualify keeps it current when it widens the root
         self.assertion_bits = (
@@ -118,7 +108,6 @@ class RuleEntry:
         aset = match(rule, g)
         return cls(
             rule=rule,
-            root_key=_root_key(rule, g),
             canon_key=_canon_key(rule, g),
             correct_starts=aset.correct_starts,
             num_assertions=aset.num_assertions,
@@ -133,6 +122,11 @@ class RuleEntry:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return _compared(self) == _compared(other)
+
+    @property
+    def root_key(self) -> str:
+        """The root's label names, sorted and comma-joined."""
+        return ",".join(self.canon_key[0])
 
     @property
     def num_correct(self) -> int:
@@ -215,12 +209,13 @@ class Model:
         return encoding.model_constant(self.graph) + bits + entry.model_bits + err
 
     def add(
-        self, entry: RuleEntry, phase: str, what: str, total: float, drop: Sequence[RuleEntry] = ()
+        self, entry: RuleEntry, phase: str, total: float, drop: Sequence[RuleEntry] = ()
     ) -> None:
         """Put ``entry`` at the first position of the entries ``drop``, which
         leave, or append it when ``drop`` is empty; move the coverage
-        refcounts and record ``total``, which must be the change's ``price``
-        (the caller has priced it to decide on the change)."""
+        refcounts and record the step ``(phase, rule_text of the entry's rule,
+        delta, total)``.  ``total`` must be the change's ``price`` (the caller
+        has priced it to decide on the change)."""
         if entry.exception_starts is None:
             starts = self.graph.nodes_with_labels(entry.rule.root_labels)
             entry.exception_starts = frozenset(starts) - entry.correct_starts
@@ -236,7 +231,7 @@ class Model:
         else:
             self.entries.append(entry)
             self.rule_and_assertion_bits += entry.model_bits
-        self.history.append((phase, what, total - self.total, total))
+        self.history.append((phase, rule_text(entry.rule, self.graph), total - self.total, total))
         self.total = total
 
     def _count(self, entry: RuleEntry, step: int) -> None:
@@ -354,7 +349,6 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
             rule = Rule(single[root], (Child(p, direction, Rule(single[child])),))
             entry = RuleEntry(
                 rule=rule,
-                root_key=_root_key(rule, g),
                 canon_key=_canon_key(rule, g),
                 # from an exact dict, frozenset sizes its table once (memory)
                 correct_starts=frozenset(dict(starts)),
@@ -383,18 +377,13 @@ def qualify(c: RuleEntry, g: KnowledgeGraph) -> RuleEntry:
     coverage are unchanged, so only the rule and exception-partition bits compete."""
     if not c.correct_starts:
         return c
-    shared: set[int] | None = None
-    root = c.rule.root_labels
-    for s in c.correct_starts:
-        labels = g.node_labels[s]
-        shared = set(labels) if shared is None else shared & labels
-        if len(shared) == len(root):
-            return c  # nothing beyond the root is shared
-    assert shared is not None
-    if not (root < shared):
+    # nodes with equal label sets share one frozenset, so this intersects
+    # each distinct label set of the starts once
+    shared = frozenset.intersection(*set(map(g.node_labels.__getitem__, c.correct_starts)))
+    if not (c.rule.root_labels < shared):
         return c
     new_assertions = len(g.nodes_with_labels(shared))
-    new_rule = canonicalize(Rule(frozenset(shared), c.rule.children))
+    new_rule = canonicalize(Rule(shared, c.rule.children))
     new_rule_bits = encoding.rule_cost(new_rule, g)
     old_bits = c.rule_bits + encoding.assertion_overhead(c.num_assertions, c.num_exceptions)
     new_overhead = encoding.assertion_overhead(
@@ -405,7 +394,6 @@ def qualify(c: RuleEntry, g: KnowledgeGraph) -> RuleEntry:
         c.rule_bits = new_rule_bits
         c.num_assertions = new_assertions
         c.assertion_bits = new_overhead + c.traversal_bits
-        c.root_key = _root_key(new_rule, g)
         c.canon_key = _canon_key(new_rule, g)
     return c
 
@@ -431,12 +419,12 @@ def rank(cands: list[RuleEntry], g: KnowledgeGraph) -> list[RuleEntry]:
     """Descending error reduction against the empty model; ties by correct
     assertion count, then root label strings, then full structure."""
     err0 = encoding.error_cost_counts(g, 0, 0)
-    usable = [c for c in cands if c.num_assertions >= 1 and c.correct_starts]
-    for c in usable:
-        c.gain = err0 - encoding.error_cost_counts(
-            g, len(c.covered_label_ids), len(c.covered_edge_ids)
-        )
-    return sorted(usable, key=lambda c: (-c.gain, -c.num_correct, c.root_key, c.canon_key))
+
+    def key(c: RuleEntry) -> tuple:
+        err = encoding.error_cost_counts(g, len(c.covered_label_ids), len(c.covered_edge_ids))
+        return -(err0 - err), -c.num_correct, c.root_key, c.canon_key
+
+    return sorted((c for c in cands if c.num_assertions >= 1 and c.correct_starts), key=key)
 
 
 def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> Model:
@@ -460,19 +448,20 @@ def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> M
                     choice, choice_total = partner, partner_total
             if choice_total < model.total:
                 chosen.add(id(choice))
-                model.add(choice, "select", rule_text(choice.rule, g), choice_total)
+                model.add(choice, "select", choice_total)
                 added_any = True
         if not added_any:
             break
     return model
 
 
-def build_model(g: KnowledgeGraph, rules: Iterable[Rule], phase: str = "load") -> Model:
-    """Cost an explicit rule list (used by baselines and model files)."""
+def build_model(g: KnowledgeGraph, rules: Iterable[Rule]) -> Model:
+    """Cost an explicit rule list (used by baselines and model files), each
+    rule canonicalized and recorded as a ``load`` step."""
     model = Model(g)
     for rule in rules:
         entry = RuleEntry.from_rule(canonicalize(rule), g)
-        model.add(entry, phase, rule_text(rule, g), model.price(entry))
+        model.add(entry, "load", model.price(entry))
     return model
 
 
@@ -480,11 +469,7 @@ def build_model(g: KnowledgeGraph, rules: Iterable[Rule], phase: str = "load") -
 
 
 def _dedup_children(children: Iterable[Child]) -> tuple[Child, ...]:
-    seen: list[Child] = []
-    for c in children:
-        if c not in seen:
-            seen.append(c)
-    return tuple(seen)
+    return tuple(dict.fromkeys(children))
 
 
 def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
@@ -507,7 +492,7 @@ def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
         merged = RuleEntry.from_rule(merged_rule, g)
         total = model.price(merged, parts)
         if total <= model.total:
-            model.add(merged, "merge", rule_text(merged_rule, g), total, drop=parts)
+            model.add(merged, "merge", total, drop=parts)
     return model
 
 
@@ -531,13 +516,8 @@ class NestCounts:
 
     __slots__ = ("considered", "pruned", "evaluated", "accepted")
 
-    def __init__(
-        self, considered: int = 0, pruned: int = 0, evaluated: int = 0, accepted: int = 0
-    ) -> None:
-        self.considered = considered
-        self.pruned = pruned
-        self.evaluated = evaluated
-        self.accepted = accepted
+    def __init__(self) -> None:
+        self.considered = self.pruned = self.evaluated = self.accepted = 0
 
 
 class Reach(NamedTuple):
@@ -630,8 +610,8 @@ def nest_bound(
     ``e_in``) from cached per-start data, without matching it: ``reach`` is
     e_in's reach at ``path``, listing its starts in the order of ``bits_in``,
     and ``bits_in`` and ``bits_rt`` are the two rules' ``StartBits``.
-    ``None`` when ``_dedup_children`` drops a child at the inner node, where
-    the sum below would overcount.
+    ``None`` when the inner node and e_rt's root share a child, which
+    ``_dedup_children`` drops and the sum below would overcount.
 
     The path is non-empty, so the composed rule keeps e_in's root and its
     assertions.  A start stays correct exactly when it is correct in e_in and
@@ -652,7 +632,7 @@ def nest_bound(
     for i in path:
         node = node.children[i].child
     joined = node.children + e_rt.rule.children
-    if len(_dedup_children(joined)) < len(joined):
+    if len(set(joined)) < len(joined):
         return None
     rule_bits = encoding.rule_cost(composed_rule, g)
     model_in, model_rt = e_in.model_bits, e_rt.model_bits
@@ -751,7 +731,7 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                 break
         else:
             return model
-        model.add(composed, "nest", rule_text(composed_rule, g), total, drop=(e_in, e_rt))
+        model.add(composed, "nest", total, drop=(e_in, e_rt))
         counts.accepted += 1
 
 

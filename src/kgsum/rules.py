@@ -34,9 +34,6 @@ class Rule(NamedTuple):
     root_labels: frozenset[int]
     children: tuple["Child", ...] = ()
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def depth(self) -> int:
         return 1 + max((c.child.depth() for c in self.children), default=0)
 
@@ -266,7 +263,7 @@ def _rule_from_dict(data: dict, g: KnowledgeGraph, depth: int) -> Rule:
 def rule_text(rule: Rule, g: KnowledgeGraph) -> str:
     """Compact one-line rendering for logs and reports."""
     root = ",".join(sorted(g.label_names[l] for l in rule.root_labels))
-    if rule.is_leaf():
+    if not rule.children:
         return f"[{root}]"
     parts = []
     for c in rule.children:

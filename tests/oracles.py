@@ -4,9 +4,11 @@ Everything here is written against the definitions directly: plain recursion,
 exact big-integer combinatorics, linear scans instead of indexes.  The point
 is a second code path, so nothing imports the package's encoding/matching
 internals beyond the shared value types (Rule, Child, KnowledgeGraph).  The
-one exception is ``oracle_select``: it checks the order in which the greedy
+exceptions are ``oracle_select``, which checks the order in which the greedy
 scan accumulates costs, to the bit, so it prices the error and the rule-count
-constant with the package's own functions.
+constant with the package's own functions, and ``oracle_qualify``, whose
+widening decision compares rule and assertion bits to the bit, so it prices
+them with the package's own ``rule_cost`` and ``assertion_overhead``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from kgsum.encoding import error_cost_counts, model_constant
+from kgsum.encoding import assertion_overhead, error_cost_counts, model_constant, rule_cost
 from kgsum.graph import KnowledgeGraph
 from kgsum.rules import IN, OUT, Child, Rule, rule_text
 
@@ -329,6 +331,36 @@ def oracle_select(g: KnowledgeGraph, ranked: list, max_passes: int = 3) -> list[
         if not added:
             break
     return history
+
+
+def oracle_qualify(c, g: KnowledgeGraph):
+    """``miner.qualify`` one correct start at a time: intersect the starts'
+    label sets in turn, stopping as soon as only the root labels are left,
+    then widen the root to that intersection when the rule bits plus the
+    exception-partition bits do not rise.  Modifies and returns ``c``."""
+    if not c.correct_starts:
+        return c
+    shared = None
+    root = c.rule.root_labels
+    for s in c.correct_starts:
+        labels = g.node_labels[s]
+        shared = set(labels) if shared is None else shared & labels
+        if len(shared) == len(root):
+            return c  # nothing beyond the root is shared
+    if not root < shared:
+        return c
+    new_assertions = sum(shared <= ls for ls in g.node_labels)
+    new_rule = _canonical(Rule(frozenset(shared), c.rule.children))
+    new_rule_bits = rule_cost(new_rule, g)
+    old_bits = c.rule_bits + assertion_overhead(c.num_assertions, c.num_exceptions)
+    new_overhead = assertion_overhead(new_assertions, new_assertions - len(c.correct_starts))
+    if new_rule_bits + new_overhead <= old_bits:
+        c.rule = new_rule
+        c.rule_bits = new_rule_bits
+        c.num_assertions = new_assertions
+        c.assertion_bits = new_overhead + c.traversal_bits
+        c.canon_key = _name_key(g, new_rule)
+    return c
 
 
 def _canonical(rule: Rule) -> Rule:

@@ -338,6 +338,19 @@ def test_perturb_rejects_bad_anomaly_list(tmp_path):
     assert rc == 1
 
 
+def test_perturb_rejects_anomalies_with_pca(tmp_path):
+    # --pca removes nodes and injects nothing, so an anomaly list would be ignored
+    triples, labels = write_inputs(tmp_path, private_children_kg(n_roots=25))
+    out = tmp_path / "x"
+    proc = run_cli(["perturb", "--graph", triples, "--labels", labels, "--out", str(out),
+                    "--q", "0.04", "--pca", "--anomalies", "a3"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "--anomalies" in errors[0] and "--pca" in errors[0]
+    assert not out.exists()
+
+
 def test_score_and_complete_skip_rules_that_no_longer_apply(tmp_path):
     # a model mined when some node carried both X and Y, applied to a graph
     # where none does: that rule is skipped with a warning, the other applies

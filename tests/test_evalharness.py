@@ -23,7 +23,7 @@ from kgsum.miner import ConfigError, build_model, generate_candidates, qualify_a
 from kgsum.rules import IN, atomic, rule_text
 
 from oracles import oracle_auc_trapezoid, oracle_completeness_eval
-from synth import private_children_kg, random_kg, random_owned_kg, symmetric_dominant_kg, two_branch_kg
+from synth import bench_kg, private_children_kg, random_kg, random_owned_kg, symmetric_dominant_kg, two_branch_kg
 
 
 def test_spec_validation():
@@ -317,6 +317,29 @@ def test_metrics_per_type_filtering():
     assert rep.by_type["a1"].num_negatives == 2
     assert rep.by_type["a1"].auc == 1.0
     assert rep.by_type["a3"].auc == 1.0
+
+
+def test_metrics_breaks_down_only_the_types_with_a_ranked_positive():
+    # a3's one positive fell in the val split, so the ranking holds none of it
+    rows = [("a", "p", "b", 9.0), ("c", "p", "d", 8.0), ("e", "p", "f", 7.0), ("g", "p", "h", 1.0)]
+    truth = GroundTruth(kind="perturbation", q=0.1, seed=0, types=("a1", "a2", "a3"))
+    truth.positives.append({"s": "a", "p": "p", "o": "b", "types": ["a1"], "split": "test"})
+    truth.positives.append({"s": "c", "p": "p", "o": "d", "types": ["a2"], "split": "test"})
+    truth.positives.append({"s": "x", "p": "p", "o": "y", "types": ["a3"], "split": "val"})
+    truth.negatives.append({"s": "e", "p": "p", "o": "f", "split": "test"})
+    truth.negatives.append({"s": "g", "p": "p", "o": "h", "split": "test"})
+    rep = metrics(rows, truth)
+    assert list(rep.by_type) == ["a1", "a2"]
+    assert rep.by_type["a1"].to_dict() == metrics(rows, truth, anomaly_filter="a1").to_dict()
+
+
+def test_metrics_of_a_perturbation_whose_type_has_only_val_positives():
+    g = bench_kg("nested", 101, 0.1)
+    _, truth = perturb(g, PerturbationSpec(q=0.0005, types=("a2", "a3", "a4"), seed=24))
+    ranked = {t for r in truth.positives if r["split"] == "test" for t in r["types"]}
+    assert ranked < {t for r in truth.positives for t in r["types"]}
+    rows = [(s, p, o, float(i)) for i, (s, p, o) in enumerate(evaluation_edges(truth))]
+    assert set(metrics(rows, truth).by_type) == ranked
 
 
 def test_metrics_unknown_edge_rejected():

@@ -10,7 +10,7 @@ from array import array
 import pytest
 
 from kgsum import miner
-from kgsum.encoding import assertions_cost, log_binomial
+from kgsum.encoding import assertions_cost, error_cost_counts, log_binomial
 from kgsum.graph import parse_graph
 from kgsum.miner import (
     REFINE_MODES,
@@ -197,8 +197,12 @@ def test_rank_tie_breaks_by_correct_count():
     ranked = rank(cands, g)
     # every candidate covers 3 edges + 3 (or 1) label slots; compare the two
     # with equal gain explicitly
+    def gain(c):
+        err = error_cost_counts(g, len(c.covered_label_ids), len(c.covered_edge_ids))
+        return error_cost_counts(g, 0, 0) - err
+
     for a, b in zip(ranked, ranked[1:]):
-        if a.gain == b.gain:
+        if gain(a) == gain(b):
             assert (a.num_correct, -ord(a.root_key[0])) >= (b.num_correct, -ord(b.root_key[0]))
 
 
@@ -231,7 +235,6 @@ def test_select_considers_reverse_pair_and_keeps_cheaper():
     def make(rule, root_key, traversal_bits):
         return RuleEntry(
             rule=rule,
-            root_key=root_key,
             canon_key=(root_key,),
             correct_starts=frozenset({0}),
             num_assertions=1,
@@ -551,10 +554,10 @@ def test_nest_counts_on_the_bench_workloads(name, expected, monkeypatch):
         finally:
             self.label_refs, self.edge_refs = refs
 
-    def add(self, entry, phase, what, total, drop=()):
+    def add(self, entry, phase, total, drop=()):
         added.append(len(drop))
         assert total == real_price(self, entry, drop)  # the caller's price, to the bit
-        real_add(self, entry, phase, what, total, drop)
+        real_add(self, entry, phase, total, drop)
         after_add.append(snapshot(self))
 
     monkeypatch.setattr(Model, "price", price)
@@ -574,10 +577,10 @@ def test_every_add_records_the_price_its_caller_computed(monkeypatch):
     real_add, real_price = Model.add, Model.price
     phases = []
 
-    def add(self, entry, phase, what, total, drop=()):
+    def add(self, entry, phase, total, drop=()):
         assert total == real_price(self, entry, drop)
         phases.append(phase)
-        real_add(self, entry, phase, what, total, drop)
+        real_add(self, entry, phase, total, drop)
 
     monkeypatch.setattr(Model, "add", add)
     for g in (two_branch_kg(), chained_ownership_kg(), planted_cycle_kg(num_nodes=200, noise=0.05)):
@@ -767,7 +770,7 @@ def test_one_formula_for_mined_and_matched_records_randomized():
         for c in qualify_all(generate_candidates(g), g):
             built = RuleEntry.from_rule(c.rule, g)
             joined = Model(g)
-            joined.add(c, "test", "", joined.price(c))  # joining fixes the exception starts
+            joined.add(c, "test", joined.price(c))  # joining fixes the exception starts
             assert c == built
             assert (c.rule_bits, c.traversal_bits) == (built.rule_bits, built.traversal_bits)
             multi_label_roots += len(c.rule.root_labels) > 1

@@ -163,7 +163,7 @@ def assert_priced_as_added(model, g, entry, drop=()):
     moved = copy.copy(model)
     moved.entries, moved.history = list(model.entries), list(model.history)
     moved.edge_refs, moved.label_refs = array("I", model.edge_refs), array("I", model.label_refs)
-    moved.add(entry, "test", "", price, drop)
+    moved.add(entry, "test", price, drop)
     labels = len(moved.label_refs) - moved.label_refs.count(0)
     assert counted == [(labels, moved.num_modeled_edges)]
     assert moved.history[-1][3] == price

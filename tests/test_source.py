@@ -1,8 +1,9 @@
 """Source guards over ``src/kgsum``.  With the standard library's ``ast``:
 every imported name is used in its module, every private module-level
 name (one leading underscore) is referenced somewhere in the package
-outside its own definition, and every option a subcommand declares is read
-by that subcommand.  And the modules every command imports leave out the
+outside its own definition, every option a subcommand declares is read by
+that subcommand, and every parameter of a function or lambda is read by its
+body.  And the modules every command imports leave out the
 heavy standard-library modules."""
 
 import argparse
@@ -117,3 +118,38 @@ def test_every_option_of_a_subcommand_is_read_by_it():
             if not isinstance(a, argparse._HelpAction) and a.dest not in read
         ]
     assert unread == []
+
+
+# parameters that stay unread on purpose, each with its reason
+UNREAD_PARAMETERS = {
+    ("encoding.py", "assertions_cost", "g"):
+        "the benchmark harness (bench/trace_run.py) calls assertions_cost(aset, g) positionally",
+}
+
+
+def unread_parameters(path: Path) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for each parameter of a function or
+    lambda in ``path`` that its body never reads."""
+    unread = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "<lambda>")
+        unread += [(path.name, name, p) for p in params if p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is an argument every caller passes for nothing
+    unread = [u for path in MODULES for u in unread_parameters(path)]
+    assert [u for u in unread if u not in UNREAD_PARAMETERS] == []
+    assert sorted(UNREAD_PARAMETERS) == sorted(set(unread) & UNREAD_PARAMETERS.keys())
