@@ -16,13 +16,11 @@ _MODULE_OF = {
     "AnomalyScorer": "anomaly",
     "AssertionSet": "rules",
     "Child": "rules",
-    "GroundTruth": "evalharness",
     "KnowledgeGraph": "graph",
-    "MetricsReport": "evalharness",
     "Model": "miner",
-    "PerturbationSpec": "evalharness",
     "Rule": "rules",
     "canonicalize": "rules",
+    "check_truth": "evalharness",
     "completeness_eval": "evalharness",
     "coverage_select": "evalharness",
     "freq_select": "evalharness",

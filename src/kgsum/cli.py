@@ -108,9 +108,7 @@ def _read_test_edges(path: str, g: KnowledgeGraph) -> list[tuple[int, int, int]]
             s, p, o = parts
             sid, pid, oid = g.node_id(s), g.pred_id(p), g.node_id(o)
             if sid is None or pid is None or oid is None:
-                from .evalharness import PerturbationError
-
-                raise PerturbationError(f"{path}, line {line_no}: unknown identifier in {parts}")
+                raise ValueError(f"{path}, line {line_no}: unknown identifier in {parts}")
             rows.append((sid, pid, oid))
     return rows
 
@@ -139,13 +137,7 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    from .evalharness import (
-        ANOMALY_TYPES,
-        PerturbationSpec,
-        evaluation_edges,
-        perturb,
-        remove_nodes_pca,
-    )
+    from .evalharness import ANOMALY_TYPES, evaluation_edges, perturb, remove_nodes_pca
 
     if args.pca and args.anomalies is not None:
         raise ConfigError("--anomalies chooses injected anomaly types; --pca injects none")
@@ -157,18 +149,17 @@ def _cmd_perturb(args) -> int:
             new_g, truth = remove_nodes_pca(g, args.q, seed=args.seed)
     else:
         types = ANOMALY_TYPES if args.anomalies is None else tuple(args.anomalies.split(","))
-        spec = PerturbationSpec(q=args.q, types=types, seed=args.seed)
         with timed("perturb", _log):
-            new_g, truth = perturb(g, spec)
+            new_g, truth = perturb(g, args.q, types, seed=args.seed)
     write_graph(new_g, str(out / "triples.tsv"), str(out / "labels.tsv"))
-    _write_json(str(out / "truth.json"), truth.to_dict())
+    _write_json(str(out / "truth.json"), truth)
     if not args.pca:
         with open(out / "test_edges.tsv", "w", encoding="utf-8") as fh:
             for s, p, o in evaluation_edges(truth):
                 fh.write(f"{s}\t{p}\t{o}\n")
-        _log(f"{len(truth.positives)} perturbed edges, {len(truth.negatives)} clean samples")
+        _log(f"{len(truth['positives'])} perturbed edges, {len(truth['negatives'])} clean samples")
     else:
-        _log(f"removed {len(truth.removed)} nodes")
+        _log(f"removed {len(truth['removed'])} nodes")
     return 0
 
 
@@ -178,23 +169,26 @@ def _read_ranking(path: str) -> list[tuple[str, str, str, float]]:
 
 
 def _cmd_evaluate(args) -> int:
-    from .evalharness import GroundTruth, MetricsError, completeness_eval, metrics
+    from .evalharness import MetricsError, check_truth, completeness_eval, metrics
 
-    truth = GroundTruth.from_dict(_read_json(args.truth, MetricsError))
-    if truth.kind == "perturbation":
+    truth = check_truth(_read_json(args.truth, MetricsError))
+    if truth["kind"] == "perturbation":
         if not args.ranking:
             raise ConfigError("evaluate with perturbation truth requires --ranking")
-        report = metrics(_read_ranking(args.ranking), truth)
-        doc = {"kind": "perturbation", **report.to_dict()}
-    elif truth.kind == "pca_removal":
+        if args.model or args.graph or args.labels:
+            raise ConfigError("--model, --graph and --labels are for pca_removal truth")
+        doc = {"kind": "perturbation", **metrics(_read_ranking(args.ranking), truth)}
+    elif truth["kind"] == "pca_removal":
         if not (args.model and args.graph and args.labels):
             raise ConfigError("evaluate with pca_removal truth requires --model, --graph, --labels")
+        if args.ranking:
+            raise ConfigError("--ranking is for perturbation truth")
         g = _load_inputs(args)
         model = _load_model(args, g)
         recall, recall_label = completeness_eval(model, truth)
         doc = {"kind": "pca_removal", "recall": recall, "recall_label": recall_label}
     else:
-        raise ConfigError(f"unknown truth kind {truth.kind!r}")
+        raise ConfigError(f"unknown truth kind {truth['kind']!r}")
     _write_json(args.out, doc)
     _log(f"evaluation written to {args.out}")
     return 0

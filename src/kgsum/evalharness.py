@@ -4,6 +4,13 @@ selectors, ranking metrics, and missing-entity recall.
 All randomized procedures are deterministic functions of (graph, parameters,
 seed); derived random streams are seeded with strings so independent stages
 never share state.
+
+Ground truth is the dict that ``kgsum perturb`` writes to ``truth.json``:
+``kind``, ``q`` and ``seed``, then ``types``, ``positives`` and ``negatives``
+(edge records with a val/test ``split``) from ``perturb``, or ``removed`` (per
+removed node, the assertions its removal destroyed at surviving neighbors)
+from ``remove_nodes_pca``.  ``check_truth`` validates one read back from a
+file; ``metrics`` returns the report that ``kgsum evaluate`` writes.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
 
 from .anomaly import missing_reports
 from .graph import KnowledgeGraph, parse_graph
@@ -30,64 +36,19 @@ class MetricsError(ValueError):
     """Metrics are undefined for the given ranking/truth combination."""
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    q: float
-    types: tuple[str, ...] = ANOMALY_TYPES
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.q <= 1.0:
-            raise PerturbationError(f"q must be in (0, 1], got {self.q}")
-        bad = [t for t in self.types if t not in ANOMALY_TYPES]
-        if bad or not self.types:
-            raise PerturbationError(f"anomaly types must be drawn from {ANOMALY_TYPES}, got {self.types}")
-
-
-@dataclass
-class GroundTruth:
-    """Labeled outcome of a perturbation or PCA-removal run.
-
-    ``positives``/``negatives`` hold edge records (external names) with a
-    val/test split tag; ``removed`` holds per-removed-node records with the
-    assertions their removal destroyed at surviving neighbors.
-    """
-
-    kind: str
-    q: float
-    seed: int
-    types: tuple[str, ...] = ()
-    positives: list[dict] = field(default_factory=list)
-    negatives: list[dict] = field(default_factory=list)
-    removed: list[dict] = field(default_factory=list)
-
-    def positive_types(self) -> dict[tuple[str, str, str], tuple[str, ...]]:
-        return {(r["s"], r["p"], r["o"]): tuple(r["types"]) for r in self.positives}
-
-    def clean_triples(self) -> set[tuple[str, str, str]]:
-        return {(r["s"], r["p"], r["o"]) for r in self.negatives}
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "q": self.q, "seed": self.seed}
-        if self.kind == "perturbation":
-            out["types"] = list(self.types)
-            out["positives"] = self.positives
-            out["negatives"] = self.negatives
-        else:
-            out["removed"] = self.removed
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GroundTruth":
-        if not isinstance(data, dict) or not {"kind", "q", "seed"} <= data.keys():
-            raise MetricsError("ground truth must be an object with kind, q and seed")
-        if not _strings(data.get("types", [])):
-            raise MetricsError("truth 'types' must be a list of strings")
-        records = {name: _records(data, name) for name in ("positives", "negatives", "removed")}
-        for r in records["removed"]:
-            if any(d["direction"] not in DIRECTION_NAMES for d in _records(r, "destroyed")):
-                raise MetricsError("a destroyed entry's direction must be 'out' or 'in'")
-        return cls(data["kind"], data["q"], data["seed"], tuple(data.get("types", ())), **records)
+def check_truth(doc) -> dict:
+    """``doc`` as a ground-truth document whose record lists hold the fields
+    the evaluation reads, each absent record list set to ``[]``; raises
+    ``MetricsError`` otherwise."""
+    if not isinstance(doc, dict) or not {"kind", "q", "seed"} <= doc.keys():
+        raise MetricsError("ground truth must be an object with kind, q and seed")
+    if not _strings(doc.get("types", [])):
+        raise MetricsError("truth 'types' must be a list of strings")
+    records = {name: _records(doc, name) for name in ("positives", "negatives", "removed")}
+    for r in records["removed"]:
+        if any(d["direction"] not in DIRECTION_NAMES for d in _records(r, "destroyed")):
+            raise MetricsError("a destroyed entry's direction must be 'out' or 'in'")
+    return {**doc, **records}
 
 
 def _strings(value) -> bool:
@@ -117,6 +78,11 @@ def _records(doc: dict, name: str) -> list[dict]:
     return rows
 
 
+def _check_q(q: float) -> None:
+    if not 0.0 < q <= 1.0:
+        raise PerturbationError(f"q must be in (0, 1], got {q}")
+
+
 def _sample_count(q: float, num_nodes: int) -> int:
     if q * num_nodes < 1:
         raise PerturbationError(f"q={q} samples less than one of {num_nodes} nodes")
@@ -142,14 +108,19 @@ def _rebuild(g: KnowledgeGraph, triples: list[tuple[int, int, int]], labels: lis
     return parse_graph(tl, ll, triple_source="<perturbed>", label_source="<perturbed>")
 
 
-def perturb(g: KnowledgeGraph, spec: PerturbationSpec) -> tuple[KnowledgeGraph, GroundTruth]:
+def perturb(
+    g: KnowledgeGraph, q: float, types: tuple[str, ...] = ANOMALY_TYPES, seed: int = 0
+) -> tuple[KnowledgeGraph, dict]:
     """Inject the requested anomaly types, each hitting an independent uniform
     sample of ceil(q*|V|) nodes, and record ground truth with an equal-size
     clean-edge sample and a val/test split."""
+    _check_q(q)
+    if not types or any(t not in ANOMALY_TYPES for t in types):
+        raise PerturbationError(f"anomaly types must be drawn from {ANOMALY_TYPES}, got {types}")
     if g.num_nodes == 0:
         raise PerturbationError("cannot perturb an empty graph")
-    n_sample = _sample_count(spec.q, g.num_nodes)
-    rng = random.Random(f"{spec.seed}:perturb")
+    n_sample = _sample_count(q, g.num_nodes)
+    rng = random.Random(f"{seed}:perturb")
 
     labels = [set(s) for s in g.node_labels]
     triples = list(g.edges)
@@ -170,7 +141,7 @@ def perturb(g: KnowledgeGraph, spec: PerturbationSpec) -> tuple[KnowledgeGraph, 
             mark(t, atype)
 
     for atype in ANOMALY_TYPES:
-        if atype not in spec.types:
+        if atype not in types:
             continue
         if atype == "a1":
             pool = [v for v in range(g.num_nodes) if len(labels[v]) >= 2]
@@ -219,40 +190,39 @@ def perturb(g: KnowledgeGraph, spec: PerturbationSpec) -> tuple[KnowledgeGraph, 
     n_neg = min(len(perturbed), len(clean_pool))
     if n_neg < len(perturbed):
         warnings.warn(f"only {n_neg} clean edges available for {len(perturbed)} positives")
-    negatives = random.Random(f"{spec.seed}:negatives").sample(clean_pool, n_neg)
+    clean = random.Random(f"{seed}:negatives").sample(clean_pool, n_neg)
 
-    def name(t: tuple[int, int, int]) -> tuple[str, str, str]:
-        return g.node_names[t[0]], g.pred_names[t[1]], g.node_names[t[2]]
+    def named(t: tuple[int, int, int]) -> dict:
+        return {"s": g.node_names[t[0]], "p": g.pred_names[t[1]], "o": g.node_names[t[2]]}
 
-    splits = _assign_splits(len(perturbed) + len(negatives), spec.seed, "split")
-    truth = GroundTruth(kind="perturbation", q=spec.q, seed=spec.seed, types=spec.types)
-    for i, (t, types) in enumerate(perturbed.items()):
-        s, p, o = name(t)
-        truth.positives.append({"s": s, "p": p, "o": o, "types": sorted(types), "split": splits[i]})
-    for i, t in enumerate(negatives):
-        s, p, o = name(t)
-        truth.negatives.append({"s": s, "p": p, "o": o, "split": splits[len(perturbed) + i]})
-
+    splits = _assign_splits(len(perturbed) + len(clean), seed, "split")
+    positives = [
+        {**named(t), "types": sorted(marked), "split": split}
+        for (t, marked), split in zip(perturbed.items(), splits)
+    ]
+    negatives = [{**named(t), "split": split} for t, split in zip(clean, splits[len(perturbed):])]
+    truth = {"kind": "perturbation", "q": q, "seed": seed, "types": list(types)}
+    truth.update(positives=positives, negatives=negatives)
     return _rebuild(g, triples, labels), truth
 
 
-def evaluation_edges(truth: GroundTruth) -> list[tuple[str, str, str]]:
+def _triple(record: dict) -> tuple[str, str, str]:
+    return record["s"], record["p"], record["o"]
+
+
+def evaluation_edges(truth: dict) -> list[tuple[str, str, str]]:
     """Test-split edges in a deterministically shuffled order (so that score
     ties never correlate with the ground-truth labels)."""
-    rows = [(r["s"], r["p"], r["o"]) for r in truth.positives if r["split"] == "test"]
-    rows += [(r["s"], r["p"], r["o"]) for r in truth.negatives if r["split"] == "test"]
-    random.Random(f"{truth.seed}:test-order").shuffle(rows)
+    rows = [_triple(r) for r in truth["positives"] + truth["negatives"] if r["split"] == "test"]
+    random.Random(f"{truth['seed']}:test-order").shuffle(rows)
     return rows
 
 
-def remove_nodes_pca(
-    g: KnowledgeGraph, q: float, seed: int = 0
-) -> tuple[KnowledgeGraph, GroundTruth]:
+def remove_nodes_pca(g: KnowledgeGraph, q: float, seed: int = 0) -> tuple[KnowledgeGraph, dict]:
     """Remove ceil(q*|V|) nodes with their incident edges; then, for every
     surviving neighbor that lost an edge of some (predicate, direction), drop
     all its remaining edges of that kind (partial completeness)."""
-    if not 0.0 < q <= 1.0:
-        raise PerturbationError(f"q must be in (0, 1], got {q}")
+    _check_q(q)
     if g.num_nodes == 0:
         raise PerturbationError("cannot remove nodes from an empty graph")
     n_sample = _sample_count(q, g.num_nodes)
@@ -284,23 +254,23 @@ def remove_nodes_pca(
     labels = [set(ls) if v not in removed else set() for v, ls in enumerate(g.node_labels)]
 
     splits = _assign_splits(len(removed_ids), seed, "pca-split")
-    truth = GroundTruth(kind="pca_removal", q=q, seed=seed)
-    for i, x in enumerate(removed_ids):
-        truth.removed.append(
-            {
-                "node": g.node_names[x],
-                "labels": sorted(g.label_names[l] for l in g.node_labels[x]),
-                "split": splits[i],
-                "destroyed": [
-                    {
-                        "survivor": g.node_names[u],
-                        "predicate": g.pred_names[p],
-                        "direction": DIRECTION_NAMES[d],
-                    }
-                    for u, p, d in sorted(destroyed[x])
-                ],
-            }
-        )
+    records = [
+        {
+            "node": g.node_names[x],
+            "labels": sorted(g.label_names[l] for l in g.node_labels[x]),
+            "split": split,
+            "destroyed": [
+                {
+                    "survivor": g.node_names[u],
+                    "predicate": g.pred_names[p],
+                    "direction": DIRECTION_NAMES[d],
+                }
+                for u, p, d in sorted(destroyed[x])
+            ],
+        }
+        for x, split in zip(removed_ids, splits)
+    ]
+    truth = {"kind": "pca_removal", "q": q, "seed": seed, "removed": records}
     return _rebuild(g, triples, labels), truth
 
 
@@ -334,37 +304,13 @@ def coverage_select(cands: list[RuleEntry], g: KnowledgeGraph, k: int) -> Model:
 # -- ranking metrics --------------------------------------------------------
 
 
-@dataclass
-class MetricsReport:
-    auc: float
-    p_at_100: float
-    r_at_100: float
-    f1_at_100: float
-    num_positives: int
-    num_negatives: int
-    by_type: dict[str, "MetricsReport"] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "auc": self.auc,
-            "p_at_100": self.p_at_100,
-            "r_at_100": self.r_at_100,
-            "f1_at_100": self.f1_at_100,
-            "num_positives": self.num_positives,
-            "num_negatives": self.num_negatives,
-        }
-        if self.by_type:
-            out["by_type"] = {t: r.to_dict() for t, r in self.by_type.items()}
-        return out
-
-
 def _ranking_rows(
     ranking: list[tuple[str, str, str, float]],
-    truth: GroundTruth,
+    truth: dict,
     anomaly_filter: str | None,
 ) -> tuple[list[float], list[int]]:
-    pos_types = truth.positive_types()
-    clean = truth.clean_triples()
+    pos_types = _positive_types(truth)
+    clean = {_triple(r) for r in truth["negatives"]}
     scores: list[float] = []
     labels: list[int] = []
     for s, p, o, score in ranking:
@@ -377,6 +323,10 @@ def _ranking_rows(
         scores.append(score)
         labels.append(1 if types is not None else 0)
     return scores, labels
+
+
+def _positive_types(truth: dict) -> dict[tuple[str, str, str], list[str]]:
+    return {_triple(r): r["types"] for r in truth["positives"]}
 
 
 def _auc_with_ties(scores: list[float], labels: list[int]) -> float:
@@ -417,44 +367,40 @@ def _precision_recall_at_k(scores: list[float], labels: list[int], k: int) -> tu
 
 def metrics(
     ranking: list[tuple[str, str, str, float]],
-    truth: GroundTruth,
+    truth: dict,
     anomaly_filter: str | None = None,
     k: int = 100,
-) -> MetricsReport:
-    """AUC over reciprocal ranks plus precision/recall/F1@k with tie extension.
+) -> dict:
+    """AUC over reciprocal ranks plus precision/recall/F1@k with tie extension,
+    as the report ``kgsum evaluate`` writes without its ``kind``.
 
     With a type filter, edges perturbed by other types are dropped from the
     ranking first so they are never counted as false negatives.  Without one,
     ``by_type`` holds the filtered report of each type that a ranked positive
     has, when there are more than one.
     """
+    if truth["kind"] != "perturbation":
+        raise MetricsError(f"metrics needs perturbation truth, got {truth['kind']!r}")
     scores, labels = _ranking_rows(ranking, truth, anomaly_filter)
     if not scores:
         raise MetricsError("empty ranking after filtering")
     auc = _auc_with_ties(scores, labels)
     precision, recall, f1 = _precision_recall_at_k(scores, labels, k)
-    report = MetricsReport(
-        auc=auc,
-        p_at_100=precision,
-        r_at_100=recall,
-        f1_at_100=f1,
-        num_positives=sum(labels),
-        num_negatives=len(labels) - sum(labels),
-    )
+    report = {"auc": auc, "p_at_100": precision, "r_at_100": recall, "f1_at_100": f1}
+    report.update(num_positives=sum(labels), num_negatives=len(labels) - sum(labels))
     if anomaly_filter is None:
         # a type whose positives all fell in another split has none ranked
-        pos_types = truth.positive_types()
+        pos_types = _positive_types(truth)
         seen_types = sorted({t for s, p, o, _ in ranking for t in pos_types.get((s, p, o), ())})
         if len(seen_types) > 1:
-            for t in seen_types:
-                report.by_type[t] = metrics(ranking, truth, anomaly_filter=t, k=k)
+            report["by_type"] = {t: metrics(ranking, truth, anomaly_filter=t, k=k) for t in seen_types}
     return report
 
 
 # -- missing-entity recall ----------------------------------------------------
 
 
-def completeness_eval(model: Model, truth: GroundTruth, split: str = "test") -> tuple[float, float]:
+def completeness_eval(model: Model, truth: dict, split: str = "test") -> tuple[float, float]:
     """Recall of the missing-information reports, ``anomaly.missing_reports``
     (what ``kgsum complete`` writes): the fraction of removed nodes for which
     a report names one of their destroyed (survivor, predicate, direction)
@@ -468,9 +414,9 @@ def completeness_eval(model: Model, truth: GroundTruth, split: str = "test") -> 
     wherever the survivor is an exception of the rule.  Only a graph that
     still holds such an edge, which contradicts the truth file, could leave
     that child unreported."""
-    if truth.kind != "pca_removal":
-        raise MetricsError(f"completeness_eval needs pca_removal truth, got {truth.kind!r}")
-    records = [r for r in truth.removed if r["split"] == split]
+    if truth["kind"] != "pca_removal":
+        raise MetricsError(f"completeness_eval needs pca_removal truth, got {truth['kind']!r}")
+    records = [r for r in truth["removed"] if r["split"] == split]
     if not records:
         return 0.0, 0.0
     expected: dict[tuple[str, str, str], list[set[str]]] = {}

@@ -500,7 +500,7 @@ def oracle_completeness_eval(model, truth, split: str = "test") -> tuple[float, 
         for v in entry.exception_starts:
             exception_entries.setdefault(v, []).append(entry)
 
-    records = [r for r in truth.removed if r["split"] == split]
+    records = [r for r in truth["removed"] if r["split"] == split]
     if not records:
         return 0.0, 0.0
     hits = 0

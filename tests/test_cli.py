@@ -8,6 +8,7 @@ import pytest
 
 import kgsum
 from kgsum.cli import main
+from kgsum.evalharness import MetricsError, check_truth
 from kgsum.graph import KnowledgeGraph, parse_graph, write_graph
 
 from synth import chained_ownership_kg, private_children_kg
@@ -63,10 +64,12 @@ def test_mining_scoring_and_completion_import_no_evaluation_harness(tmp_path):
     got = run_python(["-c", code])
     assert got.returncode == 0, got.stderr
     assert got.stdout.split() == ["False"] * 4
-    # an unknown test-edge identifier is still the harness's PerturbationError
+    # an unknown test-edge identifier is a ValueError like any other bad input,
+    # and reporting it loads no harness either
     edges.write_text("a0\tp\tnobody\n")
-    proc = run_cli(commands[1])
-    assert proc.returncode == 1, proc.stderr
+    code = f"import sys, kgsum.cli as cli; print(cli.main({commands[1]!r}), 'kgsum.evalharness' in sys.modules)"
+    proc = run_python(["-c", code])
+    assert proc.stdout.split() == ["1", "False"], proc.stderr
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "unknown identifier" in errors[0]
@@ -265,6 +268,62 @@ def test_evaluate_requires_matching_inputs(tmp_path):
     # perturbation truth without --ranking is a config error
     rc = main(["evaluate", "--truth", str(out_dir / "truth.json"), "--out", str(tmp_path / "m.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "kind, unused",
+    [("perturbation", ["--model"]), ("perturbation", ["--graph", "--labels"]), ("pca_removal", ["--ranking"])],
+)
+def test_evaluate_rejects_flags_its_truth_kind_never_reads(tmp_path, kind, unused):
+    g = chained_ownership_kg(n_a=10, d_a=3, d_b=4)
+    triples, labels = write_inputs(tmp_path, g)
+    out = tmp_path / "p"
+    pick = ["--anomalies", "a3"] if kind == "perturbation" else ["--pca"]
+    assert main(["perturb", "--graph", triples, "--labels", labels, "--out", str(out), "--q", "0.05", *pick]) == 0
+    model, ranking = tmp_path / "model.json", tmp_path / "r.tsv"
+    model.write_text(json.dumps({"rules": []}))
+    if kind == "perturbation":
+        edges = (out / "test_edges.tsv").read_text().splitlines()
+        ranking.write_text("".join(f"{line}\t{i}.0\n" for i, line in enumerate(edges)))
+    value = {"--model": str(model), "--graph": triples, "--labels": labels, "--ranking": str(ranking)}
+    reads = ["--ranking"] if kind == "perturbation" else ["--model", "--graph", "--labels"]
+    evaluate = ["evaluate", "--truth", str(out / "truth.json"), *(a for f in reads for a in (f, value[f]))]
+    report = tmp_path / "e.json"
+    proc = run_cli([*evaluate, *(a for f in unused for a in (f, value[f])), "--out", str(report)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and unused[0] in errors[0]
+    assert not report.exists()
+    # the same call without the unread flags evaluates
+    assert main([*evaluate, "--out", str(report)]) == 0
+
+
+def test_truth_and_report_documents_keep_their_key_order(tmp_path):
+    # json.dump writes keys in insertion order, so this pins the files' layout
+    triples, labels = write_inputs(tmp_path, chained_ownership_kg(n_a=20, d_a=3, d_b=4))
+    common = ["--graph", triples, "--labels", labels]
+    inj, pca = tmp_path / "inj", tmp_path / "pca"
+    assert main(["perturb", *common, "--out", str(inj), "--q", "0.05", "--anomalies", "a2,a3,a4"]) == 0
+    assert main(["perturb", *common, "--out", str(pca), "--q", "0.05", "--pca"]) == 0
+    truth = json.loads((inj / "truth.json").read_text())
+    assert list(truth) == ["kind", "q", "seed", "types", "positives", "negatives"]
+    assert {tuple(r) for r in truth["positives"]} == {("s", "p", "o", "types", "split")}
+    assert {tuple(r) for r in truth["negatives"]} == {("s", "p", "o", "split")}
+    removal = json.loads((pca / "truth.json").read_text())
+    assert list(removal) == ["kind", "q", "seed", "removed"]
+    assert {tuple(r) for r in removal["removed"]} == {("node", "labels", "split", "destroyed")}
+    destroyed = {tuple(d) for r in removal["removed"] for d in r["destroyed"]}
+    assert destroyed == {("survivor", "predicate", "direction")}
+
+    ranking, report = tmp_path / "r.tsv", tmp_path / "metrics.json"
+    edges = (inj / "test_edges.tsv").read_text().splitlines()
+    ranking.write_text("".join(f"{line}\t{i}.0\n" for i, line in enumerate(edges)))
+    assert main(["evaluate", "--truth", str(inj / "truth.json"), "--ranking", str(ranking), "--out", str(report)]) == 0
+    fields = ["auc", "p_at_100", "r_at_100", "f1_at_100", "num_positives", "num_negatives"]
+    doc = json.loads(report.read_text())
+    assert list(doc) == ["kind", *fields, "by_type"]
+    assert [list(r) for r in doc["by_type"].values()] == [fields] * len(doc["by_type"])
 
 
 def test_cli_error_paths(tmp_path):
@@ -489,12 +548,19 @@ def test_malformed_truth_records_exit_1_with_one_error_line(tmp_path, truth):
     ranking.write_text("a\tp\tb\t2.0\nb\tp\ta\t1.0\n")
     model.write_text(json.dumps({"rules": []}))
     path = tmp_path / "truth.json"
-    path.write_text(json.dumps({"q": 0.5, "seed": 0, "types": ["a3"], **truth}))
-    proc = run_cli(["evaluate", "--truth", str(path), "--ranking", str(ranking), "--model", str(model),
-                    "--graph", str(triples), "--labels", str(labels), "--out", str(tmp_path / "e.json")])
+    doc = {"q": 0.5, "seed": 0, "types": ["a3"], **truth}
+    path.write_text(json.dumps(doc))
+    if truth["kind"] == "perturbation":
+        inputs = ["--ranking", str(ranking)]
+    else:
+        inputs = ["--model", str(model), "--graph", str(triples), "--labels", str(labels)]
+    proc = run_cli(["evaluate", "--truth", str(path), *inputs, "--out", str(tmp_path / "e.json")])
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+    with pytest.raises(MetricsError) as rejected:
+        check_truth(doc)
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {rejected.value}"]
 
 
 def test_self_loop_graph_runs_end_to_end(tmp_path):

@@ -73,11 +73,11 @@ def test_every_private_module_level_name_is_referenced():
 
 def test_the_command_modules_import_neither_dataclasses_nor_inspect():
     # dataclasses imports inspect, which imports ast, dis and tokenize: about
-    # 1 MB of RSS in every command.  -S keeps a site hook from importing them
-    # or hiding them.
+    # 1 MB of RSS in every command, perturb and evaluate included.  -S keeps a
+    # site hook from importing them or hiding them.
     code = (
         "import sys\n"
-        "import kgsum.cli, kgsum.miner, kgsum.anomaly\n"
+        "import kgsum.cli, kgsum.miner, kgsum.anomaly, kgsum.evalharness\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
