@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .anomaly import missing_reports, rank_edges
-from .graph import KnowledgeGraph, _fields, load_graph, write_graph
+from .graph import KnowledgeGraph, _fields, _open_text, load_graph, write_graph
 from .miner import (
     ConfigError,
     Model,
@@ -57,7 +58,7 @@ def _load_inputs(args) -> KnowledgeGraph:
 def _read_json(path: str, error: type[ValueError]):
     """The JSON document at ``path``; one nested too deeply to decode raises
     ``error``, as other malformed input does."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:  # the decoder recurses once per nested container
@@ -72,6 +73,8 @@ def _load_model(args, g: KnowledgeGraph) -> Model:
 
 
 def _cmd_summarize(args) -> int:
+    if args.selector == "mdl" and args.top_k is not None:
+        raise ConfigError("--top-k is for the freq and coverage selectors")
     g = _load_inputs(args)
     if args.selector == "mdl":
         model = summarize(
@@ -103,7 +106,7 @@ def _cmd_summarize(args) -> int:
 
 def _read_test_edges(path: str, g: KnowledgeGraph) -> list[tuple[int, int, int]]:
     rows: list[tuple[int, int, int]] = []
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         for line_no, parts in _fields(path, fh, 3):
             s, p, o = parts
             sid, pid, oid = g.node_id(s), g.pred_id(p), g.node_id(o)
@@ -164,8 +167,17 @@ def _cmd_perturb(args) -> int:
 
 
 def _read_ranking(path: str) -> list[tuple[str, str, str, float]]:
-    with open(path, encoding="utf-8-sig") as fh:
-        return [(s, p, o, float(score)) for _, (s, p, o, score) in _fields(path, fh, 4)]
+    rows: list[tuple[str, str, str, float]] = []
+    with _open_text(path) as fh:
+        for line_no, (s, p, o, text) in _fields(path, fh, 4):
+            try:
+                score = float(text)
+            except ValueError:
+                score = math.nan
+            if math.isnan(score):
+                raise ValueError(f"{path}, line {line_no}: score {text!r} is not a number")
+            rows.append((s, p, o, score))
+    return rows
 
 
 def _cmd_evaluate(args) -> int:

@@ -20,7 +20,7 @@ import random
 import warnings
 
 from .anomaly import missing_reports
-from .graph import KnowledgeGraph, parse_graph
+from .graph import KnowledgeGraph
 from .miner import ConfigError, Model, RuleEntry
 from .rules import DIRECTION_NAMES, IN, OUT
 
@@ -37,11 +37,15 @@ class MetricsError(ValueError):
 
 
 def check_truth(doc) -> dict:
-    """``doc`` as a ground-truth document whose record lists hold the fields
-    the evaluation reads, each absent record list set to ``[]``; raises
+    """``doc`` as a ground-truth document whose ``q`` is a number in (0, 1],
+    as ``perturb`` writes it, and whose record lists hold the fields the
+    evaluation reads, each absent record list set to ``[]``; raises
     ``MetricsError`` otherwise."""
     if not isinstance(doc, dict) or not {"kind", "q", "seed"} <= doc.keys():
         raise MetricsError("ground truth must be an object with kind, q and seed")
+    q = doc["q"]
+    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0 < q <= 1:
+        raise MetricsError(f"truth 'q' must be a number in (0, 1], got {q!r}")
     if not _strings(doc.get("types", [])):
         raise MetricsError("truth 'types' must be a list of strings")
     records = {name: _records(doc, name) for name in ("positives", "negatives", "removed")}
@@ -105,7 +109,7 @@ def _rebuild(g: KnowledgeGraph, triples: list[tuple[int, int, int]], labels: lis
         if labels[v]
         for name in sorted(g.label_names[l] for l in labels[v])
     )
-    return parse_graph(tl, ll, triple_source="<perturbed>", label_source="<perturbed>")
+    return KnowledgeGraph(tl, ll, triple_source="<perturbed>", label_source="<perturbed>")
 
 
 def perturb(
@@ -315,6 +319,8 @@ def _ranking_rows(
     labels: list[int] = []
     for s, p, o, score in ranking:
         t = (s, p, o)
+        if math.isnan(score):
+            raise MetricsError(f"ranked edge {t} has score NaN")
         types = pos_types.get(t)
         if types is None and t not in clean:
             raise MetricsError(f"ranked edge {t} is neither perturbed nor clean in the truth")

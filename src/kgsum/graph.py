@@ -2,8 +2,9 @@
 
 File format: triples are UTF-8 lines ``subject<TAB>predicate<TAB>object``,
 labels are ``node<TAB>label``. Lines starting with ``#`` are comments, blank
-lines are skipped, and a leading byte-order mark is ignored. Identifiers must
-not contain tabs or newlines.
+lines are skipped, and a leading byte-order mark is ignored.  A file that is
+not valid UTF-8 is an error naming its first bad line.  Identifiers must not
+contain tabs or newlines.
 
 Layout.  Nodes, labels and predicates are interned to dense ids in first-seen
 order, and so are the distinct edges: an edge id is the edge's index in
@@ -35,9 +36,10 @@ import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from itertools import accumulate, compress, count, repeat
 from operator import and_, eq, rshift
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 OUT = 0  # the node is the subject of the edge
 IN = 1  # the node is the object of the edge
@@ -86,36 +88,82 @@ class KnowledgeGraph:
 
     The edge multiset keeps the file's lines (duplicates included); all
     set-based quantities (adjacency, coverage, matching) use the distinct
-    triple view.  Instances are built by ``parse_graph``, are immutable after
-    loading and safe to share across readers.
+    triple view.  The constructor parses the two line streams, and
+    ``parse_graph`` names it too.  A graph is immutable once built and safe to
+    share across readers.
     """
 
-    def __init__(self) -> None:
-        self.node_names: list[str] = []
-        self.label_names: list[str] = []
-        self.pred_names: list[str] = []
-        self._node_ids: dict[str, int] = {}
-        self._label_ids: dict[str, int] = {}
-        self._pred_ids: dict[str, int] = {}
-        # the distinct edges' columns, in edge-id order
-        self._subjects = array("I")
-        self._preds = array("I")
-        self._objects = array("I")
-        # each file line's edge id, in file order
-        self._line_edges = array("I")
-        # CSR index per direction (OUT, IN)
-        self._rows = (_Rows(array("I"), array("I"), array("I"), [], 0),) * 2
-        self.node_labels: list[frozenset[int]] = []
-        # node v's assignment ids are label_offsets[v]:label_offsets[v + 1]
-        self.label_offsets = array("I", [0])
+    def __init__(
+        self,
+        triple_lines: Iterable[str],
+        label_lines: Iterable[str],
+        triple_source: str = "<triples>",
+        label_source: str = "<labels>",
+    ) -> None:
+        """Parse a graph from line streams (see module docstring for the format)."""
+        node_ids, pred_ids, label_ids = self._node_ids, self._pred_ids, self._label_ids = {}, {}, {}
+        line_edges = self._line_edges = array("I")
+        # (s, p, o) packed in one int -> edge id, kept only while the file is read
+        ids_by_key: dict[int, int] = {}
+        for _, (s, p, o) in _fields(triple_source, triple_lines, 3):
+            sid = node_ids.setdefault(s, len(node_ids))
+            oid = node_ids.setdefault(o, len(node_ids))
+            pid = pred_ids.setdefault(p, len(pred_ids))
+            line_edges.append(ids_by_key.setdefault((sid << 32 | pid) << 32 | oid, len(ids_by_key)))
+        out_keys = list(ids_by_key)  # in edge-id order; they sort as (s, p, o)
+        del ids_by_key
+        subjects = self._subjects = array("I", map(rshift, out_keys, repeat(64)))
+        preds = self._preds = array("I", map(and_, map(rshift, out_keys, repeat(32)), repeat(_MASK)))
+        objects = self._objects = array("I", map(and_, out_keys, repeat(_MASK)))
+
+        # each labelled node's first label, and the labels it adds after that, so
+        # that a one-label node needs no set of its own while the file is read
+        first_label: dict[int, int] = {}
+        more_labels: defaultdict[int, set[int]] = defaultdict(set)
+        for _, (v, l) in _fields(label_source, label_lines, 2):
+            vid = node_ids.setdefault(v, len(node_ids))
+            lid = label_ids.setdefault(l, len(label_ids))
+            if first_label.setdefault(vid, lid) != lid:
+                more_labels[vid].add(lid)
+
+        # the label index is built, and the label pass's dicts freed, before the
+        # rows sort (memory); nodes with equal label sets share one frozenset
+        shared: dict[frozenset[int], frozenset[int]] = {}
+        node_labels = self.node_labels = [frozenset()] * len(node_ids)
+        for vid, lid in first_label.items():
+            labels = frozenset((lid, *more_labels.get(vid, ())))
+            node_labels[vid] = shared.setdefault(labels, labels)
+        del first_label, more_labels
+        self.label_offsets = array("I", accumulate(map(len, node_labels), initial=0))
         # each distinct label set -> its labels' ranks in ascending id order
-        self._label_ranks: dict[frozenset[int], dict[int, int]] = {}
-        # each label's nodes, ascending
-        self.label_index: list[array] = []
-        self.n_label: list[int] = []
-        self.n_pred: list[int] = []
-        self.has_self_loop = False
-        self.duplicates_collapsed = 0
+        self._label_ranks = {ls: {l: i for i, l in enumerate(sorted(ls))} for ls in shared}
+        del shared
+        label_index = self.label_index = [array("I") for _ in label_ids]
+        for vid, labels in enumerate(node_labels):
+            for lid in labels:
+                label_index[lid].append(vid)
+        self.n_label = list(map(len, label_index))
+
+        self.node_names = list(node_ids)
+        self.pred_names = list(pred_ids)
+        self.label_names = list(label_ids)
+        num_nodes, num_preds = len(node_ids), len(pred_ids)
+        out_rows = _Rows(subjects, preds, objects, out_keys, num_nodes)
+        del out_keys
+        # compact keys, which sort as (o, p, s)
+        in_keys = [(o * num_preds + p) * num_nodes + s for s, p, o in zip(subjects, preds, objects)]
+        self._rows = out_rows, _Rows(objects, preds, subjects, in_keys, num_nodes)
+        del in_keys
+        lines_per_pred = Counter(map(preds.__getitem__, line_edges))
+        self.n_pred = [lines_per_pred[p] for p in range(num_preds)]
+        self.has_self_loop = any(map(eq, subjects, objects))
+        duplicates = self.duplicates_collapsed = len(line_edges) - len(subjects)
+        if duplicates:
+            warnings.warn(
+                f"{duplicates} duplicate triples collapsed in the set view "
+                "(kept in the edge multiset)",
+                stacklevel=2,
+            )
 
     def node_id(self, name: str) -> int | None:
         return self._node_ids.get(name)
@@ -259,83 +307,42 @@ def _fields(source: str, lines: Iterable[str], arity: int) -> Iterator[tuple[int
         yield line_no, parts
 
 
-def parse_graph(
-    triple_lines: Iterable[str],
-    label_lines: Iterable[str],
-    triple_source: str = "<triples>",
-    label_source: str = "<labels>",
-) -> KnowledgeGraph:
-    """Build a graph from line streams (see module docstring for the format)."""
-    g = KnowledgeGraph()
-    node_ids, pred_ids, label_ids = g._node_ids, g._pred_ids, g._label_ids
-    line_edges = g._line_edges
-    # (s, p, o) packed in one int -> edge id, kept only while the file is read
-    ids_by_key: dict[int, int] = {}
-    for _, (s, p, o) in _fields(triple_source, triple_lines, 3):
-        sid = node_ids.setdefault(s, len(node_ids))
-        oid = node_ids.setdefault(o, len(node_ids))
-        pid = pred_ids.setdefault(p, len(pred_ids))
-        line_edges.append(ids_by_key.setdefault((sid << 32 | pid) << 32 | oid, len(ids_by_key)))
-    out_keys = list(ids_by_key)  # in edge-id order; they sort as (s, p, o)
-    del ids_by_key
-    subjects = g._subjects = array("I", map(rshift, out_keys, repeat(64)))
-    preds = g._preds = array("I", map(and_, map(rshift, out_keys, repeat(32)), repeat(_MASK)))
-    objects = g._objects = array("I", map(and_, out_keys, repeat(_MASK)))
+@contextmanager
+def _open_text(path: str) -> Iterator[TextIO]:
+    """``path`` open for reading as UTF-8 text; utf-8-sig drops a leading
+    byte-order mark, which would otherwise start the first name.  A byte that
+    does not decode raises ``ValueError`` naming the file and the line."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            line_no = _undecodable_line(path)
+            if line_no is None:
+                raise  # another file's bytes, when two are open
+            raise ValueError(f"{path}, line {line_no}: not valid UTF-8") from None
 
-    # each labelled node's first label, and the labels it adds after that, so
-    # that a one-label node needs no set of its own while the file is read
-    first_label: dict[int, int] = {}
-    more_labels: defaultdict[int, set[int]] = defaultdict(set)
-    for _, (v, l) in _fields(label_source, label_lines, 2):
-        vid = node_ids.setdefault(v, len(node_ids))
-        lid = label_ids.setdefault(l, len(label_ids))
-        if first_label.setdefault(vid, lid) != lid:
-            more_labels[vid].add(lid)
 
-    # the label index is built, and the label pass's dicts freed, before the
-    # rows sort (memory); nodes with equal label sets share one frozenset
-    shared: dict[frozenset[int], frozenset[int]] = {}
-    node_labels = g.node_labels = [frozenset()] * len(node_ids)
-    for vid, lid in first_label.items():
-        labels = frozenset((lid, *more_labels.get(vid, ())))
-        node_labels[vid] = shared.setdefault(labels, labels)
-    del first_label, more_labels
-    g.label_offsets = array("I", accumulate(map(len, node_labels), initial=0))
-    g._label_ranks = {ls: {l: i for i, l in enumerate(sorted(ls))} for ls in shared}
-    del shared
-    label_index = g.label_index = [array("I") for _ in label_ids]
-    for vid, labels in enumerate(node_labels):
-        for lid in labels:
-            label_index[lid].append(vid)
-    g.n_label = list(map(len, label_index))
+def _undecodable_line(path: str) -> int | None:
+    """The number of the first line of ``path`` that is not valid UTF-8, or
+    ``None``.  It is read off the bytes, as the text reader decodes ahead in
+    chunks; ``bytes.splitlines`` breaks lines where the text reader does."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no
+    return None
 
-    g.node_names = list(node_ids)
-    g.pred_names = list(pred_ids)
-    g.label_names = list(label_ids)
-    num_nodes, num_preds = len(node_ids), len(pred_ids)
-    out_rows = _Rows(subjects, preds, objects, out_keys, num_nodes)
-    del out_keys
-    # compact keys, which sort as (o, p, s)
-    in_keys = [(o * num_preds + p) * num_nodes + s for s, p, o in zip(subjects, preds, objects)]
-    g._rows = out_rows, _Rows(objects, preds, subjects, in_keys, num_nodes)
-    del in_keys
-    lines_per_pred = Counter(map(preds.__getitem__, line_edges))
-    g.n_pred = [lines_per_pred[p] for p in range(num_preds)]
-    g.has_self_loop = any(map(eq, subjects, objects))
-    duplicates = g.duplicates_collapsed = len(line_edges) - len(subjects)
-    if duplicates:
-        warnings.warn(
-            f"{duplicates} duplicate triples collapsed in the set view "
-            "(kept in the edge multiset)",
-            stacklevel=2,
-        )
-    return g
+
+# the constructor, under its name in ``kgsum.__all__``
+parse_graph = KnowledgeGraph
 
 
 def load_graph(triple_path: str, label_path: str) -> KnowledgeGraph:
-    # utf-8-sig drops a leading byte-order mark, which would otherwise start the first name
-    with open(triple_path, encoding="utf-8-sig") as tf, open(label_path, encoding="utf-8-sig") as lf:
-        return parse_graph(tf, lf, triple_source=triple_path, label_source=label_path)
+    with _open_text(triple_path) as tf, _open_text(label_path) as lf:
+        return KnowledgeGraph(tf, lf, triple_path, label_path)
 
 
 def triple_lines(g: KnowledgeGraph) -> Iterator[str]:

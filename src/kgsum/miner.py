@@ -424,7 +424,7 @@ def rank(cands: list[RuleEntry], g: KnowledgeGraph) -> list[RuleEntry]:
         err = encoding.error_cost_counts(g, len(c.covered_label_ids), len(c.covered_edge_ids))
         return -(err0 - err), -c.num_correct, c.root_key, c.canon_key
 
-    return sorted((c for c in cands if c.num_assertions >= 1 and c.correct_starts), key=key)
+    return sorted((c for c in cands if c.correct_starts), key=key)
 
 
 def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> Model:
@@ -442,7 +442,7 @@ def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> M
                 continue
             choice, choice_total = cand, model.price(cand)
             partner = cand.reverse_partner
-            if partner is not None and partner is not cand and id(partner) not in chosen:
+            if partner is not None and id(partner) not in chosen:
                 partner_total = model.price(partner)
                 if partner_total < choice_total:
                     choice, choice_total = partner, partner_total

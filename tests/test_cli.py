@@ -22,12 +22,14 @@ def write_inputs(tmp_path, g):
 
 
 def run_python(args: list[str]) -> subprocess.CompletedProcess:
-    """Run Python in a child process on the kgsum this test imported."""
+    """Run Python in a child process on the kgsum this test imported.  No
+    child here needs more than a few seconds, so one that hangs fails its
+    test (``TimeoutExpired``) instead of stalling the suite."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(kgsum.__file__).resolve().parent.parent), env.get("PYTHONPATH")])
     )
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=30)
 
 
 def run_cli(args: list[str]) -> subprocess.CompletedProcess:
@@ -342,6 +344,18 @@ def test_cli_error_paths(tmp_path):
         main(["not-a-command"])
 
 
+def test_top_k_under_the_mdl_selector_exits_1_with_one_error_line(tmp_path):
+    # the MDL selector has no rule budget, so --top-k would do nothing
+    triples, labels = write_inputs(tmp_path, private_children_kg())
+    out = tmp_path / "model.json"
+    proc = run_cli(["summarize", "--graph", triples, "--labels", labels, "--out", str(out), "--top-k", "5"])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: --top-k is for the freq and coverage selectors"]
+    assert not out.exists()
+
+
 def test_summarize_baseline_selectors(tmp_path):
     triples, labels = write_inputs(tmp_path, private_children_kg())
     out = tmp_path / "freq.json"
@@ -367,8 +381,9 @@ def test_summarize_baseline_selectors(tmp_path):
 def test_label_cap_below_one_exits_1_with_one_error_line(tmp_path, cap, selector):
     triples, labels = write_inputs(tmp_path, private_children_kg())
     out = tmp_path / "model.json"
+    budget = ["--top-k", "1"] if selector == "freq" else []
     proc = run_cli(["summarize", "--graph", triples, "--labels", labels, "--out", str(out),
-                    "--label-cap", cap, "--selector", selector, "--top-k", "1"])
+                    "--label-cap", cap, "--selector", selector, *budget])
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
@@ -563,6 +578,26 @@ def test_malformed_truth_records_exit_1_with_one_error_line(tmp_path, truth):
     assert errors == [f"error: {rejected.value}"]
 
 
+@pytest.mark.parametrize("q", [float("nan"), 0, 1.5, True, "0.1"], ids=["nan", "zero", "above-one", "bool", "string"])
+def test_truth_q_that_perturb_cannot_write_exits_1_with_one_error_line(tmp_path, q):
+    # perturb writes q as a number in (0, 1]
+    triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"
+    triples.write_text("a\tp\tb\nb\tp\ta\n")
+    labels.write_text("a\tX\nb\tX\n")
+    model, path, report = tmp_path / "model.json", tmp_path / "truth.json", tmp_path / "e.json"
+    model.write_text(json.dumps({"rules": []}))
+    path.write_text(json.dumps({"kind": "pca_removal", "q": q, "seed": 0, "removed": [_REMOVED]}))
+    proc = run_cli(["evaluate", "--truth", str(path), "--model", str(model), "--graph", str(triples),
+                    "--labels", str(labels), "--out", str(report)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    with pytest.raises(MetricsError, match=r"truth 'q' must be a number in \(0, 1\]") as rejected:
+        check_truth(json.loads(path.read_text()))
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {rejected.value}"]
+    assert not report.exists()
+
+
 def test_self_loop_graph_runs_end_to_end(tmp_path):
     # a's matching neighbours, a itself and b, number |V|
     triples, labels = tmp_path / "triples.tsv", tmp_path / "labels.tsv"
@@ -577,3 +612,70 @@ def test_self_loop_graph_runs_end_to_end(tmp_path):
                  "--out", str(tmp_path / "ranking.tsv")]) == 0
     missing = tmp_path / "missing.json"
     assert main(["complete", *base, "--model", str(model), "--out", str(missing)]) == 0
+
+
+def perturbed_for_ranking(tmp_path):
+    """A perturbation's truth file and the rows of its test edges."""
+    triples, labels = write_inputs(tmp_path, chained_ownership_kg(n_a=20, d_a=3, d_b=4))
+    out = tmp_path / "perturbed"
+    assert main(["perturb", "--graph", triples, "--labels", labels, "--out", str(out),
+                 "--q", "0.05", "--anomalies", "a3"]) == 0
+    return out / "truth.json", (out / "test_edges.tsv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("score", ["nan", "abc"])
+def test_a_score_that_is_not_a_number_exits_1_naming_the_file_and_line(tmp_path, score):
+    # NaN equals no score, itself included, so the AUC's tie loop could never
+    # move past it; the child's timeout turns such a hang into a failure
+    truth, edges = perturbed_for_ranking(tmp_path)
+    ranking, report = tmp_path / "r.tsv", tmp_path / "e.json"
+    ranking.write_text("".join(f"{line}\t{score if i == 1 else i}\n" for i, line in enumerate(edges)))
+    proc = run_cli(["evaluate", "--truth", str(truth), "--ranking", str(ranking), "--out", str(report)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {ranking}, line 2: score {score!r} is not a number"]
+    assert not report.exists()
+
+
+def test_infinite_scores_evaluate(tmp_path):
+    truth, edges = perturbed_for_ranking(tmp_path)
+    ranking, report = tmp_path / "r.tsv", tmp_path / "e.json"
+    scores = ["inf", "-inf", *map(str, range(len(edges) - 2))]
+    ranking.write_text("".join(f"{line}\t{score}\n" for line, score in zip(edges, scores)))
+    proc = run_cli(["evaluate", "--truth", str(truth), "--ranking", str(ranking), "--out", str(report)])
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 <= json.loads(report.read_text())["auc"] <= 1.0
+
+
+@pytest.mark.parametrize("bad", ["graph", "labels", "test-edges", "model", "ranking", "truth"])
+def test_undecodable_bytes_exit_1_naming_the_file_and_line(tmp_path, bad):
+    texts = {
+        "graph": "a\tp\tb\nb\tp\ta\n",
+        "labels": "a\tX\nb\tX\n",
+        "test-edges": "a\tp\tb\n",
+        "model": json.dumps({"rules": []}),
+        "ranking": "a\tp\tb\t2.0\nb\tp\ta\t1.0\n",
+        "truth": json.dumps({"kind": "perturbation", "q": 0.5, "seed": 0, "types": ["a3"],
+                             "positives": [_EDGE], "negatives": [{**_EDGE, "s": "b", "o": "a"}]}),
+    }
+    path = {name: tmp_path / f"{name}.txt" for name in texts}
+    for name, text in texts.items():
+        path[name].write_text(text, encoding="utf-8")
+    # blank lines are skipped, and 9,000 of them put the bad byte past the
+    # first chunk that the text reader decodes
+    path[bad].write_bytes(b"\n" * 9000 + b"a\xff\n" + texts[bad].encode())
+    graph = ["--graph", str(path["graph"]), "--labels", str(path["labels"])]
+    out = str(tmp_path / "out")
+    if bad in ("graph", "labels"):
+        args = ["summarize", *graph, "--out", out]
+    elif bad in ("test-edges", "model"):
+        args = ["score", *graph, "--model", str(path["model"]), "--test-edges", str(path["test-edges"]),
+                "--out", out]
+    else:
+        args = ["evaluate", "--truth", str(path["truth"]), "--ranking", str(path["ranking"]), "--out", out]
+    proc = run_cli(args)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {path[bad]}, line 9001: not valid UTF-8"]

@@ -1,10 +1,16 @@
 import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kgsum
 from kgsum.encoding import error_cost_counts, model_constant
 from kgsum.evalharness import (
     MetricsError,
@@ -378,6 +384,25 @@ def test_metrics_degenerate_truth_rejected():
     truth = hand_truth([("a", "p", "b")], [])
     with pytest.raises(MetricsError):
         metrics([("a", "p", "b", 1.0)], truth)
+
+
+def test_metrics_reject_a_nan_score_in_bounded_time():
+    # NaN equals no score, itself included, so the AUC's tie loop could never
+    # move past it; in a child process with a timeout, such a hang fails
+    truth = hand_truth([("a", "p", "b")], [("c", "p", "d")])
+    code = (
+        "from kgsum.evalharness import MetricsError, metrics\n"
+        "try:\n"
+        f"    metrics([('a', 'p', 'b', float('nan')), ('c', 'p', 'd', 1.0)], {truth!r})\n"
+        "except MetricsError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kgsum.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ranked edge ('a', 'p', 'b') has score NaN\n"
+    # infinite scores still rank
+    assert metrics([("a", "p", "b", math.inf), ("c", "p", "d", -math.inf)], truth)["auc"] == 1.0
 
 
 def test_metrics_auc_matches_trapezoid_oracle_randomized():

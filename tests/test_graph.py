@@ -7,13 +7,29 @@ from pathlib import Path
 
 import pytest
 
-from kgsum.graph import IN, OUT, GraphParseError, label_lines, load_graph, parse_graph, triple_lines
+from kgsum.graph import (
+    IN,
+    OUT,
+    GraphParseError,
+    KnowledgeGraph,
+    label_lines,
+    load_graph,
+    parse_graph,
+    triple_lines,
+)
 
 from synth import scaling_kg_lines
 
 
 def labels_per_node(g):
     return [len(ls) for ls in g.node_labels]
+
+
+def test_parse_graph_is_the_constructor():
+    # a graph is built in one step, from its line streams
+    assert parse_graph is KnowledgeGraph
+    g = KnowledgeGraph(["a\tp\tb\n"], ["a\tX\n"], "T", "L")
+    assert (g.num_nodes, g.num_edges, g.label_names) == (2, 1, ["X"])
 
 
 def test_empty_files_give_empty_graph():

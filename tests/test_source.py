@@ -2,9 +2,9 @@
 every imported name is used in its module, every private module-level
 name (one leading underscore) is referenced somewhere in the package
 outside its own definition, every option a subcommand declares is read by
-that subcommand, and every parameter of a function or lambda is read by its
-body.  And the modules every command imports leave out the
-heavy standard-library modules."""
+that subcommand, every parameter of a function or lambda is read by its
+body, and a private attribute is assigned through ``self`` alone.  And the
+modules every command imports leave out the heavy standard-library modules."""
 
 import argparse
 import ast
@@ -153,3 +153,28 @@ def test_every_parameter_is_read():
     unread = [u for path in MODULES for u in unread_parameters(path)]
     assert [u for u in unread if u not in UNREAD_PARAMETERS] == []
     assert sorted(UNREAD_PARAMETERS) == sorted(set(unread) & UNREAD_PARAMETERS.keys())
+
+
+def test_private_attributes_are_assigned_through_self_alone():
+    # an object's private fields are its own to set: one function writing
+    # another object's private fields splits building that object in two
+    writes = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            writes += [
+                f"{path.name}:{t.lineno}: {ast.unparse(t)}"
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Attribute)
+                and t.attr.startswith("_")
+                and not t.attr.startswith("__")
+                and not (isinstance(t.value, ast.Name) and t.value.id == "self")
+                and isinstance(t.ctx, ast.Store)
+            ]
+    assert writes == []
