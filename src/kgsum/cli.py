@@ -73,17 +73,19 @@ def _load_model(args, g: KnowledgeGraph) -> Model:
 
 
 def _cmd_summarize(args) -> int:
+    # the MDL selector's options, each left to summarize's default when not given
+    mdl_options = {
+        name: value
+        for name, value in (("refine", args.refine), ("max_passes", args.max_passes))
+        if value is not None
+    }
     if args.selector == "mdl" and args.top_k is not None:
         raise ConfigError("--top-k is for the freq and coverage selectors")
+    if args.selector != "mdl" and mdl_options:
+        raise ConfigError("--refine and --max-passes are for the mdl selector")
     g = _load_inputs(args)
     if args.selector == "mdl":
-        model = summarize(
-            g,
-            refine=args.refine,
-            max_passes=args.max_passes,
-            label_cap=args.label_cap,
-            log=_log,
-        )
+        model = summarize(g, label_cap=args.label_cap, log=_log, **mdl_options)
     else:
         if args.top_k is None:
             raise ConfigError(f"--selector {args.selector} requires --top-k")
@@ -225,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--refine",
         choices=["none", "merge", "nest"],
-        default="nest",
+        default=None,
         help="refinement level; nest implies merge (default: nest)",
     )
-    p.add_argument("--max-passes", type=int, default=3, help="selection passes (default 3)")
+    p.add_argument("--max-passes", type=int, default=None, help="selection passes (default 3)")
     p.add_argument(
         "--label-cap",
         type=int,

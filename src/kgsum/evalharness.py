@@ -37,15 +37,18 @@ class MetricsError(ValueError):
 
 
 def check_truth(doc) -> dict:
-    """``doc`` as a ground-truth document whose ``q`` is a number in (0, 1],
-    as ``perturb`` writes it, and whose record lists hold the fields the
-    evaluation reads, each absent record list set to ``[]``; raises
-    ``MetricsError`` otherwise."""
+    """``doc`` as a ground-truth document whose ``q`` is a number in (0, 1]
+    and whose ``seed`` is an integer, as ``perturb`` writes them, and whose
+    record lists hold the fields the evaluation reads, each absent record list
+    set to ``[]``; raises ``MetricsError`` otherwise."""
     if not isinstance(doc, dict) or not {"kind", "q", "seed"} <= doc.keys():
         raise MetricsError("ground truth must be an object with kind, q and seed")
     q = doc["q"]
     if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0 < q <= 1:
         raise MetricsError(f"truth 'q' must be a number in (0, 1], got {q!r}")
+    seed = doc["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise MetricsError(f"truth 'seed' must be an integer, got {seed!r}")
     if not _strings(doc.get("types", [])):
         raise MetricsError("truth 'types' must be a list of strings")
     records = {name: _records(doc, name) for name in ("positives", "negatives", "removed")}

@@ -18,7 +18,9 @@ parallel columns give each row's predicate, neighbour and edge id.  Every
 column is 32 bits wide, so a graph holds fewer than 2**32 nodes, predicates and
 edges.  ``neighbors`` returns a slice of the neighbour column, in ascending id
 order; ``neighbor_edge_ids`` and ``edge_index`` bisect a node's rows and read
-the edge-id column, so no edge key is built or hashed after loading.  The
+the edge-id column, so no edge key is built or hashed after loading.  ``csr``
+hands out one direction's columns, for a caller that reads the rows of many
+nodes in one pass (``rules.match`` on a star rule).  The
 label assignments (node, label) are numbered densely by node, then label:
 node ``v``'s labels, in ascending label id, hold the assignment ids
 ``label_offsets[v]`` to ``label_offsets[v + 1] - 1``.  A rule's coverage is
@@ -213,6 +215,14 @@ class KnowledgeGraph:
             if i == hi or ends[i] != w:
                 raise KeyError(w)
         return array("I", map(edge_ids.__getitem__, at))
+
+    def csr(self, direction: int) -> tuple[array, array, array, array]:
+        """The ``direction`` CSR index as its columns (offsets, predicates,
+        neighbours, edge ids): node ``v``'s rows are ``offsets[v]`` to
+        ``offsets[v + 1] - 1``, sorted by (predicate, neighbour).  The columns
+        are the graph's own, to read and never to write."""
+        rows = self._rows[direction]
+        return rows.offsets, rows.preds, rows.ends, rows.edge_ids
 
     def neighbors(self, node: int, p: int | None, direction: int) -> array:
         """Nodes joined to ``node`` by a ``p`` edge, in ascending id order: its

@@ -104,8 +104,9 @@ class RuleEntry:
         )
 
     @classmethod
-    def from_rule(cls, rule: Rule, g: KnowledgeGraph) -> "RuleEntry":
-        aset = match(rule, g)
+    def from_rule(cls, rule: Rule, g: KnowledgeGraph, starts: set[int] | None = None) -> "RuleEntry":
+        """The record of ``rule``, matched on ``g`` (``starts`` as ``match`` takes them)."""
+        aset = match(rule, g, starts)
         return cls(
             rule=rule,
             canon_key=_canon_key(rule, g),
@@ -821,24 +822,29 @@ def model_to_dict(model: Model) -> dict:
 
 
 def model_from_dict(data: dict, g: KnowledgeGraph) -> Model:
-    """Rebuild a model on ``g`` from a serialized rule list (costs recomputed).
+    """Rebuild a model on ``g`` from a serialized rule list (costs recomputed),
+    each rule recorded as a ``load`` step.
 
     A rule whose root labels no node of ``g`` carries together has no
     assertions and cannot be encoded; such rules (a model applied to a graph
     that has drifted since mining) are skipped with one warning.  A document
-    of any other shape raises ``RuleFormatError``.
+    of any other shape raises ``RuleFormatError``, before any rule is matched.
     """
     entries = data.get("rules") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise RuleFormatError("a model must be an object whose 'rules' is a list")
-    kept: list[Rule] = []
-    skipped: list[str] = []
+    rules: list[Rule] = []
     for entry in entries:
         if not isinstance(entry, dict) or "rule" not in entry:
             raise RuleFormatError("each model rule must be an object with a 'rule'")
-        rule = rule_from_dict(entry["rule"], g)
-        if g.nodes_with_labels(rule.root_labels):
-            kept.append(rule)
+        rules.append(rule_from_dict(entry["rule"], g))  # canonical already
+    model = Model(g)
+    skipped: list[str] = []
+    for rule in rules:
+        starts = g.nodes_with_labels(rule.root_labels)
+        if starts:
+            entry = RuleEntry.from_rule(rule, g, starts)
+            model.add(entry, "load", model.price(entry))
         else:
             skipped.append(rule_text(rule, g))
     if skipped:
@@ -847,4 +853,4 @@ def model_from_dict(data: dict, g: KnowledgeGraph) -> Model:
             + "; ".join(skipped),
             stacklevel=2,
         )
-    return build_model(g, kept)
+    return model

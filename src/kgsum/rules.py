@@ -7,13 +7,22 @@ the subrule's root labels, and every such matching neighbor must itself
 satisfy the subrule's children.  A failure at any depth makes the start node
 an exception; otherwise the start is a correct assertion and the traversal's
 edges and non-root labels count as covered.
+
+Most rules are stars: every child is a leaf (a rule with no children is a
+star too).  ``match`` and ``walk`` evaluate a star in one flat pass over its
+starts, child by child, that reads each start's CSR rows for a child once and
+takes from them the matching neighbours, their edge ids, the start's bits and
+whether it is correct.  A rule with a non-leaf child takes the recursive
+``walk``, and ``match`` collects its coverage with ``collect``.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .encoding import log_binomial
@@ -104,6 +113,60 @@ def matching_neighbors(g: KnowledgeGraph, node: int, child: Child) -> array:
     return array("I", [w for w in ws if want <= node_labels[w]])
 
 
+def is_star(rule: Rule) -> bool:
+    """Every child of ``rule`` is a leaf; so is a rule with no children."""
+    return not any(c.child.children for c in rule.children)
+
+
+def _star_pass(
+    rule: Rule, g: KnowledgeGraph, starts: Iterable[int]
+) -> tuple[list[int], list[float], list[tuple[list[int], list[array], list[array]]]]:
+    """Evaluate the star ``rule`` over ``starts``, child by child, reading
+    each start's rows for a child once (``KnowledgeGraph.csr``, read once per
+    child).  Returns the starts that pass every child, in the order of
+    ``starts``, with their bits, each ``0.0`` plus one term per child in child
+    order, exactly as ``walk`` adds them; and per child, the starts that
+    reached it (passed every child before it) with each one's
+    ``matching_neighbors`` array and those neighbours' edge ids, in the same
+    order, empty where the start fails the child."""
+    log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
+    universe = g.neighbor_universe
+    node_labels = g.node_labels
+    terms: dict[int, float] = {}  # matching-neighbour count -> its bits
+    alive = list(starts)
+    bits = [0.0] * len(alive)
+    per_child = []
+    for c in rule.children:
+        offsets, preds, ends, edge_ids = g.csr(c.direction)
+        # a predicate the graph lacks (pred_id gave None) as an id no row holds
+        p = g.num_preds if c.predicate is None else c.predicate
+        spans = [(bisect_left(preds, p, offsets[s], offsets[s + 1]), offsets[s + 1]) for s in alive]
+        spans = [(lo, bisect_right(preds, p, lo, end)) for lo, end in spans]
+        wss = [ends[lo:hi] for lo, hi in spans]
+        eidss = [edge_ids[lo:hi] for lo, hi in spans]
+        want = c.child.root_labels
+        if not all(map(want.issubset, map(node_labels.__getitem__, _joined(wss)))):
+            for k, ws in enumerate(wss):  # filter the rows holding a neighbour without the labels
+                if not all(map(want.issubset, map(node_labels.__getitem__, ws))):
+                    keep = [want <= node_labels[w] for w in ws]
+                    wss[k] = array("I", compress(ws, keep))
+                    eidss[k] = array("I", compress(eidss[k], keep))
+        counts = list(map(len, wss))
+        for n in set(counts).difference(terms):
+            terms[n] = log_v + log_binomial(universe, n)
+        per_child.append((alive, wss, eidss))
+        bits = [b + terms[n] for b, n in zip(bits, counts) if n]
+        alive = list(compress(alive, counts))
+    return alive, bits, per_child
+
+
+def _joined(rows: Iterable[array]) -> array:
+    """The ``array("I")`` rows end to end, copied in one C call."""
+    joined = array("I")
+    joined.frombytes(b"".join(rows))
+    return joined
+
+
 def walk(
     rule: Rule, g: KnowledgeGraph, starts: Iterable[int]
 ) -> tuple[dict[int, float | None], dict[tuple[int, int], array]]:
@@ -112,8 +175,21 @@ def walk(
     matching-neighbor count, bounded by |V|, and the neighbor ids).  Also
     returns every ``matching_neighbors`` array looked up, keyed by (node, id
     of the child), which covers each node a correct traversal visits.
-    Repeated (node, rule-node) expansions are memoized, so the walk
-    terminates on any graph."""
+
+    A star rule takes the flat pass, which looks up the same arrays.  Any
+    other rule is walked recursively, and repeated (node, rule-node)
+    expansions are memoized, so the walk terminates on any graph."""
+    if is_star(rule):
+        starred: dict[int, float | None] = dict.fromkeys(starts)
+        correct, bits, per_child = _star_pass(rule, g, starred)
+        starred.update(zip(correct, bits))
+        looked_up = {
+            (s, id(c)): ws
+            for c, (reached, wss, _) in zip(rule.children, per_child)
+            for s, ws in zip(reached, wss)
+        }
+        return starred, looked_up
+
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = g.neighbor_universe
     memo: dict[tuple[int, int], float | None] = {}
@@ -152,8 +228,7 @@ def collect(
 ) -> AssertionSet:
     """Partition the starts of ``walk(rule, g, starts)`` and collect the
     edges and labels that the correct traversals cover.  The covered nodes
-    are gathered per label, and each (node, label) pair is turned into its
-    assignment id once."""
+    are gathered per label."""
     correct = [s for s, b in walked.items() if b is not None]
     edge_ids: set[int] = set()
     labelled: defaultdict[int, set[int]] = defaultdict(set)  # label -> nodes covered with it
@@ -180,19 +255,55 @@ def collect(
 
     exceptions = frozenset(walked).difference(correct)
     bits = math.fsum(walked[s] for s in correct)
+    return _assertion_set(g, frozenset(correct), exceptions, edge_ids, labelled, bits)
+
+
+def _assertion_set(
+    g: KnowledgeGraph,
+    correct: frozenset[int],
+    exceptions: frozenset[int],
+    edge_ids: Iterable[int],
+    labelled: dict[int, set[int]],
+    bits: float,
+) -> AssertionSet:
+    """The ``AssertionSet`` of the partition, the covered edge ids (distinct)
+    and the nodes covered with each label, each (node, label) pair turned into
+    its assignment id once."""
     label_ids = [i for l, nodes in labelled.items() for i in g.assignment_ids(l, nodes)]
     edge_array, label_array = array("I", sorted(edge_ids)), array("I", sorted(label_ids))
-    return AssertionSet(frozenset(correct), exceptions, edge_array, label_array, bits)
+    return AssertionSet(correct, exceptions, edge_array, label_array, bits)
 
 
-def match(rule: Rule, g: KnowledgeGraph) -> AssertionSet:
+def match(rule: Rule, g: KnowledgeGraph, starts: set[int] | None = None) -> AssertionSet:
     """Partition the rule's starts and collect the coverage of correct
-    traversals, from one ``walk``.  Unknown label/predicate ids simply never
-    match."""
+    traversals: a star rule from one flat pass, any other rule from one
+    ``walk`` and ``collect``.  ``starts``, when the caller has them, are the
+    rule's starts, ``g.nodes_with_labels(rule.root_labels)``.  Unknown
+    label/predicate ids simply never match."""
     if not rule.root_labels:
         raise RuleFormatError("rule root_labels must be nonempty")
-    starts = g.nodes_with_labels(rule.root_labels)
-    return collect(rule, g, *walk(rule, g, starts))
+    if starts is None:
+        starts = g.nodes_with_labels(rule.root_labels)
+    if not is_star(rule):
+        return collect(rule, g, *walk(rule, g, starts))
+    correct, bits, per_child = _star_pass(rule, g, starts)
+    covered = frozenset(correct)
+    edge_rows: list[array] = []
+    labelled: defaultdict[int, set[int]] = defaultdict(set)
+    for c, (reached, wss, eidss) in zip(rule.children, per_child):
+        # a start that passed this child but failed a later one covers nothing
+        keep = list(map(covered.__contains__, reached))
+        edge_rows += compress(eidss, keep)
+        nodes = set(_joined(compress(wss, keep)))
+        for l in c.child.root_labels:
+            labelled[l] |= nodes
+    edge_ids = _joined(edge_rows)
+    # one child covers each edge at most once (the start is one end of it);
+    # two children can cover one edge only when they share its predicate
+    if len({c.predicate for c in rule.children}) < len(rule.children):
+        edge_ids = set(edge_ids)
+    exceptions = frozenset(starts).difference(correct)
+    return _assertion_set(g, covered, exceptions, edge_ids, labelled, math.fsum(bits))
 
 
 # -- serialization -----------------------------------------------------

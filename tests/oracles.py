@@ -195,6 +195,19 @@ def oracle_traversal_bits(g: KnowledgeGraph, u: int, rule: Rule) -> float:
     return bits
 
 
+def oracle_star_bits(g: KnowledgeGraph, u: int, rule: Rule) -> float:
+    """Traversal bits of the star ``rule`` (every child a leaf) from the
+    single correct start ``u``: 0.0 plus one term per child, log2 |V| plus
+    log2 C(universe, matching-neighbour count), added in child order, which
+    is the order the package adds them in, so the two compare by ``==``."""
+    assert all(not c.child.children for c in rule.children)
+    bits = 0.0
+    for c in rule.children:
+        n = len(oracle_matching_neighbors(g, u, c))
+        bits += math.log2(g.num_nodes) + oracle_log_binomial(_neighbor_universe(g), n)
+    return bits
+
+
 def oracle_assertions_cost(g: KnowledgeGraph, rule: Rule) -> float:
     correct, exceptions, _, _ = oracle_match(g, rule)
     num = len(correct) + len(exceptions)

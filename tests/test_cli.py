@@ -356,6 +356,23 @@ def test_top_k_under_the_mdl_selector_exits_1_with_one_error_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("selector", ["freq", "coverage"])
+@pytest.mark.parametrize("flag", [["--refine", "merge"], ["--refine", "nest"], ["--max-passes", "3"]],
+                         ids=["refine-merge", "refine-nest", "max-passes"])
+def test_mdl_options_under_a_baseline_selector_exit_1_with_one_error_line(tmp_path, selector, flag):
+    # the top-k baselines neither refine nor make selection passes, so these
+    # flags would do nothing, their default values included
+    triples, labels = write_inputs(tmp_path, private_children_kg())
+    out = tmp_path / "model.json"
+    proc = run_cli(["summarize", "--graph", triples, "--labels", labels, "--out", str(out),
+                    "--selector", selector, "--top-k", "2", *flag])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: --refine and --max-passes are for the mdl selector"]
+    assert not out.exists()
+
+
 def test_summarize_baseline_selectors(tmp_path):
     triples, labels = write_inputs(tmp_path, private_children_kg())
     out = tmp_path / "freq.json"
@@ -592,6 +609,26 @@ def test_truth_q_that_perturb_cannot_write_exits_1_with_one_error_line(tmp_path,
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     with pytest.raises(MetricsError, match=r"truth 'q' must be a number in \(0, 1\]") as rejected:
+        check_truth(json.loads(path.read_text()))
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {rejected.value}"]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("seed", ["x", 1.5, True, None], ids=["string", "float", "bool", "null"])
+def test_truth_seed_that_perturb_cannot_write_exits_1_with_one_error_line(tmp_path, seed):
+    # perturb writes the seed as an integer
+    triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"
+    triples.write_text("a\tp\tb\nb\tp\ta\n")
+    labels.write_text("a\tX\nb\tX\n")
+    model, path, report = tmp_path / "model.json", tmp_path / "truth.json", tmp_path / "e.json"
+    model.write_text(json.dumps({"rules": []}))
+    path.write_text(json.dumps({"kind": "pca_removal", "q": 0.5, "seed": seed, "removed": [_REMOVED]}))
+    proc = run_cli(["evaluate", "--truth", str(path), "--model", str(model), "--graph", str(triples),
+                    "--labels", str(labels), "--out", str(report)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    with pytest.raises(MetricsError, match=r"truth 'seed' must be an integer") as rejected:
         check_truth(json.loads(path.read_text()))
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert errors == [f"error: {rejected.value}"]

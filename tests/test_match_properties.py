@@ -1,7 +1,10 @@
 """Property tests: ``match`` and the costs built on its single walk agree with
 the straight-line oracles on random graphs (self-loops included) and random
 rules up to depth 3, a canonical rule's ``canon_key`` is the oracle's name
-key, and each node's matching neighbours and their edge ids are the oracles'."""
+key, and each node's matching neighbours and their edge ids are the oracles'.
+Star rules, which ``match`` and ``walk`` evaluate in one flat pass, get their
+own draws: 0-3 children, repeated (predicate, direction) pairs and unknown
+predicates included, with each start's bits compared by ``==``."""
 
 import math
 from array import array
@@ -12,8 +15,8 @@ from hypothesis import strategies as st
 
 from kgsum.encoding import assertions_cost
 from kgsum.graph import parse_graph
-from kgsum.miner import _canon_key
-from kgsum.rules import IN, OUT, Child, Rule, canonicalize, match, matching_neighbors, walk
+from kgsum.miner import _canon_key, _reach_by_start, start_bits
+from kgsum.rules import IN, OUT, Child, Rule, canonicalize, is_star, match, matching_neighbors, walk
 
 from oracles import (
     _name_key,
@@ -22,6 +25,7 @@ from oracles import (
     oracle_assertions_cost,
     oracle_match,
     oracle_matching_neighbors,
+    oracle_star_bits,
     oracle_traversal_bits,
 )
 
@@ -51,6 +55,21 @@ def rules(g, depth: int):
         Child, st.integers(0, g.num_preds - 1), st.sampled_from((OUT, IN)), rules(g, depth - 1)
     )
     return st.builds(Rule, root, st.lists(child, max_size=2).map(tuple))
+
+
+@st.composite
+def star_rules(draw, g):
+    """A star rule of 0-3 children: one- or two-label root and children, a
+    predicate of the graph or ``None`` (a name the graph lacks), and with a
+    second child on the first child's (predicate, direction) now and then."""
+    labels = st.frozensets(st.integers(0, g.num_labels - 1), min_size=1, max_size=2)
+    predicate = st.one_of(st.none(), st.integers(0, g.num_preds - 1)) if g.num_preds else st.none()
+    child = st.builds(Child, predicate, st.sampled_from((OUT, IN)), st.builds(Rule, labels, st.just(())))
+    children = draw(st.lists(child, max_size=3))
+    if children and len(children) < 3 and draw(st.booleans()):
+        first = children[0]
+        children.append(Child(first.predicate, first.direction, Rule(draw(labels))))
+    return Rule(draw(labels), tuple(children))
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,3 +112,53 @@ def test_matching_neighbors_and_their_edge_ids_equal_the_oracles(data):
                 assert list(ws) == oracle_matching_neighbors(g, u, child)
                 ends = [(u, w) if direction == OUT else (w, u) for w in ws]
                 assert list(g.neighbor_edge_ids(u, p, direction, ws)) == [g.edge_index(s, p, o) for s, o in ends]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_star_rules_match_and_walk_as_the_oracles_say(data):
+    # the flat pass: the partition and coverage of the brute-force oracle,
+    # each correct start's bits equal (==) to the child terms added in child
+    # order, and the same arrays looked up as a start-by-start walk would
+    g = data.draw(graphs())
+    rule = data.draw(star_rules(g))
+    assert is_star(rule)
+    aset = match(rule, g)
+    correct, exceptions, edges, labels = oracle_match(g, rule)
+    assert aset.correct_starts == correct
+    assert aset.exception_starts == exceptions
+    assert (set(aset.covered_edge_ids), set(aset.covered_label_ids)) == as_ids(g, edges, labels)
+    assert is_coverage_array(aset.covered_edge_ids, "I")
+    assert is_coverage_array(aset.covered_label_ids, "I")
+    assert aset.traversal_bits == math.fsum(oracle_star_bits(g, s, rule) for s in correct)
+    starts = sorted(g.nodes_with_labels(rule.root_labels))
+    walked, lists = walk(rule, g, starts)
+    assert list(walked) == starts
+    assert walked == {s: oracle_star_bits(g, s, rule) if s in correct else None for s in starts}
+    looked_up = {}
+    for s in starts:
+        for c in rule.children:
+            ws = looked_up[(s, id(c))] = oracle_matching_neighbors(g, s, c)
+            if not ws:
+                break
+    assert {key: list(ws) for key, ws in lists.items()} == looked_up
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_star_hosts_start_bits_and_reach_are_the_oracles(data):
+    # refine_nest reads a host's StartBits and Reach; for a star host the
+    # flat pass gives them, each start's bits and depth-1 neighbours the
+    # oracle's
+    g = data.draw(graphs())
+    rule = data.draw(star_rules(g))
+    correct = sorted(oracle_match(g, rule)[0])
+    bits, lists = start_bits(rule, g, correct)
+    assert list(bits.starts) == correct
+    assert list(bits.bits) == [oracle_star_bits(g, s, rule) for s in correct]
+    reach = _reach_by_start(rule, bits.starts, lists)
+    assert reach.keys() == {(i,) for i in range(len(rule.children))}
+    for (i,), at in reach.items():
+        assert at.ways is None and len(at.offsets) == len(correct) + 1
+        rows = [list(at.nodes[at.offsets[k]:at.offsets[k + 1]]) for k in range(len(correct))]
+        assert rows == [oracle_matching_neighbors(g, s, rule.children[i]) for s in correct]

@@ -3,7 +3,7 @@ every imported name is used in its module, every private module-level
 name (one leading underscore) is referenced somewhere in the package
 outside its own definition, every option a subcommand declares is read by
 that subcommand, every parameter of a function or lambda is read by its
-body, and a private attribute is assigned through ``self`` alone.  And the
+body, and a private attribute is assigned and read through ``self`` alone.  And the
 modules every command imports leave out the heavy standard-library modules."""
 
 import argparse
@@ -178,3 +178,20 @@ def test_private_attributes_are_assigned_through_self_alone():
                 and isinstance(t.ctx, ast.Store)
             ]
     assert writes == []
+
+
+def test_private_attributes_are_read_through_self_alone():
+    # an object's private fields are its own to read: a module reading another
+    # object's private fields (a graph's ``_rows``, say) depends on a layout
+    # that its owner may change; it asks the owner through a public name
+    reads = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        and not isinstance(node.ctx, ast.Store)
+    ]
+    assert reads == []
