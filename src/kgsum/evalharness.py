@@ -381,7 +381,8 @@ def metrics(
     k: int = 100,
 ) -> dict:
     """AUC over reciprocal ranks plus precision/recall/F1@k with tie extension,
-    as the report ``kgsum evaluate`` writes without its ``kind``.
+    under the keys ``p_at_{k}``, ``r_at_{k}`` and ``f1_at_{k}``, as the report
+    ``kgsum evaluate`` (k = 100) writes without its ``kind``.
 
     With a type filter, edges perturbed by other types are dropped from the
     ranking first so they are never counted as false negatives.  Without one,
@@ -395,7 +396,7 @@ def metrics(
         raise MetricsError("empty ranking after filtering")
     auc = _auc_with_ties(scores, labels)
     precision, recall, f1 = _precision_recall_at_k(scores, labels, k)
-    report = {"auc": auc, "p_at_100": precision, "r_at_100": recall, "f1_at_100": f1}
+    report = {"auc": auc, f"p_at_{k}": precision, f"r_at_{k}": recall, f"f1_at_{k}": f1}
     report.update(num_positives=sum(labels), num_negatives=len(labels) - sum(labels))
     if anomaly_filter is None:
         # a type whose positives all fell in another split has none ranked

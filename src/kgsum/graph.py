@@ -10,15 +10,24 @@ Layout.  Nodes, labels and predicates are interned to dense ids in first-seen
 order, and so are the distinct edges: an edge id is the edge's index in
 ``distinct_edges``.  The distinct edges are three ``array("I")`` columns
 (subject, predicate, object) in edge-id order, and the edge multiset is one
-column holding each file line's edge id.  Each direction has a
+column holding each file line's edge id.  Load appends each line's ids to
+three columns and sorts the lines once, each packed in one int, by (s, p, o,
+line): that finds the repeated triples, numbers the edges (with no repeat,
+each edge id is its line number) and gives the (s, p, o) order of the
+distinct edges, which the graph keeps as one column.  Each direction has a
 compressed-sparse-row (CSR) index over the distinct edges: its rows are sorted
 by (node, predicate, neighbour), where the node is the subject for ``OUT`` and
 the object for ``IN``, an offsets column gives each node's first row, and three
-parallel columns give each row's predicate, neighbour and edge id.  Every
+parallel columns give each row's predicate, neighbour and edge id.  A
+direction's index is built once, on the first call that reads it, from the
+kept order: ``OUT`` by gathers along it, ``IN`` by two stable passes over it
+(by predicate, then by object) that allocate arrays alone, so a run whose
+rules read one direction never builds the other.  Every
 column is 32 bits wide, so a graph holds fewer than 2**32 nodes, predicates and
 edges.  ``neighbors`` returns a slice of the neighbour column, in ascending id
 order; ``neighbor_edge_ids`` and ``edge_index`` bisect a node's rows and read
-the edge-id column, so no edge key is built or hashed after loading.  ``csr``
+the edge-id column, so no edge key is built or hashed after loading
+(``edge_index`` reads the ``IN`` rows when only those are built).  ``csr``
 hands out one direction's columns, for a caller that reads the rows of many
 nodes in one pass (``rules.match`` on a star rule).  The
 label assignments (node, label) are numbered densely by node, then label:
@@ -39,14 +48,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from itertools import accumulate, compress, count, repeat
-from operator import and_, eq, rshift
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import and_, eq, gt, xor
 from typing import Iterable, Iterator, Sequence, TextIO
 
 OUT = 0  # the node is the subject of the edge
 IN = 1  # the node is the object of the edge
-
-_MASK = (1 << 32) - 1
 
 
 class GraphParseError(ValueError):
@@ -65,15 +72,12 @@ class _Rows:
 
     __slots__ = ("offsets", "preds", "ends", "edge_ids")
 
-    def __init__(self, nodes: array, preds: array, ends: array, keys: list[int], num_nodes: int) -> None:
-        """Rows from the edge columns; ``keys[e]`` orders edge ``e`` by (node,
-        predicate, neighbour).  The columns are gathered straight into arrays,
-        with no list of int objects (memory)."""
-        edge_ids = self.edge_ids = array("I", sorted(range(len(keys)), key=keys.__getitem__))
-        rows_before = [0] * (num_nodes + 1)  # shifted by one: prefix sums give each row's start
-        for u in nodes:
-            rows_before[u + 1] += 1
-        self.offsets = array("I", accumulate(rows_before))
+    def __init__(self, offsets: array, edge_ids: array, preds: array, ends: array) -> None:
+        """The rows of the edges ``edge_ids``, in row order: each row's
+        predicate and neighbour are gathered from the edge columns ``preds``
+        and ``ends`` straight into arrays (memory)."""
+        self.offsets = offsets
+        self.edge_ids = edge_ids
         self.preds = array("I", map(preds.__getitem__, edge_ids))
         self.ends = array("I", map(ends.__getitem__, edge_ids))
 
@@ -91,8 +95,11 @@ class KnowledgeGraph:
     The edge multiset keeps the file's lines (duplicates included); all
     set-based quantities (adjacency, coverage, matching) use the distinct
     triple view.  The constructor parses the two line streams, and
-    ``parse_graph`` names it too.  A graph is immutable once built and safe to
-    share across readers.
+    ``parse_graph`` names it too.  A graph never changes what it answers and
+    is safe to share across readers: each direction's index is built once,
+    on its first read, and a reader never sees one half built (two threads
+    that read a direction first may both build it, and one of the equal
+    copies is kept).
     """
 
     def __init__(
@@ -104,19 +111,25 @@ class KnowledgeGraph:
     ) -> None:
         """Parse a graph from line streams (see module docstring for the format)."""
         node_ids, pred_ids, label_ids = self._node_ids, self._pred_ids, self._label_ids = {}, {}, {}
-        line_edges = self._line_edges = array("I")
-        # (s, p, o) packed in one int -> edge id, kept only while the file is read
-        ids_by_key: dict[int, int] = {}
+        # each line's (s, p, o) ids, in file order
+        subjects, preds, objects = array("I"), array("I"), array("I")
         for _, (s, p, o) in _fields(triple_source, triple_lines, 3):
-            sid = node_ids.setdefault(s, len(node_ids))
-            oid = node_ids.setdefault(o, len(node_ids))
-            pid = pred_ids.setdefault(p, len(pred_ids))
-            line_edges.append(ids_by_key.setdefault((sid << 32 | pid) << 32 | oid, len(ids_by_key)))
-        out_keys = list(ids_by_key)  # in edge-id order; they sort as (s, p, o)
-        del ids_by_key
-        subjects = self._subjects = array("I", map(rshift, out_keys, repeat(64)))
-        preds = self._preds = array("I", map(and_, map(rshift, out_keys, repeat(32)), repeat(_MASK)))
-        objects = self._objects = array("I", map(and_, out_keys, repeat(_MASK)))
+            subjects.append(node_ids.setdefault(s, len(node_ids)))
+            objects.append(node_ids.setdefault(o, len(node_ids)))
+            preds.append(pred_ids.setdefault(p, len(pred_ids)))
+        lines_per_pred = Counter(preds)
+        self.n_pred = [lines_per_pred[p] for p in range(len(pred_ids))]
+        self.has_self_loop = any(map(eq, subjects, objects))
+        out_order, repeats = _sorted_lines(subjects, preds, objects, len(node_ids), len(pred_ids))
+        if repeats:
+            line_edges, first_lines, out_order = _number_edges(out_order, repeats)
+            subjects, preds, objects = (array("I", compress(col, first_lines)) for col in (subjects, preds, objects))
+            del first_lines
+        else:
+            line_edges = array("I", range(len(out_order)))
+        self._line_edges, self._out_order = line_edges, out_order
+        self._subjects, self._preds, self._objects = subjects, preds, objects
+        self._rows: list[_Rows | None] = [None, None]  # OUT and IN, each built on its first read
 
         # each labelled node's first label, and the labels it adds after that, so
         # that a one-label node needs no set of its own while the file is read
@@ -128,8 +141,7 @@ class KnowledgeGraph:
             if first_label.setdefault(vid, lid) != lid:
                 more_labels[vid].add(lid)
 
-        # the label index is built, and the label pass's dicts freed, before the
-        # rows sort (memory); nodes with equal label sets share one frozenset
+        # nodes with equal label sets share one frozenset
         shared: dict[frozenset[int], frozenset[int]] = {}
         node_labels = self.node_labels = [frozenset()] * len(node_ids)
         for vid, lid in first_label.items():
@@ -149,23 +161,36 @@ class KnowledgeGraph:
         self.node_names = list(node_ids)
         self.pred_names = list(pred_ids)
         self.label_names = list(label_ids)
-        num_nodes, num_preds = len(node_ids), len(pred_ids)
-        out_rows = _Rows(subjects, preds, objects, out_keys, num_nodes)
-        del out_keys
-        # compact keys, which sort as (o, p, s)
-        in_keys = [(o * num_preds + p) * num_nodes + s for s, p, o in zip(subjects, preds, objects)]
-        self._rows = out_rows, _Rows(objects, preds, subjects, in_keys, num_nodes)
-        del in_keys
-        lines_per_pred = Counter(map(preds.__getitem__, line_edges))
-        self.n_pred = [lines_per_pred[p] for p in range(num_preds)]
-        self.has_self_loop = any(map(eq, subjects, objects))
-        duplicates = self.duplicates_collapsed = len(line_edges) - len(subjects)
+        duplicates = self.duplicates_collapsed = len(repeats)
         if duplicates:
             warnings.warn(
                 f"{duplicates} duplicate triples collapsed in the set view "
                 "(kept in the edge multiset)",
                 stacklevel=2,
             )
+
+    def _direction(self, direction: int) -> _Rows:
+        """The ``direction`` CSR index, built on its first read.  ``OUT``
+        gathers along the kept (s, p, o) order; ``IN`` sorts that order
+        stably by predicate, then by object, into (o, p, s) order."""
+        rows = self._rows[direction]
+        if rows is None:
+            subjects, preds, objects = self._subjects, self._preds, self._objects
+            num_nodes = len(self.node_names)
+            if direction == OUT:
+                rows = _Rows(_starts(subjects, num_nodes), self._out_order, preds, objects)
+            else:
+                # (s, p, o) order to (p, s, o) with one array per predicate
+                # (a third of a counting pass's time, predicates being few),
+                # then stably by object to (o, p, s)
+                by_pred = [array("I") for _ in self.pred_names]
+                for e in self._out_order:
+                    by_pred[preds[e]].append(e)
+                in_order, offsets = _stable_sort(chain.from_iterable(by_pred), objects, num_nodes)
+                del by_pred
+                rows = _Rows(offsets, in_order, preds, subjects)
+            self._rows[direction] = rows
+        return rows
 
     def node_id(self, name: str) -> int | None:
         return self._node_ids.get(name)
@@ -193,11 +218,16 @@ class KnowledgeGraph:
         return zip(count(), self._subjects, self._preds, self._objects)
 
     def edge_index(self, s: int, p: int, o: int) -> int | None:
-        """The id of edge (s, p, o), or ``None`` when the graph lacks it."""
-        rows = self._rows[OUT]
-        lo, hi = rows.span(s, p)
-        i = bisect_left(rows.ends, o, lo, hi)
-        return rows.edge_ids[i] if i < hi and rows.ends[i] == o else None
+        """The id of edge (s, p, o), or ``None`` when the graph lacks it.  It
+        reads the ``OUT`` index, or the ``IN`` index when only that one is
+        built, so it builds no index a caller did not read first."""
+        if self._rows[OUT] is None and self._rows[IN] is not None:
+            rows, node, end = self._rows[IN], o, s
+        else:
+            rows, node, end = self._direction(OUT), s, o
+        lo, hi = rows.span(node, p)
+        i = bisect_left(rows.ends, end, lo, hi)
+        return rows.edge_ids[i] if i < hi and rows.ends[i] == end else None
 
     def neighbor_edge_ids(self, node: int, p: int, direction: int, ws: Sequence[int]) -> array:
         """The ids of the ``p`` edges joining ``node`` to each node of ``ws``, in
@@ -205,7 +235,7 @@ class KnowledgeGraph:
         for ``IN``.  Every such edge must be in the graph (``KeyError``
         otherwise).  When ``ws`` is an array of all the ``p`` neighbours (what
         ``neighbors`` returns), the ids are one slice of the edge-id column."""
-        rows = self._rows[direction]
+        rows = self._direction(direction)
         lo, hi = rows.span(node, p)
         ends, edge_ids = rows.ends, rows.edge_ids
         if len(ws) == hi - lo and ends[lo:hi] == ws:
@@ -221,7 +251,7 @@ class KnowledgeGraph:
         neighbours, edge ids): node ``v``'s rows are ``offsets[v]`` to
         ``offsets[v + 1] - 1``, sorted by (predicate, neighbour).  The columns
         are the graph's own, to read and never to write."""
-        rows = self._rows[direction]
+        rows = self._direction(direction)
         return rows.offsets, rows.preds, rows.ends, rows.edge_ids
 
     def neighbors(self, node: int, p: int | None, direction: int) -> array:
@@ -230,7 +260,7 @@ class KnowledgeGraph:
         the graph lacks (``pred_id`` gave ``None``)."""
         if p is None:
             return array("I")
-        rows = self._rows[direction]
+        rows = self._direction(direction)
         lo, hi = rows.span(node, p)
         return rows.ends[lo:hi]
 
@@ -302,6 +332,68 @@ class KnowledgeGraph:
             return set()
         rarest = min(map(self._label_array, want), key=len)
         return set(compress(rarest, map(want.issubset, map(self.node_labels.__getitem__, rarest))))
+
+
+def _sorted_lines(
+    subjects: array, preds: array, objects: array, num_nodes: int, num_preds: int
+) -> tuple[array, list[int]]:
+    """The line numbers in (s, p, o, line) order, and the positions in that
+    order whose triple repeats the one before.  Each line is sorted as one
+    int, its (s, p, o) ids in the high bits and its number in the low bits,
+    and the ints are freed before this returns (memory)."""
+    p_bits, o_bits, line_bits = num_preds.bit_length(), num_nodes.bit_length(), len(subjects).bit_length()
+
+    def pack(s: int, p: int, o: int, line: int) -> int:
+        return ((s << p_bits | p) << o_bits | o) << line_bits | line
+
+    keys = sorted(map(pack, subjects, preds, objects, count()))
+    order = array("I", map(and_, keys, repeat((1 << line_bits) - 1)))
+    # two neighbouring keys hold one triple when they differ in the line bits alone
+    repeats = list(compress(count(1), map(gt, repeat(1 << line_bits), map(xor, keys, islice(keys, 1, None)))))
+    return order, repeats
+
+
+def _number_edges(order: array, repeats: list[int]) -> tuple[array, bytearray, array]:
+    """Each line's edge id, a mask of the lines that first hold their triple,
+    and the edge ids in (s, p, o) order, from the lines in (s, p, o, line)
+    ``order`` and the positions ``repeats`` in it that repeat the triple
+    before.  A repeated line takes the id of the line before it in ``order``,
+    an earlier line of its triple; the first lines are numbered in line
+    order.  The work beyond array copies grows with the repeats, not with the
+    lines."""
+    pairs = sorted((order[i], order[i - 1]) for i in repeats)
+    line_edges, first_lines = array("I"), bytearray(b"\x01") * len(order)
+    for k, (line, earlier) in enumerate(pairs):
+        line_edges.extend(range(len(line_edges) - k, line - k))
+        line_edges.append(line_edges[earlier])
+        first_lines[line] = 0
+    line_edges.extend(range(len(line_edges) - len(pairs), len(order) - len(pairs)))
+    first_rows = bytearray(b"\x01") * len(order)
+    for i in repeats:
+        first_rows[i] = 0
+    return line_edges, first_lines, array("I", map(line_edges.__getitem__, compress(order, first_rows)))
+
+
+def _starts(keys: array, width: int) -> array:
+    """The ``width + 1`` offsets at which each key value's run starts in
+    ``keys`` sorted: prefix sums of the counts, in arrays alone."""
+    counts = array("I", [0]) * width
+    for k in keys:
+        counts[k] += 1
+    return array("I", accumulate(counts, initial=0))
+
+
+def _stable_sort(order: Iterable[int], keys: array, width: int) -> tuple[array, array]:
+    """The edge ids ``order``, all of ``keys``'s, stably sorted by
+    ``keys[e]``, each below ``width``, and the offset of each key value's run
+    (``_starts``): one counting pass that allocates arrays alone (memory)."""
+    starts = _starts(keys, width)
+    free, out = array("I", starts), array("I", [0]) * len(keys)
+    for e in order:
+        k = keys[e]
+        out[free[k]] = e
+        free[k] += 1
+    return out, starts
 
 
 def _fields(source: str, lines: Iterable[str], arity: int) -> Iterator[tuple[int, list[str]]]:

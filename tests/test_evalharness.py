@@ -274,8 +274,18 @@ def test_metrics_hand_ranking_matches_trapezoid_oracle():
     labels = [1, 1, 0, 0, 1, 0]
     assert rep["auc"] == pytest.approx(oracle_auc_trapezoid(scores, labels), rel=1e-12)
     rep2 = metrics(rows, truth, k=2)
-    assert rep2["p_at_100"] == 1.0
-    assert rep2["r_at_100"] == pytest.approx(2 / 3, rel=1e-12)
+    assert rep2["p_at_2"] == 1.0
+    assert rep2["r_at_2"] == pytest.approx(2 / 3, rel=1e-12)
+
+
+def test_metrics_name_their_keys_by_the_cut_off():
+    # P@1 is reported as p_at_1, never under the at-100 keys evaluate writes
+    rows = [(f"s{i}", "p", f"o{i}", float(10 - i)) for i in range(4)]
+    truth = hand_truth([("s0", "p", "o0"), ("s2", "p", "o2")], [("s1", "p", "o1"), ("s3", "p", "o3")])
+    rep = metrics(rows, truth, k=1)
+    assert (rep["p_at_1"], rep["r_at_1"], rep["f1_at_1"]) == (1.0, 0.5, pytest.approx(2 / 3, rel=1e-12))
+    assert not {"p_at_100", "r_at_100", "f1_at_100"} & rep.keys()
+    assert list(metrics(rows, truth)) == ["auc", "p_at_100", "r_at_100", "f1_at_100", "num_positives", "num_negatives"]
 
 
 def test_metrics_perfect_ranking():

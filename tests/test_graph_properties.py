@@ -3,14 +3,16 @@
 blank lines, CRLF endings, multi-label and label-only nodes, repeated label
 lines and the occasional malformed line; ``edge_index``,
 ``neighbor_edge_ids`` and ``nodes_with_labels`` agree with the oracle's edges
-and label sets, also for ids the graph lacks."""
+and label sets, also for ids the graph lacks; and each CSR index, built on
+its first read, holds the oracle's distinct edges sorted, whichever read
+comes first."""
 
 import warnings
 from array import array
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgsum.graph import IN, OUT, GraphParseError, parse_graph
@@ -141,14 +143,61 @@ IDS = st.integers(-2, 6) | st.sampled_from([2**32 - 1, 2**32, 2**40])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(TRIPLE, max_size=24), st.lists(st.tuples(IDS, IDS, IDS), max_size=40))
-def test_edge_index_equals_the_oracle(triple_lines, probes):
+@given(st.lists(TRIPLE, max_size=24), st.lists(st.tuples(IDS, IDS, IDS), max_size=40), st.booleans())
+def test_edge_index_equals_the_oracle(triple_lines, probes, in_first):
     # an absent edge and an id outside the graph, negative or too wide for a
-    # column, are both None
+    # column, are both None, also when the IN index alone answers
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = parse_graph(triple_lines, [])
+    if in_first:
+        g.csr(IN)
     want = {e: i for i, e in enumerate(oracle_parse(triple_lines, []).distinct_edges)}
     for e in [*want, *probes]:
         assert g.edge_index(*e) == want.get(e)
 
+
+def oracle_rows(distinct_edges, num_nodes, direction):
+    """One direction's CSR columns (offsets, predicates, neighbours, edge ids)
+    read off the oracle's distinct edges, sorted by (node, predicate,
+    neighbour)."""
+    ends = [(s, p, o) if direction == OUT else (o, p, s) for s, p, o in distinct_edges]
+    rows = sorted((*e, eid) for eid, e in enumerate(ends))
+    offsets = [sum(row[0] < v for row in rows) for v in range(num_nodes + 1)]
+    return [offsets, *([row[i] for row in rows] for i in (1, 2, 3))]
+
+
+# a line list with no repeated triple, or one that may repeat any
+LINES = st.lists(TRIPLE, max_size=24, unique_by=str.rstrip) | st.lists(TRIPLE, max_size=24)
+READS = st.permutations(["out", "in", "edge_index"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(LINES, READS)
+@example(["a\tp\tb\n", "b\tq\ta\n", "c\tp\tc\r\n"], ["in", "edge_index", "out"])
+@example(["a\tp\tb\n", "a\tp\tb\r\n", "b\tq\ta\n", "a\tp\tb", "b\tq\ta\n"], ["in", "edge_index", "out"])
+def test_indexes_equal_the_oracles_sorted_rows_in_any_read_order(triple_lines, reads):
+    # the repeated-triple path numbers the edges apart from the lines; the
+    # edge_index read after IN alone answers from the IN index
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = parse_graph(triple_lines, [])
+    want = oracle_parse(triple_lines, [])
+    n, m = len(want.node_names), len(want.pred_names)
+    ids = {e: eid for eid, e in enumerate(want.distinct_edges)}
+    for read in reads:
+        if read == "edge_index":
+            for s in range(n + 1):
+                for p in range(m + 1):
+                    for o in range(n + 1):
+                        assert g.edge_index(s, p, o) == ids.get((s, p, o))
+            continue
+        direction = OUT if read == "out" else IN
+        offsets, preds, ends, _ = rows = oracle_rows(want.distinct_edges, n, direction)
+        assert [list(column) for column in g.csr(direction)] == rows
+        for v in range(n + 1):
+            lo, hi = (offsets[v], offsets[v + 1]) if v < n else (0, 0)
+            for p in range(m + 1):
+                assert list(g.neighbors(v, p, direction)) == [w for q, w in zip(preds[lo:hi], ends[lo:hi]) if q == p]
+    assert g.edges == want.edges
+    assert g.duplicates_collapsed == len(want.edges) - len(want.distinct_edges)
