@@ -25,11 +25,10 @@ kept order: ``OUT`` by gathers along it, ``IN`` by two stable passes over it
 rules read one direction never builds the other.  Every
 column is 32 bits wide, so a graph holds fewer than 2**32 nodes, predicates and
 edges.  ``neighbors`` returns a slice of the neighbour column, in ascending id
-order; ``neighbor_edge_ids`` and ``edge_index`` bisect a node's rows and read
-the edge-id column, so no edge key is built or hashed after loading
-(``edge_index`` reads the ``IN`` rows when only those are built).  ``csr``
-hands out one direction's columns, for a caller that reads the rows of many
-nodes in one pass (``rules.match`` on a star rule).  The
+order; ``edge_index`` bisects a node's rows and reads the edge-id column, so
+no edge key is built or hashed after loading (it reads the ``IN`` rows when
+only those are built).  ``csr`` hands out one direction's columns, for a
+caller that reads the rows of many nodes in one pass (``rules.match``).  The
 label assignments (node, label) are numbered densely by node, then label:
 node ``v``'s labels, in ascending label id, hold the assignment ids
 ``label_offsets[v]`` to ``label_offsets[v + 1] - 1``.  A rule's coverage is
@@ -50,7 +49,7 @@ from collections import Counter, defaultdict
 from contextlib import contextmanager
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import and_, eq, gt, xor
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 OUT = 0  # the node is the subject of the edge
 IN = 1  # the node is the object of the edge
@@ -228,23 +227,6 @@ class KnowledgeGraph:
         lo, hi = rows.span(node, p)
         i = bisect_left(rows.ends, end, lo, hi)
         return rows.edge_ids[i] if i < hi and rows.ends[i] == end else None
-
-    def neighbor_edge_ids(self, node: int, p: int, direction: int, ws: Sequence[int]) -> array:
-        """The ids of the ``p`` edges joining ``node`` to each node of ``ws``, in
-        order, as an ``array("I")``: ``node -> w`` for ``OUT``, ``w -> node``
-        for ``IN``.  Every such edge must be in the graph (``KeyError``
-        otherwise).  When ``ws`` is an array of all the ``p`` neighbours (what
-        ``neighbors`` returns), the ids are one slice of the edge-id column."""
-        rows = self._direction(direction)
-        lo, hi = rows.span(node, p)
-        ends, edge_ids = rows.ends, rows.edge_ids
-        if len(ws) == hi - lo and ends[lo:hi] == ws:
-            return edge_ids[lo:hi]  # the whole row, which nearly every walk asks for
-        at = [bisect_left(ends, w, lo, hi) for w in ws]
-        for i, w in zip(at, ws):
-            if i == hi or ends[i] != w:
-                raise KeyError(w)
-        return array("I", map(edge_ids.__getitem__, at))
 
     def csr(self, direction: int) -> tuple[array, array, array, array]:
         """The ``direction`` CSR index as its columns (offsets, predicates,

@@ -457,8 +457,8 @@ def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> M
 
 
 def build_model(g: KnowledgeGraph, rules: Iterable[Rule]) -> Model:
-    """Cost an explicit rule list (used by baselines and model files), each
-    rule canonicalized and recorded as a ``load`` step."""
+    """The model of an explicit rule list, costed: each rule canonicalized,
+    matched and added as a ``load`` step, in list order."""
     model = Model(g)
     for rule in rules:
         entry = RuleEntry.from_rule(canonicalize(rule), g)

@@ -8,12 +8,13 @@ satisfy the subrule's children.  A failure at any depth makes the start node
 an exception; otherwise the start is a correct assertion and the traversal's
 edges and non-root labels count as covered.
 
-Most rules are stars: every child is a leaf (a rule with no children is a
-star too).  ``match`` and ``walk`` evaluate a star in one flat pass over its
-starts, child by child, that reads each start's CSR rows for a child once and
-takes from them the matching neighbours, their edge ids, the start's bits and
-whether it is correct.  A rule with a non-leaf child takes the recursive
-``walk``, and ``match`` collects its coverage with ``collect``.
+``match`` and ``walk`` evaluate a rule of any depth in one flat pass
+(``_pass``) over its starts, child by child, that reads each start's CSR rows
+for a child once and takes from them the matching neighbours, their edge ids,
+the start's bits and whether it is correct.  A child with children of its own
+is evaluated by the same pass, once, over the union of the neighbours that
+reach it, and ``match`` descends those per-child results from the correct
+starts to collect the coverage.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .encoding import log_binomial
@@ -113,30 +114,35 @@ def matching_neighbors(g: KnowledgeGraph, node: int, child: Child) -> array:
     return array("I", [w for w in ws if want <= node_labels[w]])
 
 
-def is_star(rule: Rule) -> bool:
-    """Every child of ``rule`` is a leaf; so is a rule with no children."""
-    return not any(c.child.children for c in rule.children)
+def _pass(
+    rule: Rule, g: KnowledgeGraph, nodes: list[int]
+) -> tuple[list[int], list[float], list[tuple[list[int], list[array], list[array], list | None]]]:
+    """Evaluate ``rule`` from each of ``nodes`` (distinct), child by child,
+    reading each node's rows for a child once (``KnowledgeGraph.csr``, read
+    once per child).  A child with children has its own rule evaluated once,
+    by this pass, over the sorted union of the matching neighbours of the
+    nodes that reached it.  A node's bits are ``0.0`` plus, per child in
+    child order, the child's count term and then each neighbour's bits in
+    neighbour order, the order of the recursive definition, so they equal it
+    to the bit.  A node fails at a child with no matching neighbour or with
+    a neighbour that fails the child's rule.
 
-
-def _star_pass(
-    rule: Rule, g: KnowledgeGraph, starts: Iterable[int]
-) -> tuple[list[int], list[float], list[tuple[list[int], list[array], list[array]]]]:
-    """Evaluate the star ``rule`` over ``starts``, child by child, reading
-    each start's rows for a child once (``KnowledgeGraph.csr``, read once per
-    child).  Returns the starts that pass every child, in the order of
-    ``starts``, with their bits, each ``0.0`` plus one term per child in child
-    order, exactly as ``walk`` adds them; and per child, the starts that
-    reached it (passed every child before it) with each one's
-    ``matching_neighbors`` array and those neighbours' edge ids, in the same
-    order, empty where the start fails the child."""
+    Returns the nodes that pass every child, in the order of ``nodes``, with
+    their bits; and per child, the nodes that reached it (passed every child
+    before it) with each one's ``matching_neighbors`` array and those
+    neighbours' edge ids, in the same order, empty where the node fails the
+    child, and for a child with children the per-child results of its pass
+    (``None`` for a leaf).  The list stops at a child no node reached."""
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = g.neighbor_universe
     node_labels = g.node_labels
     terms: dict[int, float] = {}  # matching-neighbour count -> its bits
-    alive = list(starts)
+    alive = nodes
     bits = [0.0] * len(alive)
     per_child = []
     for c in rule.children:
+        if not alive:
+            break  # read no rows, and build no index, that no node needs
         offsets, preds, ends, edge_ids = g.csr(c.direction)
         # a predicate the graph lacks (pred_id gave None) as an id no row holds
         p = g.num_preds if c.predicate is None else c.predicate
@@ -154,10 +160,29 @@ def _star_pass(
         counts = list(map(len, wss))
         for n in set(counts).difference(terms):
             terms[n] = log_v + log_binomial(universe, n)
-        per_child.append((alive, wss, eidss))
-        bits = [b + terms[n] for b, n in zip(bits, counts) if n]
-        alive = list(compress(alive, counts))
+        if not c.child.children:
+            per_child.append((alive, wss, eidss, None))
+            bits = [b + terms[n] for b, n in zip(bits, counts) if n]
+            alive = list(compress(alive, counts))
+            continue
+        passed, passed_bits, sub = _pass(c.child, g, sorted(set(_joined(wss))))
+        per_child.append((alive, wss, eidss, sub))
+        sub_bits = dict(zip(passed, passed_bits))
+        bits = [_plus_each(b + terms[n], ws, sub_bits) if n else None for b, n, ws in zip(bits, counts, wss)]
+        keep = [b is not None for b in bits]
+        bits, alive = list(compress(bits, keep)), list(compress(alive, keep))
     return alive, bits, per_child
+
+
+def _plus_each(bits: float, ws: array, sub_bits: dict[int, float]) -> float | None:
+    """``bits`` plus each neighbour's bits in order; ``None`` at the first
+    neighbour missing from ``sub_bits``."""
+    for w in ws:
+        sub = sub_bits.get(w)
+        if sub is None:
+            return None
+        bits += sub
+    return bits
 
 
 def _joined(rows: Iterable[array]) -> array:
@@ -173,137 +198,74 @@ def walk(
     """Walk ``rule`` from each start: ``None`` for an exception, else the bits
     that guide its traversal (per child at each visited node, the
     matching-neighbor count, bounded by |V|, and the neighbor ids).  Also
-    returns every ``matching_neighbors`` array looked up, keyed by (node, id
-    of the child), which covers each node a correct traversal visits.
-
-    A star rule takes the flat pass, which looks up the same arrays.  Any
-    other rule is walked recursively, and repeated (node, rule-node)
-    expansions are memoized, so the walk terminates on any graph."""
-    if is_star(rule):
-        starred: dict[int, float | None] = dict.fromkeys(starts)
-        correct, bits, per_child = _star_pass(rule, g, starred)
-        starred.update(zip(correct, bits))
-        looked_up = {
-            (s, id(c)): ws
-            for c, (reached, wss, _) in zip(rule.children, per_child)
-            for s, ws in zip(reached, wss)
-        }
-        return starred, looked_up
-
-    log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
-    universe = g.neighbor_universe
-    memo: dict[tuple[int, int], float | None] = {}
+    returns every ``matching_neighbors`` array the pass looked up, keyed by
+    (node, id of the child): those of each node a correct traversal visits,
+    and for a rule deeper than a star also some that only a failing start's
+    traversal reaches, since each child's rule is evaluated over all the
+    neighbours that reach it."""
+    walked: dict[int, float | None] = dict.fromkeys(starts)
+    correct, bits, per_child = _pass(rule, g, list(walked))
+    walked.update(zip(correct, bits))
     lists: dict[tuple[int, int], array] = {}
-
-    def expand(u: int, r: Rule) -> float | None:
-        key = (u, id(r))
-        if key in memo:
-            return memo[key]
-        bits: float | None = 0.0
-        for c in r.children:
-            ws = lists[(u, id(c))] = matching_neighbors(g, u, c)
-            if not ws:
-                bits = None
-                break
-            bits += log_v + log_binomial(universe, len(ws))
-            if c.child.children:  # a leaf child adds exactly 0.0 per neighbor
-                for w in ws:
-                    sub = expand(w, c.child)
-                    if sub is None:
-                        bits = None
-                        break
-                    bits += sub
-                if bits is None:
-                    break
-        memo[key] = bits
-        return bits
-
-    walked = {s: expand(s, rule) for s in starts}
-    del expand  # a recursive closure is a reference cycle: free the memo now, not at the next gc
+    _looked_up(rule, per_child, lists)
     return walked, lists
 
 
-def collect(
-    rule: Rule, g: KnowledgeGraph, walked: dict[int, float | None], lists: dict[tuple[int, int], array]
-) -> AssertionSet:
-    """Partition the starts of ``walk(rule, g, starts)`` and collect the
-    edges and labels that the correct traversals cover.  The covered nodes
-    are gathered per label."""
-    correct = [s for s, b in walked.items() if b is not None]
-    edge_ids: set[int] = set()
-    labelled: defaultdict[int, set[int]] = defaultdict(set)  # label -> nodes covered with it
-    expanded: set[tuple[int, int]] = set()
-    edge_ids_to = g.neighbor_edge_ids
-
-    def visit(u: int, r: Rule) -> None:
-        key = (u, id(r))
-        if key in expanded:
-            return
-        expanded.add(key)
-        for c in r.children:
-            ws = lists[(u, id(c))]
-            edge_ids.update(edge_ids_to(u, c.predicate, c.direction, ws))
-            for l in c.child.root_labels:
-                labelled[l].update(ws)
-            if c.child.children:
-                for w in ws:
-                    visit(w, c.child)
-
-    for v in correct:
-        visit(v, rule)
-    del visit  # break the closure's reference cycle
-
-    exceptions = frozenset(walked).difference(correct)
-    bits = math.fsum(walked[s] for s in correct)
-    return _assertion_set(g, frozenset(correct), exceptions, edge_ids, labelled, bits)
+def _looked_up(rule: Rule, per_child: list, lists: dict[tuple[int, int], array]) -> None:
+    """Add the neighbour arrays of the per-child results of a ``_pass`` of
+    ``rule``, and of its children's passes, to ``lists``, one level of
+    ``rule`` per call."""
+    for c, (reached, wss, _, sub) in zip(rule.children, per_child):
+        lists.update(zip(zip(reached, repeat(id(c))), wss))
+        if sub is not None:
+            _looked_up(c.child, sub, lists)
 
 
-def _assertion_set(
-    g: KnowledgeGraph,
-    correct: frozenset[int],
-    exceptions: frozenset[int],
-    edge_ids: Iterable[int],
-    labelled: dict[int, set[int]],
-    bits: float,
-) -> AssertionSet:
-    """The ``AssertionSet`` of the partition, the covered edge ids (distinct)
-    and the nodes covered with each label, each (node, label) pair turned into
-    its assignment id once."""
-    label_ids = [i for l, nodes in labelled.items() for i in g.assignment_ids(l, nodes)]
-    edge_array, label_array = array("I", sorted(edge_ids)), array("I", sorted(label_ids))
-    return AssertionSet(correct, exceptions, edge_array, label_array, bits)
-
-
-def match(rule: Rule, g: KnowledgeGraph, starts: set[int] | None = None) -> AssertionSet:
-    """Partition the rule's starts and collect the coverage of correct
-    traversals: a star rule from one flat pass, any other rule from one
-    ``walk`` and ``collect``.  ``starts``, when the caller has them, are the
-    rule's starts, ``g.nodes_with_labels(rule.root_labels)``.  Unknown
-    label/predicate ids simply never match."""
-    if not rule.root_labels:
-        raise RuleFormatError("rule root_labels must be nonempty")
-    if starts is None:
-        starts = g.nodes_with_labels(rule.root_labels)
-    if not is_star(rule):
-        return collect(rule, g, *walk(rule, g, starts))
-    correct, bits, per_child = _star_pass(rule, g, starts)
-    covered = frozenset(correct)
-    edge_rows: list[array] = []
-    labelled: defaultdict[int, set[int]] = defaultdict(set)
-    for c, (reached, wss, eidss) in zip(rule.children, per_child):
-        # a start that passed this child but failed a later one covers nothing
-        keep = list(map(covered.__contains__, reached))
+def _cover(
+    rule: Rule, per_child: list, passed: set[int], edge_rows: list[array], labelled: defaultdict[int, set[int]]
+) -> None:
+    """Add to ``edge_rows`` and ``labelled`` what the traversals of ``rule``
+    from the nodes of ``passed``, each one correct, cover, read off the
+    per-child results of its ``_pass``: per child, the rows of those nodes,
+    and below a child with children, the coverage of its pass from the
+    neighbours in those rows, one level per call."""
+    for c, (reached, wss, eidss, sub) in zip(rule.children, per_child):
+        # a node that passed this child but failed a later one covers nothing
+        keep = list(map(passed.__contains__, reached))
         edge_rows += compress(eidss, keep)
         nodes = set(_joined(compress(wss, keep)))
         for l in c.child.root_labels:
             labelled[l] |= nodes
+        if sub is not None:
+            _cover(c.child, sub, nodes, edge_rows, labelled)
+
+
+def match(rule: Rule, g: KnowledgeGraph, starts: set[int] | None = None) -> AssertionSet:
+    """Partition the rule's starts and collect the coverage of correct
+    traversals, from one ``_pass``.  ``starts``, when the caller has them,
+    are the rule's starts, ``g.nodes_with_labels(rule.root_labels)``.
+    Unknown label/predicate ids simply never match.  The covered edge ids
+    are distinct, and the covered nodes are gathered per label, each
+    (node, label) pair turned into its assignment id once."""
+    if not rule.root_labels:
+        raise RuleFormatError("rule root_labels must be nonempty")
+    if starts is None:
+        starts = g.nodes_with_labels(rule.root_labels)
+    correct, bits, per_child = _pass(rule, g, list(starts))
+    covered = frozenset(correct)
+    edge_rows: list[array] = []
+    labelled: defaultdict[int, set[int]] = defaultdict(set)  # label -> nodes covered with it
+    _cover(rule, per_child, covered, edge_rows, labelled)
     edge_ids = _joined(edge_rows)
-    # one child covers each edge at most once (the start is one end of it);
-    # two children can cover one edge only when they share its predicate
-    if len({c.predicate for c in rule.children}) < len(rule.children):
+    # a star's child covers each edge at most once (the start is one end of
+    # it); two children can cover one edge only when they share its
+    # predicate, and a deeper traversal can come back along an edge
+    if rule.depth() > 2 or len({c.predicate for c in rule.children}) < len(rule.children):
         edge_ids = set(edge_ids)
-    exceptions = frozenset(starts).difference(correct)
-    return _assertion_set(g, covered, exceptions, edge_ids, labelled, math.fsum(bits))
+    label_ids = [i for l, nodes in labelled.items() for i in g.assignment_ids(l, nodes)]
+    edge_array, label_array = array("I", sorted(edge_ids)), array("I", sorted(label_ids))
+    exceptions = frozenset(starts).difference(covered)
+    return AssertionSet(covered, exceptions, edge_array, label_array, math.fsum(bits))
 
 
 # -- serialization -----------------------------------------------------
@@ -325,7 +287,8 @@ def rule_to_dict(rule: Rule, g: KnowledgeGraph) -> dict:
 
 MAX_RULE_DEPTH = 100
 """Deepest rule ``rule_from_dict`` accepts, the root counting as depth 1.  The
-recursive rule functions (``canonicalize``, ``walk``, ``collect``,
+recursive rule functions (``canonicalize``, ``_pass`` and the coverage
+descent ``_cover``, which recurse once per rule level, ``_looked_up``,
 ``iter_positions``, ``rule_to_dict``, ``rule_text``, ``Rule.depth``,
 ``encoding.rule_cost``, ``miner._canon_key``, ``miner._nest_rule`` and
 ``miner._reach_by_start``) take at most a few interpreter frames per level, so

@@ -5,11 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import kgsum
 from kgsum.cli import main
 from kgsum.evalharness import MetricsError, check_truth
 from kgsum.graph import KnowledgeGraph, parse_graph, write_graph
+from kgsum.rules import MAX_RULE_DEPTH
 
 from synth import chained_ownership_kg, private_children_kg
 
@@ -498,6 +501,115 @@ def test_malformed_model_files_exit_1_without_traceback(tmp_path):
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def mined_model(tmp_path_factory):
+    """Inputs for ``score`` and ``complete`` and the valid model file mined
+    from them: A owns B owns C, whose model's first rule is three levels
+    deep, and a two-node cycle of ``Loop`` nodes joined by ``r``, on which a
+    ``Loop`` chain of any depth holds."""
+    tmp = tmp_path_factory.mktemp("model")
+    triples, labels = write_inputs(tmp, chained_ownership_kg(n_a=4, d_a=2, d_b=2))
+    with open(triples, "a", encoding="utf-8") as fh:
+        fh.write("x0\tr\tx1\nx1\tr\tx0\n")
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write("x0\tLoop\nx1\tLoop\n")
+    edges = tmp / "edges.tsv"
+    edges.write_text("a0\tp\tb0\nx0\tr\tx1\n")
+    model = tmp / "model.json"
+    assert main(["summarize", "--graph", triples, "--labels", labels, "--out", str(model)]) == 0
+    graph = ["--graph", triples, "--labels", labels, "--model", str(tmp / "mutated.json")]
+    runs = [
+        ["score", *graph, "--test-edges", str(edges), "--out", str(tmp / "r.tsv")],
+        ["complete", *graph, "--out", str(tmp / "c.json")],
+    ]
+    return model.read_text(), tmp / "mutated.json", runs
+
+
+def loop_chain(depth: int) -> dict:
+    """A ``Loop`` rule ``depth`` levels deep, the root counted, each level
+    following ``r`` out to the next."""
+    rule = {"root_labels": ["Loop"], "children": []}
+    for _ in range(depth - 1):
+        rule = {"root_labels": ["Loop"], "children": [{"predicate": "r", "direction": "out", "child": rule}]}
+    return rule
+
+
+# where a wrong JSON type goes: the rule list, the first rule's root and its
+# first child's child, and the first child's predicate and direction
+_FIELDS = {
+    "rules": (),
+    "root_labels": ("rules", 0, "rule"),
+    "children": ("rules", 0, "rule", "children", 0, "child"),
+    "predicate": ("rules", 0, "rule", "children", 0),
+    "direction": ("rules", 0, "rule", "children", 0),
+}
+# where a number goes: the model's costs and the first rule's
+_NUMBERS = {
+    "L_model_bits": (),
+    "L_total_bits": (),
+    "L_rule_bits": ("rules", 0),
+    "L_assertions_bits": ("rules", 0),
+}
+# a value of every JSON type, lists and objects holding strings and containers
+_WRONG = st.sampled_from((None, True, 0, -1.5, "X", [], [0], ["X", ["X"]], {}, {"X": []}))
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("chain"), st.sampled_from((MAX_RULE_DEPTH, MAX_RULE_DEPTH + 1))),
+    st.tuples(st.just("type"), st.sampled_from(sorted(_FIELDS)), _WRONG),
+    st.tuples(
+        st.just("number"),
+        st.sampled_from(sorted(_NUMBERS)),
+        st.sampled_from(("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400, "9" * 5000)),
+    ),
+)
+
+
+def mutate(text: str, mutation: tuple) -> bytes:
+    """The bytes of the model file ``text`` changed as ``mutation`` says."""
+    kind, *args = mutation
+    raw = text.encode()
+    if kind == "truncate":
+        return raw[: args[0] % len(raw)]
+    if kind == "flip":
+        at = args[0] % len(raw)
+        return raw[:at] + bytes([raw[at] ^ args[1]]) + raw[at + 1 :]
+    doc = json.loads(text)
+    if kind == "chain":
+        doc["rules"].append({"rule": loop_chain(args[0])})
+        return json.dumps(doc).encode()
+    field, value = args
+    node = doc
+    for key in {**_FIELDS, **_NUMBERS}[field]:
+        node = node[key]
+    if kind == "type":
+        node[field] = value
+        return json.dumps(doc).encode()
+    node[field] = "@number@"  # then the literal, which JSON reads as NaN, an infinity or a huge int
+    return json.dumps(doc).replace('"@number@"', value).encode()
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=_MUTATIONS)
+@example(mutation=("chain", MAX_RULE_DEPTH))
+@example(mutation=("chain", MAX_RULE_DEPTH + 1))
+def test_a_mutated_model_file_exits_0_or_1_with_one_error_line(mined_model, mutation):
+    # a model file truncated, with a byte flipped, with a rule as deep as a
+    # model file may hold or one level deeper, with a field of the wrong JSON
+    # type, or with NaN, an infinity or a huge number where the costs are
+    text, path, runs = mined_model
+    assert json.loads(text)["rules"][0]["rule"]["children"][0]["child"]["children"]
+    path.write_bytes(mutate(text, mutation))
+    for args in runs:
+        proc = run_cli(args)
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == proc.returncode, proc.stderr
+        if mutation[0] == "chain":  # the deepest rule a file holds applies; one more level is refused
+            assert proc.returncode == (mutation[1] > MAX_RULE_DEPTH), proc.stderr
 
 
 def test_truth_file_given_as_the_model_exits_1_with_one_error_line(tmp_path):

@@ -1,15 +1,12 @@
 """Property tests: ``parse_graph`` agrees with the straight-line
 ``oracle_parse`` on random line lists with duplicates, self-loops, comments,
 blank lines, CRLF endings, multi-label and label-only nodes, repeated label
-lines and the occasional malformed line; ``edge_index``,
-``neighbor_edge_ids`` and ``nodes_with_labels`` agree with the oracle's edges
-and label sets, also for ids the graph lacks; and each CSR index, built on
-its first read, holds the oracle's distinct edges sorted, whichever read
-comes first."""
+lines and the occasional malformed line; ``edge_index`` and
+``nodes_with_labels`` agree with the oracle's edges and label sets, also for
+ids the graph lacks; and each CSR index, built on its first read, holds the
+oracle's distinct edges sorted, whichever read comes first."""
 
 import warnings
-from array import array
-from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -107,36 +104,6 @@ def test_nodes_with_labels_equal_the_oracle(triple_lines, label_lines, labels):
     got = g.nodes_with_labels(labels)
     assert isinstance(got, set)
     assert got == ({v for v, ls in enumerate(want) if set(labels) <= ls} if labels else set())
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(TRIPLE, max_size=24), st.data())
-def test_neighbor_edge_ids_equal_edge_index_per_neighbour(triple_lines, data):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = parse_graph(triple_lines, [])
-    # one node and one predicate past the graph's have no neighbours at all
-    for v in range(g.num_nodes + 1):
-        for p in range(g.num_preds + 1):
-            for direction in (OUT, IN):
-                ws = data.draw(st.permutations(sorted(g.neighbors(v, p, direction))))
-                ends = [(v, w) if direction == OUT else (w, v) for w in ws]
-                want = [g.edge_index(s, p, o) for s, o in ends]
-                assert None not in want
-                # a list, and an array as a walk passes, which is one slice of
-                # the row when it holds all of the row in order
-                for seq in (ws, array("I", ws)):
-                    assert list(g.neighbor_edge_ids(v, p, direction, seq)) == want
-                # a node that is not a neighbour is a KeyError, also in place of
-                # a neighbour, where the list is as long as the row and so is
-                # checked against the whole row before it is read as one slice
-                strangers = [u for u in range(g.num_nodes + 1) if u not in ws]
-                for seq in (list, partial(array, "I")):
-                    with pytest.raises(KeyError):
-                        g.neighbor_edge_ids(v, p, direction, seq([*ws, strangers[0]]))
-                    if ws:
-                        with pytest.raises(KeyError):
-                            g.neighbor_edge_ids(v, p, direction, seq([strangers[0], *ws[1:]]))
 
 
 IDS = st.integers(-2, 6) | st.sampled_from([2**32 - 1, 2**32, 2**40])

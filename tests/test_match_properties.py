@@ -1,10 +1,10 @@
-"""Property tests: ``match`` and the costs built on its single walk agree with
+"""Property tests: ``match`` and the costs built on its one pass agree with
 the straight-line oracles on random graphs (self-loops included) and random
-rules up to depth 3, a canonical rule's ``canon_key`` is the oracle's name
-key, and each node's matching neighbours and their edge ids are the oracles'.
-Star rules, which ``match`` and ``walk`` evaluate in one flat pass, get their
-own draws: 0-3 children, repeated (predicate, direction) pairs and unknown
-predicates included, with each start's bits compared by ``==``."""
+rules up to depth 3, each start's bits compared by ``==``, a canonical rule's
+``canon_key`` is the oracle's name key, and each node's matching neighbours
+and their edge ids are the oracles'.  Star rules get their own draws as well:
+0-3 children, repeated (predicate, direction) pairs and unknown predicates
+included."""
 
 import math
 from array import array
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kgsum.encoding import assertions_cost
 from kgsum.graph import parse_graph
 from kgsum.miner import _canon_key, _reach_by_start, start_bits
-from kgsum.rules import IN, OUT, Child, Rule, canonicalize, is_star, match, matching_neighbors, walk
+from kgsum.rules import IN, OUT, Child, Rule, _pass, canonicalize, iter_positions, match, matching_neighbors, walk
 
 from oracles import (
     _name_key,
@@ -87,7 +87,7 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
     walked, _ = walk(rule, g, g.nodes_with_labels(rule.root_labels))
     assert {s for s, b in walked.items() if b is not None} == correct
     for s in correct:
-        assert walked[s] == pytest.approx(oracle_traversal_bits(g, s, rule), rel=1e-12)
+        assert walked[s] == oracle_traversal_bits(g, s, rule)
     assert aset.traversal_bits == math.fsum(walked[s] for s in correct)
     if aset.num_assertions:
         assert assertions_cost(aset, g) == pytest.approx(oracle_assertions_cost(g, rule), rel=1e-12)
@@ -99,30 +99,34 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
 @given(st.data())
 def test_matching_neighbors_and_their_edge_ids_equal_the_oracles(data):
     # the whole row, a filtered copy or nothing, with the ids and order of a
-    # scan of every edge; the walk's arrays read back as one edge id per
-    # neighbour
+    # scan of every edge; the pass takes the same arrays from its row reads,
+    # with one edge id per neighbour
     g = data.draw(graphs())
     want = data.draw(st.frozensets(st.integers(0, g.num_labels - 1), min_size=1, max_size=2))
-    for u in range(g.num_nodes):
-        for p in range(g.num_preds):
-            for direction in (OUT, IN):
-                child = Child(p, direction, Rule(want))
+    nodes = list(range(g.num_nodes))
+    for p in range(g.num_preds):
+        for direction in (OUT, IN):
+            child = Child(p, direction, Rule(want))
+            _, _, [(reached, wss, eidss, _)] = _pass(Rule(frozenset(), (child,)), g, nodes)
+            assert reached == nodes
+            for u, row, eids in zip(nodes, wss, eidss):
                 ws = matching_neighbors(g, u, child)
                 assert type(ws) is array and ws.typecode == "I"
-                assert list(ws) == oracle_matching_neighbors(g, u, child)
+                assert list(ws) == list(row) == oracle_matching_neighbors(g, u, child)
                 ends = [(u, w) if direction == OUT else (w, u) for w in ws]
-                assert list(g.neighbor_edge_ids(u, p, direction, ws)) == [g.edge_index(s, p, o) for s, o in ends]
+                assert list(eids) == [g.edge_index(s, p, o) for s, o in ends]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_star_rules_match_and_walk_as_the_oracles_say(data):
-    # the flat pass: the partition and coverage of the brute-force oracle,
-    # each correct start's bits equal (==) to the child terms added in child
-    # order, and the same arrays looked up as a start-by-start walk would
+    # stars and depth-3 rules: the partition and coverage of the brute-force
+    # oracle, each correct start's bits equal (==) to the oracle's, and
+    # every array a correct traversal looks up among those walk returns,
+    # each of those the oracle's for its node and child (for a deeper rule
+    # walk may return more, from neighbours of failing starts)
     g = data.draw(graphs())
-    rule = data.draw(star_rules(g))
-    assert is_star(rule)
+    rule = data.draw(st.one_of(star_rules(g), rules(g, 3)))
     aset = match(rule, g)
     correct, exceptions, edges, labels = oracle_match(g, rule)
     assert aset.correct_starts == correct
@@ -130,35 +134,59 @@ def test_star_rules_match_and_walk_as_the_oracles_say(data):
     assert (set(aset.covered_edge_ids), set(aset.covered_label_ids)) == as_ids(g, edges, labels)
     assert is_coverage_array(aset.covered_edge_ids, "I")
     assert is_coverage_array(aset.covered_label_ids, "I")
-    assert aset.traversal_bits == math.fsum(oracle_star_bits(g, s, rule) for s in correct)
+    assert aset.traversal_bits == math.fsum(oracle_traversal_bits(g, s, rule) for s in correct)
     starts = sorted(g.nodes_with_labels(rule.root_labels))
     walked, lists = walk(rule, g, starts)
     assert list(walked) == starts
-    assert walked == {s: oracle_star_bits(g, s, rule) if s in correct else None for s in starts}
-    looked_up = {}
+    assert walked == {s: oracle_traversal_bits(g, s, rule) if s in correct else None for s in starts}
+    if not any(c.child.children for c in rule.children):
+        # a star: exactly the arrays a start-by-start walk looks up
+        assert walked == {s: oracle_star_bits(g, s, rule) if s in correct else None for s in starts}
+        looked_up = {}
+        for s in starts:
+            for c in rule.children:
+                ws = looked_up[(s, id(c))] = oracle_matching_neighbors(g, s, c)
+                if not ws:
+                    break
+        assert {key: list(ws) for key, ws in lists.items()} == looked_up
+    children = {id(c): c for _, r in iter_positions(rule) for c in r.children}
+    for (u, key), ws in lists.items():
+        assert list(ws) == oracle_matching_neighbors(g, u, children[key])
+    assert visited(g, rule, correct) <= lists.keys()
+
+
+def visited(g, rule, starts) -> set[tuple[int, int]]:
+    """The (node, id of the child) keys a traversal from each of ``starts``
+    looks up, by the oracle's matching neighbours."""
+    keys = set()
+
+    def visit(u, r):
+        for c in r.children:
+            keys.add((u, id(c)))
+            for w in oracle_matching_neighbors(g, u, c):
+                visit(w, c.child)
+
     for s in starts:
-        for c in rule.children:
-            ws = looked_up[(s, id(c))] = oracle_matching_neighbors(g, s, c)
-            if not ws:
-                break
-    assert {key: list(ws) for key, ws in lists.items()} == looked_up
+        visit(s, rule)
+    return keys
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_a_star_hosts_start_bits_and_reach_are_the_oracles(data):
-    # refine_nest reads a host's StartBits and Reach; for a star host the
-    # flat pass gives them, each start's bits and depth-1 neighbours the
-    # oracle's
+    # refine_nest reads a host's StartBits and Reach: each start's bits the
+    # oracle's (==), for a star host and a depth-3 host, and each start's
+    # depth-1 neighbours the oracle's
     g = data.draw(graphs())
-    rule = data.draw(star_rules(g))
+    rule = data.draw(st.one_of(star_rules(g), rules(g, 3)))
     correct = sorted(oracle_match(g, rule)[0])
     bits, lists = start_bits(rule, g, correct)
     assert list(bits.starts) == correct
-    assert list(bits.bits) == [oracle_star_bits(g, s, rule) for s in correct]
+    assert list(bits.bits) == [oracle_traversal_bits(g, s, rule) for s in correct]
     reach = _reach_by_start(rule, bits.starts, lists)
-    assert reach.keys() == {(i,) for i in range(len(rule.children))}
-    for (i,), at in reach.items():
+    assert reach.keys() == {path for path, _ in iter_positions(rule) if path}
+    for i, c in enumerate(rule.children):
+        at = reach[(i,)]
         assert at.ways is None and len(at.offsets) == len(correct) + 1
         rows = [list(at.nodes[at.offsets[k]:at.offsets[k + 1]]) for k in range(len(correct))]
-        assert rows == [oracle_matching_neighbors(g, s, rule.children[i]) for s in correct]
+        assert rows == [oracle_matching_neighbors(g, s, c) for s in correct]

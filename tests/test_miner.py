@@ -653,7 +653,7 @@ def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
     # a whole summarize.  Coverage as sorted id arrays, edge and label
     # refcounts as arrays indexed by id, candidates built one pattern at a
     # time as slotted records, and nest walks kept as flat reach and bits
-    # arrays keep it at 68-70 B per distinct edge under Python 3.10-3.12; with
+    # arrays keep it at 74.5-75.5 B per distinct edge under Python 3.10-3.12; with
     # dataclass records and per-start bits dicts, 79-82 B; with per-start
     # reach lists and occupied frozensets, 143-146 B; with label refcounts in
     # a dict and every pattern's sets built at once, 162-166 B, and with sets
@@ -664,7 +664,7 @@ def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
 
 def test_nesting_peaks_no_higher_than_selection(monkeypatch):
     # refine_nest keeps a walk cache for every host it pairs; as flat reach
-    # and bits arrays it peaks at 3.14-3.20 MiB against select's 3.45-3.50
+    # and bits arrays it peaks at 2.88-2.90 MiB against select's 3.25-3.28
     # under Python 3.10-3.12 (with per-start bits dicts, 3.54-3.60; with
     # per-start reach lists and occupied frozensets, 6.58-6.73)
     peaks = {}
