@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import encoding
 from .miner import Model
-from .rules import DIRECTION_NAMES, matching_neighbors
+from .rules import DIRECTION_NAMES, child_rows
 
 
 class UnknownNodeError(KeyError):
@@ -73,14 +73,20 @@ def missing_reports(model: Model) -> list[dict]:
     the node, the child's predicate and direction, its labels
     (``expected_labels``) and the node's score (``score_bits``).  A row is
     reported once however many rules ask for it; rows sort by descending
-    score, then node, predicate and direction, ties in the order first met."""
+    score, then node, predicate and direction, ties in the order first met.
+    Each rule's exception starts have their rows for a child read in one
+    ``child_rows`` call."""
     g = model.graph
     scorer = AnomalyScorer(model)
     rows: dict[tuple, dict] = {}
     for entry in model.entries:
-        for v in entry.exception_starts:
-            for child in entry.rule.children:
-                if matching_neighbors(g, v, child):
+        if not entry.exception_starts:
+            continue  # read no rows, and build no index, for a rule without exceptions
+        starts = list(entry.exception_starts)
+        for child in entry.rule.children:
+            wss, _ = child_rows(g, child, starts)
+            for v, ws in zip(starts, wss):
+                if ws:
                     continue  # this child is satisfied; the failure is elsewhere
                 key = (
                     g.node_names[v],

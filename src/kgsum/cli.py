@@ -56,13 +56,19 @@ def _load_inputs(args) -> KnowledgeGraph:
 
 
 def _read_json(path: str, error: type[ValueError]):
-    """The JSON document at ``path``; one nested too deeply to decode raises
-    ``error``, as other malformed input does."""
+    """The JSON document at ``path``; text that does not decode as JSON, a
+    number too long to convert and nesting too deep to decode raise
+    ``error`` naming ``path``.  Bytes that are not UTF-8 reach
+    ``_open_text``, which names the file and the line."""
     with _open_text(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:  # the decoder recurses once per nested container
             raise error(f"{path}: too deeply nested to decode") from None
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:  # json.JSONDecodeError, or int()'s digit limit
+            raise error(f"{path}: {exc}") from None
 
 
 def _load_model(args, g: KnowledgeGraph) -> Model:

@@ -15,20 +15,19 @@ three columns and sorts the lines once, each packed in one int, by (s, p, o,
 line): that finds the repeated triples, numbers the edges (with no repeat,
 each edge id is its line number) and gives the (s, p, o) order of the
 distinct edges, which the graph keeps as one column.  Each direction has a
-compressed-sparse-row (CSR) index over the distinct edges: its rows are sorted
-by (node, predicate, neighbour), where the node is the subject for ``OUT`` and
-the object for ``IN``, an offsets column gives each node's first row, and three
-parallel columns give each row's predicate, neighbour and edge id.  A
-direction's index is built once, on the first call that reads it, from the
-kept order: ``OUT`` by gathers along it, ``IN`` by two stable passes over it
-(by predicate, then by object) that allocate arrays alone, so a run whose
-rules read one direction never builds the other.  Every
-column is 32 bits wide, so a graph holds fewer than 2**32 nodes, predicates and
-edges.  ``neighbors`` returns a slice of the neighbour column, in ascending id
-order; ``edge_index`` bisects a node's rows and reads the edge-id column, so
-no edge key is built or hashed after loading (it reads the ``IN`` rows when
-only those are built).  ``csr`` hands out one direction's columns, for a
-caller that reads the rows of many nodes in one pass (``rules.match``).  The
+compressed-sparse-row (CSR) index over the distinct edges, four columns that
+``csr`` hands out: its rows are sorted by (node, predicate, neighbour), where
+the node is the subject for ``OUT`` and the object for ``IN``, an offsets
+column gives each node's first row, and three parallel columns give each
+row's predicate, neighbour and edge id.  A direction's columns are built
+once, on the first call that reads them, from the kept order: ``OUT`` by
+gathers along it, ``IN`` by two stable passes over it (by predicate, then by
+object) that allocate arrays alone, so a run whose rules read one direction
+never builds the other.  Every column is 32 bits wide, so a graph holds fewer
+than 2**32 nodes, predicates and edges.  ``rules`` reads the rows of a rule's
+child for many nodes in one pass; ``edge_index`` bisects a node's rows and
+reads the edge-id column, so no edge key is built or hashed after loading
+(it reads the ``IN`` rows when only those are built).  The
 label assignments (node, label) are numbered densely by node, then label:
 node ``v``'s labels, in ascending label id, hold the assignment ids
 ``label_offsets[v]`` to ``label_offsets[v + 1] - 1``.  A rule's coverage is
@@ -63,29 +62,6 @@ class GraphParseError(ValueError):
         self.line_no = line_no
         self.line = line
         super().__init__(f"{source}, line {line_no}: expected tab-separated fields, got {line!r}")
-
-
-class _Rows:
-    """One direction's CSR index: the rows of node ``v`` are
-    ``offsets[v]:offsets[v + 1]``, sorted by (predicate, neighbour)."""
-
-    __slots__ = ("offsets", "preds", "ends", "edge_ids")
-
-    def __init__(self, offsets: array, edge_ids: array, preds: array, ends: array) -> None:
-        """The rows of the edges ``edge_ids``, in row order: each row's
-        predicate and neighbour are gathered from the edge columns ``preds``
-        and ``ends`` straight into arrays (memory)."""
-        self.offsets = offsets
-        self.edge_ids = edge_ids
-        self.preds = array("I", map(preds.__getitem__, edge_ids))
-        self.ends = array("I", map(ends.__getitem__, edge_ids))
-
-    def span(self, node: int, p: int) -> tuple[int, int]:
-        """The rows of ``node``'s ``p`` edges; empty for an unknown node or predicate."""
-        if not 0 <= node < len(self.offsets) - 1:
-            return 0, 0
-        lo, hi = self.offsets[node], self.offsets[node + 1]
-        return bisect_left(self.preds, p, lo, hi), bisect_right(self.preds, p, lo, hi)
 
 
 class KnowledgeGraph:
@@ -128,7 +104,8 @@ class KnowledgeGraph:
             line_edges = array("I", range(len(out_order)))
         self._line_edges, self._out_order = line_edges, out_order
         self._subjects, self._preds, self._objects = subjects, preds, objects
-        self._rows: list[_Rows | None] = [None, None]  # OUT and IN, each built on its first read
+        # the OUT and IN columns (offsets, predicates, neighbours, edge ids), each built on its first read
+        self._rows: list[tuple[array, array, array, array] | None] = [None, None]
 
         # each labelled node's first label, and the labels it adds after that, so
         # that a one-label node needs no set of its own while the file is read
@@ -168,29 +145,6 @@ class KnowledgeGraph:
                 stacklevel=2,
             )
 
-    def _direction(self, direction: int) -> _Rows:
-        """The ``direction`` CSR index, built on its first read.  ``OUT``
-        gathers along the kept (s, p, o) order; ``IN`` sorts that order
-        stably by predicate, then by object, into (o, p, s) order."""
-        rows = self._rows[direction]
-        if rows is None:
-            subjects, preds, objects = self._subjects, self._preds, self._objects
-            num_nodes = len(self.node_names)
-            if direction == OUT:
-                rows = _Rows(_starts(subjects, num_nodes), self._out_order, preds, objects)
-            else:
-                # (s, p, o) order to (p, s, o) with one array per predicate
-                # (a third of a counting pass's time, predicates being few),
-                # then stably by object to (o, p, s)
-                by_pred = [array("I") for _ in self.pred_names]
-                for e in self._out_order:
-                    by_pred[preds[e]].append(e)
-                in_order, offsets = _stable_sort(chain.from_iterable(by_pred), objects, num_nodes)
-                del by_pred
-                rows = _Rows(offsets, in_order, preds, subjects)
-            self._rows[direction] = rows
-        return rows
-
     def node_id(self, name: str) -> int | None:
         return self._node_ids.get(name)
 
@@ -218,33 +172,48 @@ class KnowledgeGraph:
 
     def edge_index(self, s: int, p: int, o: int) -> int | None:
         """The id of edge (s, p, o), or ``None`` when the graph lacks it.  It
-        reads the ``OUT`` index, or the ``IN`` index when only that one is
+        bisects the ``OUT`` rows, or the ``IN`` rows when only those are
         built, so it builds no index a caller did not read first."""
         if self._rows[OUT] is None and self._rows[IN] is not None:
-            rows, node, end = self._rows[IN], o, s
+            direction, node, end = IN, o, s
         else:
-            rows, node, end = self._direction(OUT), s, o
-        lo, hi = rows.span(node, p)
-        i = bisect_left(rows.ends, end, lo, hi)
-        return rows.edge_ids[i] if i < hi and rows.ends[i] == end else None
+            direction, node, end = OUT, s, o
+        if not 0 <= node < self.num_nodes:
+            return None
+        offsets, preds, ends, edge_ids = self.csr(direction)
+        lo, hi = offsets[node], offsets[node + 1]
+        lo, hi = bisect_left(preds, p, lo, hi), bisect_right(preds, p, lo, hi)
+        i = bisect_left(ends, end, lo, hi)
+        return edge_ids[i] if i < hi and ends[i] == end else None
 
     def csr(self, direction: int) -> tuple[array, array, array, array]:
         """The ``direction`` CSR index as its columns (offsets, predicates,
         neighbours, edge ids): node ``v``'s rows are ``offsets[v]`` to
         ``offsets[v + 1] - 1``, sorted by (predicate, neighbour).  The columns
-        are the graph's own, to read and never to write."""
-        rows = self._direction(direction)
-        return rows.offsets, rows.preds, rows.ends, rows.edge_ids
-
-    def neighbors(self, node: int, p: int | None, direction: int) -> array:
-        """Nodes joined to ``node`` by a ``p`` edge, in ascending id order: its
-        objects for ``OUT``, its subjects for ``IN``.  Empty for a predicate
-        the graph lacks (``pred_id`` gave ``None``)."""
-        if p is None:
-            return array("I")
-        rows = self._direction(direction)
-        lo, hi = rows.span(node, p)
-        return rows.ends[lo:hi]
+        are the graph's own, to read and never to write.  They are built on
+        the first read: ``OUT`` gathers along the kept (s, p, o) order; ``IN``
+        sorts that order stably by predicate, then by object, into (o, p, s)
+        order.  Each row's predicate and neighbour are gathered from the edge
+        columns straight into arrays (memory)."""
+        rows = self._rows[direction]
+        if rows is None:
+            subjects, preds, objects = self._subjects, self._preds, self._objects
+            num_nodes = len(self.node_names)
+            if direction == OUT:
+                offsets, order, ends = _starts(subjects, num_nodes), self._out_order, objects
+            else:
+                # (s, p, o) order to (p, s, o) with one array per predicate
+                # (a third of a counting pass's time, predicates being few),
+                # then stably by object to (o, p, s)
+                by_pred = [array("I") for _ in self.pred_names]
+                for e in self._out_order:
+                    by_pred[preds[e]].append(e)
+                order, offsets = _stable_sort(chain.from_iterable(by_pred), objects, num_nodes)
+                del by_pred
+                ends = subjects
+            row_preds = array("I", map(preds.__getitem__, order))
+            rows = self._rows[direction] = offsets, row_preds, array("I", map(ends.__getitem__, order)), order
+        return rows
 
     # -- basic counts ----------------------------------------------------
 

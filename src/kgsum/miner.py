@@ -26,12 +26,12 @@ from .rules import (
     Rule,
     RuleFormatError,
     canonicalize,
+    evaluate,
     iter_positions,
     match,
     rule_from_dict,
     rule_text,
     rule_to_dict,
-    walk,
 )
 
 
@@ -526,8 +526,8 @@ class Reach(NamedTuple):
     arrays: the ``k``-th start, in the order the reach was built in, reaches
     the nodes ``nodes[offsets[k]:offsets[k + 1]]``, each by as many traversal
     branches as the same slice of ``ways`` says.  At depth 1 a start's slice
-    holds the walk's neighbour array for it, whose nodes are distinct and each
-    reached one way, and ``ways`` is ``None``.  Branch counts are stored as
+    holds its neighbour array from ``evaluate``, whose nodes are distinct and
+    each reached one way, and ``ways`` is ``None``.  Branch counts are stored as
     floats, each the correctly rounded value of the exact count, which is what
     multiplying the count by a float uses."""
 
@@ -538,7 +538,7 @@ class Reach(NamedTuple):
 
 class StartBits(NamedTuple):
     """A rule's correct starts, ascending, and each one's traversal bits (the
-    values ``walk`` gives them), as parallel arrays (memory: 12 bytes a
+    values ``evaluate`` gives them), as parallel arrays (memory: 12 bytes a
     start).  ``bits_of`` looks starts up by bisection."""
 
     starts: array  # "I"
@@ -549,34 +549,36 @@ class StartBits(NamedTuple):
         return map(self.bits.__getitem__, map(bisect_left, repeat(self.starts), nodes))
 
 
-def start_bits(
-    rule: Rule, g: KnowledgeGraph, correct_starts: Iterable[int]
-) -> tuple[StartBits, dict[tuple[int, int], array]]:
-    """``StartBits`` of ``rule`` and the ``walk`` neighbour arrays of its
-    correct starts."""
-    starts = array("I", sorted(correct_starts))
-    bits, lists = walk(rule, g, starts)
-    return StartBits(starts, array("d", bits.values())), lists
+def _rows_by_path(rule: Rule, per_child: list, path: tuple[int, ...], rows: dict) -> None:
+    """Add to ``rows``, for each child of ``rule`` at ``path`` and below, the
+    child's path and a node -> matching-neighbour array dict, read off the
+    per-child results of an ``evaluate`` of ``rule``, one level per call."""
+    for i, (c, (reached, wss, _, sub)) in enumerate(zip(rule.children, per_child)):
+        rows[path + (i,)] = dict(zip(reached, wss))
+        if sub is not None:
+            _rows_by_path(c.child, sub, path + (i,), rows)
 
 
-def _reach_by_start(
-    rule: Rule, starts: Sequence[int], lists: dict[tuple[int, int], array]
-) -> dict[tuple[int, ...], Reach]:
-    """The ``Reach`` of every inner path of ``rule``, its starts in the order
-    of ``starts``, the correct starts of ``walk(rule, g, starts)``, whose
-    neighbour arrays are ``lists``.  Each start's branch counts are summed
-    exactly, one start at a time, before they are stored."""
+def _reach_by_start(rule: Rule, per_child: list) -> dict[tuple[int, ...], Reach]:
+    """The ``Reach`` of every inner path of ``rule`` from the per-child
+    results of ``evaluate(rule, g, starts)``, every one of ``starts``
+    correct, its starts in the order of ``starts``.  At depth 1 the rows are
+    the pass's own arrays; each deeper path's rows are looked up in one
+    node -> row dict.  Each start's branch counts are summed exactly, one
+    start at a time, before they are stored."""
     reach = {
         path: Reach(array("I", [0]), array("I"), array("d") if len(path) > 1 else None)
         for path, _ in iter_positions(rule)
         if path
     }
+    rows: dict[tuple[int, ...], dict[int, array]] = {}
 
     def descend(r: Rule, path: tuple[int, ...], reached: dict[int, int]) -> None:
         for i, c in enumerate(r.children):
+            row_of = rows[path + (i,)]
             nxt: dict[int, int] = {}
             for u, ways in reached.items():
-                for w in lists[(u, id(c))]:
+                for w in row_of[u]:
                     nxt[w] = nxt.get(w, 0) + ways
             at = reach[path + (i,)]
             at.nodes.extend(nxt)
@@ -584,15 +586,15 @@ def _reach_by_start(
             at.offsets.append(len(at.nodes))
             descend(c.child, path + (i,), nxt)
 
-    for i, c in enumerate(rule.children):
-        rows = [lists[(s, id(c))] for s in starts]
+    for i, (c, (_, wss, _, sub)) in enumerate(zip(rule.children, per_child)):
         at = reach[(i,)]
-        at.offsets.extend(accumulate(map(len, rows)))
-        at.nodes.frombytes(b"".join(rows))
-        if c.child.children:
-            for ws in rows:
+        at.offsets.extend(accumulate(map(len, wss)))
+        at.nodes.frombytes(b"".join(wss))
+        if sub is not None:
+            _rows_by_path(c.child, sub, (i,), rows)
+            for ws in wss:
                 descend(c.child, (i,), dict.fromkeys(ws, 1))
-    del descend  # break the closure's reference cycle, which holds ``lists``
+    del descend  # break the closure's reference cycle, which holds ``rows``
     return reach
 
 
@@ -670,9 +672,10 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     its two parts from the ids they lose, and ``Model.add`` puts it at the
     earlier part's position, so the coverage refcounts move only when a pair
     is accepted.  Each scan sorts the pairs of the live entries afresh.  A
-    rule's walk is cached by its canonical key from the first pair that reads
-    it until no live entry has that key, so an unchanged entry keeps its
-    occupied nodes, and its pairs their order, across acceptances.
+    rule's start bits and reach are cached by its canonical key from the
+    first pair that reads them until no live entry has that key, so an
+    unchanged entry keeps its occupied nodes, and its pairs their order,
+    across acceptances.
     ``counts``, when given, is incremented with what happened to the pairs.
     """
     if counts is None:
@@ -682,21 +685,22 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     def walk_once(entry: RuleEntry) -> tuple:
         """The ``StartBits``, and per inner path the ``Reach`` and the sorted
         ``array("I")`` of the nodes occupying that position (the union of the
-        reach), from one walk whose neighbour arrays are dropped once the
-        reach is flattened (memory)."""
+        reach), from one ``evaluate`` over the sorted correct starts, whose
+        per-child results are dropped once the reach is flattened (memory)."""
         hit = walked.get(entry.canon_key)
         if hit is None:
-            bits, lists = start_bits(entry.rule, g, entry.correct_starts)
-            reach = _reach_by_start(entry.rule, bits.starts, lists)
-            del lists
+            starts = array("I", sorted(entry.correct_starts))
+            _, bits, per_child = evaluate(entry.rule, g, starts)
+            reach = _reach_by_start(entry.rule, per_child)
+            del per_child
             occupied = {path: array("I", sorted(set(r.nodes))) for path, r in reach.items()}
-            hit = walked[entry.canon_key] = (bits, reach, occupied)
+            hit = walked[entry.canon_key] = (StartBits(starts, array("d", bits)), reach, occupied)
         return hit
 
     while True:
         entries = model.entries
         for key in walked.keys() - {e.canon_key for e in entries}:
-            del walked[key]  # the walk of a replaced entry
+            del walked[key]  # the start bits and reach of a replaced entry
         by_root: dict[frozenset[int], list[int]] = {}
         for j, e in enumerate(entries):
             by_root.setdefault(e.rule.root_labels, []).append(j)

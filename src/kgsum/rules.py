@@ -8,13 +8,16 @@ satisfy the subrule's children.  A failure at any depth makes the start node
 an exception; otherwise the start is a correct assertion and the traversal's
 edges and non-root labels count as covered.
 
-``match`` and ``walk`` evaluate a rule of any depth in one flat pass
-(``_pass``) over its starts, child by child, that reads each start's CSR rows
-for a child once and takes from them the matching neighbours, their edge ids,
-the start's bits and whether it is correct.  A child with children of its own
-is evaluated by the same pass, once, over the union of the neighbours that
-reach it, and ``match`` descends those per-child results from the correct
-starts to collect the coverage.
+``evaluate`` evaluates a rule of any depth in one flat pass over its starts,
+child by child, that reads the starts' CSR rows for a child once
+(``child_rows``, the one reader of rows for a rule's child) and takes from
+them the matching neighbours, their edge ids, each start's bits and whether
+it is correct.  A child with children of its own is evaluated by the same
+pass, once, over the union of the neighbours that reach it.  ``match``
+descends those per-child results from the correct starts to collect the
+coverage; ``miner.refine_nest`` reads its nesting reach off them, and
+``anomaly.missing_reports`` reads the exception starts' rows with
+``child_rows``.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import compress, repeat
-from typing import Iterable, Iterator, NamedTuple
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .encoding import log_binomial
 from .graph import IN, OUT, KnowledgeGraph
@@ -63,7 +66,7 @@ class AssertionSet(NamedTuple):
     exception_starts: frozenset[int]
     covered_edge_ids: array  # "I": edge ids
     covered_label_ids: array  # "I": label-assignment ids (KnowledgeGraph.assignment_ids)
-    traversal_bits: float  # the correct starts' walk bits, correctly rounded (math.fsum)
+    traversal_bits: float  # the correct starts' traversal bits, correctly rounded (math.fsum)
 
     @property
     def num_assertions(self) -> int:
@@ -102,40 +105,53 @@ def iter_positions(rule: Rule, _path: tuple[int, ...] = ()) -> Iterator[tuple[tu
         yield from iter_positions(c.child, _path + (i,))
 
 
-def matching_neighbors(g: KnowledgeGraph, node: int, child: Child) -> array:
-    """Direction-respecting neighbors of ``node`` carrying the child's root
-    labels, in ascending id order: the graph's neighbour slice itself
-    (``KnowledgeGraph.neighbors``) when every neighbour carries them, which one
-    pass in C tests, else a filtered copy."""
-    ws = g.neighbors(node, child.predicate, child.direction)
+def child_rows(g: KnowledgeGraph, child: Child, nodes: Sequence[int]) -> tuple[list[array], list[array]]:
+    """Each node's rows for ``child``, read off ``KnowledgeGraph.csr`` by
+    bisection: its direction-respecting neighbours carrying the child's root
+    labels, in ascending id order, and those neighbours' edge ids, one
+    ``array("I")`` each per node of ``nodes``, in the order of ``nodes``.  A
+    row is a slice of the graph's columns when every neighbour in it carries
+    the labels, which one pass in C tests for all the rows, else a filtered
+    copy.  A predicate the graph lacks (``pred_id`` gave ``None``) gives
+    empty rows."""
+    offsets, preds, ends, edge_ids = g.csr(child.direction)
+    # a predicate the graph lacks as an id no row holds
+    p = g.num_preds if child.predicate is None else child.predicate
+    spans = [(bisect_left(preds, p, offsets[v], offsets[v + 1]), offsets[v + 1]) for v in nodes]
+    spans = [(lo, bisect_right(preds, p, lo, end)) for lo, end in spans]
+    wss = [ends[lo:hi] for lo, hi in spans]
+    eidss = [edge_ids[lo:hi] for lo, hi in spans]
     want, node_labels = child.child.root_labels, g.node_labels
-    if all(map(want.issubset, map(node_labels.__getitem__, ws))):
-        return ws
-    return array("I", [w for w in ws if want <= node_labels[w]])
+    if not all(map(want.issubset, map(node_labels.__getitem__, _joined(wss)))):
+        for k, ws in enumerate(wss):  # filter the rows holding a neighbour without the labels
+            if not all(map(want.issubset, map(node_labels.__getitem__, ws))):
+                keep = [want <= node_labels[w] for w in ws]
+                wss[k] = array("I", compress(ws, keep))
+                eidss[k] = array("I", compress(eidss[k], keep))
+    return wss, eidss
 
 
-def _pass(
-    rule: Rule, g: KnowledgeGraph, nodes: list[int]
-) -> tuple[list[int], list[float], list[tuple[list[int], list[array], list[array], list | None]]]:
+def evaluate(
+    rule: Rule, g: KnowledgeGraph, nodes: Sequence[int]
+) -> tuple[Sequence[int], list[float], list[tuple[Sequence[int], list[array], list[array], list | None]]]:
     """Evaluate ``rule`` from each of ``nodes`` (distinct), child by child,
-    reading each node's rows for a child once (``KnowledgeGraph.csr``, read
-    once per child).  A child with children has its own rule evaluated once,
-    by this pass, over the sorted union of the matching neighbours of the
-    nodes that reached it.  A node's bits are ``0.0`` plus, per child in
-    child order, the child's count term and then each neighbour's bits in
-    neighbour order, the order of the recursive definition, so they equal it
-    to the bit.  A node fails at a child with no matching neighbour or with
-    a neighbour that fails the child's rule.
+    reading the nodes' rows for a child once (``child_rows``).  A child with
+    children has its own rule evaluated once, by this pass, over the sorted
+    union of the matching neighbours of the nodes that reached it.  A node's
+    bits are ``0.0`` plus, per child in child order, the child's count term
+    and then each neighbour's bits in neighbour order, the order of the
+    recursive definition, so they equal it to the bit.  A node fails at a
+    child with no matching neighbour or with a neighbour that fails the
+    child's rule.  What a node gets does not depend on the other nodes.
 
     Returns the nodes that pass every child, in the order of ``nodes``, with
     their bits; and per child, the nodes that reached it (passed every child
-    before it) with each one's ``matching_neighbors`` array and those
-    neighbours' edge ids, in the same order, empty where the node fails the
+    before it) with each one's ``child_rows`` (its matching neighbours and
+    their edge ids), in the same order, empty where the node fails the
     child, and for a child with children the per-child results of its pass
     (``None`` for a leaf).  The list stops at a child no node reached."""
     log_v = math.log2(g.num_nodes) if g.num_nodes else 0.0
     universe = g.neighbor_universe
-    node_labels = g.node_labels
     terms: dict[int, float] = {}  # matching-neighbour count -> its bits
     alive = nodes
     bits = [0.0] * len(alive)
@@ -143,20 +159,7 @@ def _pass(
     for c in rule.children:
         if not alive:
             break  # read no rows, and build no index, that no node needs
-        offsets, preds, ends, edge_ids = g.csr(c.direction)
-        # a predicate the graph lacks (pred_id gave None) as an id no row holds
-        p = g.num_preds if c.predicate is None else c.predicate
-        spans = [(bisect_left(preds, p, offsets[s], offsets[s + 1]), offsets[s + 1]) for s in alive]
-        spans = [(lo, bisect_right(preds, p, lo, end)) for lo, end in spans]
-        wss = [ends[lo:hi] for lo, hi in spans]
-        eidss = [edge_ids[lo:hi] for lo, hi in spans]
-        want = c.child.root_labels
-        if not all(map(want.issubset, map(node_labels.__getitem__, _joined(wss)))):
-            for k, ws in enumerate(wss):  # filter the rows holding a neighbour without the labels
-                if not all(map(want.issubset, map(node_labels.__getitem__, ws))):
-                    keep = [want <= node_labels[w] for w in ws]
-                    wss[k] = array("I", compress(ws, keep))
-                    eidss[k] = array("I", compress(eidss[k], keep))
+        wss, eidss = child_rows(g, c, alive)
         counts = list(map(len, wss))
         for n in set(counts).difference(terms):
             terms[n] = log_v + log_binomial(universe, n)
@@ -165,7 +168,7 @@ def _pass(
             bits = [b + terms[n] for b, n in zip(bits, counts) if n]
             alive = list(compress(alive, counts))
             continue
-        passed, passed_bits, sub = _pass(c.child, g, sorted(set(_joined(wss))))
+        passed, passed_bits, sub = evaluate(c.child, g, sorted(set(_joined(wss))))
         per_child.append((alive, wss, eidss, sub))
         sub_bits = dict(zip(passed, passed_bits))
         bits = [_plus_each(b + terms[n], ws, sub_bits) if n else None for b, n, ws in zip(bits, counts, wss)]
@@ -192,41 +195,12 @@ def _joined(rows: Iterable[array]) -> array:
     return joined
 
 
-def walk(
-    rule: Rule, g: KnowledgeGraph, starts: Iterable[int]
-) -> tuple[dict[int, float | None], dict[tuple[int, int], array]]:
-    """Walk ``rule`` from each start: ``None`` for an exception, else the bits
-    that guide its traversal (per child at each visited node, the
-    matching-neighbor count, bounded by |V|, and the neighbor ids).  Also
-    returns every ``matching_neighbors`` array the pass looked up, keyed by
-    (node, id of the child): those of each node a correct traversal visits,
-    and for a rule deeper than a star also some that only a failing start's
-    traversal reaches, since each child's rule is evaluated over all the
-    neighbours that reach it."""
-    walked: dict[int, float | None] = dict.fromkeys(starts)
-    correct, bits, per_child = _pass(rule, g, list(walked))
-    walked.update(zip(correct, bits))
-    lists: dict[tuple[int, int], array] = {}
-    _looked_up(rule, per_child, lists)
-    return walked, lists
-
-
-def _looked_up(rule: Rule, per_child: list, lists: dict[tuple[int, int], array]) -> None:
-    """Add the neighbour arrays of the per-child results of a ``_pass`` of
-    ``rule``, and of its children's passes, to ``lists``, one level of
-    ``rule`` per call."""
-    for c, (reached, wss, _, sub) in zip(rule.children, per_child):
-        lists.update(zip(zip(reached, repeat(id(c))), wss))
-        if sub is not None:
-            _looked_up(c.child, sub, lists)
-
-
 def _cover(
     rule: Rule, per_child: list, passed: set[int], edge_rows: list[array], labelled: defaultdict[int, set[int]]
 ) -> None:
     """Add to ``edge_rows`` and ``labelled`` what the traversals of ``rule``
     from the nodes of ``passed``, each one correct, cover, read off the
-    per-child results of its ``_pass``: per child, the rows of those nodes,
+    per-child results of its ``evaluate``: per child, the rows of those nodes,
     and below a child with children, the coverage of its pass from the
     neighbours in those rows, one level per call."""
     for c, (reached, wss, eidss, sub) in zip(rule.children, per_child):
@@ -242,7 +216,7 @@ def _cover(
 
 def match(rule: Rule, g: KnowledgeGraph, starts: set[int] | None = None) -> AssertionSet:
     """Partition the rule's starts and collect the coverage of correct
-    traversals, from one ``_pass``.  ``starts``, when the caller has them,
+    traversals, from one ``evaluate``.  ``starts``, when the caller has them,
     are the rule's starts, ``g.nodes_with_labels(rule.root_labels)``.
     Unknown label/predicate ids simply never match.  The covered edge ids
     are distinct, and the covered nodes are gathered per label, each
@@ -251,7 +225,7 @@ def match(rule: Rule, g: KnowledgeGraph, starts: set[int] | None = None) -> Asse
         raise RuleFormatError("rule root_labels must be nonempty")
     if starts is None:
         starts = g.nodes_with_labels(rule.root_labels)
-    correct, bits, per_child = _pass(rule, g, list(starts))
+    correct, bits, per_child = evaluate(rule, g, list(starts))
     covered = frozenset(correct)
     edge_rows: list[array] = []
     labelled: defaultdict[int, set[int]] = defaultdict(set)  # label -> nodes covered with it
@@ -287,11 +261,12 @@ def rule_to_dict(rule: Rule, g: KnowledgeGraph) -> dict:
 
 MAX_RULE_DEPTH = 100
 """Deepest rule ``rule_from_dict`` accepts, the root counting as depth 1.  The
-recursive rule functions (``canonicalize``, ``_pass`` and the coverage
-descent ``_cover``, which recurse once per rule level, ``_looked_up``,
-``iter_positions``, ``rule_to_dict``, ``rule_text``, ``Rule.depth``,
-``encoding.rule_cost``, ``miner._canon_key``, ``miner._nest_rule`` and
-``miner._reach_by_start``) take at most a few interpreter frames per level, so
+recursive rule functions (``canonicalize``, ``evaluate`` and the coverage
+descent ``_cover``, which recurse once per rule level, ``iter_positions``,
+``rule_to_dict``, ``rule_text``, ``Rule.depth``, ``encoding.rule_cost``,
+``miner._canon_key``, ``miner._nest_rule``, and ``miner._rows_by_path`` and
+the descent of ``miner._reach_by_start``) take at most a few interpreter
+frames per level, so
 a rule read from a file stays far under ``sys.getrecursionlimit()``."""
 
 

@@ -8,7 +8,9 @@ exceptions are ``oracle_select``, which checks the order in which the greedy
 scan accumulates costs, to the bit, so it prices the error and the rule-count
 constant with the package's own functions, and ``oracle_qualify``, whose
 widening decision compares rule and assertion bits to the bit, so it prices
-them with the package's own ``rule_cost`` and ``assertion_overhead``.
+them with the package's own ``rule_cost`` and ``assertion_overhead``, and
+``oracle_missing_reports``, which checks which rows are reported and in what
+order, so it takes each node's score from the package's ``AnomalyScorer``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from kgsum.anomaly import AnomalyScorer
 from kgsum.encoding import assertion_overhead, error_cost_counts, model_constant, rule_cost
 from kgsum.graph import KnowledgeGraph
 from kgsum.rules import IN, OUT, Child, Rule, rule_text
@@ -99,6 +102,32 @@ def oracle_matching_neighbors(g: KnowledgeGraph, u: int, child: Child) -> list[i
     else:
         found = {s for s, p, o in g.distinct_edges if o == u and p == child.predicate}
     return sorted(w for w in found if want <= g.node_labels[w])
+
+
+def oracle_missing_reports(model) -> list[dict]:
+    """``anomaly.missing_reports`` start by start: for each entry, each of its
+    exception starts and each child of its rule, a row when the start has no
+    matching neighbour for the child, the first row of each (node,
+    predicate, direction, labels) kept, sorted stably by descending score,
+    then node, predicate and direction."""
+    g = model.graph
+    scorer = AnomalyScorer(model)
+    rows: dict[tuple, dict] = {}
+    for entry in model.entries:
+        for v in sorted(entry.exception_starts):
+            for c in entry.rule.children:
+                if oracle_matching_neighbors(g, v, c):
+                    continue
+                labels = sorted(g.label_names[l] for l in c.child.root_labels)
+                row = {
+                    "node": g.node_names[v],
+                    "predicate": g.pred_names[c.predicate],
+                    "direction": "out" if c.direction == OUT else "in",
+                    "expected_labels": labels,
+                    "score_bits": scorer.node_score(v),
+                }
+                rows.setdefault((row["node"], row["predicate"], row["direction"], tuple(labels)), row)
+    return sorted(rows.values(), key=lambda r: (-r["score_bits"], r["node"], r["predicate"], r["direction"]))
 
 
 def _succeeds(g: KnowledgeGraph, u: int, rule: Rule) -> bool:

@@ -1,13 +1,20 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgsum.anomaly import AnomalyScorer, UnknownNodeError, rank_edges
+from kgsum.anomaly import AnomalyScorer, UnknownNodeError, missing_reports, rank_edges
 from kgsum.encoding import assertion_overhead
 from kgsum.encoding import log_binomial
+from kgsum.evalharness import freq_select
 from kgsum.graph import parse_graph
-from kgsum.miner import build_model
-from kgsum.rules import OUT, atomic
+from kgsum.miner import build_model, generate_candidates, qualify_all, rank, refine_merge, refine_nest, summarize
+from kgsum.rules import OUT, atomic, match
+
+from oracles import oracle_missing_reports
+from synth import random_kg, random_owned_kg, random_rule
 
 
 def eight_assertion_graph():
@@ -140,3 +147,39 @@ def test_rank_edges_stable_on_ties_and_orders_by_score():
     assert ranked[0][:3] == injected
     assert ranked[0][3] > 0
     assert [r[:3] for r in ranked[1:]] == modeled
+
+
+def random_model(seed: int, source: str):
+    """A model of a random graph: ``summarize`` on an ownership graph, and on
+    a random multi-label graph, where select keeps nothing, every ranked
+    candidate merged and nested (``nest``), the top candidates by frequency
+    (``freq``) or random rules up to depth 3 that apply (``rules``)."""
+    rng = random.Random(seed)
+    if source == "summarize":
+        return summarize(random_owned_kg(rng))
+    g = random_kg(rng, max_nodes=10, max_labels=3, max_preds=2, edge_factor=rng.choice((1.0, 2.0)))
+    if source == "nest":
+        model = build_model(g, [c.rule for c in rank(qualify_all(generate_candidates(g), g), g)])
+        return refine_nest(refine_merge(model, g), g)
+    if source == "freq":
+        return freq_select(qualify_all(generate_candidates(g), g), g, rng.randint(1, 8))
+    rules = [random_rule(rng, g, max_depth=rng.choice((2, 3))) for _ in range(rng.randint(1, 5))]
+    return build_model(g, [r for r in rules if match(r, g).num_assertions])
+
+
+SOURCES = ("summarize", "nest", "freq", "rules")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SOURCES))
+def test_missing_reports_equal_the_oracle_row_for_row(seed, source):
+    model = random_model(seed, source)
+    assert missing_reports(model) == oracle_missing_reports(model)
+
+
+def test_missing_report_cases_report_rows_from_every_model_source():
+    # the property's draws report rows, some a node missing two children
+    for source in SOURCES:
+        reports = [missing_reports(random_model(seed, source)) for seed in range(30)]
+        assert sum(map(bool, reports)) >= 10, source
+        assert any(len({r["node"] for r in rows}) < len(rows) for rows in reports), source

@@ -595,6 +595,11 @@ def mutate(text: str, mutation: tuple) -> bytes:
 @given(mutation=_MUTATIONS)
 @example(mutation=("chain", MAX_RULE_DEPTH))
 @example(mutation=("chain", MAX_RULE_DEPTH + 1))
+@example(mutation=("type", "rules", [0]))
+@example(mutation=("type", "root_labels", [0]))
+@example(mutation=("type", "children", [0]))
+@example(mutation=("type", "predicate", [0]))
+@example(mutation=("type", "direction", [0]))
 def test_a_mutated_model_file_exits_0_or_1_with_one_error_line(mined_model, mutation):
     # a model file truncated, with a byte flipped, with a rule as deep as a
     # model file may hold or one level deeper, with a field of the wrong JSON
@@ -647,6 +652,34 @@ def test_deeply_nested_model_exits_1_without_traceback(tmp_path, depth):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("model", '{"rules": [\n\n'),
+        pytest.param(
+            "model", '{"rules": [], "L_rule_bits": ' + "9" * 5000 + "}",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"),
+        ),
+        ("truth", '{"kind": "perturbation", "q": 0.5,'),
+    ],
+    ids=["truncated-model", "5000-digit-model-number", "truncated-truth"],
+)
+def test_json_that_does_not_decode_exits_1_naming_the_file(tmp_path, capsys, name, text):
+    # the decoder's message alone does not say which of the input files it is about
+    triples, labels = tmp_path / "t.tsv", tmp_path / "l.tsv"
+    triples.write_text("a\tp\tb\n")
+    labels.write_text("a\tX\nb\tX\n")
+    path = {"model": tmp_path / "model.json", "truth": tmp_path / "truth.json"}
+    path["model"].write_text(json.dumps({"rules": []}))
+    path["truth"].write_text(json.dumps({"kind": "pca_removal", "q": 0.5, "seed": 0, "removed": []}))
+    path[name].write_text(text)
+    args = ["evaluate", "--truth", str(path["truth"]), "--model", str(path["model"]),
+            "--graph", str(triples), "--labels", str(labels), "--out", str(tmp_path / "e.json")]
+    assert main(args) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {path[name]}: "), errors
 
 
 @pytest.mark.parametrize("text", ["[" * 3000 + "]" * 3000, "[]"])

@@ -15,7 +15,7 @@ from kgsum.encoding import (
 )
 from kgsum.graph import parse_graph
 from kgsum.miner import build_model
-from kgsum.rules import OUT, AssertionSet, Child, Rule, match, walk
+from kgsum.rules import OUT, AssertionSet, Child, Rule, evaluate, match
 
 from oracles import (
     assignment_pairs,
@@ -241,10 +241,9 @@ def test_match_bits_by_start_match_oracle_per_start_randomized():
         with_loops += g.has_self_loop
         rule = random_rule(rng, g, max_depth=rng.choice((2, 3)))
         aset = match(rule, g)
-        # the walk gives bits for correct starts only; an exception start's
-        # walk stops where it fails
-        walked, _ = walk(rule, g, g.nodes_with_labels(rule.root_labels))
-        by_start = {s: b for s, b in walked.items() if b is not None}
+        # the pass gives bits for correct starts only; an exception start's
+        # traversal stops where it fails
+        by_start = dict(zip(*evaluate(rule, g, list(g.nodes_with_labels(rule.root_labels)))[:2]))
         assert set(by_start) == aset.correct_starts
         for s in sorted(by_start):
             assert by_start[s] == oracle_traversal_bits(g, s, rule)

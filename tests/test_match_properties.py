@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from kgsum.encoding import assertions_cost
 from kgsum.graph import parse_graph
-from kgsum.miner import _canon_key, _reach_by_start, start_bits
-from kgsum.rules import IN, OUT, Child, Rule, _pass, canonicalize, iter_positions, match, matching_neighbors, walk
+from kgsum.miner import _canon_key, _reach_by_start
+from kgsum.rules import IN, OUT, Child, Rule, canonicalize, child_rows, evaluate, iter_positions, match
 
 from oracles import (
     _name_key,
@@ -84,11 +84,11 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
     assert (set(aset.covered_edge_ids), set(aset.covered_label_ids)) == as_ids(g, edges, labels)
     assert is_coverage_array(aset.covered_edge_ids, "I")
     assert is_coverage_array(aset.covered_label_ids, "I")
-    walked, _ = walk(rule, g, g.nodes_with_labels(rule.root_labels))
-    assert {s for s, b in walked.items() if b is not None} == correct
-    for s in correct:
-        assert walked[s] == oracle_traversal_bits(g, s, rule)
-    assert aset.traversal_bits == math.fsum(walked[s] for s in correct)
+    passed, bits, _ = evaluate(rule, g, list(g.nodes_with_labels(rule.root_labels)))
+    assert set(passed) == correct
+    for s, b in zip(passed, bits):
+        assert b == oracle_traversal_bits(g, s, rule)
+    assert aset.traversal_bits == math.fsum(bits)
     if aset.num_assertions:
         assert assertions_cost(aset, g) == pytest.approx(oracle_assertions_cost(g, rule), rel=1e-12)
     canon = canonicalize(rule)
@@ -99,20 +99,21 @@ def test_match_bits_and_assertions_cost_equal_the_oracles(data):
 @given(st.data())
 def test_matching_neighbors_and_their_edge_ids_equal_the_oracles(data):
     # the whole row, a filtered copy or nothing, with the ids and order of a
-    # scan of every edge; the pass takes the same arrays from its row reads,
-    # with one edge id per neighbour
+    # scan of every edge, also for a predicate the graph lacks; the pass
+    # takes the same arrays from its row reads, with one edge id per neighbour
     g = data.draw(graphs())
     want = data.draw(st.frozensets(st.integers(0, g.num_labels - 1), min_size=1, max_size=2))
     nodes = list(range(g.num_nodes))
-    for p in range(g.num_preds):
+    for p in [*range(g.num_preds), None]:
         for direction in (OUT, IN):
             child = Child(p, direction, Rule(want))
-            _, _, [(reached, wss, eidss, _)] = _pass(Rule(frozenset(), (child,)), g, nodes)
-            assert reached == nodes
-            for u, row, eids in zip(nodes, wss, eidss):
-                ws = matching_neighbors(g, u, child)
+            wss, eidss = child_rows(g, child, nodes)
+            _, _, [(reached, rows, ids, _)] = evaluate(Rule(frozenset(), (child,)), g, nodes)
+            assert reached == nodes and rows == wss and ids == eidss
+            for u, ws, eids in zip(nodes, wss, eidss):
                 assert type(ws) is array and ws.typecode == "I"
-                assert list(ws) == list(row) == oracle_matching_neighbors(g, u, child)
+                assert type(eids) is array and eids.typecode == "I"
+                assert list(ws) == oracle_matching_neighbors(g, u, child)
                 ends = [(u, w) if direction == OUT else (w, u) for w in ws]
                 assert list(eids) == [g.edge_index(s, p, o) for s, o in ends]
 
@@ -122,9 +123,9 @@ def test_matching_neighbors_and_their_edge_ids_equal_the_oracles(data):
 def test_star_rules_match_and_walk_as_the_oracles_say(data):
     # stars and depth-3 rules: the partition and coverage of the brute-force
     # oracle, each correct start's bits equal (==) to the oracle's, and
-    # every array a correct traversal looks up among those walk returns,
-    # each of those the oracle's for its node and child (for a deeper rule
-    # walk may return more, from neighbours of failing starts)
+    # every row a correct traversal reads among those the pass reads, each
+    # of those the oracle's for its node and child (for a deeper rule the
+    # pass reads more, from neighbours of failing starts)
     g = data.draw(graphs())
     rule = data.draw(st.one_of(star_rules(g), rules(g, 3)))
     aset = match(rule, g)
@@ -136,12 +137,13 @@ def test_star_rules_match_and_walk_as_the_oracles_say(data):
     assert is_coverage_array(aset.covered_label_ids, "I")
     assert aset.traversal_bits == math.fsum(oracle_traversal_bits(g, s, rule) for s in correct)
     starts = sorted(g.nodes_with_labels(rule.root_labels))
-    walked, lists = walk(rule, g, starts)
-    assert list(walked) == starts
-    assert walked == {s: oracle_traversal_bits(g, s, rule) if s in correct else None for s in starts}
+    passed, bits, per_child = evaluate(rule, g, starts)
+    assert passed == [s for s in starts if s in correct]
+    assert bits == [oracle_traversal_bits(g, s, rule) for s in passed]
+    lists = rows_read(rule, per_child)
     if not any(c.child.children for c in rule.children):
-        # a star: exactly the arrays a start-by-start walk looks up
-        assert walked == {s: oracle_star_bits(g, s, rule) if s in correct else None for s in starts}
+        # a star: exactly the rows a start-by-start traversal reads
+        assert bits == [oracle_star_bits(g, s, rule) for s in passed]
         looked_up = {}
         for s in starts:
             for c in rule.children:
@@ -153,6 +155,17 @@ def test_star_rules_match_and_walk_as_the_oracles_say(data):
     for (u, key), ws in lists.items():
         assert list(ws) == oracle_matching_neighbors(g, u, children[key])
     assert visited(g, rule, correct) <= lists.keys()
+
+
+def rows_read(rule, per_child) -> dict[tuple[int, int], array]:
+    """The matching-neighbour row of each (node, id of the child) that an
+    ``evaluate`` of ``rule`` read, from its per-child results at every level."""
+    rows = {}
+    for c, (reached, wss, _, sub) in zip(rule.children, per_child):
+        rows.update(((u, id(c)), ws) for u, ws in zip(reached, wss))
+        if sub is not None:
+            rows.update(rows_read(c.child, sub))
+    return rows
 
 
 def visited(g, rule, starts) -> set[tuple[int, int]]:
@@ -174,16 +187,17 @@ def visited(g, rule, starts) -> set[tuple[int, int]]:
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_a_star_hosts_start_bits_and_reach_are_the_oracles(data):
-    # refine_nest reads a host's StartBits and Reach: each start's bits the
-    # oracle's (==), for a star host and a depth-3 host, and each start's
-    # depth-1 neighbours the oracle's
+    # refine_nest reads a host's StartBits and Reach off one evaluate of its
+    # sorted correct starts: each start's bits the oracle's (==), for a star
+    # host and a depth-3 host, and each start's depth-1 neighbours the
+    # oracle's
     g = data.draw(graphs())
     rule = data.draw(st.one_of(star_rules(g), rules(g, 3)))
     correct = sorted(oracle_match(g, rule)[0])
-    bits, lists = start_bits(rule, g, correct)
-    assert list(bits.starts) == correct
-    assert list(bits.bits) == [oracle_traversal_bits(g, s, rule) for s in correct]
-    reach = _reach_by_start(rule, bits.starts, lists)
+    passed, bits, per_child = evaluate(rule, g, array("I", correct))
+    assert list(passed) == correct
+    assert bits == [oracle_traversal_bits(g, s, rule) for s in correct]
+    reach = _reach_by_start(rule, per_child)
     assert reach.keys() == {path for path, _ in iter_positions(rule) if path}
     for i, c in enumerate(rule.children):
         at = reach[(i,)]

@@ -6,9 +6,12 @@ union of its parts, a nesting composition covers a subset of its parts'
 union, ``Model.price`` of every change select, merge and nest could make is
 the total after that change (its ids counted exactly), the cost descends at
 every step, and a model file re-applied to its graph serializes identically.
-The nesting bound is the same to the bit whether a start's depth-1 reach is
-the walk's neighbour array or carries branch counts of 1, and the bound that
-stops once it clears prunes exactly the pairs the full bound prunes."""
+A host's nesting reach, read off one ``evaluate`` of its correct starts, is
+what the oracle's matching neighbours reach start by start, its depth-1
+reach the pass's own neighbour arrays; the nesting bound is the same to the
+bit whether that reach is kept flat or carries branch counts of 1 at depth
+1; and the bound that stops once it clears prunes exactly the pairs the full
+bound prunes."""
 
 import copy
 import math
@@ -29,6 +32,7 @@ from kgsum.miner import (
     Model,
     Reach,
     RuleEntry,
+    StartBits,
     _dedup_children,
     _nest_rule,
     _reach_by_start,
@@ -42,12 +46,11 @@ from kgsum.miner import (
     refine_merge,
     refine_nest,
     select,
-    start_bits,
     summarize,
 )
-from kgsum.rules import MAX_RULE_DEPTH, Rule, canonicalize, iter_positions, walk
+from kgsum.rules import MAX_RULE_DEPTH, Rule, canonicalize, evaluate, iter_positions
 
-from oracles import assignment_pairs
+from oracles import assignment_pairs, oracle_matching_neighbors
 from synth import bench_kg, chained_ownership_kg, random_kg, random_owned_kg, random_rule, two_branch_kg
 
 
@@ -264,9 +267,9 @@ def test_multi_label_models_count_labels_beyond_a_nodes_first():
     assert beyond_first >= 10
 
 
-def dict_reach_by_start(rule, starts, lists):
+def dict_reach_by_start(g, rule, starts):
     """``_reach_by_start`` with a ``{node: branches}`` dict per start at every
-    depth, depth 1 included."""
+    depth, depth 1 included, each node's neighbours the oracle's."""
     reach = {}
 
     def descend(r, path, by_start):
@@ -275,13 +278,21 @@ def dict_reach_by_start(rule, starts, lists):
             for s, nodes in by_start.items():
                 nxt = step[s] = {}
                 for u, ways in nodes.items():
-                    for w in lists[(u, id(c))]:
+                    for w in oracle_matching_neighbors(g, u, c):
                         nxt[w] = nxt.get(w, 0) + ways
             reach[path + (i,)] = step
             descend(c.child, path + (i,), step)
 
     descend(rule, (), {s: {s: 1} for s in starts})
     return reach
+
+
+def start_bits_and_reach(g, entry):
+    """``entry``'s ``StartBits`` and ``Reach`` per inner path, from one
+    ``evaluate`` of its sorted correct starts, as ``refine_nest`` reads them."""
+    starts = array("I", sorted(entry.correct_starts))
+    _, bits, per_child = evaluate(entry.rule, g, starts)
+    return StartBits(starts, array("d", bits)), _reach_by_start(entry.rule, per_child)
 
 
 def flat_reach(starts, by_start) -> Reach:
@@ -301,28 +312,27 @@ def nest_bound_args(g, hosts, nested):
     ``StartBits``), of every pair of a host and a nested rule whose root
     labels are those of an inner node of the host."""
     for e_in in hosts:
-        bits_in, lists = start_bits(e_in.rule, g, e_in.correct_starts)
-        reach = _reach_by_start(e_in.rule, bits_in.starts, lists)
+        bits_in, reach = start_bits_and_reach(g, e_in)
         for path, node in iter_positions(e_in.rule):
             for e_rt in nested:
                 if path and node.root_labels == e_rt.rule.root_labels:
                     composed = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
-                    bits_rt, _ = start_bits(e_rt.rule, g, e_rt.correct_starts)
+                    bits_rt, _ = start_bits_and_reach(g, e_rt)
                     yield e_in, path, e_rt, composed, reach[path], bits_in, bits_rt
 
 
 def check_reach(g, hosts, nested) -> set[tuple[int, int]]:
     """Require each host's reach to be the dict form's, its depth-1 reach to
-    be the walk's own arrays, and ``nest_bound`` from it to equal the bound from
-    the dict form for every pair.  Returns each (path length, most branches
+    be the pass's own arrays, and ``nest_bound`` from it to equal the bound
+    from the dict form for every pair.  Returns each (path length, most branches
     reaching one node) seen."""
     seen = set()
     dict_forms = {}
     for e_in in hosts:
         starts = list(e_in.correct_starts)
-        _, lists = walk(e_in.rule, g, starts)
-        reach = _reach_by_start(e_in.rule, starts, lists)
-        want = dict_forms[id(e_in)] = dict_reach_by_start(e_in.rule, starts, lists)
+        _, _, per_child = evaluate(e_in.rule, g, starts)
+        reach = _reach_by_start(e_in.rule, per_child)
+        want = dict_forms[id(e_in)] = dict_reach_by_start(g, e_in.rule, starts)
         assert reach.keys() == want.keys()
         for path, at in reach.items():
             assert list(want[path]) == starts and len(at.offsets) == len(starts) + 1
@@ -331,7 +341,7 @@ def check_reach(g, hosts, nested) -> set[tuple[int, int]]:
                 nodes = at.nodes[lo:hi]
                 if len(path) == 1:
                     assert at.ways is None
-                    assert nodes == lists[(s, id(e_in.rule.children[path[0]]))]
+                    assert nodes == per_child[path[0]][1][k]
                     ways = [1] * len(nodes)
                 else:
                     ways = at.ways[lo:hi]

@@ -14,8 +14,8 @@ from kgsum.rules import (
     RuleFormatError,
     atomic,
     canonicalize,
+    child_rows,
     match,
-    matching_neighbors,
     rule_from_dict,
     rule_to_dict,
 )
@@ -127,16 +127,19 @@ def test_matching_neighbors_is_the_whole_row_a_filtered_copy_or_empty():
     for u, p, direction, labels, want, whole in cases:
         u, p = node(u), pred(p)
         child = Child(p, direction, Rule(frozenset(map(label, labels))))
-        ws = matching_neighbors(g, u, child)
+        [ws], _ = child_rows(g, child, [u])
         assert type(ws) is array and ws.typecode == "I"
         assert list(ws) == list(map(node, want)) == oracle_matching_neighbors(g, u, child)
-        assert (ws == g.neighbors(u, p, direction)) == whole
+        offsets, preds, ends, _ = g.csr(direction)
+        row = [w for q, w in zip(preds[offsets[u] : offsets[u + 1]], ends[offsets[u] : offsets[u + 1]]) if q == p]
+        assert (list(ws) == row) == whole
 
 
 def test_rule_objects_shared_between_positions_match_like_copies():
     """One Child object at two depths and one Rule object at two positions:
-    the walk's memo and neighbor lists are keyed by object id, so sharing must
-    give the partition and coverage of the brute-force oracle."""
+    shared objects are valid input, and the pass evaluates each position on
+    its own, over the nodes that reach it there, so sharing must give the
+    partition and coverage of the brute-force oracle, as copies would."""
     triples = ["a0\tp\tb0\n", "b0\tq\tc0\n", "a1\tp\tb1\n", "a2\tp\tb0\n", "a2\tp\tb2\n", "b0\tr\tb0\n"]
     labels = ["a0\tA\n", "a1\tA\n", "a2\tA\n", "b0\tB\n", "b1\tB\n", "b2\tB\n", "c0\tC\n"]
     g = parse_graph(triples, labels)

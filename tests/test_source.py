@@ -3,8 +3,9 @@ every imported name is used in its module, every private module-level
 name (one leading underscore) is referenced somewhere in the package
 outside its own definition, every option a subcommand declares is read by
 that subcommand, every parameter of a function or lambda is read by its
-body, and a private attribute is assigned and read through ``self`` alone.  And the
-modules every command imports leave out the heavy standard-library modules."""
+body, a private attribute is assigned and read through ``self`` alone, and
+only ``graph`` and ``rules`` read a graph's CSR rows.  And the modules every
+command imports leave out the heavy standard-library modules."""
 
 import argparse
 import ast
@@ -195,3 +196,17 @@ def test_private_attributes_are_read_through_self_alone():
         and not isinstance(node.ctx, ast.Store)
     ]
     assert reads == []
+
+
+def test_only_graph_and_rules_read_csr_rows():
+    # rules.child_rows is the one reader of a node's rows for a rule child;
+    # another module reading the columns would decide on its own how rows are
+    # bisected and filtered
+    calls = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in MODULES
+        if path.name not in ("graph.py", "rules.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "csr"
+    ]
+    assert calls == []
