@@ -31,10 +31,14 @@ reads the edge-id column, so no edge key is built or hashed after loading
 label assignments (node, label) are numbered densely by node, then label:
 node ``v``'s labels, in ascending label id, hold the assignment ids
 ``label_offsets[v]`` to ``label_offsets[v + 1] - 1``.  A rule's coverage is
-its edge ids and its assignment ids (``assignment_ids``).  Nodes with equal
-label sets share one frozenset, and each label's nodes are one ascending
-``array("I")`` of node ids (``label_index``), built at load from the nodes'
-label sets; ``label_nodes`` hands out a frozenset copy.  ``edges`` and
+its edge ids and its assignment ids (``assignment_ids``).  Load reads the
+label lines into one array of each node's first label, indexed by node id,
+and a set of further labels for each node that has more, so a one-label node
+takes 4 bytes while the file is read; the label sets are then built in
+node-id order.  Nodes with equal label sets share one frozenset, and each
+label's nodes are one ascending ``array("I")`` of node ids (``label_index``),
+built at load from the nodes' label sets; ``label_nodes`` hands out a
+frozenset copy.  ``edges`` and
 ``distinct_edges`` build (s, p, o) tuple lists on each call; mining, scoring
 and completion never call them.
 """
@@ -107,22 +111,32 @@ class KnowledgeGraph:
         # the OUT and IN columns (offsets, predicates, neighbours, edge ids), each built on its first read
         self._rows: list[tuple[array, array, array, array] | None] = [None, None]
 
-        # each labelled node's first label, and the labels it adds after that, so
-        # that a one-label node needs no set of its own while the file is read
-        first_label: dict[int, int] = {}
+        # each node's first label by node id (-1 while it has none), and the
+        # labels a node adds after that, so that a one-label node needs no
+        # object of its own while the file is read
+        first_label = array("i", [-1]) * len(node_ids)
         more_labels: defaultdict[int, set[int]] = defaultdict(set)
+        named = len(first_label)
         for _, (v, l) in _fields(label_source, label_lines, 2):
             vid = node_ids.setdefault(v, len(node_ids))
             lid = label_ids.setdefault(l, len(label_ids))
-            if first_label.setdefault(vid, lid) != lid:
+            if vid == named:  # a node no line named before
+                first_label.append(lid)
+                named += 1
+                continue
+            first = first_label[vid]
+            if first < 0:
+                first_label[vid] = lid
+            elif first != lid:
                 more_labels[vid].add(lid)
 
-        # nodes with equal label sets share one frozenset
+        # in node-id order; nodes with equal label sets share one frozenset
         shared: dict[frozenset[int], frozenset[int]] = {}
         node_labels = self.node_labels = [frozenset()] * len(node_ids)
-        for vid, lid in first_label.items():
-            labels = frozenset((lid, *more_labels.get(vid, ())))
-            node_labels[vid] = shared.setdefault(labels, labels)
+        for vid, lid in enumerate(first_label):
+            if lid >= 0:
+                labels = frozenset((lid, *more_labels.get(vid, ())))
+                node_labels[vid] = shared.setdefault(labels, labels)
         del first_label, more_labels
         self.label_offsets = array("I", accumulate(map(len, node_labels), initial=0))
         # each distinct label set -> its labels' ranks in ascending id order

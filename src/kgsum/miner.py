@@ -9,11 +9,11 @@ import math
 import time
 import warnings
 from array import array
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from itertools import accumulate, repeat
-from operator import attrgetter, countOf, itemgetter, mul
+from operator import attrgetter, countOf, eq, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import encoding
@@ -60,9 +60,12 @@ _compared = attrgetter(*_FIELDS)
 class RuleEntry:
     """A rule with its cached starts, coverage, and costs.
 
-    A mined candidate and a model rule are the same record.
-    ``exception_starts`` stays ``None`` until the record joins a model (see
-    ``Model.add``), so candidates that are never selected do not pay for it.
+    A mined candidate and a model rule are the same record.  The correct
+    starts are one strictly increasing ``array("I")`` of node ids (memory: 4
+    bytes a start), which readers bisect; ``refine_nest`` reads the array
+    itself as its starts' order.  ``exception_starts``, a frozenset, stays
+    ``None`` until the record joins a model (see ``Model.add``), so candidates
+    that are never selected do not pay for it.
     The coverage is strictly increasing ``array("I")`` columns of edge ids and
     label-assignment ids.  They may be shared between records (a mined
     candidate and its reverse partner hold one edge-id array) and are never
@@ -79,7 +82,7 @@ class RuleEntry:
         self,
         rule: Rule,
         canon_key: tuple,
-        correct_starts: frozenset[int],
+        correct_starts: array,
         num_assertions: int,
         covered_edge_ids: array,
         covered_label_ids: array,
@@ -110,7 +113,7 @@ class RuleEntry:
         return cls(
             rule=rule,
             canon_key=_canon_key(rule, g),
-            correct_starts=aset.correct_starts,
+            correct_starts=array("I", sorted(aset.correct_starts)),
             num_assertions=aset.num_assertions,
             covered_edge_ids=aset.covered_edge_ids,
             covered_label_ids=aset.covered_label_ids,
@@ -219,7 +222,7 @@ class Model:
         has priced it to decide on the change)."""
         if entry.exception_starts is None:
             starts = self.graph.nodes_with_labels(entry.rule.root_labels)
-            entry.exception_starts = frozenset(starts) - entry.correct_starts
+            entry.exception_starts = frozenset(starts).difference(entry.correct_starts)
         for e in drop:
             self._count(e, -1)
         self._count(entry, 1)
@@ -351,8 +354,7 @@ def generate_candidates(g: KnowledgeGraph, label_cap: int | None = None) -> list
             entry = RuleEntry(
                 rule=rule,
                 canon_key=_canon_key(rule, g),
-                # from an exact dict, frozenset sizes its table once (memory)
-                correct_starts=frozenset(dict(starts)),
+                correct_starts=array("I", sorted(starts)),
                 num_assertions=g.n_label[root],
                 covered_edge_ids=eids,
                 # one label's assignment ids ascend with the node
@@ -476,13 +478,15 @@ def _dedup_children(children: Iterable[Child]) -> tuple[Child, ...]:
 def refine_merge(model: Model, g: KnowledgeGraph) -> Model:
     """Rm: fuse rules with identical roots and identical correct-start sets
     into one multi-child rule, kept when ``Model.price`` of the merged rule in
-    place of its parts does not exceed the current total.  The merged rule
+    place of its parts does not exceed the current total.  Rules are grouped
+    by root labels and the bytes of the correct-start array, which ascends,
+    so equal sets give equal bytes.  The merged rule
     covers exactly the union of its parts' edges and labels, so the error bits
     do not move and only model bits compete.  A kept merge takes its first
     part's position through ``Model.add``."""
-    groups: dict[tuple[frozenset[int], frozenset[int]], list[RuleEntry]] = {}
+    groups: dict[tuple[frozenset[int], bytes], list[RuleEntry]] = {}
     for e in model.entries:
-        groups.setdefault((e.rule.root_labels, e.correct_starts), []).append(e)
+        groups.setdefault((e.rule.root_labels, e.correct_starts.tobytes()), []).append(e)
 
     for key, parts in groups.items():  # insertion order: first member's position
         if len(parts) < 2:
@@ -538,15 +542,29 @@ class Reach(NamedTuple):
 
 class StartBits(NamedTuple):
     """A rule's correct starts, ascending, and each one's traversal bits (the
-    values ``evaluate`` gives them), as parallel arrays (memory: 12 bytes a
-    start).  ``bits_of`` looks starts up by bisection."""
+    values ``evaluate`` gives them), as parallel arrays (memory: 8 more bytes
+    a start, the starts being the record's own array)."""
 
     starts: array  # "I"
     bits: array  # "d"
 
-    def bits_of(self, nodes: Iterable[int]) -> Iterator[float]:
-        """The bits of each node of ``nodes``, every one a start."""
-        return map(self.bits.__getitem__, map(bisect_left, repeat(self.starts), nodes))
+
+def _at_or_below(ids: array, nodes: Iterable[int]) -> Iterator[int]:
+    """For each node of ``nodes``, the position in the ascending, non-empty
+    ``ids`` of the last id at most the node, or -1 below the first.  The id
+    there is the node exactly when ``ids`` holds it (at -1 it is the last
+    id, above the node), so a bisection answers membership with no set."""
+    return map(sub, map(bisect_right, repeat(ids), nodes), repeat(1))
+
+
+def _num_common(a: array, b: array) -> int:
+    """How many ids the ascending id arrays ``a`` and ``b`` share: each id of
+    the shorter is looked up in the longer by bisection."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return 0
+    return countOf(map(eq, map(b.__getitem__, _at_or_below(b, a)), a), True)
 
 
 def _rows_by_path(rule: Rule, per_child: list, path: tuple[int, ...], rows: dict) -> None:
@@ -614,7 +632,11 @@ def nest_bound(
     e_in's reach at ``path``, listing its starts in the order of ``bits_in``,
     and ``bits_in`` and ``bits_rt`` are the two rules' ``StartBits``.
     ``None`` when the inner node and e_rt's root share a child, which
-    ``_dedup_children`` drops and the sum below would overcount.
+    ``_dedup_children`` drops and the sum below would overcount.  The starts
+    of ``bits_rt`` are e_rt's correct-start array, which ``refine_nest``
+    shares with the record; each reached node is looked up in it by
+    bisection, which answers both whether it is a correct start of e_rt and
+    where its bits are.
 
     The path is non-empty, so the composed rule keeps e_in's root and its
     assertions.  A start stays correct exactly when it is correct in e_in and
@@ -639,16 +661,17 @@ def nest_bound(
         return None
     rule_bits = encoding.rule_cost(composed_rule, g)
     model_in, model_rt = e_in.model_bits, e_rt.model_bits
-    rt_correct = e_rt.correct_starts
+    rt_starts, rt_start_bits = bits_rt
     offsets, nodes, ways = reach
     num_correct = 0
     traversal = 0.0
     for k, in_bits in enumerate(bits_in.bits):
         lo, hi = offsets[k], offsets[k + 1]
         reached = nodes[lo:hi]
-        if rt_correct.issuperset(reached):
+        at = list(_at_or_below(rt_starts, reached)) if rt_starts else None
+        if at is not None and all(map(eq, map(rt_starts.__getitem__, at), reached)):
             num_correct += 1
-            rt_bits = bits_rt.bits_of(reached)
+            rt_bits = map(rt_start_bits.__getitem__, at)
             if ways is not None:
                 rt_bits = map(mul, ways[lo:hi], rt_bits)
             traversal += in_bits + math.fsum(rt_bits)
@@ -671,7 +694,11 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     covers a subset of its parts' union; ``Model.price`` prices it in place of
     its two parts from the ids they lose, and ``Model.add`` puts it at the
     earlier part's position, so the coverage refcounts move only when a pair
-    is accepted.  Each scan sorts the pairs of the live entries afresh.  A
+    is accepted.  Each scan sorts the pairs of the live entries afresh; a
+    pair's Jaccard fit, which depends on its two rules alone, is carried over
+    from the last scan while both rules stay live.  The Jaccard counts and
+    ``nest_bound`` read the ascending start and occupied-node arrays by
+    bisection.  A
     rule's start bits and reach are cached by its canonical key from the
     first pair that reads them until no live entry has that key, so an
     unchanged entry keeps its occupied nodes, and its pairs their order,
@@ -685,11 +712,12 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     def walk_once(entry: RuleEntry) -> tuple:
         """The ``StartBits``, and per inner path the ``Reach`` and the sorted
         ``array("I")`` of the nodes occupying that position (the union of the
-        reach), from one ``evaluate`` over the sorted correct starts, whose
-        per-child results are dropped once the reach is flattened (memory)."""
+        reach), from one ``evaluate`` over the correct starts, whose per-child
+        results are dropped once the reach is flattened (memory).  The
+        ``StartBits`` hold the entry's own start array, not a copy."""
         hit = walked.get(entry.canon_key)
         if hit is None:
-            starts = array("I", sorted(entry.correct_starts))
+            starts = entry.correct_starts
             _, bits, per_child = evaluate(entry.rule, g, starts)
             reach = _reach_by_start(entry.rule, per_child)
             del per_child
@@ -697,6 +725,7 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
             hit = walked[entry.canon_key] = (StartBits(starts, array("d", bits)), reach, occupied)
         return hit
 
+    pairs: list[tuple] = []
     while True:
         entries = model.entries
         for key in walked.keys() - {e.canon_key for e in entries}:
@@ -704,6 +733,9 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
         by_root: dict[frozenset[int], list[int]] = {}
         for j, e in enumerate(entries):
             by_root.setdefault(e.rule.root_labels, []).append(j)
+        # a pair's fit depends on its two rules alone: the last scan's fits
+        # serve the pairs whose rules are both still live
+        fits = {pair[1:4]: pair[0] for pair in pairs}
         pairs = []
         for i, e_in in enumerate(entries):
             for path, node in iter_positions(e_in.rule):
@@ -713,11 +745,15 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                     e_rt = entries[j]
                     if i == j or len(path) + e_rt.rule.depth() > MAX_RULE_DEPTH:
                         continue  # the composition would nest too deep to read back
-                    occ, rt_starts = walk_once(e_in)[2][path], e_rt.correct_starts
-                    inter = countOf(map(rt_starts.__contains__, occ), True)
-                    union = len(occ) + len(rt_starts) - inter
-                    jac = inter / union if union else 0.0
-                    pairs.append((-jac, e_in.canon_key, path, e_rt.canon_key, i, j))
+                    key = (e_in.canon_key, path, e_rt.canon_key)
+                    fit = fits.get(key)
+                    if fit is None:
+                        occ, rt_starts = walk_once(e_in)[2][path], e_rt.correct_starts
+                        inter = _num_common(occ, rt_starts)
+                        union = len(occ) + len(rt_starts) - inter
+                        fit = -(inter / union if union else 0.0)
+                    pairs.append((fit, *key, i, j))
+        del fits
         pairs.sort()
         for _, _, path, _, i, j in pairs:
             e_in, e_rt = entries[i], entries[j]

@@ -59,8 +59,10 @@ class Child(NamedTuple):
 
 class AssertionSet(NamedTuple):
     """Partition of a rule's starts plus what its correct traversals cover,
-    in the ids and bits that ``miner.RuleEntry`` stores.  The coverage is
-    strictly increasing id arrays (compact: 4 bytes per id)."""
+    in the ids and bits that ``miner.RuleEntry`` stores.  The starts are
+    frozensets (``RuleEntry.from_rule`` keeps the correct ones as an
+    ascending array); the coverage is strictly increasing id arrays
+    (compact: 4 bytes per id)."""
 
     correct_starts: frozenset[int]
     exception_starts: frozenset[int]

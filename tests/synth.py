@@ -279,10 +279,10 @@ def scaling_kg_lines(
     return triple_rows, label_rows
 
 
-def bench_kg(name: str, seed: int, scale: float = 1.0) -> KnowledgeGraph:
-    """The graph of the ``bench/workloads.py`` workload ``name`` at ``scale``.
-    That module imports no kgsum; it is loaded from its file once, as
-    ``bench_workloads``."""
+def bench_kg_lines(name: str, seed: int, scale: float = 1.0) -> tuple[list[str], list[str]]:
+    """The (triple lines, label lines) of the ``bench/workloads.py`` workload
+    ``name`` at ``scale``.  That module imports no kgsum; it is loaded from
+    its file once, as ``bench_workloads``."""
     workloads = sys.modules.get("bench_workloads")
     if workloads is None:
         path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -290,4 +290,9 @@ def bench_kg(name: str, seed: int, scale: float = 1.0) -> KnowledgeGraph:
         workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
     w = workloads.GENERATORS[name](seed, scale)
-    return parse_graph(("\t".join(t) + "\n" for t in w.triples), ("\t".join(l) + "\n" for l in w.labels))
+    return ["\t".join(t) + "\n" for t in w.triples], ["\t".join(l) + "\n" for l in w.labels]
+
+
+def bench_kg(name: str, seed: int, scale: float = 1.0) -> KnowledgeGraph:
+    """The graph of the ``bench/workloads.py`` workload ``name`` at ``scale``."""
+    return parse_graph(*bench_kg_lines(name, seed, scale))

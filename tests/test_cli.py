@@ -617,6 +617,84 @@ def test_a_mutated_model_file_exits_0_or_1_with_one_error_line(mined_model, muta
             assert proc.returncode == (mutation[1] > MAX_RULE_DEPTH), proc.stderr
 
 
+@pytest.fixture(scope="module")
+def labelled_graph(tmp_path_factory):
+    """A valid labels file as text, the model file mined from it, and the
+    ``summarize`` arguments that read its mutated copy beside the triples of
+    A owns B owns C and write the model to the returned path."""
+    tmp = tmp_path_factory.mktemp("labels")
+    triples, labels = write_inputs(tmp, chained_ownership_kg(n_a=4, d_a=2, d_b=2))
+    valid, mutated, out = tmp / "valid.json", tmp / "mutated.tsv", tmp / "m.json"
+    assert main(["summarize", "--graph", triples, "--labels", labels, "--out", str(valid)]) == 0
+    args = ["summarize", "--graph", triples, "--labels", str(mutated), "--out", str(out)]
+    return Path(labels).read_text(encoding="utf-8"), valid.read_bytes(), mutated, args, out
+
+
+def mutate_labels(text: str, mutation: tuple) -> bytes:
+    """The bytes of the labels file ``text`` changed as ``mutation`` says."""
+    kind, *args = mutation
+    raw = text.encode()
+    if kind == "truncate":
+        return raw[: args[0] % len(raw)]
+    if kind == "flip":
+        at = args[0] % len(raw)
+        return raw[:at] + bytes([raw[at] ^ args[1]]) + raw[at + 1 :]
+    lines = text.splitlines()
+    if kind == "endings":  # a BOM or not, and each line's ending chosen by a bit of the mask
+        bom, mask = args
+        ends = ("\n", "\r\n")
+        body = "".join(line + ends[mask >> (i % 16) & 1] for i, line in enumerate(lines))
+        return ("\ufeff" if bom else "").encode() + body.encode()
+    at, line = args
+    at %= len(lines) + (kind == "insert")
+    if kind == "replace":
+        lines[at] = line
+    else:
+        lines.insert(at, line)
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# a label line with a wrong field count or an empty field, each an error
+_BAD_LABEL_LINES = ("a0", "a0\tA\tB", "\tA", "a0\t", "a0\t\tA", "a0\tA\t", " \tA\tB")
+# lines the reader skips: comments and whitespace alone
+_SKIPPED_LABEL_LINES = ("#", "# a0\tA\tB", "#\t", "", "   ", "\t", " \t \t", "\r", "\x0c")
+_LABEL_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("endings"), st.booleans(), st.integers(0, 2**16 - 1)),
+    st.tuples(st.just("replace"), st.integers(0, 10**6), st.sampled_from(_BAD_LABEL_LINES)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(_SKIPPED_LABEL_LINES)),
+)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=_LABEL_MUTATIONS)
+@example(mutation=("endings", True, 0b1010))
+@example(mutation=("endings", True, 2**16 - 1))
+@example(mutation=("truncate", 0))
+@example(mutation=("replace", 3, "a0\tA\tB"))
+@example(mutation=("replace", 0, "a0\t"))
+@example(mutation=("replace", 5, "a0"))
+@example(mutation=("insert", 0, "# a0\tA\tB"))
+@example(mutation=("insert", 7, " \t \t"))
+def test_a_mutated_labels_file_exits_0_1_or_2_with_one_error_line(labelled_graph, mutation):
+    # a labels file truncated, with a byte flipped, with a BOM and a mix of
+    # LF and CRLF endings, with a line of the wrong field count or an empty
+    # field, or with a comment or whitespace-only line inserted
+    text, valid, path, args, out = labelled_graph
+    path.write_bytes(mutate_labels(text, mutation))
+    out.unlink(missing_ok=True)
+    proc = run_cli(args)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == (proc.returncode == 1), proc.stderr
+    if mutation[0] in ("endings", "insert"):  # nothing but what the reader skips changed
+        assert proc.returncode == 0 and out.read_bytes() == valid, proc.stderr
+    if mutation[0] == "replace":
+        assert proc.returncode == 1 and "line" in errors[0], proc.stderr
+
+
 def test_truth_file_given_as_the_model_exits_1_with_one_error_line(tmp_path):
     # a truth file is a JSON object too, but it has no rules to apply
     g = chained_ownership_kg(n_a=10, d_a=3, d_b=4)

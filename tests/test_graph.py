@@ -18,7 +18,7 @@ from kgsum.graph import (
     triple_lines,
 )
 
-from synth import scaling_kg_lines
+from synth import bench_kg_lines, scaling_kg_lines
 
 
 def labels_per_node(g):
@@ -235,20 +235,15 @@ def test_a_loaded_graph_holds_few_bytes_per_edge(tmp_path):
     assert per_edge <= 92, f"{per_edge:.1f} B per distinct edge"
 
 
-def test_parsing_peaks_at_few_bytes_per_edge():
-    # the tracemalloc peak of parse_graph, the input lines excluded, against
-    # what the graph holds with both of its indexes built.  Each line's ids
-    # appended to three columns and one sort of the lines as packed ints, the
-    # indexes left to their first read, peak at 89.7-95.5 B per distinct
-    # edge under Python 3.10.13-3.12.1, 1.08-1.09 times the 82-88 B held.
-    # A dict from packed triple to edge id and both indexes sorted at load
-    # peaked at 171.7-177.4 B, 2.0-2.1 times.
-    triples, labels = scaling_kg_lines(50_000)
+def parse_peak_and_held(triples, labels) -> tuple[float, float]:
+    """The tracemalloc peak of ``parse_graph``, the input lines excluded, and
+    what the graph holds with both of its indexes built, in bytes per
+    distinct edge."""
     gc.collect()
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the planted graph repeats a few triples
+            warnings.simplefilter("ignore")  # the planted graphs repeat a few triples
             g = parse_graph(triples, labels)
         peak = tracemalloc.get_traced_memory()[1]
         g.csr(OUT), g.csr(IN)
@@ -256,8 +251,24 @@ def test_parsing_peaks_at_few_bytes_per_edge():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    per_edge, held_per_edge = peak / g.num_distinct_edges, held / g.num_distinct_edges
-    assert peak <= 1.5 * held, f"{per_edge:.1f} B per distinct edge against {held_per_edge:.1f} held"
+    return peak / g.num_distinct_edges, held / g.num_distinct_edges
+
+
+def test_parsing_peaks_at_few_bytes_per_edge():
+    # Each line's ids appended to three columns and one sort of the lines as
+    # packed ints, the indexes left to their first read, peak at 89.7-95.5 B
+    # per distinct edge under Python 3.10.13-3.12.1, 1.08-1.09 times the
+    # 82-88 B held.  A dict from packed triple to edge id and both indexes
+    # sorted at load peaked at 171.7-177.4 B, 2.0-2.1 times.
+    per_edge, held = parse_peak_and_held(*scaling_kg_lines(50_000))
+    assert per_edge <= 1.5 * held, f"{per_edge:.1f} B per distinct edge against {held:.1f} held"
+    # node-heavy: the nested workload has about one labelled node per
+    # distinct edge, four times as many as above.  Each node's first label
+    # read into an array indexed by node id, the parse peaks at 0.88-0.89
+    # times what the graph holds; into a dict from node id to first label, at
+    # 1.06-1.07 times.
+    per_edge, held = parse_peak_and_held(*bench_kg_lines("nested", 101))
+    assert per_edge <= held, f"{per_edge:.1f} B per distinct edge against {held:.1f} held"
 
 
 @pytest.mark.parametrize("first", [OUT, IN])

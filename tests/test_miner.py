@@ -119,7 +119,7 @@ def test_generation_dedups_across_edges():
     out = next(c for c in cands if c.rule.children[0].direction == OUT)
     assert out.num_correct == 2
     assert len(out.covered_edge_ids) == 2
-    assert out.correct_starts == {g.node_id("a"), g.node_id("c")}
+    assert set(out.correct_starts) == {g.node_id("a"), g.node_id("c")}
     # each start matches exactly one neighbor
     v = g.num_nodes
     assert out.traversal_bits == 2 * (math.log2(v) + log_binomial(v - 1, 1))
@@ -236,7 +236,7 @@ def test_select_considers_reverse_pair_and_keeps_cheaper():
         return RuleEntry(
             rule=rule,
             canon_key=(root_key,),
-            correct_starts=frozenset({0}),
+            correct_starts=array("I", [0]),
             num_assertions=1,
             covered_edge_ids=covered,
             covered_label_ids=array("I"),
@@ -650,49 +650,45 @@ def traced_peak_per_edge(mine) -> float:
 
 def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
     # the counterpart of the loaded-graph bound in test_graph.py: the peak of
-    # a whole summarize.  Coverage as sorted id arrays, edge and label
-    # refcounts as arrays indexed by id, candidates built one pattern at a
-    # time as slotted records, and nest walks kept as flat reach and bits
-    # arrays keep it at 74.5-75.5 B per distinct edge under Python 3.10-3.12; with
-    # dataclass records and per-start bits dicts, 79-82 B; with per-start
-    # reach lists and occupied frozensets, 143-146 B; with label refcounts in
-    # a dict and every pattern's sets built at once, 162-166 B, and with sets
-    # of ids and a dict of edge refcounts, 301-303 B.
+    # a whole summarize.  Correct starts and coverage as sorted id arrays,
+    # edge and label refcounts as arrays indexed by id, candidates built one
+    # pattern at a time as slotted records, and nest walks kept as flat reach
+    # and bits arrays keep it at 45.5-46.5 B per distinct edge under Python
+    # 3.10.13-3.12.1; with the correct starts as frozensets, 74.4-75.2 B;
+    # with dataclass records and per-start bits dicts, 79-82 B; with
+    # per-start reach lists and occupied frozensets, 143-146 B; with label
+    # refcounts in a dict and every pattern's sets built at once, 162-166 B,
+    # and with sets of ids and a dict of edge refcounts, 301-303 B.
     per_edge = traced_peak_per_edge(lambda g: summarize(g, refine="nest"))
-    assert per_edge <= 91, f"{per_edge:.1f} B per distinct edge"
+    assert per_edge <= 52, f"{per_edge:.1f} B per distinct edge"
 
 
-def test_nesting_peaks_no_higher_than_selection(monkeypatch):
-    # refine_nest keeps a walk cache for every host it pairs; as flat reach
-    # and bits arrays it peaks at 2.88-2.90 MiB against select's 3.25-3.28
-    # under Python 3.10-3.12 (with per-start bits dicts, 3.54-3.60; with
-    # per-start reach lists and occupied frozensets, 6.58-6.73)
-    peaks = {}
+def test_nesting_peaks_at_few_bytes_per_edge_beyond_the_graph():
+    # refine_nest keeps a walk cache for every host it pairs, as flat reach
+    # and bits arrays over the hosts' own start arrays: its peak, the model
+    # included, is 41.8-42.2 B per distinct edge under Python 3.10.13-3.12.1,
+    # against select's 31.8-32.3 B.  With the correct starts as frozensets it
+    # read 62.5-62.9 B (select's, 70.7-71.2 B); with per-start bits dicts,
+    # 3.54-3.60 MiB, and with per-start reach lists and occupied frozensets,
+    # 6.58-6.73 MiB.
+    def nest(g):
+        model = summarize(g, refine="merge")
+        tracemalloc.reset_peak()
+        refine_nest(model, g)
 
-    def traced(name, real):
-        def phase(*args, **kwargs):
-            tracemalloc.reset_peak()
-            try:
-                return real(*args, **kwargs)
-            finally:
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-
-        return phase
-
-    monkeypatch.setattr(miner, "select", traced("select", miner.select))
-    monkeypatch.setattr(miner, "refine_nest", traced("refine_nest", miner.refine_nest))
-    traced_peak_per_edge(lambda g: summarize(g, refine="nest"))
-    assert peaks["refine_nest"] <= peaks["select"], peaks
+    per_edge = traced_peak_per_edge(nest)
+    assert per_edge <= 52, f"{per_edge:.1f} B per distinct edge"
 
 
 def test_generating_candidates_holds_few_bytes_per_edge_beyond_the_graph():
     # one pattern's edge-id set and start counters at a time, as slotted
-    # records sharing one root-label set per label: 65-66 B per distinct edge
-    # under Python 3.10-3.12 (70-75 B as dataclass records with their own
-    # sets), against 157-159 B with every pattern's sets held until the
-    # candidates were emitted
+    # records sharing one root-label set per label, each holding its correct
+    # starts as an ascending array: 26.0-26.8 B per distinct edge under
+    # Python 3.10.13-3.12.1 (65.1-65.9 B with the starts as frozensets, 70-75
+    # B as dataclass records with their own sets), against 157-159 B with
+    # every pattern's sets held until the candidates were emitted
     per_edge = traced_peak_per_edge(generate_candidates)
-    assert per_edge <= 110, f"{per_edge:.1f} B per distinct edge"
+    assert per_edge <= 35, f"{per_edge:.1f} B per distinct edge"
 
 
 def test_refine_nest_composes_no_rule_deeper_than_rule_from_dict_reads(monkeypatch):

@@ -11,10 +11,12 @@ what the oracle's matching neighbours reach start by start, its depth-1
 reach the pass's own neighbour arrays; the nesting bound is the same to the
 bit whether that reach is kept flat or carries branch counts of 1 at depth
 1; and the bound that stops once it clears prunes exactly the pairs the full
-bound prunes."""
+bound prunes.  Every record's correct starts are one strictly ascending
+``array("I")``, the oracle's correct starts as a set, after every stage."""
 
 import copy
 import math
+import operator
 import random
 from array import array
 from collections import Counter
@@ -50,7 +52,7 @@ from kgsum.miner import (
 )
 from kgsum.rules import MAX_RULE_DEPTH, Rule, canonicalize, evaluate, iter_positions
 
-from oracles import assignment_pairs, oracle_matching_neighbors
+from oracles import assignment_pairs, oracle_match, oracle_matching_neighbors
 from synth import bench_kg, chained_ownership_kg, random_kg, random_owned_kg, random_rule, two_branch_kg
 
 
@@ -122,8 +124,8 @@ def test_model_invariants_after_select_merge_and_nest(seed):
         for merged in model.entries:
             if any(merged is e for e in selected):
                 continue
-            key = (merged.rule.root_labels, merged.correct_starts)
-            parts = [e for e in selected if (e.rule.root_labels, e.correct_starts) == key]
+            key = (merged.rule.root_labels, set(merged.correct_starts))
+            parts = [e for e in selected if (e.rule.root_labels, set(e.correct_starts)) == key]
             assert len(parts) >= 2
             assert set(merged.covered_edge_ids) == set().union(*(e.covered_edge_ids for e in parts))
             assert set(merged.covered_label_ids) == set().union(
@@ -186,7 +188,7 @@ def assert_every_change_priced_as_added(model, g, ranked) -> Counter:
             priced["select"] += 1
     groups = {}
     for e in model.entries:
-        groups.setdefault((e.rule.root_labels, e.correct_starts), []).append(e)
+        groups.setdefault((e.rule.root_labels, frozenset(e.correct_starts)), []).append(e)
     for (root, _), parts in groups.items():
         if len(parts) >= 2:
             merged = RuleEntry.from_rule(
@@ -254,6 +256,38 @@ def test_refcounts_exact_after_every_change_on_multi_label_graphs(seed):
     assert_refcounts_exact(model)
 
 
+def assert_starts_are_ascending_arrays(g, entries):
+    """Each entry's correct starts are one strictly ascending ``array("I")``,
+    the oracle's correct starts of its rule as a set."""
+    for e in entries:
+        starts = e.correct_starts
+        assert isinstance(starts, array) and starts.typecode == "I"
+        assert all(map(operator.lt, starts, starts[1:]))
+        assert set(starts) == oracle_match(g, e.rule)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_correct_starts_are_ascending_arrays_after_every_stage(seed):
+    # select keeps no rule on multi-label random graphs this small, so a model
+    # of every ranked rule (matched, not mined) is merged and nested too, and
+    # an ownership graph, on which select keeps rules, is mined as well
+    rng = random.Random(seed)
+    for g in (random_kg(rng, max_nodes=10), random_owned_kg(rng)):
+        cands = generate_candidates(g)
+        assert_starts_are_ascending_arrays(g, cands)
+        cands = qualify_all(cands, g)
+        assert_starts_are_ascending_arrays(g, cands)
+        ranked = rank(cands, g)
+        for model in (select(g, ranked), build_model(g, [c.rule for c in ranked])):
+            assert_starts_are_ascending_arrays(g, model.entries)
+            model = refine_merge(model, g)
+            assert_starts_are_ascending_arrays(g, model.entries)
+            model = refine_nest(model, g)
+            assert_starts_are_ascending_arrays(g, model.entries)
+            assert_starts_are_ascending_arrays(g, model_from_dict(model_to_dict(model), g).entries)
+
+
 def test_multi_label_models_count_labels_beyond_a_nodes_first():
     # a node's first label has the lowest of its assignment ids, so these
     # models also count ids that no one-label graph has
@@ -289,8 +323,8 @@ def dict_reach_by_start(g, rule, starts):
 
 def start_bits_and_reach(g, entry):
     """``entry``'s ``StartBits`` and ``Reach`` per inner path, from one
-    ``evaluate`` of its sorted correct starts, as ``refine_nest`` reads them."""
-    starts = array("I", sorted(entry.correct_starts))
+    ``evaluate`` of its correct-start array, as ``refine_nest`` reads them."""
+    starts = entry.correct_starts
     _, bits, per_child = evaluate(entry.rule, g, starts)
     return StartBits(starts, array("d", bits)), _reach_by_start(entry.rule, per_child)
 
