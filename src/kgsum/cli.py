@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .anomaly import missing_reports, rank_edges
@@ -153,8 +153,7 @@ def _cmd_perturb(args) -> int:
     if args.pca and args.anomalies is not None:
         raise ConfigError("--anomalies chooses injected anomaly types; --pca injects none")
     g = _load_inputs(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     if args.pca:
         with timed("remove nodes (pca)", _log):
             new_g, truth = remove_nodes_pca(g, args.q, seed=args.seed)
@@ -162,10 +161,10 @@ def _cmd_perturb(args) -> int:
         types = ANOMALY_TYPES if args.anomalies is None else tuple(args.anomalies.split(","))
         with timed("perturb", _log):
             new_g, truth = perturb(g, args.q, types, seed=args.seed)
-    write_graph(new_g, str(out / "triples.tsv"), str(out / "labels.tsv"))
-    _write_json(str(out / "truth.json"), truth)
+    write_graph(new_g, os.path.join(args.out, "triples.tsv"), os.path.join(args.out, "labels.tsv"))
+    _write_json(os.path.join(args.out, "truth.json"), truth)
     if not args.pca:
-        with open(out / "test_edges.tsv", "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.out, "test_edges.tsv"), "w", encoding="utf-8") as fh:
             for s, p, o in evaluation_edges(truth):
                 fh.write(f"{s}\t{p}\t{o}\n")
         _log(f"{len(truth['positives'])} perturbed edges, {len(truth['negatives'])} clean samples")

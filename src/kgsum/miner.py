@@ -9,11 +9,10 @@ import math
 import time
 import warnings
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
-from itertools import accumulate, repeat
-from operator import attrgetter, countOf, eq, itemgetter, mul, sub
+from itertools import accumulate
+from operator import attrgetter, countOf, itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import encoding
@@ -62,10 +61,10 @@ class RuleEntry:
 
     A mined candidate and a model rule are the same record.  The correct
     starts are one strictly increasing ``array("I")`` of node ids (memory: 4
-    bytes a start), which readers bisect; ``refine_nest`` reads the array
-    itself as its starts' order.  ``exception_starts``, a frozenset, stays
-    ``None`` until the record joins a model (see ``Model.add``), so candidates
-    that are never selected do not pay for it.
+    bytes a start); ``refine_nest`` reads the array itself as its starts'
+    order.  ``exception_starts``, a frozenset, stays ``None`` until the
+    record joins a model (see ``Model.add``), so candidates that are never
+    selected do not pay for it.
     The coverage is strictly increasing ``array("I")`` columns of edge ids and
     label-assignment ids.  They may be shared between records (a mined
     candidate and its reverse partner hold one edge-id array) and are never
@@ -532,87 +531,48 @@ class Reach(NamedTuple):
     branches as the same slice of ``ways`` says.  At depth 1 a start's slice
     holds its neighbour array from ``evaluate``, whose nodes are distinct and
     each reached one way, and ``ways`` is ``None``.  Branch counts are stored as
-    floats, each the correctly rounded value of the exact count, which is what
-    multiplying the count by a float uses."""
+    floats, the type ``nest_bound`` multiplies them in; each is exact below
+    2**53."""
 
     offsets: array  # "I", one entry per start and one more
     nodes: array  # "I"
     ways: array | None  # "d"
 
 
-class StartBits(NamedTuple):
-    """A rule's correct starts, ascending, and each one's traversal bits (the
-    values ``evaluate`` gives them), as parallel arrays (memory: 8 more bytes
-    a start, the starts being the record's own array)."""
-
-    starts: array  # "I"
-    bits: array  # "d"
-
-
-def _at_or_below(ids: array, nodes: Iterable[int]) -> Iterator[int]:
-    """For each node of ``nodes``, the position in the ascending, non-empty
-    ``ids`` of the last id at most the node, or -1 below the first.  The id
-    there is the node exactly when ``ids`` holds it (at -1 it is the last
-    id, above the node), so a bisection answers membership with no set."""
-    return map(sub, map(bisect_right, repeat(ids), nodes), repeat(1))
-
-
-def _num_common(a: array, b: array) -> int:
-    """How many ids the ascending id arrays ``a`` and ``b`` share: each id of
-    the shorter is looked up in the longer by bisection."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return 0
-    return countOf(map(eq, map(b.__getitem__, _at_or_below(b, a)), a), True)
-
-
-def _rows_by_path(rule: Rule, per_child: list, path: tuple[int, ...], rows: dict) -> None:
-    """Add to ``rows``, for each child of ``rule`` at ``path`` and below, the
-    child's path and a node -> matching-neighbour array dict, read off the
-    per-child results of an ``evaluate`` of ``rule``, one level per call."""
-    for i, (c, (reached, wss, _, sub)) in enumerate(zip(rule.children, per_child)):
-        rows[path + (i,)] = dict(zip(reached, wss))
-        if sub is not None:
-            _rows_by_path(c.child, sub, path + (i,), rows)
-
-
-def _reach_by_start(rule: Rule, per_child: list) -> dict[tuple[int, ...], Reach]:
+def _reach_by_start(
+    rule: Rule, per_child: list, path: tuple[int, ...] = (), reach: dict | None = None
+) -> dict[tuple[int, ...], Reach]:
     """The ``Reach`` of every inner path of ``rule`` from the per-child
     results of ``evaluate(rule, g, starts)``, every one of ``starts``
     correct, its starts in the order of ``starts``.  At depth 1 the rows are
-    the pass's own arrays; each deeper path's rows are looked up in one
-    node -> row dict.  Each start's branch counts are summed exactly, one
-    start at a time, before they are stored."""
-    reach = {
-        path: Reach(array("I", [0]), array("I"), array("d") if len(path) > 1 else None)
-        for path, _ in iter_positions(rule)
-        if path
-    }
-    rows: dict[tuple[int, ...], dict[int, array]] = {}
-
-    def descend(r: Rule, path: tuple[int, ...], reached: dict[int, int]) -> None:
-        for i, c in enumerate(r.children):
-            row_of = rows[path + (i,)]
-            nxt: dict[int, int] = {}
-            for u, ways in reached.items():
-                for w in row_of[u]:
-                    nxt[w] = nxt.get(w, 0) + ways
-            at = reach[path + (i,)]
-            at.nodes.extend(nxt)
-            at.ways.extend(nxt.values())
-            at.offsets.append(len(at.nodes))
-            descend(c.child, path + (i,), nxt)
-
-    for i, (c, (_, wss, _, sub)) in enumerate(zip(rule.children, per_child)):
-        at = reach[(i,)]
-        at.offsets.extend(accumulate(map(len, wss)))
-        at.nodes.frombytes(b"".join(wss))
+    the pass's own arrays; each deeper path, one level per call, reads each
+    start's nodes and branch counts at the path above and looks their rows
+    up in one node -> row dict, summing the counts one start at a time.
+    ``path`` and ``reach``, the path of ``rule`` and the dict being filled,
+    carry the recursion."""
+    if reach is None:
+        reach = {
+            p: Reach(array("I", [0]), array("I"), array("d") if len(p) > 1 else None)
+            for p, _ in iter_positions(rule)
+            if p
+        }
+    for i, (c, (reached, wss, _, sub)) in enumerate(zip(rule.children, per_child)):
+        at = reach[path + (i,)]
+        if path:
+            row_of, (offsets, nodes, ways) = dict(zip(reached, wss)), reach[path]
+            for lo, hi in zip(offsets, offsets[1:]):
+                nxt: dict[int, float] = {}
+                for u, n in zip(nodes[lo:hi], ways[lo:hi] if ways is not None else [1] * (hi - lo)):
+                    for w in row_of[u]:
+                        nxt[w] = nxt.get(w, 0) + n
+                at.nodes.extend(nxt)
+                at.ways.extend(nxt.values())
+                at.offsets.append(len(at.nodes))
+        else:
+            at.offsets.extend(accumulate(map(len, wss)))
+            at.nodes.frombytes(b"".join(wss))
         if sub is not None:
-            _rows_by_path(c.child, sub, (i,), rows)
-            for ws in wss:
-                descend(c.child, (i,), dict.fromkeys(ws, 1))
-    del descend  # break the closure's reference cycle, which holds ``rows``
+            _reach_by_start(c.child, sub, path + (i,), reach)
     return reach
 
 
@@ -622,29 +582,27 @@ def nest_bound(
     e_rt: RuleEntry,
     composed_rule: Rule,
     reach: Reach,
-    bits_in: StartBits,
-    bits_rt: StartBits,
+    bits_in: array,
+    bits_rt: array,
     g: KnowledgeGraph,
     slack: float = math.inf,
 ) -> float | None:
     """The model bits of ``composed_rule`` (``e_rt`` nested at ``path`` of
     ``e_in``) from cached per-start data, without matching it: ``reach`` is
-    e_in's reach at ``path``, listing its starts in the order of ``bits_in``,
-    and ``bits_in`` and ``bits_rt`` are the two rules' ``StartBits``.
-    ``None`` when the inner node and e_rt's root share a child, which
-    ``_dedup_children`` drops and the sum below would overcount.  The starts
-    of ``bits_rt`` are e_rt's correct-start array, which ``refine_nest``
-    shares with the record; each reached node is looked up in it by
-    bisection, which answers both whether it is a correct start of e_rt and
-    where its bits are.
+    e_in's reach at ``path`` and ``bits_in`` and ``bits_rt`` the two rules'
+    per-start traversal bits (``"d"`` arrays), each over its record's
+    correct starts in their array's order.  ``None`` when the inner node and
+    e_rt's root share a child, which ``_dedup_children`` drops and the sum
+    below would overcount.
 
     The path is non-empty, so the composed rule keeps e_in's root and its
     assertions.  A start stays correct exactly when it is correct in e_in and
-    every node it reaches at ``path`` is a correct start of e_rt.  Its
-    traversal bits are then its e_in bits plus the e_rt bits of each reached
-    node, counted once per branch that reaches it.  Nesting covers no edge or
-    label its two parts did not, so the error bits cannot fall, and this value
-    plus the current error bits bounds the total with the pair accepted.
+    every node it reaches at ``path`` is a correct start of e_rt, a key of
+    one ``{start: bits}`` dict of e_rt.  Its traversal bits are then its e_in
+    bits plus the e_rt bits of each reached node, counted once per branch
+    that reaches it.  Nesting covers no edge or label its two parts did not,
+    so the error bits cannot fall, and this value plus the current error
+    bits bounds the total with the pair accepted.
 
     The sum stops early, once the rule bits plus the traversal bits summed so
     far exceed the model bits of the two parts by more than ``slack``
@@ -661,17 +619,16 @@ def nest_bound(
         return None
     rule_bits = encoding.rule_cost(composed_rule, g)
     model_in, model_rt = e_in.model_bits, e_rt.model_bits
-    rt_starts, rt_start_bits = bits_rt
+    rt_bits_of = dict(zip(e_rt.correct_starts, bits_rt))
     offsets, nodes, ways = reach
     num_correct = 0
     traversal = 0.0
-    for k, in_bits in enumerate(bits_in.bits):
+    for k, in_bits in enumerate(bits_in):
         lo, hi = offsets[k], offsets[k + 1]
         reached = nodes[lo:hi]
-        at = list(_at_or_below(rt_starts, reached)) if rt_starts else None
-        if at is not None and all(map(eq, map(rt_starts.__getitem__, at), reached)):
+        if all(map(rt_bits_of.__contains__, reached)):
             num_correct += 1
-            rt_bits = map(rt_start_bits.__getitem__, at)
+            rt_bits = map(rt_bits_of.__getitem__, reached)
             if ways is not None:
                 rt_bits = map(mul, ways[lo:hi], rt_bits)
             traversal += in_bits + math.fsum(rt_bits)
@@ -696,33 +653,26 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
     earlier part's position, so the coverage refcounts move only when a pair
     is accepted.  Each scan sorts the pairs of the live entries afresh; a
     pair's Jaccard fit, which depends on its two rules alone, is carried over
-    from the last scan while both rules stay live.  The Jaccard counts and
-    ``nest_bound`` read the ascending start and occupied-node arrays by
-    bisection.  A
-    rule's start bits and reach are cached by its canonical key from the
-    first pair that reads them until no live entry has that key, so an
-    unchanged entry keeps its occupied nodes, and its pairs their order,
-    across acceptances.
+    from the last scan while both rules stay live; a fit it must compute
+    counts the nested rule's starts in one set of the nodes occupying the
+    inner position, built once per position per scan.  A rule's start bits
+    and reach are cached by its canonical key from the first pair that reads
+    them until no live entry has that key, so an unchanged entry keeps its
+    reach across acceptances.
     ``counts``, when given, is incremented with what happened to the pairs.
     """
     if counts is None:
         counts = NestCounts()
-    walked: dict[tuple, tuple[StartBits, dict[tuple, Reach], dict[tuple, array]]] = {}
+    walked: dict[tuple, tuple[array, dict[tuple, Reach]]] = {}
 
-    def walk_once(entry: RuleEntry) -> tuple:
-        """The ``StartBits``, and per inner path the ``Reach`` and the sorted
-        ``array("I")`` of the nodes occupying that position (the union of the
-        reach), from one ``evaluate`` over the correct starts, whose per-child
-        results are dropped once the reach is flattened (memory).  The
-        ``StartBits`` hold the entry's own start array, not a copy."""
+    def walk_once(entry: RuleEntry) -> tuple[array, dict[tuple, Reach]]:
+        """The entry's per-start bits, over its correct-start array in order,
+        and per inner path the ``Reach``, from one ``evaluate`` over those
+        starts, whose per-child results go once the reach is flattened."""
         hit = walked.get(entry.canon_key)
         if hit is None:
-            starts = entry.correct_starts
-            _, bits, per_child = evaluate(entry.rule, g, starts)
-            reach = _reach_by_start(entry.rule, per_child)
-            del per_child
-            occupied = {path: array("I", sorted(set(r.nodes))) for path, r in reach.items()}
-            hit = walked[entry.canon_key] = (StartBits(starts, array("d", bits)), reach, occupied)
+            _, bits, per_child = evaluate(entry.rule, g, entry.correct_starts)
+            hit = walked[entry.canon_key] = (array("d", bits), _reach_by_start(entry.rule, per_child))
         return hit
 
     pairs: list[tuple] = []
@@ -741,6 +691,7 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
             for path, node in iter_positions(e_in.rule):
                 if not path:
                     continue
+                occ = None  # the nodes occupying this position, for the fits not carried over
                 for j in by_root.get(node.root_labels, ()):
                     e_rt = entries[j]
                     if i == j or len(path) + e_rt.rule.depth() > MAX_RULE_DEPTH:
@@ -748,8 +699,10 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
                     key = (e_in.canon_key, path, e_rt.canon_key)
                     fit = fits.get(key)
                     if fit is None:
-                        occ, rt_starts = walk_once(e_in)[2][path], e_rt.correct_starts
-                        inter = _num_common(occ, rt_starts)
+                        if occ is None:
+                            occ = set(walk_once(e_in)[1][path].nodes)
+                        rt_starts = e_rt.correct_starts
+                        inter = countOf(map(occ.__contains__, rt_starts), True)
                         union = len(occ) + len(rt_starts) - inter
                         fit = -(inter / union if union else 0.0)
                     pairs.append((fit, *key, i, j))
@@ -759,7 +712,7 @@ def refine_nest(model: Model, g: KnowledgeGraph, counts: NestCounts | None = Non
             e_in, e_rt = entries[i], entries[j]
             counts.considered += 1
             composed_rule = canonicalize(_nest_rule(e_in.rule, path, e_rt.rule))
-            (bits_in, reach, _), (bits_rt, _, _) = walk_once(e_in), walk_once(e_rt)
+            (bits_in, reach), (bits_rt, _) = walk_once(e_in), walk_once(e_rt)
             slack = NEST_PRUNE_MARGIN * model.total
             bound = nest_bound(e_in, path, e_rt, composed_rule, reach[path], bits_in, bits_rt, g, slack)
             if bound is not None and bound - e_in.model_bits - e_rt.model_bits > slack:

@@ -266,10 +266,9 @@ MAX_RULE_DEPTH = 100
 recursive rule functions (``canonicalize``, ``evaluate`` and the coverage
 descent ``_cover``, which recurse once per rule level, ``iter_positions``,
 ``rule_to_dict``, ``rule_text``, ``Rule.depth``, ``encoding.rule_cost``,
-``miner._canon_key``, ``miner._nest_rule``, and ``miner._rows_by_path`` and
-the descent of ``miner._reach_by_start``) take at most a few interpreter
-frames per level, so
-a rule read from a file stays far under ``sys.getrecursionlimit()``."""
+``miner._canon_key``, ``miner._nest_rule`` and ``miner._reach_by_start``)
+take at most a few interpreter frames per level, so a rule read from a file
+stays far under ``sys.getrecursionlimit()``."""
 
 
 def rule_from_dict(data: dict, g: KnowledgeGraph) -> Rule:

@@ -445,6 +445,19 @@ def test_perturb_rejects_anomalies_with_pca(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pick", [[], ["--pca"]], ids=["inject", "pca"])
+def test_perturb_out_naming_a_file_exits_1_with_one_error_line(tmp_path, pick):
+    triples, labels = write_inputs(tmp_path, private_children_kg(n_roots=25))
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    proc = run_cli(["perturb", "--graph", triples, "--labels", labels, "--out", str(out), "--q", "0.04", *pick])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(out) in errors[0], proc.stderr
+    assert out.read_text() == "a file, not a directory\n"
+
+
 def test_score_and_complete_skip_rules_that_no_longer_apply(tmp_path):
     # a model mined when some node carried both X and Y, applied to a graph
     # where none does: that rule is skipped with a warning, the other applies
@@ -618,20 +631,26 @@ def test_a_mutated_model_file_exits_0_or_1_with_one_error_line(mined_model, muta
 
 
 @pytest.fixture(scope="module")
-def labelled_graph(tmp_path_factory):
-    """A valid labels file as text, the model file mined from it, and the
-    ``summarize`` arguments that read its mutated copy beside the triples of
-    A owns B owns C and write the model to the returned path."""
-    tmp = tmp_path_factory.mktemp("labels")
+def mined_tsv(tmp_path_factory):
+    """The valid triples and labels files of A owns B owns C as text, the
+    model file mined from them, and, for the name of either file, the
+    ``summarize`` arguments that read its mutated copy beside the other
+    valid file and write the model to the returned path."""
+    tmp = tmp_path_factory.mktemp("tsv")
     triples, labels = write_inputs(tmp, chained_ownership_kg(n_a=4, d_a=2, d_b=2))
     valid, mutated, out = tmp / "valid.json", tmp / "mutated.tsv", tmp / "m.json"
     assert main(["summarize", "--graph", triples, "--labels", labels, "--out", str(valid)]) == 0
-    args = ["summarize", "--graph", triples, "--labels", str(mutated), "--out", str(out)]
-    return Path(labels).read_text(encoding="utf-8"), valid.read_bytes(), mutated, args, out
+
+    def summarize(triples, labels):
+        return ["summarize", "--graph", triples, "--labels", labels, "--out", str(out)]
+
+    args = {"triples": summarize(str(mutated), labels), "labels": summarize(triples, str(mutated))}
+    texts = {name: Path(path).read_text(encoding="utf-8") for name, path in zip(args, (triples, labels))}
+    return texts, valid.read_bytes(), mutated, args, out
 
 
-def mutate_labels(text: str, mutation: tuple) -> bytes:
-    """The bytes of the labels file ``text`` changed as ``mutation`` says."""
+def mutate_lines(text: str, mutation: tuple) -> bytes:
+    """The bytes of the TSV file ``text`` changed as ``mutation`` says."""
     kind, *args = mutation
     raw = text.encode()
     if kind == "truncate":
@@ -654,37 +673,28 @@ def mutate_labels(text: str, mutation: tuple) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-# a label line with a wrong field count or an empty field, each an error
-_BAD_LABEL_LINES = ("a0", "a0\tA\tB", "\tA", "a0\t", "a0\t\tA", "a0\tA\t", " \tA\tB")
-# lines the reader skips: comments and whitespace alone
-_SKIPPED_LABEL_LINES = ("#", "# a0\tA\tB", "#\t", "", "   ", "\t", " \t \t", "\r", "\x0c")
-_LABEL_MUTATIONS = st.one_of(
-    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
-    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
-    st.tuples(st.just("endings"), st.booleans(), st.integers(0, 2**16 - 1)),
-    st.tuples(st.just("replace"), st.integers(0, 10**6), st.sampled_from(_BAD_LABEL_LINES)),
-    st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(_SKIPPED_LABEL_LINES)),
-)
+def line_mutations(bad_lines: tuple[str, ...]):
+    """Truncation, a byte flip, a BOM with any mix of LF and CRLF endings, a
+    line replaced by one of ``bad_lines``, or a line the reader skips
+    inserted."""
+    return st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+        st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+        st.tuples(st.just("endings"), st.booleans(), st.integers(0, 2**16 - 1)),
+        st.tuples(st.just("replace"), st.integers(0, 10**6), st.sampled_from(bad_lines)),
+        st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(_SKIPPED_LINES)),
+    )
 
 
-@settings(max_examples=12, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(mutation=_LABEL_MUTATIONS)
-@example(mutation=("endings", True, 0b1010))
-@example(mutation=("endings", True, 2**16 - 1))
-@example(mutation=("truncate", 0))
-@example(mutation=("replace", 3, "a0\tA\tB"))
-@example(mutation=("replace", 0, "a0\t"))
-@example(mutation=("replace", 5, "a0"))
-@example(mutation=("insert", 0, "# a0\tA\tB"))
-@example(mutation=("insert", 7, " \t \t"))
-def test_a_mutated_labels_file_exits_0_1_or_2_with_one_error_line(labelled_graph, mutation):
-    # a labels file truncated, with a byte flipped, with a BOM and a mix of
-    # LF and CRLF endings, with a line of the wrong field count or an empty
-    # field, or with a comment or whitespace-only line inserted
-    text, valid, path, args, out = labelled_graph
-    path.write_bytes(mutate_labels(text, mutation))
+def check_mutated_input(mined_tsv, name: str, mutation: tuple) -> None:
+    """Run ``summarize`` on the ``name`` file mutated as ``mutation`` says:
+    it must exit 0, 1 or 2 with no traceback, and print one ``error:`` line
+    exactly when it exits 1.  A file changed only where the reader skips
+    gives the unmutated model; a bad line is an error naming its line."""
+    texts, valid, path, args, out = mined_tsv
+    path.write_bytes(mutate_lines(texts[name], mutation))
     out.unlink(missing_ok=True)
-    proc = run_cli(args)
+    proc = run_cli(args[name])
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
@@ -693,6 +703,42 @@ def test_a_mutated_labels_file_exits_0_1_or_2_with_one_error_line(labelled_graph
         assert proc.returncode == 0 and out.read_bytes() == valid, proc.stderr
     if mutation[0] == "replace":
         assert proc.returncode == 1 and "line" in errors[0], proc.stderr
+
+
+# lines the reader skips: comments and whitespace alone
+_SKIPPED_LINES = ("#", "# a0\tA\tB", "#\t", "", "   ", "\t", " \t \t", "\r", "\x0c")
+# a label line with a wrong field count or an empty field, each an error
+_BAD_LABEL_LINES = ("a0", "a0\tA\tB", "\tA", "a0\t", "a0\t\tA", "a0\tA\t", " \tA\tB")
+# a triple line with a wrong field count or an empty field, each an error
+_BAD_TRIPLE_LINES = ("a0", "a0\tp", "a0\tp\tb0\tc0", "\tp\tb0", "a0\t\tb0", "a0\tp\t", "a0\tp\tb0\t")
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=line_mutations(_BAD_LABEL_LINES))
+@example(mutation=("endings", True, 0b1010))
+@example(mutation=("endings", True, 2**16 - 1))
+@example(mutation=("truncate", 0))
+@example(mutation=("replace", 3, "a0\tA\tB"))
+@example(mutation=("replace", 0, "a0\t"))
+@example(mutation=("replace", 5, "a0"))
+@example(mutation=("insert", 0, "# a0\tA\tB"))
+@example(mutation=("insert", 7, " \t \t"))
+def test_a_mutated_labels_file_exits_0_1_or_2_with_one_error_line(mined_tsv, mutation):
+    check_mutated_input(mined_tsv, "labels", mutation)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=line_mutations(_BAD_TRIPLE_LINES))
+@example(mutation=("endings", True, 0b1010))
+@example(mutation=("endings", True, 2**16 - 1))
+@example(mutation=("truncate", 0))
+@example(mutation=("replace", 3, "a0\tp\tb0\tc0"))
+@example(mutation=("replace", 0, "a0\t\tb0"))
+@example(mutation=("replace", 5, "a0\tp"))
+@example(mutation=("insert", 0, "# a0\tp\tb0"))
+@example(mutation=("insert", 7, " \t \t"))
+def test_a_mutated_triples_file_exits_0_1_or_2_with_one_error_line(mined_tsv, mutation):
+    check_mutated_input(mined_tsv, "triples", mutation)
 
 
 def test_truth_file_given_as_the_model_exits_1_with_one_error_line(tmp_path):

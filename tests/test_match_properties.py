@@ -187,7 +187,7 @@ def visited(g, rule, starts) -> set[tuple[int, int]]:
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_a_star_hosts_start_bits_and_reach_are_the_oracles(data):
-    # refine_nest reads a host's StartBits and Reach off one evaluate of its
+    # refine_nest reads a host's start bits and Reach off one evaluate of its
     # sorted correct starts: each start's bits the oracle's (==), for a star
     # host and a depth-3 host, and each start's depth-1 neighbours the
     # oracle's

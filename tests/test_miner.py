@@ -524,6 +524,51 @@ def test_refine_nest_evaluates_pairs_whose_children_dedup(monkeypatch):
     assert ((0,), nested, None) in bounds
 
 
+def labelled(edges: str, labels: str):
+    """The graph of the space-separated ``s p o`` triples and ``node label``
+    pairs, one per comma-separated item."""
+    return parse_graph(
+        [e.replace(" ", "\t") + "\n" for e in edges.split(",")],
+        [l.replace(" ", "\t") + "\n" for l in labels.split(",")],
+    )
+
+
+def test_nest_bound_counts_no_start_whose_reach_leaves_the_nested_rules_starts(monkeypatch):
+    # a1 reaches b1 and b2, a2 reaches b1 alone; b2 has no q edge, so B->q->C
+    # holds at b1 only and nesting it beneath A->p->B keeps a2 and loses a1
+    g = labelled("a1 p b1,a1 p b2,a2 p b1,b1 q c1", "a1 A,a2 A,b1 B,b2 B,c1 C")
+    a, b, c = (g.label_id(n) for n in "ABC")
+    host, nested = atomic(a, g.pred_id("p"), OUT, b), atomic(b, g.pred_id("q"), OUT, c)
+    _, bounds = check_nest_against_oracle(g, build_model(g, [host, nested]), monkeypatch)
+    ((path, composed, bound),) = bounds
+    assert path == (0,) and RuleEntry.from_rule(composed, g).num_correct == 1
+    assert bound is not None  # and equal to the composition's model bits, checked above
+
+
+def test_nest_fit_counts_the_nested_rules_starts_the_host_never_reaches(monkeypatch):
+    # A->p->B occupies b1 and b2.  B->q->C holds at b1..b6: Jaccard 2/6, the
+    # four starts the host never reaches in the union.  B->r->D holds at b1
+    # alone: Jaccard 1/2, so its pair is tried first
+    bs = [f"b{k}" for k in range(1, 7)]
+    g = labelled(
+        ",".join(["a1 p b1", "a1 p b2", "b1 r d1"] + [f"{x} q c1" for x in bs]),
+        ",".join(["a1 A", "c1 C", "d1 D"] + [f"{x} B" for x in bs]),
+    )
+    a, b, c, d = (g.label_id(n) for n in "ABCD")
+    wide, narrow = atomic(b, g.pred_id("q"), OUT, c), atomic(b, g.pred_id("r"), OUT, d)
+    model = build_model(g, [atomic(a, g.pred_id("p"), OUT, b), wide, narrow])
+    assert [len(e.correct_starts) for e in model.entries] == [1, 6, 1]
+    tried = []
+
+    def recording(e_in, path, e_rt, *args):
+        tried.append(e_rt.rule)
+        return nest_bound(e_in, path, e_rt, *args)
+
+    monkeypatch.setattr(miner, "nest_bound", recording)
+    refine_nest(model, g)
+    assert tried[0] == narrow
+
+
 @pytest.mark.parametrize(
     "name, expected", [("sparse", (300, 300, 0, 0)), ("nested", (50, 0, 50, 25))]
 )
@@ -653,31 +698,34 @@ def test_mining_holds_few_bytes_per_edge_beyond_the_graph():
     # a whole summarize.  Correct starts and coverage as sorted id arrays,
     # edge and label refcounts as arrays indexed by id, candidates built one
     # pattern at a time as slotted records, and nest walks kept as flat reach
-    # and bits arrays keep it at 45.5-46.5 B per distinct edge under Python
-    # 3.10.13-3.12.1; with the correct starts as frozensets, 74.4-75.2 B;
-    # with dataclass records and per-start bits dicts, 79-82 B; with
-    # per-start reach lists and occupied frozensets, 143-146 B; with label
-    # refcounts in a dict and every pattern's sets built at once, 162-166 B,
-    # and with sets of ids and a dict of edge refcounts, 301-303 B.
+    # and bits arrays keep it at 42.3-43.5 B per distinct edge under Python
+    # 3.10.13-3.12.1; with each walk's occupied nodes and start bits as
+    # arrays of their own, 45.5-46.8 B; with the correct starts as
+    # frozensets, 74.4-75.2 B; with dataclass records and per-start bits
+    # dicts, 79-82 B; with per-start reach lists and occupied frozensets,
+    # 143-146 B; with label refcounts in a dict and every pattern's sets
+    # built at once, 162-166 B, and with sets of ids and a dict of edge
+    # refcounts, 301-303 B.
     per_edge = traced_peak_per_edge(lambda g: summarize(g, refine="nest"))
-    assert per_edge <= 52, f"{per_edge:.1f} B per distinct edge"
+    assert per_edge <= 49, f"{per_edge:.1f} B per distinct edge"
 
 
 def test_nesting_peaks_at_few_bytes_per_edge_beyond_the_graph():
     # refine_nest keeps a walk cache for every host it pairs, as flat reach
     # and bits arrays over the hosts' own start arrays: its peak, the model
-    # included, is 41.8-42.2 B per distinct edge under Python 3.10.13-3.12.1,
-    # against select's 31.8-32.3 B.  With the correct starts as frozensets it
-    # read 62.5-62.9 B (select's, 70.7-71.2 B); with per-start bits dicts,
-    # 3.54-3.60 MiB, and with per-start reach lists and occupied frozensets,
-    # 6.58-6.73 MiB.
+    # included, is 38.5-38.9 B per distinct edge under Python 3.10.13-3.12.1,
+    # against select's 31.8-32.3 B.  With each walk's occupied nodes as a
+    # sorted array and its start bits in a named tuple, it read 41.7-42.2 B;
+    # with the correct starts as frozensets, 62.5-62.9 B (select's, 70.7-71.2
+    # B); with per-start bits dicts, 3.54-3.60 MiB, and with per-start reach
+    # lists and occupied frozensets, 6.58-6.73 MiB.
     def nest(g):
         model = summarize(g, refine="merge")
         tracemalloc.reset_peak()
         refine_nest(model, g)
 
     per_edge = traced_peak_per_edge(nest)
-    assert per_edge <= 52, f"{per_edge:.1f} B per distinct edge"
+    assert per_edge <= 44, f"{per_edge:.1f} B per distinct edge"
 
 
 def test_generating_candidates_holds_few_bytes_per_edge_beyond_the_graph():

@@ -34,7 +34,6 @@ from kgsum.miner import (
     Model,
     Reach,
     RuleEntry,
-    StartBits,
     _dedup_children,
     _nest_rule,
     _reach_by_start,
@@ -322,11 +321,11 @@ def dict_reach_by_start(g, rule, starts):
 
 
 def start_bits_and_reach(g, entry):
-    """``entry``'s ``StartBits`` and ``Reach`` per inner path, from one
-    ``evaluate`` of its correct-start array, as ``refine_nest`` reads them."""
-    starts = entry.correct_starts
-    _, bits, per_child = evaluate(entry.rule, g, starts)
-    return StartBits(starts, array("d", bits)), _reach_by_start(entry.rule, per_child)
+    """``entry``'s per-start bits, over its correct-start array in order, and
+    its ``Reach`` per inner path, from one ``evaluate`` of that array, as
+    ``refine_nest`` reads them."""
+    _, bits, per_child = evaluate(entry.rule, g, entry.correct_starts)
+    return array("d", bits), _reach_by_start(entry.rule, per_child)
 
 
 def flat_reach(starts, by_start) -> Reach:
@@ -342,9 +341,9 @@ def flat_reach(starts, by_start) -> Reach:
 
 def nest_bound_args(g, hosts, nested):
     """The ``nest_bound`` arguments but the graph, (e_in, path, e_rt, composed
-    rule, e_in's reach at the path, e_in's ``StartBits``, e_rt's
-    ``StartBits``), of every pair of a host and a nested rule whose root
-    labels are those of an inner node of the host."""
+    rule, e_in's reach at the path, e_in's per-start bits, e_rt's per-start
+    bits), of every pair of a host and a nested rule whose root labels are
+    those of an inner node of the host."""
     for e_in in hosts:
         bits_in, reach = start_bits_and_reach(g, e_in)
         for path, node in iter_positions(e_in.rule):
@@ -384,7 +383,7 @@ def check_reach(g, hosts, nested) -> set[tuple[int, int]]:
     for e_in, path, e_rt, composed, reach, bits_in, bits_rt in nest_bound_args(g, hosts, nested):
         args = bits_in, bits_rt, g
         bound = nest_bound(e_in, path, e_rt, composed, reach, *args)
-        want = flat_reach(bits_in.starts, dict_forms[id(e_in)][path])
+        want = flat_reach(e_in.correct_starts, dict_forms[id(e_in)][path])
         assert bound == nest_bound(e_in, path, e_rt, composed, want, *args)
     return seen
 
@@ -408,13 +407,13 @@ def assert_early_stop_prunes_as_the_full_bound(g, pair, slack) -> bool:
     return early != full
 
 
-def reach_case(seed):
-    """Random hosts up to two levels deep on a dense random graph, where
-    several branches often reach one node, and the nested rules to pair them
-    with: the hosts and the ranked candidates."""
+def reach_case(seed, max_depth=3):
+    """Random hosts up to ``max_depth - 1`` levels deep on a dense random
+    graph, where several branches often reach one node, and the nested rules
+    to pair them with: the hosts and the ranked candidates."""
     rng = random.Random(seed)
     g = random_kg(rng, max_nodes=9, max_labels=3, max_preds=2, edge_factor=2.5)
-    rules = [canonicalize(random_rule(rng, g, max_depth=3)) for _ in range(6)]
+    rules = [canonicalize(random_rule(rng, g, max_depth=max_depth)) for _ in range(6)]
     # a rule has assertions only if some node carries all its root labels
     hosts = [RuleEntry.from_rule(r, g) for r in rules if g.nodes_with_labels(r.root_labels)]
     return g, hosts, hosts + rank(qualify_all(generate_candidates(g), g), g)
@@ -484,3 +483,6 @@ def test_reach_cases_cover_both_depths_and_converging_branches():
     seen = set().union(*(check_reach(*reach_case(seed)) for seed in range(20)))
     assert (1, 1) in seen
     assert any(depth == 2 and ways > 1 for depth, ways in seen)
+    # a third level sums the branch counts stored for the second
+    seen = set().union(*(check_reach(*reach_case(seed, max_depth=4)) for seed in range(20)))
+    assert any(depth == 3 and ways > 1 for depth, ways in seen)
