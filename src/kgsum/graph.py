@@ -37,8 +37,7 @@ and a set of further labels for each node that has more, so a one-label node
 takes 4 bytes while the file is read; the label sets are then built in
 node-id order.  Nodes with equal label sets share one frozenset, and each
 label's nodes are one ascending ``array("I")`` of node ids (``label_index``),
-built at load from the nodes' label sets; ``label_nodes`` hands out a
-frozenset copy.  ``edges`` and
+built at load from the nodes' label sets.  ``edges`` and
 ``distinct_edges`` build (s, p, o) tuple lists on each call; mining, scoring
 and completion never call them.
 """
@@ -273,10 +272,6 @@ class KnowledgeGraph:
     def universe_labels(self) -> int:
         """Slots in the binary label matrix: |L_V| * |V|."""
         return self.num_labels * self.num_nodes
-
-    def label_nodes(self, label: int) -> frozenset[int]:
-        """The nodes carrying ``label``, as a snapshot (empty for an unknown id)."""
-        return frozenset(self._label_array(label))
 
     def _label_array(self, label: int) -> array:
         if 0 <= label < len(self.label_index):

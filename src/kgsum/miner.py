@@ -179,10 +179,6 @@ class Model:
         self.rule_and_assertion_bits = bits
 
     @property
-    def rules(self) -> list[Rule]:
-        return [e.rule for e in self.entries]
-
-    @property
     def error_bits(self) -> float:
         g = self.graph
         return encoding.error_cost_counts(g, self.num_modeled_labels, self.num_modeled_edges)
@@ -459,11 +455,26 @@ def select(g: KnowledgeGraph, ranked: list[RuleEntry], max_passes: int = 3) -> M
 
 def build_model(g: KnowledgeGraph, rules: Iterable[Rule]) -> Model:
     """The model of an explicit rule list, costed: each rule canonicalized,
-    matched and added as a ``load`` step, in list order."""
+    matched and added as a ``load`` step, in list order.
+
+    A rule whose root labels no node of ``g`` carries together has no
+    assertions and cannot be encoded; such rules (a model applied to a graph
+    that has drifted since mining) are skipped with one warning."""
     model = Model(g)
-    for rule in rules:
-        entry = RuleEntry.from_rule(canonicalize(rule), g)
-        model.add(entry, "load", model.price(entry))
+    skipped: list[str] = []
+    for rule in map(canonicalize, rules):
+        starts = g.nodes_with_labels(rule.root_labels)
+        if starts:
+            entry = RuleEntry.from_rule(rule, g, starts)
+            model.add(entry, "load", model.price(entry))
+        else:
+            skipped.append(rule_text(rule, g))
+    if skipped:
+        warnings.warn(
+            f"{len(skipped)} model rule(s) skipped: no node carries all their root labels: "
+            + "; ".join(skipped),
+            stacklevel=2,
+        )
     return model
 
 
@@ -815,13 +826,10 @@ def model_to_dict(model: Model) -> dict:
 
 
 def model_from_dict(data: dict, g: KnowledgeGraph) -> Model:
-    """Rebuild a model on ``g`` from a serialized rule list (costs recomputed),
-    each rule recorded as a ``load`` step.
-
-    A rule whose root labels no node of ``g`` carries together has no
-    assertions and cannot be encoded; such rules (a model applied to a graph
-    that has drifted since mining) are skipped with one warning.  A document
-    of any other shape raises ``RuleFormatError``, before any rule is matched.
+    """Rebuild a model on ``g`` from a serialized rule list (costs recomputed)
+    with ``build_model``, which skips the rules that no longer apply.  A
+    document of any other shape raises ``RuleFormatError``, before any rule
+    is matched.
     """
     entries = data.get("rules") if isinstance(data, dict) else None
     if not isinstance(entries, list):
@@ -830,20 +838,5 @@ def model_from_dict(data: dict, g: KnowledgeGraph) -> Model:
     for entry in entries:
         if not isinstance(entry, dict) or "rule" not in entry:
             raise RuleFormatError("each model rule must be an object with a 'rule'")
-        rules.append(rule_from_dict(entry["rule"], g))  # canonical already
-    model = Model(g)
-    skipped: list[str] = []
-    for rule in rules:
-        starts = g.nodes_with_labels(rule.root_labels)
-        if starts:
-            entry = RuleEntry.from_rule(rule, g, starts)
-            model.add(entry, "load", model.price(entry))
-        else:
-            skipped.append(rule_text(rule, g))
-    if skipped:
-        warnings.warn(
-            f"{len(skipped)} model rule(s) skipped: no node carries all their root labels: "
-            + "; ".join(skipped),
-            stacklevel=2,
-        )
-    return model
+        rules.append(rule_from_dict(entry["rule"], g))
+    return build_model(g, rules)

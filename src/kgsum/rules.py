@@ -75,13 +75,6 @@ class AssertionSet(NamedTuple):
         return len(self.correct_starts) + len(self.exception_starts)
 
 
-def atomic(root_label: int, predicate: int, direction: int, child_label: int) -> Rule:
-    return Rule(
-        frozenset((root_label,)),
-        (Child(predicate, direction, Rule(frozenset((child_label,)))),),
-    )
-
-
 def _sort_key(rule: Rule):
     return (
         tuple(sorted(rule.root_labels)),

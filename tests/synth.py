@@ -99,6 +99,16 @@ def random_rule(rng: random.Random, g: KnowledgeGraph, max_depth: int = 2, max_c
     return Rule(root, tuple(children))
 
 
+def atomic(root_label: int, predicate: int, direction: int, child_label: int) -> Rule:
+    """The one-child rule ``root_label --predicate/direction--> child_label``."""
+    return Rule(frozenset((root_label,)), (Child(predicate, direction, Rule(frozenset((child_label,)))),))
+
+
+def model_rules(model) -> list[Rule]:
+    """The model's rules, in entry order."""
+    return [e.rule for e in model.entries]
+
+
 def private_children_kg(n_roots: int = 20, degree: int = 3) -> KnowledgeGraph:
     """Each A node owns `degree` private B children (B in-degree exactly 1),
     so the A-rooted orientation is the compressible one."""

@@ -11,10 +11,10 @@ from kgsum.encoding import log_binomial
 from kgsum.evalharness import freq_select
 from kgsum.graph import parse_graph
 from kgsum.miner import build_model, generate_candidates, qualify_all, rank, refine_merge, refine_nest, summarize
-from kgsum.rules import OUT, atomic, match
+from kgsum.rules import OUT, match
 
 from oracles import oracle_missing_reports
-from synth import random_kg, random_owned_kg, random_rule
+from synth import atomic, random_kg, random_owned_kg, random_rule
 
 
 def eight_assertion_graph():

@@ -567,6 +567,8 @@ _NUMBERS = {
 }
 # a value of every JSON type, lists and objects holding strings and containers
 _WRONG = st.sampled_from((None, True, 0, -1.5, "X", [], [0], ["X", ["X"]], {}, {"X": []}))
+# JSON number literals that decode as NaN, an infinity or a huge int
+_NUMBER_LITERALS = ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400, "9" * 5000)
 _MUTATIONS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 10**6)),
     st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
@@ -575,7 +577,7 @@ _MUTATIONS = st.one_of(
     st.tuples(
         st.just("number"),
         st.sampled_from(sorted(_NUMBERS)),
-        st.sampled_from(("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400, "9" * 5000)),
+        st.sampled_from(_NUMBER_LITERALS),
     ),
 )
 
@@ -632,10 +634,10 @@ def test_a_mutated_model_file_exits_0_or_1_with_one_error_line(mined_model, muta
 
 @pytest.fixture(scope="module")
 def mined_tsv(tmp_path_factory):
-    """The valid triples and labels files of A owns B owns C as text, the
-    model file mined from them, and, for the name of either file, the
-    ``summarize`` arguments that read its mutated copy beside the other
-    valid file and write the model to the returned path."""
+    """The valid triples and labels files of A owns B owns C as text and,
+    for the name of either file, the model file mined from the valid files
+    and the ``summarize`` arguments that read its mutated copy beside the
+    other valid file and write the model to the returned path."""
     tmp = tmp_path_factory.mktemp("tsv")
     triples, labels = write_inputs(tmp, chained_ownership_kg(n_a=4, d_a=2, d_b=2))
     valid, mutated, out = tmp / "valid.json", tmp / "mutated.tsv", tmp / "m.json"
@@ -646,7 +648,7 @@ def mined_tsv(tmp_path_factory):
 
     args = {"triples": summarize(str(mutated), labels), "labels": summarize(triples, str(mutated))}
     texts = {name: Path(path).read_text(encoding="utf-8") for name, path in zip(args, (triples, labels))}
-    return texts, valid.read_bytes(), mutated, args, out
+    return texts, dict.fromkeys(args, valid.read_bytes()), mutated, args, out
 
 
 def mutate_lines(text: str, mutation: tuple) -> bytes:
@@ -664,35 +666,47 @@ def mutate_lines(text: str, mutation: tuple) -> bytes:
         ends = ("\n", "\r\n")
         body = "".join(line + ends[mask >> (i % 16) & 1] for i, line in enumerate(lines))
         return ("\ufeff" if bom else "").encode() + body.encode()
-    at, line = args
+    at, *args = args
     at %= len(lines) + (kind == "insert")
     if kind == "replace":
-        lines[at] = line
+        lines[at] = args[0]
+    elif kind == "field":  # one tab-separated field of the line
+        column, value = args
+        fields = lines[at].split("\t")
+        fields[column % len(fields)] = value
+        lines[at] = "\t".join(fields)
     else:
-        lines.insert(at, line)
+        lines.insert(at, args[0])
     return "".join(line + "\n" for line in lines).encode()
 
 
-def line_mutations(bad_lines: tuple[str, ...]):
+def line_mutations(bad_lines: tuple[str, ...], values: tuple[str, ...] = ()):
     """Truncation, a byte flip, a BOM with any mix of LF and CRLF endings, a
     line replaced by one of ``bad_lines``, or a line the reader skips
-    inserted."""
-    return st.one_of(
+    inserted; with ``values``, also one field of a line replaced by one of
+    them."""
+    mutations = [
         st.tuples(st.just("truncate"), st.integers(0, 10**6)),
         st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
         st.tuples(st.just("endings"), st.booleans(), st.integers(0, 2**16 - 1)),
         st.tuples(st.just("replace"), st.integers(0, 10**6), st.sampled_from(bad_lines)),
         st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(_SKIPPED_LINES)),
-    )
+    ]
+    if values:
+        mutations.append(
+            st.tuples(st.just("field"), st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(values))
+        )
+    return st.one_of(*mutations)
 
 
-def check_mutated_input(mined_tsv, name: str, mutation: tuple) -> None:
-    """Run ``summarize`` on the ``name`` file mutated as ``mutation`` says:
-    it must exit 0, 1 or 2 with no traceback, and print one ``error:`` line
-    exactly when it exits 1.  A file changed only where the reader skips
-    gives the unmutated model; a bad line is an error naming its line."""
-    texts, valid, path, args, out = mined_tsv
-    path.write_bytes(mutate_lines(texts[name], mutation))
+def check_mutated_input(inputs, name: str, mutation: tuple, mutate=mutate_lines) -> None:
+    """Run the command that reads the ``name`` file mutated as ``mutation``
+    says (``mutate`` gives the bytes): it must exit 0, 1 or 2 with no
+    traceback, and print one ``error:`` line exactly when it exits 1.  A file
+    changed only where the reader skips gives the unmutated output; a bad
+    line is an error naming its line."""
+    texts, valid, path, args, out = inputs
+    path.write_bytes(mutate(texts[name], mutation))
     out.unlink(missing_ok=True)
     proc = run_cli(args[name])
     assert proc.returncode in (0, 1, 2), proc.stderr
@@ -700,7 +714,7 @@ def check_mutated_input(mined_tsv, name: str, mutation: tuple) -> None:
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == (proc.returncode == 1), proc.stderr
     if mutation[0] in ("endings", "insert"):  # nothing but what the reader skips changed
-        assert proc.returncode == 0 and out.read_bytes() == valid, proc.stderr
+        assert proc.returncode == 0 and out.read_bytes() == valid[name], proc.stderr
     if mutation[0] == "replace":
         assert proc.returncode == 1 and "line" in errors[0], proc.stderr
 
@@ -739,6 +753,158 @@ def test_a_mutated_labels_file_exits_0_1_or_2_with_one_error_line(mined_tsv, mut
 @example(mutation=("insert", 7, " \t \t"))
 def test_a_mutated_triples_file_exits_0_1_or_2_with_one_error_line(mined_tsv, mutation):
     check_mutated_input(mined_tsv, "triples", mutation)
+
+
+@pytest.fixture(scope="module")
+def applied_inputs(tmp_path_factory):
+    """The inputs that ``score`` and ``evaluate`` read, on a perturbation and
+    on a PCA removal of A owns B owns C, in the shape of ``mined_tsv``: for
+    each name (``test-edges``, ``ranking``, and a truth file of either kind)
+    the valid file's text, the output the command writes from it, and the
+    arguments that read its mutated copy in its place."""
+    tmp = tmp_path_factory.mktemp("applied")
+    triples, labels = write_inputs(tmp, chained_ownership_kg(n_a=4, d_a=2, d_b=2))
+    mutated, out = tmp / "mutated", tmp / "out"
+    pert, pca = tmp / "perturbation", tmp / "pca_removal"
+    common = ["--graph", triples, "--labels", labels, "--q", "0.1"]
+    assert main(["perturb", *common, "--out", str(pert), "--anomalies", "a3"]) == 0
+    assert main(["perturb", *common, "--out", str(pca), "--pca"]) == 0
+    inputs = {}  # each perturbed graph and the model mined from it
+    for d in (pert, pca):
+        graph = ["--graph", str(d / "triples.tsv"), "--labels", str(d / "labels.tsv")]
+        assert main(["summarize", *graph, "--out", str(d / "model.json")]) == 0
+        inputs[d] = [*graph, "--model", str(d / "model.json")]
+    files = {"test-edges": pert / "test_edges.tsv", "ranking": pert / "ranking.tsv",
+             "perturbation": pert / "truth.json", "pca_removal": pca / "truth.json"}
+    score = ["score", *inputs[pert], "--test-edges"]
+    assert main([*score, str(files["test-edges"]), "--out", str(files["ranking"])]) == 0
+    evaluate = ["evaluate", "--out", str(out), "--truth"]
+    args = {
+        "test-edges": [*score, str(mutated), "--out", str(out)],
+        "ranking": [*evaluate, str(files["perturbation"]), "--ranking", str(mutated)],
+        "perturbation": [*evaluate, str(mutated), "--ranking", str(files["ranking"])],
+        "pca_removal": [*evaluate, str(mutated), *inputs[pca]],
+    }
+    texts = {name: path.read_text(encoding="utf-8") for name, path in files.items()}
+    valid = {}
+    for name, text in texts.items():
+        mutated.write_text(text, encoding="utf-8")
+        assert main(args[name]) == 0
+        valid[name] = out.read_bytes()
+    return texts, valid, mutated, args, out
+
+
+# a test-edge line with a wrong field count, an empty field or an unknown name, each an error
+_BAD_EDGE_LINES = ("a0", "a0\tp", "a0\tp\tb0\tc0", "\tp\tb0", "a0\t\tb0", "a0\tp\t", "nobody\tp\tb0", "a0\tp\tnobody")
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=line_mutations(_BAD_EDGE_LINES, ("nobody", "p", "a0", "", " ")))
+@example(mutation=("endings", True, 0b1010))
+@example(mutation=("truncate", 0))
+@example(mutation=("replace", 3, "a0\tp\tb0\tc0"))
+@example(mutation=("insert", 0, "# a0\tp\tb0"))
+@example(mutation=("field", 0, 0, "nobody"))
+@example(mutation=("field", 1, 1, "nobody"))
+@example(mutation=("field", 2, 2, "nobody"))
+def test_a_mutated_test_edges_file_exits_0_1_or_2_with_one_error_line(applied_inputs, mutation):
+    # a wrong type here is a name the graph does not know, in each of the three fields
+    check_mutated_input(applied_inputs, "test-edges", mutation)
+
+
+# a ranking line with a wrong field count, an empty field or a score that is not a number, each an error
+_BAD_RANKING_LINES = ("a0\tp\tb0", "a0\tp\tb0\t1\t2", "a0\tp\tb0\t", "\tp\tb0\t1", "a0\tp\tb0\tnan", "a0\tp\tb0\tx")
+# scores: NaN, infinities, a huge number, and text that is not a number
+_SCORES = ("nan", "NaN", "inf", "-Infinity", "1e999", "9" * 5000, "abc", " ", "nobody")
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=line_mutations(_BAD_RANKING_LINES, _SCORES))
+@example(mutation=("endings", True, 0b1010))
+@example(mutation=("truncate", 0))
+@example(mutation=("replace", 3, "a0\tp\tb0\tnan"))
+@example(mutation=("insert", 0, "# a0\tp\tb0\t1"))
+@example(mutation=("field", 0, 0, "nobody"))
+@example(mutation=("field", 1, 1, "nobody"))
+@example(mutation=("field", 2, 2, "nobody"))
+@example(mutation=("field", 3, 3, "abc"))
+@example(mutation=("field", 4, 3, "inf"))
+@example(mutation=("field", 5, 3, "9" * 5000))
+def test_a_mutated_ranking_file_exits_0_1_or_2_with_one_error_line(applied_inputs, mutation):
+    # a wrong type is an unknown edge in the first three fields, and a score that is not a number
+    check_mutated_input(applied_inputs, "ranking", mutation)
+
+
+# where a wrong value goes in each kind of truth file, as a dotted path of keys and list indexes
+_TRUTH_FIELDS = {
+    "perturbation": (
+        "kind", "q", "seed", "types", "positives", "negatives", "positives.0.s", "positives.0.p",
+        "positives.0.o", "positives.0.types", "positives.0.split", "negatives.0.s", "negatives.0.p",
+        "negatives.0.o", "negatives.0.split",
+    ),
+    "pca_removal": (
+        "kind", "q", "seed", "removed", "removed.0.labels", "removed.0.split", "removed.0.destroyed",
+        "removed.0.destroyed.0.survivor", "removed.0.destroyed.0.predicate", "removed.0.destroyed.0.direction",
+    ),
+}
+
+
+def mutate_json(text: str, mutation: tuple) -> bytes:
+    """The bytes of the JSON file ``text`` changed as ``mutation`` says: as
+    ``mutate_lines`` changes any file, or with the value at a dotted path
+    replaced by a value of another JSON type, by a number literal, or by
+    itself inside that many nested lists."""
+    kind, *args = mutation
+    if kind in ("truncate", "flip", "endings"):
+        return mutate_lines(text, mutation)
+    path, value = args
+    *keys, last = (int(key) if key.isdigit() else key for key in path.split("."))
+    doc = json.loads(text)
+    node = doc
+    for key in keys:
+        node = node[key]
+    if kind == "type":
+        value = json.dumps(value)
+    elif kind == "nest":
+        value = "[" * value + json.dumps(node[last]) + "]" * value
+    node[last] = "@value@"  # then the literal, which json.dumps could not write
+    return json.dumps(doc, indent=2).replace('"@value@"', value).encode()
+
+
+def truth_mutations(name: str):
+    """A truth file of kind ``name`` truncated, with a byte flipped, with a
+    BOM and any mix of LF and CRLF endings, or with one value replaced by a
+    value of the wrong type, NaN, an infinity or a huge number, or nested
+    deeper than the decoder goes."""
+    fields = st.sampled_from(_TRUTH_FIELDS[name])
+    return st.tuples(st.just(name), st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+        st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+        st.tuples(st.just("endings"), st.booleans(), st.integers(0, 2**16 - 1)),
+        st.tuples(st.just("type"), fields, _WRONG),
+        st.tuples(st.just("number"), fields, st.sampled_from(_NUMBER_LITERALS)),
+        st.tuples(st.just("nest"), fields, st.sampled_from((1, 900, 3000))),
+    ))
+
+
+def wrong_type_examples(test):
+    """``test`` with an explicit example per truth field: a list holding a number there."""
+    for name, fields in _TRUTH_FIELDS.items():
+        for field in fields:
+            test = example(case=(name, ("type", field, [0])))(test)
+    return test
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(*map(truth_mutations, _TRUTH_FIELDS)))
+@example(case=("perturbation", ("endings", True, 0b1010)))
+@example(case=("pca_removal", ("endings", True, 2**16 - 1)))
+@example(case=("perturbation", ("nest", "q", 3000)))
+@example(case=("pca_removal", ("number", "seed", "9" * 5000)))
+@wrong_type_examples
+def test_a_mutated_truth_file_exits_0_1_or_2_with_one_error_line(applied_inputs, case):
+    name, mutation = case
+    check_mutated_input(applied_inputs, name, mutation, mutate_json)
 
 
 def test_truth_file_given_as_the_model_exits_1_with_one_error_line(tmp_path):

@@ -26,10 +26,10 @@ from kgsum.evalharness import (
 )
 from kgsum.graph import label_lines, parse_graph, triple_lines
 from kgsum.miner import ConfigError, build_model, generate_candidates, qualify_all, rank, select, summarize
-from kgsum.rules import IN, atomic, rule_text
+from kgsum.rules import IN, rule_text
 
 from oracles import oracle_auc_trapezoid, oracle_completeness_eval
-from synth import bench_kg, private_children_kg, random_kg, random_owned_kg, symmetric_dominant_kg, two_branch_kg
+from synth import atomic, bench_kg, model_rules, private_children_kg, random_kg, random_owned_kg, symmetric_dominant_kg, two_branch_kg
 
 
 def test_spec_validation():
@@ -203,7 +203,7 @@ def test_freq_select_top1_is_most_frequently_correct():
     cands = qualify_all(generate_candidates(g), g)
     model = freq_select(cands, g, 1)
     # the B-rooted orientation applies correctly 60 times vs 20 for A-rooted
-    assert model.rules == [atomic(g.label_id("B"), g.pred_id("p"), IN, g.label_id("A"))]
+    assert model_rules(model) == [atomic(g.label_id("B"), g.pred_id("p"), IN, g.label_id("A"))]
     assert model.entries[0].num_correct == 60
 
 
@@ -234,16 +234,16 @@ def test_baselines_record_each_rule_as_its_text(selector):
     g = private_children_kg(n_roots=20, degree=3)
     model = selector(qualify_all(generate_candidates(g), g), g, 2)
     # as select, merge, nest and load record them: two rules with one root read apart
-    assert [text for _, text, _, _ in model.history[1:]] == [rule_text(r, g) for r in model.rules]
+    assert [text for _, text, _, _ in model.history[1:]] == [rule_text(r, g) for r in model_rules(model)]
 
 
 def test_all_selectors_agree_on_dominant_pattern():
     g = symmetric_dominant_kg()
     cands = qualify_all(generate_candidates(g), g)
-    top_freq = freq_select(cands, g, 1).rules[0]
-    top_cov = coverage_select(cands, g, 1).rules[0]
+    top_freq = model_rules(freq_select(cands, g, 1))[0]
+    top_cov = model_rules(coverage_select(cands, g, 1))[0]
     mdl = select(g, rank(cands, g))
-    assert top_freq == top_cov == mdl.rules[0]
+    assert top_freq == top_cov == model_rules(mdl)[0]
 
 
 # -- ranking metrics ---------------------------------------------------------

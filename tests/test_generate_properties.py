@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgsum.graph import parse_graph
-from kgsum.rules import IN, OUT, atomic
+from kgsum.rules import IN, OUT
 from kgsum.miner import generate_candidates
 
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     oracle_log_binomial,
     oracle_rule_cost,
 )
+from synth import atomic
 
 
 def build(edges, labels):

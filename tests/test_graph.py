@@ -112,17 +112,8 @@ def test_equal_label_sets_share_one_frozenset():
     assert g.node_labels[c] is g.node_labels[d]
     # e appears only in the label file
     assert e == 4 and g.node_names[e] == "e"
-    assert e in g.label_nodes(x) and e in g.label_nodes(y)
-
-
-def test_label_index_cannot_be_changed_through_label_nodes():
-    g = parse_graph(["a\tp\tb\n"], ["a\tX\n", "b\tY\n"])
-    x = g.label_id("X")
-    with pytest.raises(AttributeError):
-        g.label_nodes(x).add(99)
-    assert g.label_nodes(x) == {g.node_id("a")}
-    assert g.nodes_with_labels([x]) == {g.node_id("a")}
-    assert g.label_nodes(g.num_labels) == frozenset()  # an unknown label id
+    assert e in g.nodes_with_labels([x]) and e in g.nodes_with_labels([y])
+    assert g.nodes_with_labels([g.num_labels]) == set()  # an unknown label id
 
 
 def row(g, v, p, direction) -> list[int]:

@@ -31,7 +31,7 @@ from kgsum.miner import (
     model_to_dict,
     model_from_dict,
 )
-from kgsum.rules import IN, OUT, Child, Rule, RuleFormatError, atomic, match, rule_text
+from kgsum.rules import IN, OUT, Child, Rule, RuleFormatError, canonicalize, match, rule_text, rule_to_dict
 
 from oracles import (
     brute_force_best_subset,
@@ -42,9 +42,11 @@ from oracles import (
     oracle_traversal_bits,
 )
 from synth import (
+    atomic,
     bench_kg,
     chain_kg,
     chained_ownership_kg,
+    model_rules,
     planted_cycle_kg,
     private_children_kg,
     random_kg,
@@ -222,7 +224,7 @@ def test_select_skips_redundant_coverage():
     g = private_children_kg(n_roots=20, degree=3)
     ranked = rank(qualify_all(generate_candidates(g), g), g)
     model = select(g, ranked)
-    assert model.rules == [atomic(g.label_id("A"), g.pred_id("p"), OUT, g.label_id("B"))]
+    assert model_rules(model) == [atomic(g.label_id("A"), g.pred_id("p"), OUT, g.label_id("B"))]
 
 
 def test_select_considers_reverse_pair_and_keeps_cheaper():
@@ -250,7 +252,7 @@ def test_select_considers_reverse_pair_and_keeps_cheaper():
     cheap.reverse_partner = expensive
     model = select(g, [expensive, cheap])
     assert len(model.entries) == 1 and model.entries[0] is cheap
-    assert expensive.rule not in model.rules
+    assert expensive.rule not in model_rules(model)
 
 
 def test_select_leaves_its_candidates_reusable():
@@ -469,7 +471,7 @@ def check_nest_against_oracle(g, model, monkeypatch) -> tuple[NestCounts, list[t
         return nest_bound(e_in, path, e_rt, composed_rule, reach, bits_in, bits_rt, g_, slack)
 
     monkeypatch.setattr(miner, "nest_bound", recording)
-    rules_before = list(model.rules)
+    rules_before = model_rules(model)
     history_before = len(model.history)
     counts = NestCounts()
     refine_nest(model, g, counts)
@@ -483,7 +485,7 @@ def check_nest_against_oracle(g, model, monkeypatch) -> tuple[NestCounts, list[t
     assert counts.accepted == len(model.history) - history_before
 
     rules, steps = oracle_refine_nest(g, rules_before)
-    assert model.rules == rules
+    assert model_rules(model) == rules
     nests = model.history[history_before:]
     assert [(phase, what) for phase, what, _, _ in nests] == [
         ("nest", rule_text(r, g)) for r, _ in steps
@@ -741,13 +743,13 @@ def test_generating_candidates_holds_few_bytes_per_edge_beyond_the_graph():
 
 def test_refine_nest_composes_no_rule_deeper_than_rule_from_dict_reads(monkeypatch):
     g = chain_kg("ABCDE", fanout=2)
-    assert max(r.depth() for r in summarize(g, refine="nest").rules) == 4
+    assert max(r.depth() for r in model_rules(summarize(g, refine="nest"))) == 4
     monkeypatch.setattr(miner, "MAX_RULE_DEPTH", 3)
     monkeypatch.setattr("kgsum.rules.MAX_RULE_DEPTH", 3)
     model = summarize(g, refine="nest")
     assert any(phase == "nest" for phase, *_ in model.history)
-    assert max(r.depth() for r in model.rules) == 3
-    assert model_from_dict(model_to_dict(model), g).rules == model.rules
+    assert max(r.depth() for r in model_rules(model)) == 3
+    assert model_rules(model_from_dict(model_to_dict(model), g)) == model_rules(model)
 
 
 def test_self_loop_graph_costs_neighbours_among_all_nodes():
@@ -759,7 +761,7 @@ def test_self_loop_graph_costs_neighbours_among_all_nodes():
     assert cand.traversal_bits == oracle_traversal_bits(g, g.node_id("a"), cand.rule)
     assert cand.traversal_bits == RuleEntry.from_rule(cand.rule, g).traversal_bits
     model = summarize(g, refine="nest")
-    assert model.total == pytest.approx(oracle_total_cost(g, model.rules), rel=1e-12)
+    assert model.total == pytest.approx(oracle_total_cost(g, model_rules(model)), rel=1e-12)
 
 
 def test_monotone_descent_and_counts_across_pipeline():
@@ -849,12 +851,35 @@ def test_model_from_dict_skips_rules_whose_root_no_node_carries():
     with pytest.warns(UserWarning, match=r"1 model rule\(s\) skipped.*\[X,Y\]\(->p\[Z\]\)"):
         model = model_from_dict(doc, drifted)
     x, z, p = drifted.label_id("X"), drifted.label_id("Z"), drifted.pred_id("p")
-    assert model.rules == [atomic(x, p, OUT, z)]
+    assert model_rules(model) == [atomic(x, p, OUT, z)]
     assert [h[1] for h in model.history] == ["", "[X](->p[Z])"]
     # a name the graph does not know is still a format error
     unknown = parse_graph(["a\tp\tb\n"], ["a\tX\n", "b\tZ\n"])
     with pytest.raises(RuleFormatError, match="unknown label 'Y'"):
         model_from_dict(doc, unknown)
+
+
+def test_build_model_skips_a_rule_whose_root_no_node_carries():
+    g = parse_graph(
+        ["a\tp\tb\n", "c\tp\td\n", "a\tq\tc\n"],
+        ["a\tX\n", "c\tY\n", "b\tZ\n", "d\tZ\n"],
+    )
+    x, y, z = g.label_id("X"), g.label_id("Y"), g.label_id("Z")
+    p, q = g.pred_id("p"), g.pred_id("q")
+    # children out of canonical order, which the loader sorts
+    first = Rule(frozenset({x}), (Child(q, OUT, Rule(frozenset({y}))), Child(p, OUT, Rule(frozenset({z})))))
+    rules = [first, Rule(frozenset({x, y}), (Child(p, OUT, Rule(frozenset({z}))),)), atomic(z, p, IN, y)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = build_model(g, rules)
+    assert [str(w.message) for w in caught] == [
+        "1 model rule(s) skipped: no node carries all their root labels: [X,Y](->p[Z])"
+    ]
+    assert [h[1] for h in model.history] == ["", "[X](->p[Z] ->q[Y])", "[Z](<-p[Y])"]
+    assert model_rules(model) == [canonicalize(first), rules[2]]
+    doc = {"rules": [{"rule": rule_to_dict(r, g)} for r in rules]}
+    with pytest.warns(UserWarning, match=r"1 model rule\(s\) skipped"):
+        assert model_from_dict(doc, g).history == model.history
 
 
 _RULE = {"root_labels": ["X"], "children": []}

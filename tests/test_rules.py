@@ -12,7 +12,6 @@ from kgsum.rules import (
     Child,
     Rule,
     RuleFormatError,
-    atomic,
     canonicalize,
     child_rows,
     match,
@@ -21,7 +20,7 @@ from kgsum.rules import (
 )
 
 from oracles import as_ids, is_coverage_array, oracle_match, oracle_matching_neighbors
-from synth import random_kg, random_rule
+from synth import atomic, random_kg, random_rule
 
 
 def book_graph(drop_born_in=False):
