@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .anomaly import missing_reports, rank_edges
-from .graph import KnowledgeGraph, _fields, _open_text, load_graph, write_graph
+from .graph import KnowledgeGraph, _fields, _open_text, load_graph, short_repr, write_graph
 from .miner import (
     ConfigError,
     Model,
@@ -119,7 +119,7 @@ def _read_test_edges(path: str, g: KnowledgeGraph) -> list[tuple[int, int, int]]
             s, p, o = parts
             sid, pid, oid = g.node_id(s), g.pred_id(p), g.node_id(o)
             if sid is None or pid is None or oid is None:
-                raise ValueError(f"{path}, line {line_no}: unknown identifier in {parts}")
+                raise ValueError(f"{path}, line {line_no}: unknown identifier in {short_repr(parts)}")
             rows.append((sid, pid, oid))
     return rows
 
@@ -182,7 +182,7 @@ def _read_ranking(path: str) -> list[tuple[str, str, str, float]]:
             except ValueError:
                 score = math.nan
             if math.isnan(score):
-                raise ValueError(f"{path}, line {line_no}: score {text!r} is not a number")
+                raise ValueError(f"{path}, line {line_no}: score {short_repr(text)} is not a number")
             rows.append((s, p, o, score))
     return rows
 
@@ -207,7 +207,7 @@ def _cmd_evaluate(args) -> int:
         recall, recall_label = completeness_eval(model, truth)
         doc = {"kind": "pca_removal", "recall": recall, "recall_label": recall_label}
     else:
-        raise ConfigError(f"unknown truth kind {truth['kind']!r}")
+        raise ConfigError(f"unknown truth kind {short_repr(truth['kind'])}")
     _write_json(args.out, doc)
     _log(f"evaluation written to {args.out}")
     return 0

@@ -20,7 +20,7 @@ import random
 import warnings
 
 from .anomaly import missing_reports
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, short_repr
 from .miner import ConfigError, Model, RuleEntry
 from .rules import DIRECTION_NAMES, IN, OUT
 
@@ -45,10 +45,10 @@ def check_truth(doc) -> dict:
         raise MetricsError("ground truth must be an object with kind, q and seed")
     q = doc["q"]
     if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0 < q <= 1:
-        raise MetricsError(f"truth 'q' must be a number in (0, 1], got {q!r}")
+        raise MetricsError(f"truth 'q' must be a number in (0, 1], got {short_repr(q)}")
     seed = doc["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise MetricsError(f"truth 'seed' must be an integer, got {seed!r}")
+        raise MetricsError(f"truth 'seed' must be an integer, got {short_repr(seed)}")
     if not _strings(doc.get("types", [])):
         raise MetricsError("truth 'types' must be a list of strings")
     records = {name: _records(doc, name) for name in ("positives", "negatives", "removed")}
@@ -323,10 +323,10 @@ def _ranking_rows(
     for s, p, o, score in ranking:
         t = (s, p, o)
         if math.isnan(score):
-            raise MetricsError(f"ranked edge {t} has score NaN")
+            raise MetricsError(f"ranked edge {short_repr(t)} has score NaN")
         types = pos_types.get(t)
         if types is None and t not in clean:
-            raise MetricsError(f"ranked edge {t} is neither perturbed nor clean in the truth")
+            raise MetricsError(f"ranked edge {short_repr(t)} is neither perturbed nor clean in the truth")
         if anomaly_filter is not None and types is not None and anomaly_filter not in types:
             continue  # perturbed by another type: excluded from this filter
         scores.append(score)
@@ -390,7 +390,7 @@ def metrics(
     has, when there are more than one.
     """
     if truth["kind"] != "perturbation":
-        raise MetricsError(f"metrics needs perturbation truth, got {truth['kind']!r}")
+        raise MetricsError(f"metrics needs perturbation truth, got {short_repr(truth['kind'])}")
     scores, labels = _ranking_rows(ranking, truth, anomaly_filter)
     if not scores:
         raise MetricsError("empty ranking after filtering")
@@ -425,7 +425,7 @@ def completeness_eval(model: Model, truth: dict, split: str = "test") -> tuple[f
     still holds such an edge, which contradicts the truth file, could leave
     that child unreported."""
     if truth["kind"] != "pca_removal":
-        raise MetricsError(f"completeness_eval needs pca_removal truth, got {truth['kind']!r}")
+        raise MetricsError(f"completeness_eval needs pca_removal truth, got {short_repr(truth['kind'])}")
     records = [r for r in truth["removed"] if r["split"] == split]
     if not records:
         return 0.0, 0.0

@@ -12,9 +12,9 @@ order, and so are the distinct edges: an edge id is the edge's index in
 (subject, predicate, object) in edge-id order, and the edge multiset is one
 column holding each file line's edge id.  Load appends each line's ids to
 three columns and sorts the lines once, each packed in one int, by (s, p, o,
-line): that finds the repeated triples, numbers the edges (with no repeat,
-each edge id is its line number) and gives the (s, p, o) order of the
-distinct edges, which the graph keeps as one column.  Each direction has a
+line): that finds the repeated triples, numbers the edges in one pass along
+that order (``_sorted_lines``) and gives the (s, p, o) order of the distinct
+edges, which the graph keeps as one column.  Each direction has a
 compressed-sparse-row (CSR) index over the distinct edges, four columns that
 ``csr`` hands out: its rows are sorted by (node, predicate, neighbour), where
 the node is the subject for ``OUT`` and the object for ``IN``, an offsets
@@ -34,8 +34,8 @@ node ``v``'s labels, in ascending label id, hold the assignment ids
 its edge ids and its assignment ids (``assignment_ids``).  Load reads the
 label lines into one array of each node's first label, indexed by node id,
 and a set of further labels for each node that has more, so a one-label node
-takes 4 bytes while the file is read; the label sets are then built in
-node-id order.  Nodes with equal label sets share one frozenset, and each
+takes 4 bytes while the file is read, and then takes its label's one
+frozenset.  Nodes with equal label sets share one frozenset, and each
 label's nodes are one ascending ``array("I")`` of node ids (``label_index``),
 built at load from the nodes' label sets.  ``edges`` and
 ``distinct_edges`` build (s, p, o) tuple lists on each call; mining, scoring
@@ -44,6 +44,7 @@ and completion never call them.
 
 from __future__ import annotations
 
+import reprlib
 import warnings
 from array import array
 from bisect import bisect_left, bisect_right
@@ -56,6 +57,13 @@ from typing import Iterable, Iterator, TextIO
 OUT = 0  # the node is the subject of the edge
 IN = 1  # the node is the object of the edge
 
+# an input value that an error message quotes, cut to a bounded length: a
+# long string keeps its two ends, a container its first items, one level deep
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxdict, _SHORT.maxlist, _SHORT.maxtuple = 1, 2, 3, 3
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 60
+short_repr = _SHORT.repr
+
 
 class GraphParseError(ValueError):
     """A malformed triple/label line (wrong field count)."""
@@ -64,7 +72,7 @@ class GraphParseError(ValueError):
         self.source = source
         self.line_no = line_no
         self.line = line
-        super().__init__(f"{source}, line {line_no}: expected tab-separated fields, got {line!r}")
+        super().__init__(f"{source}, line {line_no}: expected tab-separated fields, got {short_repr(line)}")
 
 
 class KnowledgeGraph:
@@ -100,7 +108,15 @@ class KnowledgeGraph:
         self.has_self_loop = any(map(eq, subjects, objects))
         out_order, repeats = _sorted_lines(subjects, preds, objects, len(node_ids), len(pred_ids))
         if repeats:
-            line_edges, first_lines, out_order = _number_edges(out_order, repeats)
+            # a repeat takes the id of an earlier line of its triple, numbered first
+            first_lines = bytearray(b"\x01") * len(out_order)
+            for i in repeats:
+                first_lines[out_order[i]] = 0
+            line_edges = array("I", islice(accumulate(first_lines, initial=-1), 1, None))
+            for i in repeats:
+                line_edges[out_order[i]] = line_edges[out_order[i - 1]]
+            kept = compress(out_order, map(first_lines.__getitem__, out_order))
+            out_order = array("I", map(line_edges.__getitem__, kept))
             subjects, preds, objects = (array("I", compress(col, first_lines)) for col in (subjects, preds, objects))
             del first_lines
         else:
@@ -129,18 +145,18 @@ class KnowledgeGraph:
             elif first != lid:
                 more_labels[vid].add(lid)
 
-        # in node-id order; nodes with equal label sets share one frozenset
+        # shared sets: a label's own, the empty one (index -1) for an unlabelled
+        # node, and for a node with more labels the first one built equal to its
+        singles = [frozenset((l,)) for l in range(len(label_ids))] + [frozenset()]
+        node_labels = self.node_labels = list(map(singles.__getitem__, first_label))
         shared: dict[frozenset[int], frozenset[int]] = {}
-        node_labels = self.node_labels = [frozenset()] * len(node_ids)
-        for vid, lid in enumerate(first_label):
-            if lid >= 0:
-                labels = frozenset((lid, *more_labels.get(vid, ())))
-                node_labels[vid] = shared.setdefault(labels, labels)
-        del first_label, more_labels
+        for vid, more in more_labels.items():
+            labels = frozenset((first_label[vid], *more))
+            node_labels[vid] = shared.setdefault(labels, labels)
+        del first_label, more_labels, singles, shared
         self.label_offsets = array("I", accumulate(map(len, node_labels), initial=0))
         # each distinct label set -> its labels' ranks in ascending id order
-        self._label_ranks = {ls: {l: i for i, l in enumerate(sorted(ls))} for ls in shared}
-        del shared
+        self._label_ranks = {ls: {l: i for i, l in enumerate(sorted(ls))} for ls in set(node_labels) if ls}
         label_index = self.label_index = [array("I") for _ in label_ids]
         for vid, labels in enumerate(node_labels):
             for lid in labels:
@@ -300,7 +316,9 @@ def _sorted_lines(
     """The line numbers in (s, p, o, line) order, and the positions in that
     order whose triple repeats the one before.  Each line is sorted as one
     int, its (s, p, o) ids in the high bits and its number in the low bits,
-    and the ints are freed before this returns (memory)."""
+    and the ints are freed before this returns (memory).  Load marks the
+    repeated lines in one mask, numbers the first lines by a running sum over
+    it, and gives each repeat the id of the line before it in this order."""
     p_bits, o_bits, line_bits = num_preds.bit_length(), num_nodes.bit_length(), len(subjects).bit_length()
 
     def pack(s: int, p: int, o: int, line: int) -> int:
@@ -311,27 +329,6 @@ def _sorted_lines(
     # two neighbouring keys hold one triple when they differ in the line bits alone
     repeats = list(compress(count(1), map(gt, repeat(1 << line_bits), map(xor, keys, islice(keys, 1, None)))))
     return order, repeats
-
-
-def _number_edges(order: array, repeats: list[int]) -> tuple[array, bytearray, array]:
-    """Each line's edge id, a mask of the lines that first hold their triple,
-    and the edge ids in (s, p, o) order, from the lines in (s, p, o, line)
-    ``order`` and the positions ``repeats`` in it that repeat the triple
-    before.  A repeated line takes the id of the line before it in ``order``,
-    an earlier line of its triple; the first lines are numbered in line
-    order.  The work beyond array copies grows with the repeats, not with the
-    lines."""
-    pairs = sorted((order[i], order[i - 1]) for i in repeats)
-    line_edges, first_lines = array("I"), bytearray(b"\x01") * len(order)
-    for k, (line, earlier) in enumerate(pairs):
-        line_edges.extend(range(len(line_edges) - k, line - k))
-        line_edges.append(line_edges[earlier])
-        first_lines[line] = 0
-    line_edges.extend(range(len(line_edges) - len(pairs), len(order) - len(pairs)))
-    first_rows = bytearray(b"\x01") * len(order)
-    for i in repeats:
-        first_rows[i] = 0
-    return line_edges, first_lines, array("I", map(line_edges.__getitem__, compress(order, first_rows)))
 
 
 def _starts(keys: array, width: int) -> array:

@@ -826,10 +826,10 @@ def model_to_dict(model: Model) -> dict:
 
 
 def model_from_dict(data: dict, g: KnowledgeGraph) -> Model:
-    """Rebuild a model on ``g`` from a serialized rule list (costs recomputed)
-    with ``build_model``, which skips the rules that no longer apply.  A
-    document of any other shape raises ``RuleFormatError``, before any rule
-    is matched.
+    """Rebuild a model on ``g`` from a serialized rule list (costs recomputed):
+    ``rule_from_dict`` parses each rule, and ``build_model`` canonicalizes them
+    and skips those that no longer apply.  A document of any other shape
+    raises ``RuleFormatError``, before any rule is matched.
     """
     entries = data.get("rules") if isinstance(data, dict) else None
     if not isinstance(entries, list):

@@ -30,7 +30,7 @@ from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .encoding import log_binomial
-from .graph import IN, OUT, KnowledgeGraph
+from .graph import IN, OUT, KnowledgeGraph, short_repr
 
 DIRECTION_NAMES = ("out", "in")
 DIRECTION_IDS = {"out": OUT, "in": IN}
@@ -265,9 +265,10 @@ stays far under ``sys.getrecursionlimit()``."""
 
 
 def rule_from_dict(data: dict, g: KnowledgeGraph) -> Rule:
-    """Parse and canonicalize a serialized rule; unknown names, and nesting
-    deeper than ``MAX_RULE_DEPTH``, are errors."""
-    return canonicalize(_rule_from_dict(data, g, 1))
+    """Parse and check a serialized rule, its children in file order
+    (``miner.build_model`` canonicalizes the rules it loads); unknown names,
+    and nesting deeper than ``MAX_RULE_DEPTH``, are errors."""
+    return _rule_from_dict(data, g, 1)
 
 
 def _rule_from_dict(data: dict, g: KnowledgeGraph, depth: int) -> Rule:
@@ -282,7 +283,7 @@ def _rule_from_dict(data: dict, g: KnowledgeGraph, depth: int) -> Rule:
     for name in names:
         lid = g.label_id(name) if isinstance(name, str) else None
         if lid is None:
-            raise RuleFormatError(f"unknown label {name!r}")
+            raise RuleFormatError(f"unknown label {short_repr(name)}")
         labels.add(lid)
     entries = data.get("children", [])
     if not isinstance(entries, list):
@@ -294,11 +295,11 @@ def _rule_from_dict(data: dict, g: KnowledgeGraph, depth: int) -> Rule:
         name = entry.get("predicate")
         pred = g.pred_id(name) if isinstance(name, str) else None
         if pred is None:
-            raise RuleFormatError(f"unknown predicate {name!r}")
+            raise RuleFormatError(f"unknown predicate {short_repr(name)}")
         name = entry.get("direction")
         direction = DIRECTION_IDS.get(name) if isinstance(name, str) else None
         if direction is None:
-            raise RuleFormatError(f"direction must be 'out' or 'in', got {name!r}")
+            raise RuleFormatError(f"direction must be 'out' or 'in', got {short_repr(name)}")
         children.append(Child(pred, direction, _rule_from_dict(entry.get("child", {}), g, depth + 1)))
     return Rule(frozenset(labels), tuple(children))
 

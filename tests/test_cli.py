@@ -615,10 +615,12 @@ def mutate(text: str, mutation: tuple) -> bytes:
 @example(mutation=("type", "children", [0]))
 @example(mutation=("type", "predicate", [0]))
 @example(mutation=("type", "direction", [0]))
+@example(mutation=("type", "root_labels", ["X" * 300_000]))
 def test_a_mutated_model_file_exits_0_or_1_with_one_error_line(mined_model, mutation):
     # a model file truncated, with a byte flipped, with a rule as deep as a
     # model file may hold or one level deeper, with a field of the wrong JSON
-    # type, or with NaN, an infinity or a huge number where the costs are
+    # type, an unknown label too long to quote whole, or with NaN, an
+    # infinity or a huge number where the costs are
     text, path, runs = mined_model
     assert json.loads(text)["rules"][0]["rule"]["children"][0]["child"]["children"]
     path.write_bytes(mutate(text, mutation))
@@ -628,6 +630,7 @@ def test_a_mutated_model_file_exits_0_or_1_with_one_error_line(mined_model, muta
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == proc.returncode, proc.stderr
+        check_error_lines(errors)
         if mutation[0] == "chain":  # the deepest rule a file holds applies; one more level is refused
             assert proc.returncode == (mutation[1] > MAX_RULE_DEPTH), proc.stderr
 
@@ -699,12 +702,20 @@ def line_mutations(bad_lines: tuple[str, ...], values: tuple[str, ...] = ()):
     return st.one_of(*mutations)
 
 
+# the most bytes an error line may take: a value it quotes from an input file is cut short
+MAX_ERROR_BYTES = 400
+
+
+def check_error_lines(errors: list[str]) -> None:
+    assert all(len(line.encode()) <= MAX_ERROR_BYTES for line in errors), [len(line.encode()) for line in errors]
+
+
 def check_mutated_input(inputs, name: str, mutation: tuple, mutate=mutate_lines) -> None:
     """Run the command that reads the ``name`` file mutated as ``mutation``
     says (``mutate`` gives the bytes): it must exit 0, 1 or 2 with no
-    traceback, and print one ``error:`` line exactly when it exits 1.  A file
-    changed only where the reader skips gives the unmutated output; a bad
-    line is an error naming its line."""
+    traceback, and print one ``error:`` line, of at most ``MAX_ERROR_BYTES``,
+    exactly when it exits 1.  A file changed only where the reader skips
+    gives the unmutated output; a bad line is an error naming its line."""
     texts, valid, path, args, out = inputs
     path.write_bytes(mutate(texts[name], mutation))
     out.unlink(missing_ok=True)
@@ -713,6 +724,7 @@ def check_mutated_input(inputs, name: str, mutation: tuple, mutate=mutate_lines)
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == (proc.returncode == 1), proc.stderr
+    check_error_lines(errors)
     if mutation[0] in ("endings", "insert"):  # nothing but what the reader skips changed
         assert proc.returncode == 0 and out.read_bytes() == valid[name], proc.stderr
     if mutation[0] == "replace":
@@ -749,6 +761,7 @@ def test_a_mutated_labels_file_exits_0_1_or_2_with_one_error_line(mined_tsv, mut
 @example(mutation=("replace", 3, "a0\tp\tb0\tc0"))
 @example(mutation=("replace", 0, "a0\t\tb0"))
 @example(mutation=("replace", 5, "a0\tp"))
+@example(mutation=("replace", 2, "x" * 500_000))  # too long to quote whole
 @example(mutation=("insert", 0, "# a0\tp\tb0"))
 @example(mutation=("insert", 7, " \t \t"))
 def test_a_mutated_triples_file_exits_0_1_or_2_with_one_error_line(mined_tsv, mutation):
@@ -901,6 +914,8 @@ def wrong_type_examples(test):
 @example(case=("pca_removal", ("endings", True, 2**16 - 1)))
 @example(case=("perturbation", ("nest", "q", 3000)))
 @example(case=("pca_removal", ("number", "seed", "9" * 5000)))
+@example(case=("perturbation", ("type", "q", "x" * 1_000_000)))  # values too long to quote whole
+@example(case=("perturbation", ("nest", "q", 980)))
 @wrong_type_examples
 def test_a_mutated_truth_file_exits_0_1_or_2_with_one_error_line(applied_inputs, case):
     name, mutation = case

@@ -882,6 +882,32 @@ def test_build_model_skips_a_rule_whose_root_no_node_carries():
         assert model_from_dict(doc, g).history == model.history
 
 
+def test_a_model_file_with_children_out_of_order_loads_as_the_canonical_one():
+    # rule_from_dict keeps the file's child order; build_model canonicalizes
+    g = parse_graph(
+        ["a\tp\tb\n", "a\tq\tc\n", "b\tr\tc\n", "b\ts\ta\n", "d\tp\te\n", "d\tq\tf\n", "e\tr\tf\n", "e\ts\td\n"],
+        ["a\tX\n", "d\tX\n", "b\tZ\n", "e\tZ\n", "c\tY\n", "f\tY\n"],
+    )
+    x, y, z = g.label_id("X"), g.label_id("Y"), g.label_id("Z")
+    p, q, r, s = (g.pred_id(n) for n in "pqrs")
+    inner = Rule(frozenset({z}), (Child(r, OUT, Rule(frozenset({y}))), Child(s, OUT, Rule(frozenset({x})))))
+    rule = canonicalize(Rule(frozenset({x}), (Child(p, OUT, inner), Child(q, OUT, Rule(frozenset({y}))))))
+    canonical = model_to_dict(build_model(g, [rule, atomic(z, r, OUT, y)]))
+
+    def reversed_children(node):
+        if isinstance(node, dict):
+            node = {k: reversed_children(v) for k, v in node.items()}
+            if "children" in node:
+                node["children"].reverse()
+        return [reversed_children(v) for v in node] if isinstance(node, list) else node
+
+    shuffled = reversed_children(canonical)
+    assert shuffled != canonical
+    loaded, reordered = model_from_dict(canonical, g), model_from_dict(shuffled, g)
+    assert reordered.history == loaded.history
+    assert model_to_dict(reordered) == model_to_dict(loaded) == canonical
+
+
 _RULE = {"root_labels": ["X"], "children": []}
 
 
